@@ -1,9 +1,10 @@
 """Geometric sweep over the side-ratio guess c.
 
 The optimal |S|/|T| is unknown, so runners are executed once per grid value
-delta^i / n from 1/n up to the first value >= n. Every run of one sweep sees
-the same stream permutation; sampling randomness is split per grid cell, so
-per-c results are seed-deterministic regardless of scheduling.
+delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
+edge stream once, before the first cell, and every cell reads its own replay
+of those shared read-only arrays; sampling randomness is split per grid cell,
+so per-c results are seed-deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ class SweepGrid:
         return iter(self.values)
 
 
+# Bound on grid denominators: a float delta is a binary fraction with up to 52
+# denominator bits, so exact products would gain that many bits per value.
+# Values that already fit, e.g. every delta=2 grid, are left unchanged.
+_MAX_DENOMINATOR = 1 << 62
+
+
 def build_grid(n: int, delta: float) -> SweepGrid:
     if n < 1:
         raise ValueError("n must be positive")
@@ -57,7 +64,7 @@ def build_grid(n: int, delta: float) -> SweepGrid:
     step = Fraction(delta)
     values = [Fraction(1, n)]
     while values[-1] < n:
-        values.append(values[-1] * step)
+        values.append((values[-1] * step).limit_denominator(_MAX_DENOMINATOR))
     return SweepGrid(delta=float(delta), values=tuple(values))
 
 
@@ -95,6 +102,9 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
     values: Sequence[Fraction] = grid.values if isinstance(grid, SweepGrid) else tuple(grid)
     params = sample_params(g.n, epsilon, f)
     stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_MASK))
+    stream = None
+    if algo in ("multi-pass", "single-pass"):
+        stream = make_stream(g, stream_order, stream_seed)
 
     def run_cell(index: int) -> SweepRow:
         c = values[index]
@@ -105,17 +115,15 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
                 wall = (time.perf_counter() - started) * 1000.0
                 peak, rounds = g.m, len(trace)
             elif algo == "multi-pass":
-                stream = make_stream(g, stream_order, stream_seed)
                 rng = _derived_rng(seed, "multi", index)
                 started = time.perf_counter()
-                pair, rho, passes, peak = multi_pass_run(stream, g.n, c, params, rng=rng)
+                pair, rho, passes, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
                 wall = (time.perf_counter() - started) * 1000.0
                 rounds = passes
             elif algo == "single-pass":
-                stream = make_stream(g, stream_order, stream_seed)
                 rng = _derived_rng(seed, "single", index)
                 started = time.perf_counter()
-                pair, rho, peak = single_pass_run(stream, g.n, c, params, rng=rng)
+                pair, rho, peak = single_pass_run(stream.replay(), g.n, c, params, rng=rng)
                 wall = (time.perf_counter() - started) * 1000.0
                 rounds = 1
             else:
@@ -128,7 +136,7 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
                 pair, rho, ledger = run(g, c, epsilon, cfg, params, rng=rng)
                 wall = (time.perf_counter() - started) * 1000.0
                 peak, rounds = ledger.peak_edges, ledger.rounds
-            return SweepRow(c, pair, rho, len(pair.S), len(pair.T), peak, rounds, wall)
+            return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
             return SweepRow(c, None, None, None, None, None, None, 0.0, error=str(exc))
 

@@ -19,23 +19,23 @@ __all__ = [
 ]
 
 
-def _as_edge_arrays(n, edges):
-    if isinstance(edges, tuple) and len(edges) == 2 and not isinstance(edges[0], int):
-        src = np.ascontiguousarray(edges[0], dtype=np.int64)
-        dst = np.ascontiguousarray(edges[1], dtype=np.int64)
-    else:
-        pairs = list(edges)
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("edges must be (u, v) pairs")
-            src = arr[:, 0].copy()
-            dst = arr[:, 1].copy()
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise ValueError("source/target arrays must have equal length")
+def _pair_arrays(edges):
+    """(src, dst) int64 arrays of an iterable of (u, v) pairs."""
+    pairs = list(edges)
+    if not pairs:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return arr[:, 0].copy(), arr[:, 1].copy()
+
+
+def _checked_arrays(n, src, dst):
+    """Return (src, dst) unchanged after checking them against vertices 0..n-1."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError("source/target arrays must be 1-D and of equal length")
     if src.size:
         lo = min(int(src.min()), int(dst.min()))
         hi = max(int(src.max()), int(dst.max()))
@@ -55,9 +55,18 @@ class DirectedGraph:
     __slots__ = ("n", "src", "dst", "_out_adj", "_in_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        src, dst = _as_edge_arrays(n, edges)
+        """``edges`` holds (u, v) pairs; (src, dst) arrays go to ``from_arrays``."""
+        self._freeze(n, *_pair_arrays(edges))
+
+    @classmethod
+    def from_arrays(cls, n: int, src, dst) -> "DirectedGraph":
+        g = cls.__new__(cls)
+        g._freeze(n, np.ascontiguousarray(src, dtype=np.int64),
+                  np.ascontiguousarray(dst, dtype=np.int64))
+        return g
+
+    def _freeze(self, n, src, dst):
+        src, dst = _checked_arrays(n, src, dst)
         src.setflags(write=False)
         dst.setflags(write=False)
         self.n = int(n)
@@ -65,10 +74,6 @@ class DirectedGraph:
         self.dst = dst
         self._out_adj = None
         self._in_adj = None
-
-    @classmethod
-    def from_arrays(cls, n: int, src, dst) -> "DirectedGraph":
-        return cls(n, (np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)))
 
     @property
     def m(self) -> int:
@@ -122,8 +127,7 @@ class EdgeBatch:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "EdgeBatch":
-        src, dst = _as_edge_arrays(n, pairs)
-        return cls(n, src, dst)
+        return cls(n, *_checked_arrays(n, *_pair_arrays(pairs)))
 
 
 @dataclass(frozen=True)
@@ -131,19 +135,57 @@ class VertexSetPair:
     """Candidate (S, T) pair: S holds tail endpoints, T head endpoints.
 
     The sets may overlap (the undirected special case is S == T). The
-    ``cross_edges`` cache, when present, must equal a fresh recount.
+    ``cross_edges`` cache, when present, must equal a fresh recount. Runners
+    build pairs with ``from_masks``: such a pair keeps read-only boolean
+    masks, answers ``sizes`` and the density helpers from them, and builds
+    the ``S`` and ``T`` frozensets only when they are first read. Equality
+    and hashing are on (S, T, cross_edges) either way.
     """
 
     S: frozenset
     T: frozenset
     cross_edges: int | None = None
+    _masks = None  # (s_mask, t_mask) of a pair built by from_masks
 
     @classmethod
     def of(cls, S, T, cross_edges=None) -> "VertexSetPair":
         return cls(frozenset(int(v) for v in S), frozenset(int(v) for v in T), cross_edges)
 
+    @classmethod
+    def from_masks(cls, s_mask, t_mask, cross_edges=None) -> "VertexSetPair":
+        """Pair of the vertices set in two equal-length boolean masks (copied)."""
+        masks = (np.array(s_mask, dtype=bool), np.array(t_mask, dtype=bool))
+        if masks[0].ndim != 1 or masks[0].shape != masks[1].shape:
+            raise ValueError("masks must be 1-D and of equal length")
+        for mask in masks:
+            mask.setflags(write=False)
+        pair = cls.__new__(cls)
+        object.__setattr__(pair, "_masks", masks)
+        object.__setattr__(pair, "cross_edges", cross_edges)
+        return pair
+
+    def __getattr__(self, name):
+        # reached only for attributes not set yet: S and T of a mask-built pair
+        if self._masks is None or name not in ("S", "T"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        members = frozenset(np.flatnonzero(self._masks[name == "T"]).tolist())
+        object.__setattr__(self, name, members)
+        return members
+
     def sizes(self) -> tuple[int, int]:
+        if self._masks is not None:
+            return int(np.count_nonzero(self._masks[0])), int(np.count_nonzero(self._masks[1]))
         return len(self.S), len(self.T)
+
+    def masks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(s_mask, t_mask) over 0..n-1; raises on out-of-range ids.
+
+        The carried masks are returned as they are (read-only) when they
+        span n vertices; otherwise the masks are built from S and T.
+        """
+        if self._masks is not None and self._masks[0].size == n:
+            return self._masks
+        return member_mask(self.S, n), member_mask(self.T, n)
 
 
 def member_mask(vertices, n: int) -> np.ndarray:
@@ -159,25 +201,26 @@ def member_mask(vertices, n: int) -> np.ndarray:
 
 def count_cross_edges(g, pair: VertexSetPair) -> int:
     """Number of edges from S into T, counting parallel edges with multiplicity."""
-    s_mask = member_mask(pair.S, g.n)
-    t_mask = member_mask(pair.T, g.n)
+    s_mask, t_mask = pair.masks(g.n)
     return int(np.count_nonzero(s_mask[g.src] & t_mask[g.dst]))
 
 
 def density(g, pair: VertexSetPair) -> float:
     """Cross-edge count over the geometric mean of set sizes; 0 on empty sets."""
-    if not pair.S or not pair.T:
+    s_size, t_size = pair.sizes()
+    if not s_size or not t_size:
         return 0.0
-    return count_cross_edges(g, pair) / math.sqrt(len(pair.S) * len(pair.T))
+    return count_cross_edges(g, pair) / math.sqrt(s_size * t_size)
 
 
 def restricted_degrees(g, pair: VertexSetPair) -> tuple[dict, dict]:
     """Per-vertex cross-degrees: edges v->T for v in S, and S->v for v in T."""
-    s_mask = member_mask(pair.S, g.n)
-    t_mask = member_mask(pair.T, g.n)
+    s_mask, t_mask = pair.masks(g.n)
     qualifying = s_mask[g.src] & t_mask[g.dst]
     out_counts = np.bincount(g.src[qualifying], minlength=g.n)
     in_counts = np.bincount(g.dst[qualifying], minlength=g.n)
-    out_map = {int(v): int(out_counts[v]) for v in sorted(pair.S)}
-    in_map = {int(v): int(in_counts[v]) for v in sorted(pair.T)}
+    s_ids = np.flatnonzero(s_mask)
+    t_ids = np.flatnonzero(t_mask)
+    out_map = dict(zip(s_ids.tolist(), out_counts[s_ids].tolist()))
+    in_map = dict(zip(t_ids.tolist(), in_counts[t_ids].tolist()))
     return out_map, in_map

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DirectedGraph, VertexSetPair, member_mask
+from .graph import DirectedGraph, VertexSetPair
 
 __all__ = [
     "PeelParams",
@@ -112,16 +112,12 @@ def vsets_update(g_view, params: PeelParams, pair: VertexSetPair) -> VertexSetPa
 
     ``g_view`` may be the full graph or any sampled edge bag over the pair.
     """
-    if not pair.S or not pair.T:
+    if not all(pair.sizes()):
         raise ValueError("vsets_update requires nonempty S and T")
     n = g_view.n
-    s_mask = member_mask(pair.S, n)
-    t_mask = member_mask(pair.T, n)
+    s_mask, t_mask = pair.masks(n)
     _, _, new_s, new_t, _ = _peel_once(g_view.src, g_view.dst, n, params.c, params.epsilon, s_mask, t_mask)
-    return VertexSetPair(
-        frozenset(np.flatnonzero(new_s).tolist()),
-        frozenset(np.flatnonzero(new_t).tolist()),
-    )
+    return VertexSetPair.from_masks(new_s, new_t)
 
 
 def _rescan_peels(src, dst, n, c, epsilon, s_mask, t_mask):
@@ -217,12 +213,7 @@ def baseline_peel(g: DirectedGraph, params: PeelParams):
     best_s, best_t, rho, cross, _ = _peel_best(
         g.src, g.dst, g.n, params.c, params.epsilon, compact=False, trace=steps
     )
-    pair = VertexSetPair(
-        frozenset(np.flatnonzero(best_s).tolist()),
-        frozenset(np.flatnonzero(best_t).tolist()),
-        cross,
-    )
-    return pair, rho, PeelTrace(steps)
+    return VertexSetPair.from_masks(best_s, best_t, cross), rho, PeelTrace(steps)
 
 
 _ORACLE_CHUNK = 1 << 14

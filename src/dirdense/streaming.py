@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import EdgeBatch, VertexSetPair, member_mask
+from .graph import EdgeBatch, VertexSetPair
 from .peeling import _peel_best, _peel_once
 
 __all__ = [
@@ -71,7 +71,9 @@ class EdgeStream:
 
     A stream is single-consumer. ``reset`` restarts a pass for multi-pass
     use; single-pass consumers never call it, which the ``resets`` and
-    ``edges_read`` counters let tests assert.
+    ``edges_read`` counters let tests assert. ``replay`` hands out another
+    stream over the same edge order, so consumers of one order share its
+    arrays instead of each building them.
     """
 
     __slots__ = ("n", "order", "_src", "_dst", "_cursor", "edges_read", "resets")
@@ -92,6 +94,10 @@ class EdgeStream:
     @property
     def remaining(self) -> int:
         return int(self._src.size - self._cursor)
+
+    def replay(self) -> "EdgeStream":
+        """A fresh stream over the same arrays: own cursor, zeroed counters."""
+        return EdgeStream(self.n, self._src, self._dst, order=self.order)
 
     def reset(self):
         """Restart a pass (multi-pass consumers only)."""
@@ -148,12 +154,19 @@ class EdgeStream:
 
 def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
     """Stream over g's edges: "given" keeps input order, "shuffled" applies a
-    seed-deterministic uniform permutation."""
+    seed-deterministic uniform permutation.
+
+    The stream's arrays are read-only (the graph's own ones for "given"), so
+    streams made from it by ``replay`` may be consumed from several threads.
+    """
     if order in ("given", "as-given"):
         return EdgeStream(g.n, g.src, g.dst, order="given")
     if order == "shuffled":
         perm = np.random.default_rng(seed).permutation(g.m)
-        return EdgeStream(g.n, g.src[perm], g.dst[perm], order="shuffled")
+        src, dst = g.src[perm], g.dst[perm]
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        return EdgeStream(g.n, src, dst, order="shuffled")
     raise ValueError(f"unknown stream order {order!r}")
 
 
@@ -240,8 +253,7 @@ def set_sample(seen: SeenSet, pair: VertexSetPair, p: float, size_estimate: int,
     (skipping and discarding non-qualifying ones). Returns the sampled batch
     and a flag set when the stream ran out before the draw was filled.
     """
-    s_mask = member_mask(pair.S, seen.n)
-    t_mask = member_mask(pair.T, seen.n)
+    s_mask, t_mask = pair.masks(seen.n)
     src, dst, exhausted, _ = _set_sample(seen, s_mask, t_mask, p, size_estimate, stream, rng)
     return EdgeBatch(seen.n, src, dst), exhausted
 
@@ -260,8 +272,7 @@ def estimate_cross_edges(batch: EdgeBatch, pair: VertexSetPair, stream_remaining
     """
     if batch.m == 0:
         raise ValueError("estimate needs a nonempty batch")
-    s_mask = member_mask(pair.S, batch.n)
-    t_mask = member_mask(pair.T, batch.n)
+    s_mask, t_mask = pair.masks(batch.n)
     matching = int(np.count_nonzero(s_mask[batch.src] & t_mask[batch.dst]))
     return _estimate_from_counts(batch.m, matching, stream_remaining, n_xi, seen_size, epsilon)
 
@@ -270,12 +281,12 @@ def sampled_density_estimate(sample, pair: VertexSetPair, p: float) -> float:
     """Density of the pair in a rate-p sample, scaled back by 1/p."""
     if p <= 0:
         raise ValueError("p must be positive")
-    if not pair.S or not pair.T:
+    s_size, t_size = pair.sizes()
+    if not s_size or not t_size:
         return 0.0
-    s_mask = member_mask(pair.S, sample.n)
-    t_mask = member_mask(pair.T, sample.n)
+    s_mask, t_mask = pair.masks(sample.n)
     cross = int(np.count_nonzero(s_mask[sample.src] & t_mask[sample.dst]))
-    return cross / (p * math.sqrt(len(pair.S) * len(pair.T)))
+    return cross / (p * math.sqrt(s_size * t_size))
 
 
 def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None):
@@ -327,12 +338,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
             best_t = t_mask.copy()
             best_rho = rho
             best_cross = cross
-    pair = VertexSetPair(
-        frozenset(np.flatnonzero(best_s).tolist()),
-        frozenset(np.flatnonzero(best_t).tolist()),
-        best_cross,
-    )
-    return pair, best_rho, passes, peak
+    return VertexSetPair.from_masks(best_s, best_t, best_cross), best_rho, passes, peak
 
 
 class SinglePassEngine:
@@ -376,10 +382,7 @@ class SinglePassEngine:
             self.best_value = value
 
     def best_pair(self) -> VertexSetPair:
-        return VertexSetPair(
-            frozenset(np.flatnonzero(self.best_s).tolist()),
-            frozenset(np.flatnonzero(self.best_t).tolist()),
-        )
+        return VertexSetPair.from_masks(self.best_s, self.best_t)
 
     @property
     def peak_edges(self) -> int:

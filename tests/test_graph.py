@@ -52,6 +52,19 @@ class TestDirectedGraph:
         g = DirectedGraph(2, [(0, 1), (0, 1), (1, 1)])
         assert g.m == 3
 
+    def test_tuple_of_pairs_parses_as_pairs(self):
+        g = DirectedGraph(3, ((0, 1), (2, 0)))
+        assert g.edges() == [(0, 1), (2, 0)]
+        assert EdgeBatch.from_pairs(3, ((0, 1), (2, 0))).src.tolist() == [0, 2]
+
+    def test_from_arrays_takes_source_and_target_arrays(self):
+        g = DirectedGraph.from_arrays(3, np.array([0, 2]), np.array([1, 0]))
+        assert g.edges() == [(0, 1), (2, 0)]
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arrays(3, np.array([0, 2]), np.array([1]))
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arrays(-1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
     def test_adjacency_lists_index_edges(self):
         g = DirectedGraph(3, [(0, 1), (0, 2), (2, 1), (0, 1)])
         for v in range(3):
@@ -149,6 +162,48 @@ class TestRestrictedDegrees:
         cross = count_cross_edges(g, pair)
         assert sum(out_map.values()) == cross
         assert sum(in_map.values()) == cross
+
+
+@st.composite
+def graph_and_masks(draw):
+    g = draw(small_graphs())
+    masks = st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(lambda bits: np.array(bits, dtype=bool))
+    return g, draw(masks), draw(masks), draw(st.none() | st.integers(0, 30))
+
+
+class TestFromMasks:
+    @given(graph_and_masks())
+    @settings(max_examples=100)
+    def test_matches_pair_built_from_ids(self, case):
+        g, s, t, k = case
+        masked = VertexSetPair.from_masks(s, t, k)
+        listed = VertexSetPair.of(np.flatnonzero(s), np.flatnonzero(t), k)
+        assert masked.sizes() == listed.sizes()
+        assert count_cross_edges(g, masked) == count_cross_edges(g, listed)
+        assert density(g, masked) == density(g, listed)
+        assert restricted_degrees(g, masked) == restricted_degrees(g, listed)
+        assert masked == listed and listed == masked
+        assert hash(masked) == hash(listed)
+        assert (masked.S, masked.T, masked.cross_edges) == (listed.S, listed.T, listed.cross_edges)
+
+    def test_keeps_a_private_read_only_copy(self):
+        s = np.array([True, False])
+        pair = VertexSetPair.from_masks(s, s)
+        s[1] = True
+        assert pair.sizes() == (1, 1) and pair.S == frozenset({0})
+        with pytest.raises(AttributeError):
+            pair.S = frozenset()
+
+    def test_shorter_masks_fall_back_to_ids(self):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        pair = VertexSetPair.from_masks([True, False], [False, True])
+        assert count_cross_edges(g, pair) == 1
+        with pytest.raises(ValueError):
+            count_cross_edges(DirectedGraph(1), pair)
+
+    def test_rejects_unequal_masks(self):
+        with pytest.raises(ValueError):
+            VertexSetPair.from_masks([True], [True, False])
 
 
 def test_member_mask_bounds():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,14 @@ class TestBuildGrid:
         for lo, hi in zip(grid.values, grid.values[1:]):
             assert hi / lo == Fraction(1.5)
 
+    def test_float_delta_keeps_denominators_bounded(self):
+        n = 10**5
+        grid = build_grid(n, 1.1)
+        assert grid.values[0] == Fraction(1, n)
+        assert grid.values[-1] >= n > grid.values[-2]
+        assert all(lo < hi for lo, hi in zip(grid.values, grid.values[1:]))
+        assert max(c.denominator.bit_length() for c in grid.values) <= 64
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             build_grid(10, 1.0)
@@ -45,6 +54,12 @@ class TestBuildGrid:
             for b in range(1, n + 1):
                 target = Fraction(a, b)
                 assert any(target / delta <= c <= target * delta for c in grid)
+
+
+def _row_key(row):
+    pair = None if row.pair is None else (sorted(row.pair.S), sorted(row.pair.T), row.pair.cross_edges)
+    return (row.c, pair, row.density, row.s_size, row.t_size, row.peak_edges,
+            row.passes_or_rounds, row.error)
 
 
 class TestSweep:
@@ -101,12 +116,20 @@ class TestSweep:
         assert res.best_density == 1.0
 
     def test_worker_count_does_not_change_results(self):
+        # more workers than cores and frequent thread switches, so cells that
+        # shared a stream cursor would interleave their reads
         g = gnp_directed(13, 0.4, seed=5)
         grid = build_grid(13, 2)
-        serial = sweep("single-pass", g, grid, epsilon=0.2, seed=7, workers=1)
-        threaded = sweep("single-pass", g, grid, epsilon=0.2, seed=7, workers=4)
-        assert [(r.c, r.density) for r in serial.rows] == \
-               [(r.c, r.density) for r in threaded.rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for algo in ("single-pass", "multi-pass"):
+                serial = sweep(algo, g, grid, epsilon=0.2, seed=7, workers=1)
+                threaded = sweep(algo, g, grid, epsilon=0.2, seed=7, workers=4)
+                assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in threaded.rows]
+                assert serial.best_c == threaded.best_c
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_baseline_sweep_meets_oracle_bound(self):
         eps, delta = 0.2, 2
@@ -117,3 +140,51 @@ class TestSweep:
             _, oracle_rho = exact_oracle(g)
             res = sweep("baseline", g, build_grid(n, delta), epsilon=eps)
             assert res.best_density >= oracle_rho / bound_factor - 1e-12
+
+
+class TestSharedStream:
+    @pytest.fixture
+    def streams(self, monkeypatch):
+        """Record every stream the sweep builds and every stream a runner reads."""
+        import dirdense.csweep as sweep_mod
+
+        built, read = [], []
+        make_stream = sweep_mod.make_stream
+
+        def record_built(*args, **kwargs):
+            built.append(make_stream(*args, **kwargs))
+            return built[-1]
+
+        def record_read(runner):
+            def run(stream, *args, **kwargs):
+                read.append(stream)
+                return runner(stream, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(sweep_mod, "make_stream", record_built)
+        for name in ("single_pass_run", "multi_pass_run"):
+            monkeypatch.setattr(sweep_mod, name, record_read(getattr(sweep_mod, name)))
+        return built, read
+
+    @pytest.mark.parametrize("algo,builds", [("single-pass", 1), ("multi-pass", 1), ("baseline", 0),
+                                             ("mpc-super", 0), ("mpc-near", 0)])
+    def test_one_stream_per_streaming_sweep(self, streams, algo, builds):
+        g = gnp_directed(10, 0.4, seed=3)
+        sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, seed=4)
+        assert len(streams[0]) == builds
+
+    @pytest.mark.parametrize("order", ["shuffled", "given"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_single_pass_cells_read_fresh_read_only_streams(self, streams, order, workers):
+        built, read = streams
+        g = gnp_directed(20, 0.3, seed=8)
+        grid = build_grid(g.n, 2)
+        sweep("single-pass", g, grid, epsilon=0.2, f=0.01, seed=2, stream_order=order, workers=workers)
+        assert len(built) == 1 and len(read) == len(grid)
+        assert len({id(s) for s in read}) == len(grid)
+        for stream in read:
+            assert stream.resets == 0
+            assert 0 < stream.edges_read <= g.m
+        src, dst = built[0].replay().take_all()
+        assert src.size == g.m
+        assert not src.flags.writeable and not dst.flags.writeable
