@@ -10,6 +10,7 @@ from .bench import (
     RunReport,
     compare_reports,
     gen_pref_attach,
+    parse_report_csv,
     parse_snap_edgelist,
     read_report_csv,
     run_experiment,
@@ -73,6 +74,7 @@ __all__ = [
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
     "multi_pass_run",
+    "parse_report_csv",
     "parse_snap_edgelist",
     "read_report_csv",
     "restricted_degrees",

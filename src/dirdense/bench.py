@@ -26,6 +26,7 @@ __all__ = [
     "RunReport",
     "compare_reports",
     "gen_pref_attach",
+    "parse_report_csv",
     "parse_snap_edgelist",
     "read_report_csv",
     "report_csv_text",
@@ -33,7 +34,7 @@ __all__ = [
     "write_report_csv",
 ]
 
-CSV_HEADER = "dataset,algo,c,density,s_size,t_size,peak_edges,passes_or_rounds,wall_ms,seed"
+CSV_HEADER = "dataset,algo,c,density,s_size,t_size,peak_edges,passes_or_rounds,wall_ms,seed,error"
 
 
 def parse_snap_edgelist(text) -> tuple[DirectedGraph, list[int]]:
@@ -170,7 +171,12 @@ def _parse_gen_spec(spec: str) -> dict:
     out = {}
     for item in filter(None, args.split(",")):
         key, _, value = item.partition("=")
-        out[key.strip()] = int(value)
+        key = key.strip()
+        if key not in ("n", "k"):
+            raise ValueError(f"unknown pref generator key {key!r}; expected n and k")
+        if key in out:
+            raise ValueError(f"pref generator key {key!r} given twice")
+        out[key] = int(value)
     if "n" not in out or "k" not in out:
         raise ValueError("pref generator needs n=.. and k=..")
     return out
@@ -245,6 +251,7 @@ def _write_report(report: RunReport, fh):
             "" if r.passes_or_rounds is None else r.passes_or_rounds,
             format(r.wall_ms, ".3f"),
             r.seed,
+            "" if r.error is None else r.error,
         ])
 
 
@@ -259,20 +266,21 @@ def report_csv_text(report: RunReport) -> str:
     return buf.getvalue()
 
 
-def read_report_csv(text_or_path: str) -> RunReport:
-    """Parse a report CSV back (error details are not serialized)."""
-    if "\n" in text_or_path or "," in text_or_path:
-        content = text_or_path
-    else:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    reader = csv.reader(io.StringIO(content))
+def read_report_csv(path: str) -> RunReport:
+    """Read a report CSV file written by ``write_report_csv``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return parse_report_csv(fh.read())
+
+
+def parse_report_csv(text: str) -> RunReport:
+    """Parse report CSV text back into rows; an empty error field means none."""
+    reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if header != CSV_HEADER.split(","):
         raise ValueError("unexpected CSV header")
     rows = []
     for rec in reader:
-        dataset, algo, c, dens, s_size, t_size, peak, rounds, wall, seed = rec
+        dataset, algo, c, dens, s_size, t_size, peak, rounds, wall, seed, error = rec
         rows.append(ReportRow(
             dataset, algo, Fraction(c),
             float(dens) if dens else None,
@@ -280,7 +288,7 @@ def read_report_csv(text_or_path: str) -> RunReport:
             int(t_size) if t_size else None,
             int(peak) if peak else None,
             int(rounds) if rounds else None,
-            float(wall), int(seed),
+            float(wall), int(seed), error or None,
         ))
     return RunReport(rows)
 

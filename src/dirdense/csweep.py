@@ -138,7 +138,9 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
                 peak, rounds = ledger.peak_edges, ledger.rounds
             return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
-            return SweepRow(c, None, None, None, None, None, None, 0.0, error=str(exc))
+            # a message-less exception still names itself, so the row stays an error row
+            error = str(exc) or type(exc).__name__
+            return SweepRow(c, None, None, None, None, None, None, 0.0, error=error)
 
     indices = range(len(values))
     if workers > 1:

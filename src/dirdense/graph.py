@@ -52,7 +52,7 @@ class DirectedGraph:
     are safe to share across threads.
     """
 
-    __slots__ = ("n", "src", "dst", "_out_adj", "_in_adj")
+    __slots__ = ("n", "src", "dst")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         """``edges`` holds (u, v) pairs; (src, dst) arrays go to ``from_arrays``."""
@@ -72,8 +72,6 @@ class DirectedGraph:
         self.n = int(n)
         self.src = src
         self.dst = dst
-        self._out_adj = None
-        self._in_adj = None
 
     @property
     def m(self) -> int:
@@ -89,28 +87,8 @@ class DirectedGraph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.dst, minlength=self.n)
 
-    @property
-    def out_adj(self) -> tuple[np.ndarray, ...]:
-        """Per-vertex edge-index lists keyed by source endpoint (lazy)."""
-        if self._out_adj is None:
-            self._out_adj = _adjacency(self.src, self.n)
-        return self._out_adj
-
-    @property
-    def in_adj(self) -> tuple[np.ndarray, ...]:
-        """Per-vertex edge-index lists keyed by target endpoint (lazy)."""
-        if self._in_adj is None:
-            self._in_adj = _adjacency(self.dst, self.n)
-        return self._in_adj
-
     def __repr__(self):
         return f"DirectedGraph(n={self.n}, m={self.m})"
-
-
-def _adjacency(keys, n):
-    order = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[order], np.arange(n + 1))
-    return tuple(order[bounds[i] : bounds[i + 1]] for i in range(n))
 
 
 @dataclass(frozen=True, eq=False)

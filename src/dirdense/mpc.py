@@ -2,7 +2,9 @@
 
 A coordinator machine runs the single-pass engine; the rest of the cluster
 only stores the pool of still-relevant edges and serves machine-sized
-uniform samples of it. The cost model charges ``sort_round_cost`` rounds per
+uniform samples of it. The engine reads those samples through the same
+``EdgeStream`` type the streaming runners use, fed in installments by the
+phase controller. The cost model charges ``sort_round_cost`` rounds per
 global primitive (relevance filtering, removal of a drawn batch, uniform
 sampling, and the exact degree tally used by the near-linear mode), one
 round for the final fetch, and nothing for coordinator-local work: round
@@ -19,7 +21,7 @@ import numpy as np
 
 from .graph import DirectedGraph, density
 from .peeling import _exact_bag_peels, _ratio_prefers_sources
-from .streaming import SampleParams, SinglePassEngine, sample_params
+from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, sample_params
 
 __all__ = [
     "MpcConfig",
@@ -29,9 +31,6 @@ __all__ = [
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
 ]
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class MpcConfig:
@@ -115,7 +114,11 @@ class RelevantEdgeSet:
 
 
 class _PhaseController:
-    """Owns the relevant-edge pool and the per-phase bookkeeping."""
+    """Owns the relevant-edge pool and the per-phase bookkeeping.
+
+    It is the installment source of the engine's stream: ``size`` is the
+    pool not fetched yet, and every ``fetch`` runs one phase.
+    """
 
     def __init__(self, g, cfg, params, epsilon, c, engine, rng, ledger, nearlinear):
         self.g = g
@@ -129,12 +132,15 @@ class _PhaseController:
         self.nearlinear = nearlinear
         self.rel = RelevantEdgeSet(g)
         self.mem = cfg.machine_memory(g.n, epsilon)
-        self.done_fetching = False
 
-    def can_fetch(self) -> bool:
-        return not self.done_fetching and self.rel.size > 0
+    @property
+    def size(self) -> int:
+        return self.rel.size
 
-    def fetch_phase(self):
+    def fetch(self):
+        """Run one phase and return its draw, or None once the pool is empty."""
+        if not self.rel.size:
+            return None
         engine, ledger = self.engine, self.ledger
         ledger.phases += 1
         flip_peels = 0
@@ -146,8 +152,7 @@ class _PhaseController:
         after = self.rel.size
         local_finish = after <= self.mem
         if local_finish:
-            want = after
-            self.done_fetching = True
+            want = after  # the whole pool: nothing is left to fetch
             ledger.charge(1)  # final fetch onto the coordinator
         else:
             if self.nearlinear:
@@ -192,80 +197,6 @@ class _PhaseController:
         return peels
 
 
-class _PhasedStream:
-    """Stream facade over machine-sized fetches from the relevant-edge pool."""
-
-    def __init__(self, controller: _PhaseController):
-        self._ctl = controller
-        self.n = controller.g.n
-        self._src = _EMPTY
-        self._dst = _EMPTY
-        self._cursor = 0
-        self.edges_read = 0
-
-    @property
-    def _left(self) -> int:
-        return int(self._src.size - self._cursor)
-
-    @property
-    def remaining(self) -> int:
-        return self._left + self._ctl.rel.size
-
-    def _refill(self):
-        drawn_src, drawn_dst = self._ctl.fetch_phase()
-        self._src = np.concatenate([self._src[self._cursor :], drawn_src])
-        self._dst = np.concatenate([self._dst[self._cursor :], drawn_dst])
-        self._cursor = 0
-
-    def take(self, k):
-        k = int(k)
-        while self._left < k and self._ctl.can_fetch():
-            self._refill()
-        k = max(0, min(k, self._left))
-        lo = self._cursor
-        self._cursor += k
-        self.edges_read += k
-        return self._src[lo : self._cursor], self._dst[lo : self._cursor]
-
-    def take_all(self):
-        while self._ctl.can_fetch():
-            self._refill()
-        return self.take(self._left)
-
-    def take_qualifying(self, want, s_mask, t_mask):
-        want = int(want)
-        if want <= 0:
-            return _EMPTY, _EMPTY, False
-        out_src, out_dst = [], []
-        got = 0
-        while got < want:
-            if self._left == 0:
-                if not self._ctl.can_fetch():
-                    break
-                self._refill()
-                continue
-            vs = self._src[self._cursor :]
-            vd = self._dst[self._cursor :]
-            hits = np.flatnonzero(s_mask[vs] & t_mask[vd])
-            if got + hits.size >= want:
-                need = want - got
-                consumed = int(hits[need - 1]) + 1
-                out_src.append(vs[hits[:need]])
-                out_dst.append(vd[hits[:need]])
-                got = want
-                self._cursor += consumed
-                self.edges_read += consumed
-            else:
-                out_src.append(vs[hits])
-                out_dst.append(vd[hits])
-                got += int(hits.size)
-                self.edges_read += vs.size
-                self._cursor += vs.size
-        src = np.concatenate(out_src) if out_src else _EMPTY
-        dst = np.concatenate(out_dst) if out_dst else _EMPTY
-        return src, dst, got < want
-
-
 def _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear):
     if params is None:
         params = sample_params(g.n, epsilon)
@@ -281,7 +212,7 @@ def _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear):
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
     engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn)
     controller = _PhaseController(g, cfg, params, epsilon, c, engine, draw_rng, ledger, nearlinear)
-    engine.run(_PhasedStream(controller))
+    engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
     ledger.peak_edges = engine.peak_edges
     pair = engine.best_pair()
     return pair, density(g, pair), ledger

@@ -1,11 +1,15 @@
 """Edge streams plus the sampled peeling runners.
 
-Two consumption styles share one stream type. The multi-pass runner resets
-and rescans once per sampling step and once per exact recount. The
-single-pass engine reads every edge at most once and keeps only a bounded
-working set: the retained cross-edge buffer for the current pair, thinned
-samples of it, and one batch in flight. When the stream dries up, the engine
-finishes with an exact compacted peel of whatever it retained.
+Every runner reads one stream type, ``EdgeStream``. A static stream holds
+the graph's edges in input or shuffled order; a source-fed one appends
+installments as reads run short, which is how the phased MPC simulator hands
+the single-pass engine its machine-sized samples. The multi-pass runner
+resets and rescans a static stream once per sampling step and once per
+exact recount. The single-pass engine reads every edge at most once and
+keeps only a bounded working set: the retained cross-edge buffer for the
+current pair, thinned samples of it, and one batch in flight. When the
+stream dries up, or the rest of it fits the sample budget, the engine
+retains every remaining cross edge and finishes with one exact peel.
 """
 
 from __future__ import annotations
@@ -67,53 +71,82 @@ def sample_params(n: int, epsilon: float, f: float = 1.0) -> SampleParams:
 
 
 class EdgeStream:
-    """Replayable edge sequence with a consumption cursor.
+    """Edge sequence with a consumption cursor, optionally fed in installments.
+
+    A static stream holds all of its edges from the start. A source-fed
+    stream starts from the given buffer and appends installments from
+    ``source`` whenever a read runs short: the source has ``size``, the edges
+    it has not handed out yet, and ``fetch()``, which returns the next
+    ``(src, dst)`` installment or None when nothing more can be fetched.
 
     A stream is single-consumer. ``reset`` restarts a pass for multi-pass
     use; single-pass consumers never call it, which the ``resets`` and
     ``edges_read`` counters let tests assert. ``replay`` hands out another
     stream over the same edge order, so consumers of one order share its
-    arrays instead of each building them.
+    arrays instead of each building them. Only static streams can be reset
+    or replayed: fetched installments are gone from their source.
     """
 
-    __slots__ = ("n", "order", "_src", "_dst", "_cursor", "edges_read", "resets")
+    __slots__ = ("n", "order", "_src", "_dst", "_cursor", "_source", "edges_read", "resets")
 
-    def __init__(self, n, src, dst, order="given"):
+    def __init__(self, n, src, dst, order="given", source=None):
         self.n = int(n)
         self._src = src
         self._dst = dst
         self._cursor = 0
+        self._source = source
         self.edges_read = 0
         self.resets = 0
         self.order = order
 
     @property
     def m(self) -> int:
+        """Edges in the buffer: every edge of a static stream."""
         return int(self._src.size)
 
     @property
     def remaining(self) -> int:
-        return int(self._src.size - self._cursor)
+        unfetched = self._source.size if self._source is not None else 0
+        return int(self._src.size - self._cursor) + unfetched
 
     def replay(self) -> "EdgeStream":
         """A fresh stream over the same arrays: own cursor, zeroed counters."""
+        if self._source is not None:
+            raise ValueError("cannot replay a source-fed stream")
         return EdgeStream(self.n, self._src, self._dst, order=self.order)
 
     def reset(self):
         """Restart a pass (multi-pass consumers only)."""
+        if self._source is not None:
+            raise ValueError("cannot reset a source-fed stream")
         self.resets += 1
         self._cursor = 0
 
+    def _refill(self) -> bool:
+        """Append the source's next installment to the unread edges."""
+        installment = self._source.fetch() if self._source is not None else None
+        if installment is None:
+            return False
+        lo = self._cursor
+        self._src = np.concatenate([self._src[lo:], installment[0]])
+        self._dst = np.concatenate([self._dst[lo:], installment[1]])
+        self._cursor = 0
+        return True
+
     def take(self, k):
         """Consume and return the next k edges (fewer if the stream ends)."""
-        k = max(0, min(int(k), self.remaining))
+        k = int(k)
+        while self._src.size - self._cursor < k and self._refill():
+            pass
         lo = self._cursor
-        self._cursor += k
-        self.edges_read += k
+        self._cursor = min(lo + max(0, k), self._src.size)
+        self.edges_read += self._cursor - lo
         return self._src[lo : self._cursor], self._dst[lo : self._cursor]
 
     def take_all(self):
-        return self.take(self.remaining)
+        while self._refill():
+            pass
+        return self.take(self._src.size - self._cursor)
 
     def take_qualifying(self, want, s_mask, t_mask, block=65536):
         """Advance until `want` edges inside (S, T) were collected.
@@ -127,8 +160,13 @@ class EdgeStream:
             return _EMPTY, _EMPTY, False
         out_src, out_dst = [], []
         got = 0
-        while got < want and self.remaining:
-            view = min(max(block, 4 * (want - got)), self.remaining)
+        while got < want:
+            left = int(self._src.size - self._cursor)
+            if not left:
+                if self._refill():
+                    continue
+                break
+            view = min(max(block, 4 * (want - got)), left)
             lo = self._cursor
             vs = self._src[lo : lo + view]
             vd = self._dst[lo : lo + view]
@@ -344,11 +382,12 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
 class SinglePassEngine:
     """Incremental single-pass peeler over an injected stream.
 
-    The stream may be delivered in installments (the phased simulator feeds
-    machine-sized loads); ``run`` consumes until the stream reports empty,
-    then finishes with an exact compacted peel of the retained buffer. The
-    running best is ranked by sampled-density estimates during streaming and
-    by exact in-buffer densities at the finish.
+    The stream may be source-fed (the phased simulator's machine-sized
+    loads); ``run`` peels on samples while the cross edges outnumber the
+    sample budget, then drains the stream and finishes with an exact
+    compacted peel of the retained buffer. The running best is ranked by
+    sampled-density estimates during streaming and by exact in-buffer
+    densities at the finish.
     """
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None):
@@ -389,62 +428,48 @@ class SinglePassEngine:
         return self.seen.peak_size
 
     # ------------------------------------------------------------------------
+    def _cross(self, src, dst):
+        """The edges inside the current pair; all of them before any peel."""
+        if self.s_count == self.n and self.t_count == self.n:
+            return src, dst
+        keep = self.s_mask[src] & self.t_mask[dst]
+        return src[keep], dst[keep]
+
     def run(self, stream):
         eps = self.params.epsilon
         xi = self.params.xi
-        while True:
-            if stream.remaining == 0:
-                self._finish(stream)
-                return
+        while stream.remaining:
             batch = max(1, int(self._batch_size(self.s_count, self.t_count)))
             bs, bd = stream.take(batch)
             self.seen.note_extra(bs.size)
-            if self.s_count == self.n and self.t_count == self.n:
-                qualifying = None  # nothing has been peeled: every edge matches
-                matching = int(bs.size)
-            else:
-                qualifying = self.s_mask[bs] & self.t_mask[bd]
-                matching = int(np.count_nonzero(qualifying))
-            if matching < 2 * xi or stream.remaining == 0:
+            qs, qd = self._cross(bs, bd)
+            if qs.size < 2 * xi or stream.remaining == 0:
                 # too sparse to estimate, or the stream just ended: keep every
                 # remaining cross edge and finish with full information
-                if qualifying is None and self.seen.size == 0 and stream.remaining == 0:
-                    # nothing was retained or peeled yet: peel the batch in place
+                if qs is bs and self.seen.size == 0 and stream.remaining == 0:
+                    # nothing was retained or peeled yet (_cross passed the
+                    # whole batch through): peel the batch in place
                     self._local_peel(bs, bd)
                     self.finished = True
                     return
-                if qualifying is None:
-                    self.seen.add(bs, bd)
-                else:
-                    self.seen.add(bs[qualifying], bd[qualifying])
-                self._finish(stream)
-                return
+                self.seen.add(qs, qd)
+                break
             size_estimate = _estimate_from_counts(
-                int(bs.size), matching, stream.remaining, batch, self.seen.size, eps
+                int(bs.size), int(qs.size), stream.remaining, batch, self.seen.size, eps
             )
-            if qualifying is None:
-                self.seen.add(bs, bd)
-            else:
-                self.seen.add(bs[qualifying], bd[qualifying])
+            self.seen.add(qs, qd)
             p = batch / ((1.0 - eps) * size_estimate)
             if p > 1.0:
-                # the whole remaining population fits the sample budget
-                rs, rd = stream.take_all()
-                self.seen.note_extra(rs.size)
-                rq = self.s_mask[rs] & self.t_mask[rd]
-                self.seen.add(rs[rq], rd[rq])
-                h_src, h_dst = self.seen.arrays()
-                p_eff = 1.0
-                fresh = None
-            else:
-                h_src, h_dst, _, fresh = _set_sample(
-                    self.seen, self.s_mask, self.t_mask, p, size_estimate, stream, self.rng
-                )
-                self.seen.note_extra(h_src.size)
-                p_eff = p
+                # the whole remaining population fits the sample budget:
+                # retain all of it and peel exactly, as when it is sparse
+                break
+            h_src, h_dst, _, fresh = _set_sample(
+                self.seen, self.s_mask, self.t_mask, p, size_estimate, stream, self.rng
+            )
+            self.seen.note_extra(h_src.size)
             # score the pre-peel pair too: the sample is entirely inside
             # (S, T), so |H| / p estimates its cross count
-            current = h_src.size / (p_eff * math.sqrt(self.s_count * self.t_count))
+            current = h_src.size / (p * math.sqrt(self.s_count * self.t_count))
             self.offer_best(self.s_mask, self.t_mask, current)
             _, _, new_s, new_t, sample_cross = _peel_once(
                 h_src, h_dst, self.n, self.c, eps, self.s_mask, self.t_mask
@@ -454,13 +479,13 @@ class SinglePassEngine:
             self.s_count = int(np.count_nonzero(new_s))
             self.t_count = int(np.count_nonzero(new_t))
             if self.s_count and self.t_count:
-                estimate = sample_cross / (p_eff * math.sqrt(self.s_count * self.t_count))
+                estimate = sample_cross / (p * math.sqrt(self.s_count * self.t_count))
                 self.offer_best(new_s, new_t, estimate)
-            if fresh is not None:
-                self.seen.add(fresh[0], fresh[1])
+            self.seen.add(*fresh)
             self.seen.refilter(new_s, new_t)
             # if the pair just died, the next batch matches nothing and the
             # sparse branch above drains the stream and wraps up
+        self._finish(stream)
 
     def _local_peel(self, edge_src, edge_dst):
         """Exact peel of the in-memory cross-edge bag, kept equal to E(S, T).
@@ -480,14 +505,11 @@ class SinglePassEngine:
         self.offer_best(bs, bt, rho)
 
     def _finish(self, stream):
+        """Drain the stream, retain its cross edges, and peel them exactly."""
         if stream.remaining:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
-            if self.s_count == self.n and self.t_count == self.n:
-                self.seen.add(rs, rd)
-            else:
-                rq = self.s_mask[rs] & self.t_mask[rd]
-                self.seen.add(rs[rq], rd[rq])
+            self.seen.add(*self._cross(rs, rd))
         # _peel_best only reads the buffer views; nothing mutates the seen
         # set once the stream is drained
         self._local_peel(*self.seen.arrays())

@@ -10,6 +10,7 @@ from dirdense.bench import (
     RunConfig,
     compare_reports,
     gen_pref_attach,
+    parse_report_csv,
     parse_snap_edgelist,
     read_report_csv,
     report_csv_text,
@@ -104,14 +105,45 @@ class TestRunExperiment:
         cfg = dict(algo="single-pass", gen="pref:n=60,k=3", seed=5, epsilon=0.2)
         a = report_csv_text(run_experiment(RunConfig(**cfg)))
         b = report_csv_text(run_experiment(RunConfig(**cfg)))
-        strip = lambda text: re.sub(r",[0-9.]+,(\d+)$", r",WALL,\1", text, flags=re.M)
+        strip = lambda text: re.sub(r",[0-9.]+,(\d+),$", r",WALL,\1,", text, flags=re.M)
         assert strip(a) == strip(b)
 
     def test_csv_round_trip_is_stable(self):
         report = run_experiment(RunConfig(algo="baseline", gen="pref:n=40,k=2", seed=3))
         text = report_csv_text(report)
-        again = report_csv_text(read_report_csv(text))
+        again = report_csv_text(parse_report_csv(text))
         assert again == text
+
+    def test_csv_file_with_comma_in_path_is_read(self, tmp_path):
+        report = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2", seed=1))
+        out = tmp_path / "a,b.csv"
+        write_report_csv(report, str(out))
+        assert report_csv_text(read_report_csv(str(out))) == report_csv_text(report)
+
+    def test_error_rows_round_trip(self, tmp_path, monkeypatch):
+        import dirdense.csweep as sweep_mod
+
+        real = sweep_mod.baseline_peel
+        calls = {"count": 0}
+
+        def flaky(g, params):
+            calls["count"] += 1
+            if calls["count"] == 2:
+                raise RuntimeError("boom, with a comma")
+            if calls["count"] == 3:
+                raise RuntimeError()
+            return real(g, params)
+
+        monkeypatch.setattr(sweep_mod, "baseline_peel", flaky)
+        out = tmp_path / "r.csv"
+        report = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2", out=str(out)))
+        errors = [r.error for r in report.rows]
+        assert errors[1:3] == ["boom, with a comma", "RuntimeError"]
+        assert errors.count(None) == len(errors) - 2
+        again = read_report_csv(str(out))
+        assert [r.error for r in again.rows] == errors
+        assert again.rows[1].density is None
+        assert report_csv_text(again) == out.read_text()
 
     def test_single_c_override(self):
         report = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2",
@@ -193,6 +225,13 @@ class TestCli:
         path.write_text("# tiny\n0 1\n1 2\n")
         code = cli_main(["--input", str(path), "--algo", "exact"])
         assert code == 0
+
+    @pytest.mark.parametrize("spec", ["pref:n=10,k=2,zz=5", "pref:n=10,k=2,n=50",
+                                      "pref:n=10,k=2,k=3", "pref:n=10,k=2,=4"])
+    def test_bad_gen_spec_is_rejected(self, spec, capsys):
+        code = cli_main(["--gen", spec, "--algo", "baseline"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_input_is_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -65,13 +65,6 @@ class TestDirectedGraph:
         with pytest.raises(ValueError):
             DirectedGraph.from_arrays(-1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
-    def test_adjacency_lists_index_edges(self):
-        g = DirectedGraph(3, [(0, 1), (0, 2), (2, 1), (0, 1)])
-        for v in range(3):
-            assert all(g.src[e] == v for e in g.out_adj[v])
-            assert all(g.dst[e] == v for e in g.in_adj[v])
-        assert sum(len(ids) for ids in g.out_adj) == g.m
-
 
 class TestCountCrossEdges:
     def test_single_edge(self):

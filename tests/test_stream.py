@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, member_mask
-from dirdense.streaming import make_stream
+from dirdense.streaming import EdgeStream, make_stream
 
 
 def toy_graph():
@@ -93,3 +95,84 @@ class TestCursor:
         assert src.tolist() == [0, 0]
         assert not exhausted
         assert stream.remaining == 0
+
+
+class Installments:
+    """Stream source that hands out fixed (src, dst) installments in order."""
+
+    def __init__(self, parts):
+        self._parts = list(parts)
+
+    @property
+    def size(self):
+        return sum(int(src.size) for src, _ in self._parts)
+
+    def fetch(self):
+        return self._parts.pop(0) if self._parts else None
+
+
+def _arrays(edges):
+    return (np.array([u for u, _ in edges], dtype=np.int64),
+            np.array([v for _, v in edges], dtype=np.int64))
+
+
+def source_fed(n, edges, cuts):
+    """Stream over `edges` whose first part is buffered and the rest fetched."""
+    bounds = [0, *sorted(cuts), len(edges)]
+    parts = [_arrays(edges[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return EdgeStream(n, *parts[0], source=Installments(parts[1:]))
+
+
+_N = 4
+_edge = st.tuples(st.integers(0, _N - 1), st.integers(0, _N - 1))
+_members = st.lists(st.booleans(), min_size=_N, max_size=_N)
+_op = st.one_of(
+    st.tuples(st.just("take"), st.integers(-2, 12)),
+    st.tuples(st.just("take_qualifying"), st.integers(-1, 12), _members, _members,
+              st.integers(1, 5)),
+    st.tuples(st.just("take_all")),
+)
+
+
+class TestSourceFedStream:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=st.lists(_edge, max_size=40),
+           cut_fracs=st.lists(st.floats(0, 1), max_size=8),
+           ops=st.lists(_op, max_size=12))
+    def test_installments_read_like_one_static_stream(self, edges, cut_fracs, ops):
+        cuts = [int(f * len(edges)) for f in cut_fracs]  # repeats give empty installments
+        fed = source_fed(_N, edges, cuts)
+        static = EdgeStream(_N, *_arrays(edges))
+        assert fed.remaining == static.remaining == len(edges)
+        for op in ops:
+            if op[0] == "take_qualifying":
+                _, want, s_bits, t_bits, block = op
+                masks = (np.array(s_bits), np.array(t_bits))
+                got = fed.take_qualifying(want, *masks, block=block)
+                expected = static.take_qualifying(want, *masks, block=block)
+                assert got[2] == expected[2]
+            else:
+                got = getattr(fed, op[0])(*op[1:])
+                expected = getattr(static, op[0])(*op[1:])
+            assert got[0].tolist() == expected[0].tolist()
+            assert got[1].tolist() == expected[1].tolist()
+            assert fed.edges_read == static.edges_read
+            assert fed.remaining == static.remaining
+
+    def test_refills_only_when_the_buffer_runs_short(self):
+        fed = source_fed(4, [(0, 1), (1, 2), (2, 3), (3, 0)], cuts=[1, 3])
+        assert fed.take(1)[0].tolist() == [0]
+        assert fed.remaining == 3
+        assert fed.take(1)[0].tolist() == [1]  # one fetch: the installment [1, 2]
+        assert fed.take_all()[0].tolist() == [2, 3]
+        assert fed.remaining == 0
+        assert fed.take(5)[0].size == 0
+
+    def test_reset_and_replay_rejected(self):
+        fed = source_fed(4, [(0, 1), (1, 2)], cuts=[1])
+        with pytest.raises(ValueError, match="source-fed"):
+            fed.reset()
+        with pytest.raises(ValueError, match="source-fed"):
+            fed.replay()
+        assert fed.resets == 0
+        assert fed.take_all()[0].tolist() == [0, 1]
