@@ -18,7 +18,6 @@ from .bench import (
 )
 from .graph import (
     DirectedGraph,
-    EdgeBatch,
     VertexSetPair,
     count_cross_edges,
     density,
@@ -27,7 +26,6 @@ from .graph import (
 from .mpc import MpcConfig, RoundLedger, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import (
     PeelParams,
-    PeelTrace,
     baseline_peel,
     exact_oracle,
     iteration_cap,
@@ -49,11 +47,9 @@ from .csweep import SweepGrid, build_grid, sweep
 
 __all__ = [
     "DirectedGraph",
-    "EdgeBatch",
     "EdgeStream",
     "MpcConfig",
     "PeelParams",
-    "PeelTrace",
     "RoundLedger",
     "RunConfig",
     "RunReport",

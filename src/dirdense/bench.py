@@ -124,7 +124,6 @@ class RunConfig:
     mpc_budget: float | None = None
     out: str | None = None
     workers: int = 1
-    dataset: str | None = None
 
     def __post_init__(self):
         if (self.input_path is None) == (self.gen is None):
@@ -135,6 +134,10 @@ class RunConfig:
             raise ValueError("delta must exceed 1")
         if self.f <= 0:
             raise ValueError("f must be positive")
+        if self.c is not None and self.c <= 0:
+            raise ValueError("ratio guess c must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -189,11 +192,10 @@ def _load_graph(cfg: RunConfig) -> tuple[DirectedGraph, str]:
                 g, _labels = parse_snap_edgelist(fh)
             except ValueError as exc:
                 raise ValueError(f"{cfg.input_path}: {exc}") from exc
-        label = cfg.dataset or cfg.input_path.rsplit("/", 1)[-1]
-        return g, label
+        return g, cfg.input_path.rsplit("/", 1)[-1]
     spec = _parse_gen_spec(cfg.gen)
     g = gen_pref_attach(spec["n"], spec["k"], cfg.seed)
-    return g, cfg.dataset or f"pref_n{spec['n']}_k{spec['k']}"
+    return g, f"pref_n{spec['n']}_k{spec['k']}"
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:
@@ -209,8 +211,9 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         started = time.perf_counter()
         pair, rho = exact_oracle(g)
         wall = (time.perf_counter() - started) * 1000.0
-        rows.append(ReportRow(label, "exact", Fraction(len(pair.S), len(pair.T)), rho,
-                              len(pair.S), len(pair.T), g.m, 1, wall, cfg.seed))
+        s_size, t_size = pair.sizes()
+        rows.append(ReportRow(label, "exact", Fraction(s_size, t_size), rho,
+                              s_size, t_size, g.m, 1, wall, cfg.seed))
     else:
         grid = (cfg.c,) if cfg.c is not None else build_grid(g.n, cfg.delta).values
         mpc_config = None

@@ -95,10 +95,13 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
     """Run one algorithm per grid c and report every row plus the argmax.
 
     Per-c failures become error rows; the sweep itself never aborts. Ties
-    across c resolve toward the smaller c.
+    across c resolve toward the smaller c. ``mpc_config`` goes to the MPC
+    runners as given, so None means the runner's default.
     """
     if algo not in RUNNERS:
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     values: Sequence[Fraction] = grid.values if isinstance(grid, SweepGrid) else tuple(grid)
     params = sample_params(g.n, epsilon, f)
     stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_MASK))
@@ -111,9 +114,9 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
         try:
             if algo == "baseline":
                 started = time.perf_counter()
-                pair, rho, trace = baseline_peel(g, PeelParams(c, epsilon))
+                pair, rho, steps = baseline_peel(g, PeelParams(c, epsilon))
                 wall = (time.perf_counter() - started) * 1000.0
-                peak, rounds = g.m, len(trace)
+                peak, rounds = g.m, len(steps)
             elif algo == "multi-pass":
                 rng = _derived_rng(seed, "multi", index)
                 started = time.perf_counter()
@@ -127,13 +130,10 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
                 wall = (time.perf_counter() - started) * 1000.0
                 rounds = 1
             else:
-                cfg = mpc_config
-                if cfg is None:
-                    cfg = MpcConfig("superlinear", mu=0.3) if algo == "mpc-super" else MpcConfig("nearlinear")
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
                 rng = _derived_rng(seed, "mpc", index)
                 started = time.perf_counter()
-                pair, rho, ledger = run(g, c, epsilon, cfg, params, rng=rng)
+                pair, rho, ledger = run(g, c, epsilon, mpc_config, params, rng=rng)
                 wall = (time.perf_counter() - started) * 1000.0
                 peak, rounds = ledger.peak_edges, ledger.rounds
             return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)

@@ -10,7 +10,6 @@ import numpy as np
 
 __all__ = [
     "DirectedGraph",
-    "EdgeBatch",
     "VertexSetPair",
     "count_cross_edges",
     "density",
@@ -89,23 +88,6 @@ class DirectedGraph:
 
     def __repr__(self):
         return f"DirectedGraph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeBatch:
-    """A bag of directed edges sharing some graph's vertex universe."""
-
-    n: int
-    src: np.ndarray
-    dst: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return int(self.src.size)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "EdgeBatch":
-        return cls(n, *_checked_arrays(n, *_pair_arrays(pairs)))
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,17 @@ A coordinator machine runs the single-pass engine; the rest of the cluster
 only stores the pool of still-relevant edges and serves machine-sized
 uniform samples of it. The engine reads those samples through the same
 ``EdgeStream`` type the streaming runners use, fed in installments by the
-phase controller. The cost model charges ``sort_round_cost`` rounds per
-global primitive (relevance filtering, removal of a drawn batch, uniform
-sampling, and the exact degree tally used by the near-linear mode), one
-round for the final fetch, and nothing for coordinator-local work: round
-counts, not wall time, are the quantity under study.
+phase controller. The cost model is one round per global primitive
+(relevance filtering, uniform sampling, removal of a drawn batch, the exact
+degree tally used by the near-linear mode, and the final fetch) and nothing
+for coordinator-local work: round counts, not wall time, are the quantity
+under study.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,25 +33,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Machine-memory regime and round-cost knobs.
+    """Machine-memory regime.
 
     superlinear: per-machine word budget n**(1+mu), mu in (0, 1).
-    nearlinear: budget n * polylog_budget; the default budget is
-    ln(n)^2 / epsilon^3 words per vertex.
+    nearlinear: budget n * polylog_budget, a positive number of words per
+    vertex; the default budget is ln(n)^2 / epsilon^3.
     """
 
     regime: str
     mu: float | None = None
     polylog_budget: float | None = None
-    sort_round_cost: int = 1
 
     def __post_init__(self):
         if self.regime not in ("superlinear", "nearlinear"):
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.regime == "superlinear" and (self.mu is None or not 0.0 < self.mu < 1.0):
             raise ValueError("superlinear regime needs mu in (0, 1)")
-        if self.sort_round_cost < 1:
-            raise ValueError("sort_round_cost must be at least 1")
+        if self.polylog_budget is not None and not self.polylog_budget > 0:
+            raise ValueError("polylog_budget must be positive")
 
     def machine_memory(self, n: int, epsilon: float) -> int:
         if self.regime == "superlinear":
@@ -84,9 +82,6 @@ class RoundLedger:
     peak_edges: int = 0
     log: list[PhaseRecord] = field(default_factory=list)
 
-    def charge(self, k: int = 1):
-        self.rounds += int(k)
-
 
 class RelevantEdgeSet:
     """Edge ids still available to feed the coordinator; shrinks monotonically."""
@@ -117,21 +112,18 @@ class _PhaseController:
     """Owns the relevant-edge pool and the per-phase bookkeeping.
 
     It is the installment source of the engine's stream: ``size`` is the
-    pool not fetched yet, and every ``fetch`` runs one phase.
+    pool not fetched yet, and every ``fetch`` runs one phase. The ratio
+    guess, epsilon and xi are the engine's own; the regime is ``cfg``'s.
     """
 
-    def __init__(self, g, cfg, params, epsilon, c, engine, rng, ledger, nearlinear):
+    def __init__(self, g, cfg, engine, rng, ledger):
         self.g = g
-        self.cfg = cfg
-        self.params = params
-        self.epsilon = epsilon
-        self.c = Fraction(c)
+        self.nearlinear = cfg.regime == "nearlinear"
         self.engine = engine
         self.rng = rng
         self.ledger = ledger
-        self.nearlinear = nearlinear
         self.rel = RelevantEdgeSet(g)
-        self.mem = cfg.machine_memory(g.n, epsilon)
+        self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property
     def size(self) -> int:
@@ -148,18 +140,18 @@ class _PhaseController:
             flip_peels = self._flip_peel()
         before = self.rel.size
         self.rel.intersect_pair(engine.s_mask, engine.t_mask)
-        ledger.charge(self.cfg.sort_round_cost)
+        ledger.rounds += 1
         after = self.rel.size
         local_finish = after <= self.mem
         if local_finish:
             want = after  # the whole pool: nothing is left to fetch
-            ledger.charge(1)  # final fetch onto the coordinator
+            ledger.rounds += 1  # final fetch onto the coordinator
         else:
             if self.nearlinear:
-                want = min((engine.s_count + engine.t_count) * self.params.xi, self.mem)
+                want = min((engine.s_count + engine.t_count) * engine.params.xi, self.mem)
             else:
                 want = self.mem
-            ledger.charge(2 * self.cfg.sort_round_cost)  # sampling + removal
+            ledger.rounds += 2  # sampling + removal
         drawn_src, drawn_dst = self.rel.draw(want, self.rng)
         ledger.log.append(
             PhaseRecord(ledger.phases, int(drawn_src.size), before, after,
@@ -176,11 +168,11 @@ class _PhaseController:
         before it compacts the bag for the other side.
         """
         g, engine = self.g, self.engine
-        self.ledger.charge(self.cfg.sort_round_cost)
+        self.ledger.rounds += 1
         qualifying = engine.s_mask[g.src] & engine.t_mask[g.dst]
-        peel_sources = _ratio_prefers_sources(engine.s_count, engine.t_count, self.c)
+        peel_sources = _ratio_prefers_sources(engine.s_count, engine.t_count, engine.c)
         steps = _exact_bag_peels(
-            g.src[qualifying], g.dst[qualifying], g.n, self.c, self.epsilon,
+            g.src[qualifying], g.dst[qualifying], g.n, engine.c, engine.params.epsilon,
             engine.s_mask, engine.t_mask,
         )
         peels = 0
@@ -191,15 +183,17 @@ class _PhaseController:
             if not (s_count and t_count):
                 break
             engine.offer_best(s_mask, t_mask, cross / math.sqrt(s_count * t_count))
-            if _ratio_prefers_sources(s_count, t_count, self.c) != peel_sources:
+            if _ratio_prefers_sources(s_count, t_count, engine.c) != peel_sources:
                 break
         engine.set_pair(s_mask, t_mask)
         return peels
 
 
-def _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear):
+def _mpc_run(g, c, epsilon, cfg, params, rng):
     if params is None:
         params = sample_params(g.n, epsilon)
+    elif params.epsilon != epsilon:
+        raise ValueError(f"params.epsilon {params.epsilon!r} differs from epsilon {epsilon!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     seeds = rng.integers(0, (1 << 63) - 1, size=2)
@@ -207,11 +201,11 @@ def _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear):
     draw_rng = np.random.default_rng(int(seeds[1]))
     ledger = RoundLedger()
     batch_fn = None
-    if nearlinear:
+    if cfg.regime == "nearlinear":
         xi = params.xi
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
     engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn)
-    controller = _PhaseController(g, cfg, params, epsilon, c, engine, draw_rng, ledger, nearlinear)
+    controller = _PhaseController(g, cfg, engine, draw_rng, ledger)
     engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
     ledger.peak_edges = engine.peak_edges
     pair = engine.best_pair()
@@ -226,12 +220,14 @@ def mpc_superlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | No
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
     and the engine finishes locally. The reported density is recomputed
-    exactly on the input graph.
+    exactly on the input graph. ``params`` defaults to
+    ``sample_params(g.n, epsilon)``; one built with another epsilon is
+    rejected.
     """
     cfg = cfg or MpcConfig("superlinear", mu=0.3)
     if cfg.regime != "superlinear":
         raise ValueError("config regime must be 'superlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear=False)
+    return _mpc_run(g, c, epsilon, cfg, params, rng)
 
 
 def mpc_nearlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | None = None,
@@ -246,4 +242,4 @@ def mpc_nearlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | Non
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":
         raise ValueError("config regime must be 'nearlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng, nearlinear=True)
+    return _mpc_run(g, c, epsilon, cfg, params, rng)

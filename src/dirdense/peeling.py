@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -14,12 +14,19 @@ from .graph import DirectedGraph, VertexSetPair
 __all__ = [
     "PeelParams",
     "PeelStep",
-    "PeelTrace",
     "baseline_peel",
     "exact_oracle",
     "iteration_cap",
     "vsets_update",
 ]
+
+
+def _ratio_guess(c) -> Fraction:
+    """``c`` as a Fraction; raises unless it is positive."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("ratio guess c must be positive")
+    return c
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,7 @@ class PeelParams:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c <= 0:
-            raise ValueError("ratio guess c must be positive")
+        object.__setattr__(self, "c", _ratio_guess(self.c))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
 
@@ -42,17 +47,6 @@ class PeelStep(NamedTuple):
     side: str  # "S" or "T"
     removed: int
     density_after: float
-
-
-@dataclass
-class PeelTrace:
-    steps: list[PeelStep] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
 
 
 def iteration_cap(n: int, epsilon: float) -> int:
@@ -197,7 +191,9 @@ def _peel_best(src, dst, n, c, epsilon, *, compact, trace=None, start=None):
 
 
 def baseline_peel(g: DirectedGraph, params: PeelParams):
-    """Full-information peel from (V, V); returns (best pair, its density, trace).
+    """Full-information peel from (V, V); returns (best pair, its density, steps).
+
+    ``steps`` is the list of ``PeelStep``s, one per peel iteration.
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
@@ -208,12 +204,12 @@ def baseline_peel(g: DirectedGraph, params: PeelParams):
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
         pair = VertexSetPair(frozenset({0}), frozenset({0}), g.m)
-        return pair, float(g.m), PeelTrace()
+        return pair, float(g.m), []
     steps: list[PeelStep] = []
     best_s, best_t, rho, cross, _ = _peel_best(
         g.src, g.dst, g.n, params.c, params.epsilon, compact=False, trace=steps
     )
-    return VertexSetPair.from_masks(best_s, best_t, cross), rho, PeelTrace(steps)
+    return VertexSetPair.from_masks(best_s, best_t, cross), rho, steps
 
 
 _ORACLE_CHUNK = 1 << 14
@@ -255,9 +251,7 @@ def exact_oracle(g: DirectedGraph, max_vertices: int = 20):
             best_subset = int(ids[row])
             best_prefix = order[row, : t_idx + 1].copy()
             best_cross = int(prefix_cross[row, t_idx])
-    pair = VertexSetPair(
-        frozenset(i for i in range(n) if best_subset >> i & 1),
-        frozenset(best_prefix.tolist()),
-        best_cross,
-    )
-    return pair, best_rho
+    s_mask = ((best_subset >> bits) & 1).astype(bool)
+    t_mask = np.zeros(n, dtype=bool)
+    t_mask[best_prefix] = True
+    return VertexSetPair.from_masks(s_mask, t_mask, best_cross), best_rho

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .graph import EdgeBatch, VertexSetPair
-from .peeling import _peel_best, _peel_once
+from .graph import DirectedGraph, VertexSetPair
+from .peeling import _peel_best, _peel_once, _ratio_guess
 
 __all__ = [
     "EdgeStream",
@@ -197,7 +196,7 @@ def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
     The stream's arrays are read-only (the graph's own ones for "given"), so
     streams made from it by ``replay`` may be consumed from several threads.
     """
-    if order in ("given", "as-given"):
+    if order == "given":
         return EdgeStream(g.n, g.src, g.dst, order="given")
     if order == "shuffled":
         perm = np.random.default_rng(seed).permutation(g.m)
@@ -206,6 +205,9 @@ def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
         dst.setflags(write=False)
         return EdgeStream(g.n, src, dst, order="shuffled")
     raise ValueError(f"unknown stream order {order!r}")
+
+
+_SEEN_CAPACITY = 1024  # initial buffer length; doubles as needed
 
 
 class SeenSet:
@@ -217,10 +219,10 @@ class SeenSet:
 
     __slots__ = ("n", "_src", "_dst", "size", "peak_size")
 
-    def __init__(self, n, capacity=1024):
+    def __init__(self, n):
         self.n = int(n)
-        self._src = np.empty(max(1, capacity), dtype=np.int64)
-        self._dst = np.empty(max(1, capacity), dtype=np.int64)
+        self._src = np.empty(_SEEN_CAPACITY, dtype=np.int64)
+        self._dst = np.empty(_SEEN_CAPACITY, dtype=np.int64)
         self.size = 0
         self.peak_size = 0
 
@@ -289,11 +291,12 @@ def set_sample(seen: SeenSet, pair: VertexSetPair, p: float, size_estimate: int,
     Already-retained edges are thinned independently at rate p; a binomially
     sized count of fresh qualifying edges is then pulled off the stream
     (skipping and discarding non-qualifying ones). Returns the sampled batch
-    and a flag set when the stream ran out before the draw was filled.
+    (as a graph over the same vertices) and a flag set when the stream ran
+    out before the draw was filled.
     """
     s_mask, t_mask = pair.masks(seen.n)
     src, dst, exhausted, _ = _set_sample(seen, s_mask, t_mask, p, size_estimate, stream, rng)
-    return EdgeBatch(seen.n, src, dst), exhausted
+    return DirectedGraph.from_arrays(seen.n, src, dst), exhausted
 
 
 def _estimate_from_counts(batch_size, batch_matching, stream_remaining, n_xi, seen_size, epsilon):
@@ -301,7 +304,7 @@ def _estimate_from_counts(batch_size, batch_matching, stream_remaining, n_xi, se
     return max(int(math.floor(raw)), seen_size + batch_matching)
 
 
-def estimate_cross_edges(batch: EdgeBatch, pair: VertexSetPair, stream_remaining: int,
+def estimate_cross_edges(batch: DirectedGraph, pair: VertexSetPair, stream_remaining: int,
                          n_xi: int, seen_size: int, epsilon: float) -> int:
     """Scale the batch's qualifying fraction up to the unseen population.
 
@@ -336,7 +339,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
     (best pair, best exact density, passes, peak sampled edges).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    c = Fraction(c)
+    c = _ratio_guess(c)
     eps = params.epsilon
     n_xi = n * params.xi
     s_mask = np.ones(n, dtype=bool)
@@ -392,7 +395,7 @@ class SinglePassEngine:
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None):
         self.n = int(n)
-        self.c = Fraction(c)
+        self.c = _ratio_guess(c)
         self.params = params
         self.rng = rng
         self._batch_size = batch_size_fn or (lambda s_count, t_count: n * params.xi)
@@ -404,7 +407,6 @@ class SinglePassEngine:
         self.best_s = self.s_mask.copy()
         self.best_t = self.t_mask.copy()
         self.best_value = 0.0
-        self.finished = False
 
     # -- hooks used by the phased simulator ---------------------------------
     def set_pair(self, s_mask, t_mask):
@@ -450,7 +452,6 @@ class SinglePassEngine:
                     # nothing was retained or peeled yet (_cross passed the
                     # whole batch through): peel the batch in place
                     self._local_peel(bs, bd)
-                    self.finished = True
                     return
                 self.seen.add(qs, qd)
                 break
@@ -513,7 +514,6 @@ class SinglePassEngine:
         # _peel_best only reads the buffer views; nothing mutates the seen
         # set once the stream is drained
         self._local_peel(*self.seen.arrays())
-        self.finished = True
 
 
 def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None):

@@ -179,6 +179,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             RunConfig(algo="baseline", gen="pref:n=9,k=1", delta=1.0)
 
+    @pytest.mark.parametrize("knobs", [{"c": Fraction(0)}, {"c": Fraction(-1)},
+                                       {"workers": 0}, {"workers": -3}])
+    def test_config_rejects_nonpositive_c_and_workers(self, knobs):
+        with pytest.raises(ValueError):
+            RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
+
 
 class TestCompareReports:
     def test_identical_reports_all_ones(self):
@@ -239,6 +245,25 @@ class TestCli:
         code = cli_main(["--input", str(path), "--algo", "baseline"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--algo", "single-pass", "--c", "-1"],
+        ["--algo", "single-pass", "--c", "0"],
+        ["--algo", "multi-pass", "--c", "-0.5"],
+        ["--algo", "mpc-super", "--c", "-1"],
+        ["--algo", "mpc-near", "--c", "-2"],
+        ["--algo", "baseline", "--c", "-1"],
+        ["--algo", "baseline", "--workers", "0"],
+        ["--algo", "single-pass", "--workers", "-3"],
+        ["--algo", "mpc-near", "--mpc-budget", "0"],
+        ["--algo", "mpc-near", "--mpc-budget", "-5"],
+    ])
+    def test_bad_knob_is_rejected(self, args, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli_main(["--gen", "pref:n=200,k=3", "--out", str(out), *args])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mpc_algo_smoke(self, capsys):
         code = cli_main(["--gen", "pref:n=30,k=2", "--algo", "mpc-super",

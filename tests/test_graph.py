@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dirdense.graph import (
     DirectedGraph,
-    EdgeBatch,
     VertexSetPair,
     count_cross_edges,
     density,
@@ -55,7 +54,6 @@ class TestDirectedGraph:
     def test_tuple_of_pairs_parses_as_pairs(self):
         g = DirectedGraph(3, ((0, 1), (2, 0)))
         assert g.edges() == [(0, 1), (2, 0)]
-        assert EdgeBatch.from_pairs(3, ((0, 1), (2, 0))).src.tolist() == [0, 2]
 
     def test_from_arrays_takes_source_and_target_arrays(self):
         g = DirectedGraph.from_arrays(3, np.array([0, 2]), np.array([1, 0]))
@@ -89,7 +87,7 @@ class TestCountCrossEdges:
             count_cross_edges(g, VertexSetPair.of({9}, {0}))
 
     def test_works_on_edge_batches(self):
-        batch = EdgeBatch.from_pairs(3, [(0, 1), (0, 1)])
+        batch = DirectedGraph(3, [(0, 1), (0, 1)])
         assert count_cross_edges(batch, VertexSetPair.of({0}, {1})) == 2
 
 

@@ -23,6 +23,11 @@ class TestMpcConfig:
         with pytest.raises(ValueError):
             MpcConfig("sublinear")
 
+    @pytest.mark.parametrize("budget", [0, -5, 0.0, float("nan")])
+    def test_rejects_nonpositive_budget(self, budget):
+        with pytest.raises(ValueError, match="polylog_budget"):
+            MpcConfig("nearlinear", polylog_budget=budget)
+
     def test_memory_floors_at_n(self):
         cfg = MpcConfig("nearlinear", polylog_budget=0.001)
         assert cfg.machine_memory(100, 0.2) == 100
@@ -33,6 +38,22 @@ class TestMpcConfig:
             mpc_superlinear_run(g, 1, 0.2, MpcConfig("nearlinear"))
         with pytest.raises(ValueError):
             mpc_nearlinear_run(g, 1, 0.2, MpcConfig("superlinear", mu=0.3))
+
+
+class TestRunnerArguments:
+    @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
+    def test_params_with_other_epsilon_rejected(self, run):
+        g = gnp_directed(20, 0.3, seed=1)
+        with pytest.raises(ValueError, match="epsilon"):
+            run(g, 1, 0.2, None, sample_params(g.n, 0.3))
+        run(g, 1, 0.2, None, sample_params(g.n, 0.2, f=0.01))  # same epsilon, other f
+
+    @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_rejects_nonpositive_c(self, run, c):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="ratio guess"):
+            run(g, c, 0.2)
 
 
 class TestSuperlinear:

@@ -11,6 +11,12 @@ from tests.support import gnp_directed, star_plus_triangle
 
 
 class TestMultiPassRun:
+    @pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])
+    def test_rejects_nonpositive_c(self, c):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="ratio guess"):
+            multi_pass_run(make_stream(g, "given"), g.n, c, sample_params(g.n, 0.2))
+
     def test_clamped_probability_matches_baseline(self):
         # every graph here has far fewer than n*xi edges, so p = 1 and the
         # trajectory must equal the full-information peel, tie-breaks included

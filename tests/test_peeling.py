@@ -170,6 +170,15 @@ class TestExactOracle:
         with pytest.raises(ValueError):
             exact_oracle(DirectedGraph(21, []), max_vertices=20)
 
+    def test_pair_is_mask_built(self):
+        for seed in range(6):
+            g = gnp_directed(8, 0.35, seed)
+            pair, _ = exact_oracle(g)
+            s_mask, t_mask = pair.masks(g.n)
+            assert not s_mask.flags.writeable and not t_mask.flags.writeable  # carried
+            assert pair == VertexSetPair.of(pair.S, pair.T, count_cross_edges(g, pair))
+            assert pair.sizes() == (len(pair.S), len(pair.T))
+
     def test_reported_density_matches_pair(self):
         for seed in range(6):
             g = gnp_directed(7, 0.4, seed)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirdense.graph import DirectedGraph, EdgeBatch, VertexSetPair
+from dirdense.graph import DirectedGraph, VertexSetPair
 from dirdense.streaming import (
     SeenSet,
     estimate_cross_edges,
@@ -102,14 +102,14 @@ class TestSetSample:
 
 class TestEstimateCrossEdges:
     def test_direct_formula(self):
-        batch = EdgeBatch.from_pairs(4, [(0, 1)] * 50 + [(2, 3)] * 50)
+        batch = DirectedGraph(4, [(0, 1)] * 50 + [(2, 3)] * 50)
         pair = VertexSetPair.of({0}, {1})
         s = estimate_cross_edges(batch, pair, stream_remaining=900, n_xi=100,
                                  seen_size=10, epsilon=0.2)
         assert s == 410  # 0.8 * 0.5 * 1000 + 10
 
     def test_clamps_to_evidence(self):
-        batch = EdgeBatch.from_pairs(4, [(2, 3)] * 10)
+        batch = DirectedGraph(4, [(2, 3)] * 10)
         pair = VertexSetPair.of({0}, {1})
         s = estimate_cross_edges(batch, pair, stream_remaining=100, n_xi=10,
                                  seen_size=7, epsilon=0.2)
@@ -117,7 +117,7 @@ class TestEstimateCrossEdges:
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            estimate_cross_edges(EdgeBatch.from_pairs(2, []), VertexSetPair.of({0}, {1}),
+            estimate_cross_edges(DirectedGraph(2, []), VertexSetPair.of({0}, {1}),
                                  10, 10, 0, 0.2)
 
     def test_population_bracketing(self):
@@ -136,7 +136,7 @@ class TestEstimateCrossEdges:
             perm = rng.permutation(total)
             sample = universe[perm[:batch_size]]
             matching = int(sample.sum())
-            batch = EdgeBatch.from_pairs(
+            batch = DirectedGraph(
                 3, [(0, 1)] * matching + [(2, 2)] * (batch_size - matching)
             )
             s = estimate_cross_edges(batch, VertexSetPair.of({0}, {1}),
@@ -149,26 +149,26 @@ class TestEstimateCrossEdges:
 
 class TestSampledDensityEstimate:
     def test_p_one_equals_density(self):
-        batch = EdgeBatch.from_pairs(4, [(0, 1), (0, 2), (3, 3)])
+        batch = DirectedGraph(4, [(0, 1), (0, 2), (3, 3)])
         pair = VertexSetPair.of({0}, {1, 2})
         assert sampled_density_estimate(batch, pair, 1.0) == pytest.approx(2 / math.sqrt(2))
 
     def test_scaling_arithmetic(self):
         src = np.zeros(50, dtype=np.int64)
         dst = np.ones(50, dtype=np.int64)
-        batch = EdgeBatch(200, src, dst)
+        batch = DirectedGraph.from_arrays(200, src, dst)
         pair = VertexSetPair.of({0}, {1})
         # |E_H| = 50, p = 0.1, |S| = |T| = 100 would give 5.0; emulate sizes
         pair100 = VertexSetPair.of(range(100), range(100, 200))
-        batch100 = EdgeBatch(200, src, dst + 99)
+        batch100 = DirectedGraph.from_arrays(200, src, dst + 99)
         assert sampled_density_estimate(batch100, pair100, 0.1) == pytest.approx(5.0)
 
     def test_empty_pair_is_zero(self):
-        batch = EdgeBatch.from_pairs(2, [(0, 1)])
+        batch = DirectedGraph(2, [(0, 1)])
         assert sampled_density_estimate(batch, VertexSetPair.of(set(), {1}), 0.5) == 0.0
 
     def test_rejects_nonpositive_p(self):
-        batch = EdgeBatch.from_pairs(2, [(0, 1)])
+        batch = DirectedGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
             sampled_density_estimate(batch, VertexSetPair.of({0}, {1}), 0.0)
 
@@ -184,7 +184,7 @@ class TestSampledDensityEstimate:
         estimates = []
         for _ in range(10_000):
             keep = rng.random(cross) < p
-            batch = EdgeBatch(n, src[keep], dst[keep])
+            batch = DirectedGraph.from_arrays(n, src[keep], dst[keep])
             estimates.append(sampled_density_estimate(batch, pair, p))
         assert abs(np.mean(estimates) - 8.0) < 0.1
 

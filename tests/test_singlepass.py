@@ -6,11 +6,20 @@ import pytest
 
 from dirdense.graph import DirectedGraph, density
 from dirdense.peeling import PeelParams, baseline_peel
-from dirdense.streaming import make_stream, sample_params, single_pass_run
+from dirdense.streaming import SinglePassEngine, make_stream, sample_params, single_pass_run
 from tests.support import gnp_directed, star_with_fragment
 
 
 class TestSinglePassRun:
+    @pytest.mark.parametrize("c", [0, -1, Fraction(-2)])
+    def test_rejects_nonpositive_c(self, c):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        params = sample_params(g.n, 0.2)
+        with pytest.raises(ValueError, match="ratio guess"):
+            single_pass_run(make_stream(g, "given"), g.n, c, params)
+        with pytest.raises(ValueError, match="ratio guess"):
+            SinglePassEngine(g.n, c, params, np.random.default_rng(0))
+
     def test_small_graph_collapses_to_baseline(self):
         # |E| << n*xi: the first batch is the whole stream, so the run is an
         # exact peel of everything and must reproduce the baseline output pair

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dirdense.graph import DirectedGraph
+from dirdense.mpc import MpcConfig
 from dirdense.peeling import exact_oracle
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed
@@ -93,6 +94,25 @@ class TestSweep:
     def test_unknown_runner_rejected(self):
         with pytest.raises(ValueError):
             sweep("magic", DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=0.2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep("baseline", DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=0.2,
+                  workers=workers)
+
+    @pytest.mark.parametrize("algo,default", [
+        ("mpc-super", MpcConfig("superlinear", mu=0.3)),
+        ("mpc-near", MpcConfig("nearlinear")),
+    ])
+    def test_mpc_config_none_is_the_runner_default(self, algo, default):
+        # epsilon 0.9 keeps both default machine memories below m = 2798
+        g = gnp_directed(60, 0.8, seed=4)
+        grid = build_grid(g.n, 2)
+        implicit = sweep(algo, g, grid, epsilon=0.9, f=1 / 100, seed=3)
+        explicit = sweep(algo, g, grid, epsilon=0.9, f=1 / 100, seed=3, mpc_config=default)
+        assert [_row_key(r) for r in implicit.rows] == [_row_key(r) for r in explicit.rows]
+        assert implicit.best_c == explicit.best_c
 
     def test_per_cell_errors_recorded_not_raised(self, monkeypatch):
         import dirdense.csweep as sweep_mod
