@@ -9,7 +9,6 @@ so per-c results are seed-deterministic regardless of scheduling.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass

@@ -9,6 +9,13 @@ phase controller. The cost model is one round per global primitive
 degree tally used by the near-linear mode, and the final fetch) and nothing
 for coordinator-local work: round counts, not wall time, are the quantity
 under study.
+
+The simulator permutes the pool once per run, at its first draw, and every
+draw takes the head of the pool; relevance filters keep the survivors in
+order. Nothing the engine has seen depends on the order of the edges not
+drawn yet, so that order stays uniform through every filter, and each head
+is a uniform sample in uniform order: the law of a fresh permutation per
+draw, at one permutation's cost.
 """
 
 from __future__ import annotations
@@ -84,28 +91,52 @@ class RoundLedger:
 
 
 class RelevantEdgeSet:
-    """Edge ids still available to feed the coordinator; shrinks monotonically."""
+    """Edges still available to feed the coordinator; shrinks monotonically.
+
+    The pool is held as ``src``/``dst`` arrays that start as the graph's own
+    read-only arrays. The first ``draw`` puts the pool in uniform order with
+    one permutation; after that ``intersect_pair`` keeps the survivors in
+    their order and ``draw`` removes the head. The engine has seen only
+    drawn edges, so nothing it did, the filters included, depends on the
+    order of the undrawn ones: that order stays uniform, and each head is a
+    uniform k-subset in uniform order, as a fresh permutation per draw would
+    give. The permutation waits for the first draw because the near-linear
+    mode's first filter shrinks the pool before anything is drawn.
+    """
 
     def __init__(self, g: DirectedGraph):
-        self._g = g
-        self.ids = np.arange(g.m, dtype=np.int64)
+        self.src = g.src
+        self.dst = g.dst
+        self._permuted = False
 
     @property
     def size(self) -> int:
-        return int(self.ids.size)
+        return int(self.src.size)
 
     def intersect_pair(self, s_mask, t_mask):
-        ids = self.ids
-        keep = s_mask[self._g.src[ids]] & t_mask[self._g.dst[ids]]
-        self.ids = ids[keep]
+        """Keep the edges inside (S, T), in their current order."""
+        if s_mask.all() and t_mask.all():
+            return  # (V, V) keeps every edge
+        keep = s_mask[self.src] & t_mask[self.dst]
+        self.src = self.src[keep]
+        self.dst = self.dst[keep]
 
     def draw(self, k, rng):
         """Remove and return k uniformly chosen edges, in uniform order."""
-        k = max(0, min(int(k), self.ids.size))
-        perm = rng.permutation(self.ids.size)
-        taken = self.ids[perm[:k]]
-        self.ids = self.ids[perm[k:]]
-        return self._g.src[taken], self._g.dst[taken]
+        if not self._permuted:
+            perm = rng.permutation(self.src.size)
+            self.src = self.src[perm]
+            self.dst = self.dst[perm]
+            self._permuted = True
+        k = max(0, min(int(k), self.src.size))
+        taken = self.src[:k], self.dst[:k]
+        if k == self.src.size:
+            # an empty view would keep the permuted arrays alive
+            self.src = self.dst = _EMPTY
+        else:
+            self.src = self.src[k:]
+            self.dst = self.dst[k:]
+        return taken
 
 
 class _PhaseController:
@@ -169,11 +200,13 @@ class _PhaseController:
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
-        qualifying = engine.s_mask[g.src] & engine.t_mask[g.dst]
+        src, dst = g.src, g.dst  # the kernel only reads them
+        if engine.s_count < g.n or engine.t_count < g.n:
+            qualifying = engine.s_mask[src] & engine.t_mask[dst]
+            src, dst = src[qualifying], dst[qualifying]
         peel_sources = _ratio_prefers_sources(engine.s_count, engine.t_count, engine.c)
         steps = _exact_bag_peels(
-            g.src[qualifying], g.dst[qualifying], g.n, engine.c, engine.params.epsilon,
-            engine.s_mask, engine.t_mask,
+            src, dst, g.n, engine.c, engine.params.epsilon, engine.s_mask, engine.t_mask,
         )
         peels = 0
         for _, _, s_mask, t_mask, cross in steps:
@@ -219,8 +252,12 @@ def mpc_superlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | No
     Each phase refilters the relevant pool to the engine's current pair,
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
-    and the engine finishes locally. The reported density is recomputed
-    exactly on the input graph. ``params`` defaults to
+    and the engine finishes locally. The pool is permuted once, at the
+    first draw, and each draw takes its head: the undrawn edges' order is
+    independent of everything the engine has seen, so after the
+    order-keeping filters the head is a uniform sample in uniform order, as
+    a fresh permutation per draw would give. The reported density is
+    recomputed exactly on the input graph. ``params`` defaults to
     ``sample_params(g.n, epsilon)``; one built with another epsilon is
     rejected.
     """

@@ -4,10 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from dirdense.peeling import exact_oracle
-from dirdense.streaming import sample_params
+from dirdense.mpc import (
+    MpcConfig,
+    RelevantEdgeSet,
+    RoundLedger,
+    _PhaseController,
+    mpc_nearlinear_run,
+    mpc_superlinear_run,
+)
+from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
+from dirdense.streaming import SinglePassEngine, sample_params
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed, star_plus_triangle
 
@@ -54,6 +62,100 @@ class TestRunnerArguments:
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="ratio guess"):
             run(g, c, 0.2)
+
+
+class _CountingRng:
+    """A generator that counts its ``permutation`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.permutations = 0
+
+    def permutation(self, x):
+        self.permutations += 1
+        return self._rng.permutation(x)
+
+
+def _codes(g, src, dst):
+    return np.asarray(src) * g.n + np.asarray(dst)
+
+
+class TestRelevantEdgeSet:
+    def test_draws_and_remainder_partition_the_pool(self):
+        g = gnp_directed(30, 0.3, seed=2)
+        pool = RelevantEdgeSet(g)
+        rng = np.random.default_rng(5)
+        drawn = [pool.draw(k, rng) for k in (7, 0, 40, 1)]
+        assert [s.size for s, _ in drawn] == [7, 0, 40, 1]
+        parts = [_codes(g, s, d) for s, d in drawn] + [_codes(g, pool.src, pool.dst)]
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.sort(_codes(g, g.src, g.dst)))
+        rest = pool.draw(g.m, rng)  # more than is left: takes the rest
+        assert rest[0].size == g.m - 48 and pool.size == 0
+
+    def test_filter_keeps_the_survivors_in_order(self):
+        g = gnp_directed(30, 0.3, seed=3)
+        pool = RelevantEdgeSet(g)
+        pool.draw(5, np.random.default_rng(1))
+        before_src, before_dst = pool.src, pool.dst
+        s_mask = np.arange(g.n) % 3 != 0
+        t_mask = np.arange(g.n) % 4 != 1
+        pool.intersect_pair(s_mask, t_mask)
+        keep = s_mask[before_src] & t_mask[before_dst]
+        assert 0 < pool.size < keep.size
+        assert np.array_equal(pool.src, before_src[keep])
+        assert np.array_equal(pool.dst, before_dst[keep])
+
+    def test_whole_pair_filter_keeps_the_same_arrays(self):
+        g = gnp_directed(20, 0.3, seed=4)
+        pool = RelevantEdgeSet(g)
+        everyone = np.ones(g.n, dtype=bool)
+        pool.intersect_pair(everyone, everyone)
+        assert pool.src is g.src and pool.dst is g.dst  # no copy before the first draw
+        pool.draw(3, np.random.default_rng(0))
+        src, dst = pool.src, pool.dst
+        pool.intersect_pair(everyone, everyone)
+        assert pool.src is src and pool.dst is dst
+
+    def test_pool_is_permuted_once_at_its_first_draw(self):
+        g = gnp_directed(30, 0.3, seed=5)
+        pool = RelevantEdgeSet(g)
+        rng = _CountingRng(0)
+        pool.intersect_pair(np.arange(g.n) != 0, np.ones(g.n, dtype=bool))
+        assert rng.permutations == 0
+        pool.draw(4, rng)
+        assert rng.permutations == 1
+        pool.intersect_pair(np.arange(g.n) != 1, np.ones(g.n, dtype=bool))
+        for k in (4, 0, 10, g.m):
+            pool.draw(k, rng)
+        assert rng.permutations == 1 and pool.size == 0
+
+    def test_draw_filter_draw_has_the_uniform_law(self):
+        # edge i is (i, 6 + i); after one edge is drawn the filter drops edges
+        # 4 and 5, then an ordered pair is drawn from the survivors. Under the
+        # law of a fresh permutation per draw, every (first, pair) outcome of
+        # a given first edge is equally likely: 48 cells in all.
+        g = DirectedGraph(12, [(i, 6 + i) for i in range(6)])
+        s_mask = np.arange(g.n) < 4
+        t_mask = np.ones(g.n, dtype=bool)
+        trials = 4000
+        counts = {}
+        for seed in range(trials):
+            rng = np.random.default_rng(seed)
+            pool = RelevantEdgeSet(g)
+            (first,), _ = pool.draw(1, rng)
+            pool.intersect_pair(s_mask, t_mask)
+            (a, b), _ = pool.draw(2, rng)
+            key = (int(first), int(a), int(b))
+            counts[key] = counts.get(key, 0) + 1
+        expected = {}
+        for first in range(6):
+            survivors = [e for e in range(4) if e != first]
+            ordered = [(a, b) for a in survivors for b in survivors if a != b]
+            for a, b in ordered:
+                expected[(first, a, b)] = trials / 6 / len(ordered)
+        assert set(counts) <= set(expected)
+        chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
+        assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
 
 
 class TestSuperlinear:
@@ -107,6 +209,26 @@ class TestSuperlinear:
         assert l1.rounds == l2.rounds and l1.log == l2.log
 
 
+    def test_phases_at_the_whole_pair_end_in_the_exact_peel(self):
+        # as on pref 10^5 with mu = 0.1: the first batch spans several
+        # phases whose filters remove nothing, then the pool is drained and
+        # peeled exactly, so neither the draw order nor the seed matters
+        g = gen_pref_attach(1000, 10, seed=0)
+        cfg = MpcConfig("superlinear", mu=0.1)
+        params = sample_params(g.n, 0.2, f=1 / 1200)
+        for c in (Fraction(1, 125), Fraction(1), Fraction(64)):
+            base, base_rho, _ = baseline_peel(g, PeelParams(c, 0.2))
+            ledgers = []
+            for seed in (0, 1, 2):
+                pair, rho, ledger = mpc_superlinear_run(g, c, 0.2, cfg, params,
+                                                        rng=np.random.default_rng(seed))
+                assert (pair.S, pair.T, rho) == (base.S, base.T, base_rho)
+                ledgers.append(ledger)
+            assert ledgers[0].phases >= 3 and ledgers[0].log[-1].local_finish
+            assert all(rec.e_rel_before == rec.e_rel_after for rec in ledgers[0].log[:-1])
+            assert ledgers[1] == ledgers[0] and ledgers[2] == ledgers[0]
+
+
 class TestNearlinear:
     def test_everything_fits_one_machine(self):
         g = star_plus_triangle()
@@ -146,6 +268,29 @@ class TestNearlinear:
         if len(nonfinal) >= 2:
             assert nonfinal[-1].s_size + nonfinal[-1].t_size \
                 <= nonfinal[0].s_size + nonfinal[0].t_size
+
+
+    @pytest.mark.parametrize("c", [Fraction(1, 8), Fraction(1), Fraction(8)])
+    def test_flip_peel_reads_only_the_edges_inside_the_pair(self, c):
+        # the graph and its subgraph inside the start pair must peel alike,
+        # whichever side the start pair has already shrunk
+        def flip_peel(graph, s_mask, t_mask):
+            engine = SinglePassEngine(graph.n, c, sample_params(graph.n, 0.2),
+                                      np.random.default_rng(0))
+            engine.set_pair(s_mask, t_mask)
+            controller = _PhaseController(graph, MpcConfig("nearlinear"), engine,
+                                          np.random.default_rng(0), RoundLedger())
+            peels = controller._flip_peel()
+            return peels, engine.s_mask.tolist(), engine.t_mask.tolist(), engine.best_value
+
+        g = gnp_directed(40, 0.3, seed=7)
+        ids = np.arange(g.n)
+        everyone = np.ones(g.n, dtype=bool)
+        for s_mask, t_mask in ((ids < 30, everyone), (everyone, ids >= 12),
+                               (ids % 2 == 0, ids % 3 != 0)):
+            inside = s_mask[g.src] & t_mask[g.dst]
+            sub = DirectedGraph.from_arrays(g.n, g.src[inside], g.dst[inside])
+            assert flip_peel(g, s_mask, t_mask) == flip_peel(sub, s_mask, t_mask)
 
 
 class TestApproximationParity:

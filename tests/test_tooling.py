@@ -1,4 +1,5 @@
-"""Guards for the benchmark harness that lives next to the package.
+"""Guards for the benchmark harness that lives next to the package, and for
+the package's own source.
 
 ``perfbench/spans.py`` patches its probes into ``dirdense`` through
 ``owner.__dict__[attr]``, so a probed callable must be defined directly on
@@ -7,11 +8,14 @@ base class or renames it breaks traced benchmark runs without failing any
 package test; this test makes that visible.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "dirdense"
 
 
 def _load_spans():
@@ -31,3 +35,34 @@ def test_every_probe_is_defined_on_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in probes if attr not in owner.__dict__]
     assert not missing, f"probed callables not defined on their owner: {missing}"
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads, outside ``__future__`` and ``__all__``."""
+    imported = {}
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
+    assert not found, f"unused imports: {found}"
