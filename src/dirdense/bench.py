@@ -7,6 +7,7 @@ import io
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -37,17 +38,66 @@ __all__ = [
 CSV_HEADER = "dataset,algo,c,density,s_size,t_size,peak_edges,passes_or_rounds,wall_ms,seed,error"
 
 
-def parse_snap_edgelist(text) -> tuple[DirectedGraph, list[int]]:
-    """Parse whitespace-separated "u v" lines ('#' starts a comment line).
+# the bytes the bulk path reads: printable ASCII, tab and newline
+_BULK_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 
-    Vertex ids are remapped densely in first-appearance order; the returned
-    label list maps new id -> original id. Malformed lines raise ValueError
-    carrying the 1-based line number.
+
+def parse_snap_edgelist(text) -> tuple[DirectedGraph, list[int]]:
+    """Parse a SNAP edge list: one "u v" line per edge, '#' starting a comment line.
+
+    ``text`` is the whole list as a str, or a text file, which is read here
+    to its end. A str is cut into lines by ``str.splitlines``; a file into
+    the lines that iterating it yields in the default newline mode ('\n',
+    '\r' and '\r\n'). Each line, stripped of whitespace, is blank, starts
+    with '#', or holds exactly two ``int()``-parsable ids separated by
+    whitespace. Vertex ids are remapped densely in first-appearance order;
+    the returned label list maps new id -> original id (Python ints).
+    Malformed lines raise ValueError carrying the 1-based line number.
+
+    Text made only of printable ASCII, tabs and '\n', with no '#' after
+    data on a line, is parsed in bulk by ``np.loadtxt``. Anything else, and
+    any text that loadtxt rejects, warns about or reads into other than two
+    int64 columns, goes to the line-by-line parser, which alone decides
+    what is accepted outside the bulk path and words every error message.
     """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
+    data = text if isinstance(text, str) else text.read()
+    ids = _bulk_ids(data)
+    if ids is None:
+        lines = data.splitlines() if isinstance(text, str) else io.StringIO(data, newline="")
+        return _parse_lines(lines)
+    uniq, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    remapped = rank[inverse]
+    g = DirectedGraph.from_arrays(uniq.size, remapped[0::2], remapped[1::2])
+    return g, uniq[order].tolist()
+
+
+def _bulk_ids(data: str) -> np.ndarray | None:
+    """The (m, 2) int64 ids of ``data`` if the bulk path reads it exactly as
+    the line parser would, else None."""
+    if not data.isascii() or data.encode("ascii").translate(None, _BULK_BYTES):
+        return None
+    # loadtxt drops '#' comments anywhere on a line, the line parser only
+    # whole lines; so send every line with data before a '#' to the latter
+    at = data.find("#")
+    while at >= 0:
+        if data[data.rfind("\n", 0, at) + 1 : at].strip():
+            return None
+        line_end = data.find("\n", at)
+        at = -1 if line_end < 0 else data.find("#", line_end)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = np.loadtxt(io.StringIO(data), dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return ids if ids.shape[1] == 2 else None
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[DirectedGraph, list[int]]:
+    """The line-by-line parser: all text outside the bulk path, and every error."""
     remap: dict[int, int] = {}
     labels: list[int] = []
     src: list[int] = []
@@ -79,6 +129,18 @@ def gen_pref_attach(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
 
     Exactly edges_per_node * (n - 1) edges are produced (the first vertex
     sends none). Parallel edges can and do occur.
+
+    The law is that of a pool with one slot per existing vertex plus one per
+    received edge, grown vertex by vertex: vertex v (1 <= v < n) draws its k
+    = edges_per_node targets as k uniform slot indices of the pool, appends
+    the k targets, then appends itself. So the pool holds 1 + (v - 1)(k + 1)
+    slots before v's draw, whatever was drawn; slot v(k + 1) holds v; and
+    every other slot copies the target of an earlier draw. Because the pool
+    lengths are fixed in advance, all k(n - 1) slot indices come from one
+    ``rng.integers`` call, which returns the same numbers as one call per
+    vertex. The copies are then resolved in doubling vertex blocks [a, 2a):
+    one gather from the resolved pool, then re-gathers of the entries that
+    copy a slot inside the block until none is left.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -86,25 +148,27 @@ def gen_pref_attach(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
         raise ValueError("edges_per_node must be at least 1")
     rng = np.random.default_rng(seed)
     k = edges_per_node
-    m = k * (n - 1)
-    # the pool holds one entry per existing vertex plus one per received edge,
-    # so a uniform pool draw realizes the in-degree + 1 weighting
-    pool = np.empty(n + m, dtype=np.int64)
-    pool[0] = 0
-    pool_len = 1
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    at = 0
-    for v in range(1, n):
-        targets = pool[rng.integers(0, pool_len, size=k)]
-        src[at : at + k] = v
-        dst[at : at + k] = targets
-        at += k
-        pool[pool_len : pool_len + k] = targets
-        pool_len += k
-        pool[pool_len] = v
-        pool_len += 1
-    return DirectedGraph.from_arrays(n, src, dst)
+    width = k + 1
+    draws = rng.integers(0, np.repeat(1 + np.arange(n - 1) * width, k))
+    # row v of the pool: v's self slot, then the k targets vertex v + 1 drew;
+    # -1 marks a slot not resolved yet
+    pool = np.full(n * width, -1, dtype=np.int64)
+    rows = pool.reshape(n, width)
+    rows[:, 0] = np.arange(n)
+    a = 1
+    while a < n:
+        b = min(2 * a, n)
+        got = pool[draws[(a - 1) * k : (b - 1) * k]]
+        rows[a - 1 : b - 1, 1:] = got.reshape(b - a, k)
+        d = np.flatnonzero(got < 0) + (a - 1) * k
+        slots, want = d + d // k + 1, draws[d]
+        while slots.size:
+            got = pool[want]
+            pool[slots] = got
+            pending = got < 0
+            slots, want = slots[pending], want[pending]
+        a = b
+    return DirectedGraph.from_arrays(n, np.repeat(np.arange(1, n), k), rows[:-1, 1:].reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -91,3 +92,71 @@ def naive_best_pair(g: DirectedGraph):
         frozenset(i for i in range(n) if t_mask >> i & 1),
     )
     return pair, best_rho
+
+
+def reference_pref_attach(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
+    """Frozen per-vertex reference of ``bench.gen_pref_attach``.
+
+    Vertex v draws its targets as uniform indices into a pool that holds one
+    entry per existing vertex plus one per received edge, then appends its
+    targets and itself. The acceptance constants were calibrated on this
+    output, so the library's generator must stay bit-identical to it.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if edges_per_node < 1:
+        raise ValueError("edges_per_node must be at least 1")
+    rng = np.random.default_rng(seed)
+    k = edges_per_node
+    m = k * (n - 1)
+    pool = np.empty(n + m, dtype=np.int64)
+    pool[0] = 0
+    pool_len = 1
+    src = np.empty(m, dtype=np.int64)
+    dst = np.empty(m, dtype=np.int64)
+    at = 0
+    for v in range(1, n):
+        targets = pool[rng.integers(0, pool_len, size=k)]
+        src[at : at + k] = v
+        dst[at : at + k] = targets
+        at += k
+        pool[pool_len : pool_len + k] = targets
+        pool_len += k
+        pool[pool_len] = v
+        pool_len += 1
+    return DirectedGraph.from_arrays(n, src, dst)
+
+
+def reference_parse_edgelist(text) -> tuple[DirectedGraph, list[int]]:
+    """Frozen line-by-line reference of ``bench.parse_snap_edgelist``.
+
+    ``text`` is a str (cut by ``str.splitlines``) or any iterable of lines,
+    such as a text file.
+    """
+    if isinstance(text, str):
+        lines: Iterable[str] = text.splitlines()
+    else:
+        lines = text
+    remap: dict[int, int] = {}
+    labels: list[int] = []
+    src: list[int] = []
+    dst: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two vertex ids, got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer vertex id in {line!r}") from None
+        for orig in (u, v):
+            if orig not in remap:
+                remap[orig] = len(labels)
+                labels.append(orig)
+        src.append(remap[u])
+        dst.append(remap[v])
+    g = DirectedGraph.from_arrays(len(labels), np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
+    return g, labels

@@ -1,9 +1,14 @@
+import hashlib
+import io
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirdense.bench import (
     CSV_HEADER,
@@ -18,6 +23,36 @@ from dirdense.bench import (
     write_report_csv,
 )
 from dirdense.cli import main as cli_main
+from tests.support import reference_parse_edgelist, reference_pref_attach
+
+# well-formed edge-list lines, and adversarial pieces spliced into them: ids
+# the bulk reader and int() may disagree on, every whitespace and line break
+# str.splitlines knows, comments at line start and after data, blank lines
+_GOOD_LINES = ("0 1\n", "12 -3\n", "5 5\n", "\t7  12 \n", "+4 007\n", "-0 9\n", "# c\n", "  # x\n", "\n")
+_ODD_PIECES = (
+    *"0123456789", "+", "-", "007", "1_0", "99999999999999999999", "\u0663",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+    "#", "\n#", " # note", "\n\n",
+)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Well-formed lines with up to three adversarial pieces spliced in anywhere."""
+    text = "".join(draw(st.lists(st.sampled_from(_GOOD_LINES), max_size=12)))
+    for piece in draw(st.lists(st.sampled_from(_ODD_PIECES), max_size=3)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    """Graph and labels as plain lists, or the error message."""
+    try:
+        g, labels = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.src.tolist(), g.dst.tolist(), labels, [type(x) for x in labels]
 
 
 class TestParseSnapEdgelist:
@@ -53,6 +88,67 @@ class TestParseSnapEdgelist:
         g, _ = parse_snap_edgelist("  0\t1 \n\n#x\n1 2\n")
         assert g.m == 2
 
+    @pytest.mark.parametrize("bad", ["0 x", "0 1 2"])
+    def test_late_malformed_line_reports_its_number(self, bad):
+        with pytest.raises(ValueError, match=r"^line 200001: "):
+            parse_snap_edgelist("0 1\n" * 200_000 + bad + "\n1 2\n")
+
+    def test_comment_after_data_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^line 1: expected two vertex ids, got '1 2 # note'$"):
+            parse_snap_edgelist("1 2 # note\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n# a\n\t# b"])
+    def test_no_edges_is_an_empty_graph(self, text):
+        # recorded rather than raised: the parser catches warnings it turned
+        # into errors itself, so only a record shows one that escaped
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g, labels = parse_snap_edgelist(text)
+        assert caught == []
+        assert (g.n, g.m, labels) == (0, 0, [])
+
+    @pytest.mark.parametrize("text", ["70 30\n30 10\n", "1_0 2\n", "99999999999999999999 1\n"])
+    def test_labels_are_python_ints(self, text):
+        _, labels = parse_snap_edgelist(text)
+        assert labels and all(type(x) is int for x in labels)
+
+    def test_well_formed_text_is_read_in_bulk(self, monkeypatch):
+        import dirdense.bench as bench_mod
+
+        def no_line_loop(lines):
+            raise AssertionError("line-by-line parser used")
+
+        monkeypatch.setattr(bench_mod, "_parse_lines", no_line_loop)
+        g, labels = parse_snap_edgelist("# c\n0 1\n  2\t3 \n\n  # x\n-4 +5\n3 007\n")
+        assert labels == [0, 1, 2, 3, -4, 5, 7]
+        assert g.edges() == [(0, 1), (2, 3), (4, 5), (3, 6)]
+
+    def test_load_graph_hands_the_parser_an_unread_file(self, tmp_path, monkeypatch):
+        # perfbench times set-up as the parser's span, so the read belongs in it
+        import dirdense.bench as bench_mod
+
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n")
+        seen = []
+        real = bench_mod.parse_snap_edgelist
+
+        def spy(fh):
+            seen.append((isinstance(fh, io.TextIOBase), fh.tell()))
+            return real(fh)
+
+        monkeypatch.setattr(bench_mod, "parse_snap_edgelist", spy)
+        g, _ = bench_mod._load_graph(RunConfig(algo="baseline", input_path=str(path)))
+        assert seen == [(True, 0)]
+        assert g.m == 2
+
+    @given(_edge_list_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_by_line_reference(self, text):
+        assert _parse_outcome(parse_snap_edgelist, text) == _parse_outcome(reference_parse_edgelist, text)
+        for newline in (None, ""):
+            ours = _parse_outcome(parse_snap_edgelist, io.StringIO(text, newline=newline))
+            assert ours == _parse_outcome(reference_parse_edgelist, io.StringIO(text, newline=newline))
+
 
 class TestGenPrefAttach:
     def test_two_vertices_all_edges_to_seed(self):
@@ -85,6 +181,29 @@ class TestGenPrefAttach:
             gen_pref_attach(1, 3, seed=0)
         with pytest.raises(ValueError):
             gen_pref_attach(5, 0, seed=0)
+
+    # sha256 of src.tobytes() + dst.tobytes() of the acceptance fixtures; the
+    # acceptance constants were calibrated on these graphs
+    @pytest.mark.parametrize("n, k, seed, digest", [
+        (10**3, 10, 101, "7507a3bf41be00f07c98a5ef3854a0d16b946c49246542954fd23fd8590f3ad2"),
+        (10**4, 10, 8, "e90ddfd16577ba3857bd94e01e477230744b83fdd5991c0be1c23c95ef3c2147"),
+        (2000, 500, 42, "9be2531bb9567cdc40ab1c3d0dc76e531f3d1779264881bc1905bb8ad917d930"),
+        (10**5, 10, 101, "5c991b9711fc89c4cc5191aadb9121c0bcf4b6171b0c9bdb9bc964a3a9b06cd3"),
+    ])
+    def test_acceptance_fixture_fingerprints(self, n, k, seed, digest):
+        g = gen_pref_attach(n, k, seed)
+        assert hashlib.sha256(g.src.tobytes() + g.dst.tobytes()).hexdigest() == digest
+
+    @given(st.integers(2, 3000), st.integers(1, 60), st.integers(0, 2**32))
+    @example(2, 200, 0)
+    @example(3, 257, 1)
+    @example(300, 200, 5)
+    @example(1000, 500, 9)
+    @example(64, 1000, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_vertex_reference(self, n, k, seed):
+        g, ref = gen_pref_attach(n, k, seed), reference_pref_attach(n, k, seed)
+        assert np.array_equal(g.src, ref.src) and np.array_equal(g.dst, ref.dst)
 
 
 class TestRunExperiment:
