@@ -194,10 +194,10 @@ class RunConfig:
             raise ValueError("exactly one of input_path / gen must be set")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.delta <= 1:
-            raise ValueError("delta must exceed 1")
-        if self.f <= 0:
-            raise ValueError("f must be positive")
+        if not 1 < self.delta < math.inf:
+            raise ValueError("delta must be finite and exceed 1")
+        if not 0 < self.f < math.inf:
+            raise ValueError("f must be positive and finite")
         if self.c is not None and self.c <= 0:
             raise ValueError("ratio guess c must be positive")
         if self.workers < 1:

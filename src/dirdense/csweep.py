@@ -9,6 +9,7 @@ so per-c results are seed-deterministic regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,8 +59,8 @@ _MAX_DENOMINATOR = 1 << 62
 def build_grid(n: int, delta: float) -> SweepGrid:
     if n < 1:
         raise ValueError("n must be positive")
-    if delta <= 1:
-        raise ValueError("grid factor delta must exceed 1")
+    if not 1 < delta < math.inf:
+        raise ValueError("grid factor delta must be finite and exceed 1")
     step = Fraction(delta)
     values = [Fraction(1, n)]
     while values[-1] < n:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import _exact_bag_peels, _ratio_prefers_sources
+from .peeling import _density, _exact_bag_peels, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, sample_params
 
 __all__ = [
@@ -56,8 +56,8 @@ class MpcConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.regime == "superlinear" and (self.mu is None or not 0.0 < self.mu < 1.0):
             raise ValueError("superlinear regime needs mu in (0, 1)")
-        if self.polylog_budget is not None and not self.polylog_budget > 0:
-            raise ValueError("polylog_budget must be positive")
+        if self.polylog_budget is not None and not 0 < self.polylog_budget < math.inf:
+            raise ValueError("polylog_budget must be positive and finite")
 
     def machine_memory(self, n: int, epsilon: float) -> int:
         if self.regime == "superlinear":
@@ -65,8 +65,8 @@ class MpcConfig:
         else:
             budget = self.polylog_budget
             if budget is None:
-                budget = math.log(max(n, 2)) ** 2 / epsilon**3
-            mem = int(n * budget)
+                budget = math.log(max(n, 2)) ** 2 / epsilon**3 if epsilon**3 else math.inf
+            mem = int(min(n * budget, 2.0**63))  # a larger budget already holds any pool
         return max(mem, n)
 
 
@@ -195,30 +195,28 @@ class _PhaseController:
 
         One charged tally supplies every degree needed: while only one side
         shrinks, the other side's cross-degrees stay valid, so the exact-bag
-        kernel's first run of peels needs no new data. The kernel is stopped
-        before it compacts the bag for the other side.
+        kernel's first run of peels needs no new data. The kernel reads the
+        graph's edges through the pair's membership mask and is stopped
+        before it would compact the bag for the other side.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
-        src, dst = g.src, g.dst  # the kernel only reads them
+        inside = None
         if engine.s_count < g.n or engine.t_count < g.n:
-            qualifying = engine.s_mask[src] & engine.t_mask[dst]
-            src, dst = src[qualifying], dst[qualifying]
-        peel_sources = _ratio_prefers_sources(engine.s_count, engine.t_count, engine.c)
+            inside = engine.s_mask[g.src] & engine.t_mask[g.dst]
         steps = _exact_bag_peels(
-            src, dst, g.n, engine.c, engine.params.epsilon, engine.s_mask, engine.t_mask,
+            g.src, g.dst, g.n, engine.c, engine.params.epsilon, engine.s_mask, engine.t_mask,
+            inside=inside,
         )
         peels = 0
-        for _, _, s_mask, t_mask, cross in steps:
+        for step in steps:
             peels += 1
-            s_count = int(np.count_nonzero(s_mask))
-            t_count = int(np.count_nonzero(t_mask))
-            if not (s_count and t_count):
+            if not (step.s_count and step.t_count):
                 break
-            engine.offer_best(s_mask, t_mask, cross / math.sqrt(s_count * t_count))
-            if _ratio_prefers_sources(s_count, t_count, engine.c) != peel_sources:
+            engine.offer_best(step.s_mask, step.t_mask, _density(step.cross, step.s_count, step.t_count))
+            if _ratio_prefers_sources(step.s_count, step.t_count, engine.c) != (step.side == "S"):
                 break
-        engine.set_pair(s_mask, t_mask)
+        engine.set_pair(step.s_mask, step.t_mask)
         return peels
 
 

@@ -56,6 +56,10 @@ def iteration_cap(n: int, epsilon: float) -> int:
     return math.ceil(2.0 * math.log(n) / math.log(1.0 + epsilon))
 
 
+def _density(cross: int, s_count: int, t_count: int) -> float:
+    return cross / math.sqrt(s_count * t_count) if s_count and t_count else 0.0
+
+
 def _ratio_prefers_sources(s_count: int, t_count: int, c: Fraction) -> bool:
     # exact rational test of |S|/|T| >= c
     return s_count * c.denominator >= t_count * c.numerator
@@ -78,27 +82,16 @@ def _threshold_drop(deg, side_mask, cross, side_count, epsilon):
     return drop
 
 
-def _peel_once(src, dst, n, c, epsilon, s_mask, t_mask):
-    """One threshold peel over the given edge bag, restricted to (S, T).
+class _Step(NamedTuple):
+    """One peel of the kernel: the side, how many left it, and the pair after."""
 
-    Returns (side, removed, new_s_mask, new_t_mask, cross_after); the
-    untouched side's mask is returned as-is. ``cross_after`` is the view's
-    exact cross-edge count for the surviving pair, derived from the degree
-    tally rather than a rescan.
-    """
-    qualifying = s_mask[src] & t_mask[dst]
-    cross = int(np.count_nonzero(qualifying))
-    s_count = int(np.count_nonzero(s_mask))
-    t_count = int(np.count_nonzero(t_mask))
-    if _ratio_prefers_sources(s_count, t_count, c):
-        deg = np.bincount(src[qualifying], minlength=n)
-        drop = _threshold_drop(deg, s_mask, cross, s_count, epsilon)
-        new_s = s_mask & ~drop
-        return "S", int(np.count_nonzero(drop)), new_s, t_mask, int(deg[new_s].sum())
-    deg = np.bincount(dst[qualifying], minlength=n)
-    drop = _threshold_drop(deg, t_mask, cross, t_count, epsilon)
-    new_t = t_mask & ~drop
-    return "T", int(np.count_nonzero(drop)), s_mask, new_t, int(deg[new_t].sum())
+    side: str  # "S" or "T"
+    removed: int
+    s_mask: np.ndarray
+    t_mask: np.ndarray
+    s_count: int
+    t_count: int
+    cross: int
 
 
 def vsets_update(g_view, params: PeelParams, pair: VertexSetPair) -> VertexSetPair:
@@ -108,86 +101,84 @@ def vsets_update(g_view, params: PeelParams, pair: VertexSetPair) -> VertexSetPa
     """
     if not all(pair.sizes()):
         raise ValueError("vsets_update requires nonempty S and T")
-    n = g_view.n
-    s_mask, t_mask = pair.masks(n)
-    _, _, new_s, new_t, _ = _peel_once(g_view.src, g_view.dst, n, params.c, params.epsilon, s_mask, t_mask)
-    return VertexSetPair.from_masks(new_s, new_t)
+    src, dst = g_view.src, g_view.dst
+    s_mask, t_mask = pair.masks(g_view.n)
+    step = next(_exact_bag_peels(src, dst, g_view.n, params.c, params.epsilon, s_mask, t_mask,
+                                 inside=s_mask[src] & t_mask[dst]))
+    return VertexSetPair.from_masks(step.s_mask, step.t_mask)
 
 
 def _rescan_peels(src, dst, n, c, epsilon, s_mask, t_mask):
-    """Peel steps that rescan the whole bag every iteration, caching nothing."""
+    """Peel steps that rescan the whole bag every iteration, caching nothing.
+
+    Each step is the kernel's first step on the whole bag, which may hold
+    edges outside (S, T): one membership pass and one tally of the peeled
+    side, as a pass-per-iteration stream would do.
+    """
     while s_mask.any() and t_mask.any():
-        step = _peel_once(src, dst, n, c, epsilon, s_mask, t_mask)
+        step = next(_exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask,
+                                     inside=s_mask[src] & t_mask[dst]))
         yield step
-        s_mask, t_mask = step[2], step[3]
+        s_mask, t_mask = step.s_mask, step.t_mask
 
 
-def _exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask):
-    """Peel steps over a bag kept equal to E(S, T), visiting the same pairs.
+def _exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask, *, inside=None):
+    """Threshold peel steps from (S, T): the one implementation of a peel step.
 
-    The bag must start as exactly E(S, T) of the given masks. Peels come in
-    runs of the same side. The other side does not change during a run, so
-    the degrees tallied by one bincount at the start of the run stay exact
-    for every surviving member, and each peel needs only a masked sum for
-    the new cross count. When the ratio test flips, one gather on the side
-    that shrank compacts the bag back to E(S, T).
+    With ``inside=None`` every bag edge must lie inside (S, T): the bag's
+    size is the cross count and degrees are tallied without a membership
+    check. Any other bag needs ``inside = s_mask[src] & t_mask[dst]``; the
+    first run then tallies only the peeled side's ends inside the pair, and
+    the first compaction folds ``inside`` in.
+
+    Peels come in runs of the same side. The other side does not change
+    during a run, so one bincount at its start keeps every surviving
+    member's degree exact, and each peel needs only a masked sum for the new
+    cross count. When the ratio test flips, one gather on the side that
+    shrank compacts the bag to E(S, T); a consumer taking only ``next``
+    never pays for it. No mask is written in place: a peel builds a new mask
+    for its side and yields the other side's as it is, so steps may be kept.
     """
     ends = (src, dst)
     masks = [s_mask, t_mask]
     counts = [int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask))]
-    cross = int(src.size)
+    cross = int(src.size) if inside is None else int(np.count_nonzero(inside))
     while counts[0] and counts[1]:
         side = int(not _ratio_prefers_sources(*counts, c))
-        deg = np.bincount(ends[side], minlength=n)
+        deg = np.bincount(ends[side] if inside is None else ends[side][inside], minlength=n)
         while counts[0] and counts[1] and side == int(not _ratio_prefers_sources(*counts, c)):
             drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
             removed = int(np.count_nonzero(drop))
             masks[side] = masks[side] & ~drop
             counts[side] -= removed
             cross = int(deg[masks[side]].sum())
-            yield "ST"[side], removed, masks[0], masks[1], cross
+            yield _Step("ST"[side], removed, masks[0], masks[1], counts[0], counts[1], cross)
         if counts[0] and counts[1]:
             keep = masks[side][ends[side]]
+            if inside is not None:
+                keep &= inside
+                inside = None
             ends = (ends[0][keep], ends[1][keep])
 
 
-def _peel_best(src, dst, n, c, epsilon, *, compact, trace=None, start=None):
-    """Peel to exhaustion, tracking the best exact-density pair seen.
+def _peel_best(steps, s_mask, t_mask, cross):
+    """Consume peel ``steps`` from (S, T), tracking the best exact-density pair.
 
-    Starts from (V, V), or from ``start`` masks. Either way every bag edge
-    must lie inside the start pair: the bag's size is taken as the starting
-    cross count. With ``compact=False`` each iteration rescans the whole bag,
-    as a pass-per-iteration stream would. With ``compact=True`` the bag is
-    kept equal to E(S, T), so a run of same-side peels costs one bincount
-    and a flip of side costs one gather; the visited pair sequence, the
-    cross counts and the trace are identical either way.
+    ``cross`` is the start pair's cross count, and the start pair is the
+    first candidate. Returns (best S mask, best T mask, best density, its
+    cross count, the ``PeelStep`` trace). The masks are the steps' own, not
+    copies, since the kernel never writes one in place.
     """
-    if start is None:
-        s_mask = np.ones(n, dtype=bool)
-        t_mask = np.ones(n, dtype=bool)
-    else:
-        s_mask, t_mask = start[0].copy(), start[1].copy()
-    best_s = s_mask.copy()
-    best_t = t_mask.copy()
-    best_cross = int(src.size)
     s_count = int(np.count_nonzero(s_mask))
     t_count = int(np.count_nonzero(t_mask))
-    best_rho = best_cross / math.sqrt(s_count * t_count) if s_count and t_count else 0.0
-    peels = _exact_bag_peels if compact else _rescan_peels
-    iterations = 0
-    for side, removed, s_mask, t_mask, cross in peels(src, dst, n, c, epsilon, s_mask, t_mask):
-        iterations += 1
-        s_count = int(np.count_nonzero(s_mask))
-        t_count = int(np.count_nonzero(t_mask))
-        rho = cross / math.sqrt(s_count * t_count) if s_count and t_count else 0.0
-        if trace is not None:
-            trace.append(PeelStep(iterations, side, removed, rho))
-        if rho > best_rho:
-            best_s = s_mask.copy()
-            best_t = t_mask.copy()
-            best_rho = rho
-            best_cross = cross
-    return best_s, best_t, best_rho, best_cross, iterations
+    best = (s_mask, t_mask, _density(cross, s_count, t_count), cross)
+    trace: list[PeelStep] = []
+    for step in steps:
+        rho = _density(step.cross, step.s_count, step.t_count)
+        trace.append(PeelStep(len(trace) + 1, step.side, step.removed, rho))
+        if rho > best[2]:
+            best = (step.s_mask, step.t_mask, rho, step.cross)
+    return (*best, trace)
 
 
 def baseline_peel(g: DirectedGraph, params: PeelParams):
@@ -205,10 +196,9 @@ def baseline_peel(g: DirectedGraph, params: PeelParams):
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
         pair = VertexSetPair(frozenset({0}), frozenset({0}), g.m)
         return pair, float(g.m), []
-    steps: list[PeelStep] = []
-    best_s, best_t, rho, cross, _ = _peel_best(
-        g.src, g.dst, g.n, params.c, params.epsilon, compact=False, trace=steps
-    )
+    everyone = np.ones(g.n, dtype=bool)
+    peels = _rescan_peels(g.src, g.dst, g.n, params.c, params.epsilon, everyone, everyone)
+    best_s, best_t, rho, cross, steps = _peel_best(peels, everyone, everyone, g.m)
     return VertexSetPair.from_masks(best_s, best_t, cross), rho, steps
 
 

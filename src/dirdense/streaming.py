@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
-from .peeling import _peel_best, _peel_once, _ratio_guess
+from .peeling import _exact_bag_peels, _peel_best, _ratio_guess
 
 __all__ = [
     "EdgeStream",
@@ -57,16 +57,20 @@ class SampleParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.xi < 1:
             raise ValueError("xi must be at least 1")
-        if self.f <= 0:
-            raise ValueError("xi scale f must be positive")
+        if not 0.0 < self.f < math.inf:
+            raise ValueError("xi scale f must be positive and finite")
 
 
 def sample_params(n: int, epsilon: float, f: float = 1.0) -> SampleParams:
     """Build params with xi = ceil(f * 60 * ln(n) / epsilon^2), at least 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    xi = max(1, math.ceil(f * 60.0 * math.log(n) / epsilon**2))
-    return SampleParams(epsilon=epsilon, xi=xi, f=f)
+    if not (0.0 < epsilon < 1.0 and 0.0 < f < math.inf):
+        raise ValueError(f"need epsilon in (0, 1) and a finite f > 0, got {epsilon!r} and {f!r}")
+    xi = f * 60.0 * math.log(n) / epsilon**2 if epsilon**2 else math.inf
+    if not math.isfinite(xi):
+        raise ValueError(f"xi = f * 60 ln(n) / epsilon^2 is not finite (f={f!r}, epsilon={epsilon!r})")
+    return SampleParams(epsilon=epsilon, xi=max(1, math.ceil(xi)), f=f)
 
 
 class EdgeStream:
@@ -338,12 +342,14 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
     recounts the surviving pair exactly. Returns
     (best pair, best exact density, passes, peak sampled edges).
     """
+    if n != stream.n:
+        raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")
     rng = rng if rng is not None else np.random.default_rng(0)
     c = _ratio_guess(c)
     eps = params.epsilon
     n_xi = n * params.xi
-    s_mask = np.ones(n, dtype=bool)
-    t_mask = np.ones(n, dtype=bool)
+    s_mask = t_mask = np.ones(n, dtype=bool)  # the kernel never writes a mask in place
+    s_count = t_count = n
 
     def recount(sm, tm):
         stream.reset()
@@ -352,12 +358,11 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
 
     cross = recount(s_mask, t_mask)
     passes = 1
-    best_s = s_mask.copy()
-    best_t = t_mask.copy()
+    best_s, best_t = s_mask, t_mask
     best_cross = cross
     best_rho = cross / n
     peak = 0
-    while s_mask.any() and t_mask.any():
+    while s_count and t_count:
         p = min(n_xi / ((1.0 - eps) * cross), 1.0) if cross else 1.0
         stream.reset()
         es, ed = stream.take_all()
@@ -368,15 +373,16 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
         sample_src = es[pick]
         sample_dst = ed[pick]
         peak = max(peak, int(pick.size))
-        _, _, s_mask, t_mask, _ = _peel_once(sample_src, sample_dst, n, c, eps, s_mask, t_mask)
-        if not s_mask.any() or not t_mask.any():
+        # the sample lies inside (S, T), so the kernel's first step is the peel
+        step = next(_exact_bag_peels(sample_src, sample_dst, n, c, eps, s_mask, t_mask))
+        s_mask, t_mask, s_count, t_count = step.s_mask, step.t_mask, step.s_count, step.t_count
+        if not (s_count and t_count):
             break
         cross = recount(s_mask, t_mask)
         passes += 1
-        rho = cross / math.sqrt(int(np.count_nonzero(s_mask)) * int(np.count_nonzero(t_mask)))
+        rho = cross / math.sqrt(s_count * t_count)
         if rho > best_rho:
-            best_s = s_mask.copy()
-            best_t = t_mask.copy()
+            best_s, best_t = s_mask, t_mask
             best_rho = rho
             best_cross = cross
     return VertexSetPair.from_masks(best_s, best_t, best_cross), best_rho, passes, peak
@@ -472,18 +478,14 @@ class SinglePassEngine:
             # (S, T), so |H| / p estimates its cross count
             current = h_src.size / (p * math.sqrt(self.s_count * self.t_count))
             self.offer_best(self.s_mask, self.t_mask, current)
-            _, _, new_s, new_t, sample_cross = _peel_once(
-                h_src, h_dst, self.n, self.c, eps, self.s_mask, self.t_mask
-            )
-            self.s_mask = new_s
-            self.t_mask = new_t
-            self.s_count = int(np.count_nonzero(new_s))
-            self.t_count = int(np.count_nonzero(new_t))
+            step = next(_exact_bag_peels(h_src, h_dst, self.n, self.c, eps, self.s_mask, self.t_mask))
+            self.s_mask, self.t_mask = step.s_mask, step.t_mask
+            self.s_count, self.t_count = step.s_count, step.t_count
             if self.s_count and self.t_count:
-                estimate = sample_cross / (p * math.sqrt(self.s_count * self.t_count))
-                self.offer_best(new_s, new_t, estimate)
+                estimate = step.cross / (p * math.sqrt(self.s_count * self.t_count))
+                self.offer_best(self.s_mask, self.t_mask, estimate)
             self.seen.add(*fresh)
-            self.seen.refilter(new_s, new_t)
+            self.seen.refilter(self.s_mask, self.t_mask)
             # if the pair just died, the next batch matches nothing and the
             # sparse branch above drains the stream and wraps up
         self._finish(stream)
@@ -499,10 +501,9 @@ class SinglePassEngine:
         """
         if edge_src.size == 0:
             return
-        bs, bt, rho, _, _ = _peel_best(
-            edge_src, edge_dst, self.n, self.c, self.params.epsilon,
-            compact=True, start=(self.s_mask, self.t_mask),
-        )
+        steps = _exact_bag_peels(edge_src, edge_dst, self.n, self.c, self.params.epsilon,
+                                 self.s_mask, self.t_mask)
+        bs, bt, rho, _, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)
         self.offer_best(bs, bt, rho)
 
     def _finish(self, stream):
@@ -522,6 +523,8 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
     Returns (best pair, its density estimate, peak retained edges). The
     estimate is exact whenever the final in-buffer peel produced the best.
     """
+    if n != stream.n:
+        raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")
     rng = rng if rng is not None else np.random.default_rng(0)
     engine = SinglePassEngine(n, c, params, rng)
     engine.run(stream)

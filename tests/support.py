@@ -160,3 +160,31 @@ def reference_parse_edgelist(text) -> tuple[DirectedGraph, list[int]]:
         dst.append(remap[v])
     g = DirectedGraph.from_arrays(len(labels), np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
     return g, labels
+
+
+def reference_peel_once(src, dst, n, c, epsilon, s_mask, t_mask):
+    """Frozen reference of one threshold peel over any edge bag, restricted to (S, T).
+
+    Rescans the bag for membership, peels the side the exact ratio test picks
+    (all of its members at or below (1 + epsilon) times the average
+    cross-degree, or one minimum-degree member if float rounding leaves none)
+    and returns (side, removed, new_s_mask, new_t_mask, cross_after). The
+    untouched side's mask is returned as-is.
+    """
+    qualifying = s_mask[src] & t_mask[dst]
+    cross = int(np.count_nonzero(qualifying))
+    s_count = int(np.count_nonzero(s_mask))
+    t_count = int(np.count_nonzero(t_mask))
+    peel_sources = s_count * c.denominator >= t_count * c.numerator
+    side_mask, side_count, ends = (s_mask, s_count, src) if peel_sources else (t_mask, t_count, dst)
+    deg = np.bincount(ends[qualifying], minlength=n)
+    drop = side_mask & (deg <= (1.0 + epsilon) * cross / side_count)
+    if not drop.any():
+        members = np.flatnonzero(side_mask)
+        drop = np.zeros(side_mask.size, dtype=bool)
+        drop[members[int(np.argmin(deg[members]))]] = True
+    kept = side_mask & ~drop
+    cross_after = int(deg[kept].sum())
+    if peel_sources:
+        return "S", int(np.count_nonzero(drop)), kept, t_mask, cross_after
+    return "T", int(np.count_nonzero(drop)), s_mask, kept, cross_after

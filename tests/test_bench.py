@@ -298,6 +298,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             RunConfig(algo="baseline", gen="pref:n=9,k=1", delta=1.0)
 
+    @pytest.mark.parametrize("knobs", [{"delta": math.inf}, {"delta": math.nan},
+                                       {"f": math.inf}, {"f": math.nan}])
+    def test_config_rejects_non_finite_delta_and_f(self, knobs):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
+
     @pytest.mark.parametrize("knobs", [{"c": Fraction(0)}, {"c": Fraction(-1)},
                                        {"workers": 0}, {"workers": -3}])
     def test_config_rejects_nonpositive_c_and_workers(self, knobs):
@@ -376,6 +382,15 @@ class TestCli:
         ["--algo", "single-pass", "--workers", "-3"],
         ["--algo", "mpc-near", "--mpc-budget", "0"],
         ["--algo", "mpc-near", "--mpc-budget", "-5"],
+        ["--algo", "single-pass", "--delta", "inf"],
+        ["--algo", "single-pass", "--delta", "nan"],
+        ["--algo", "single-pass", "--f", "inf"],
+        ["--algo", "single-pass", "--f", "1e308"],
+        ["--algo", "single-pass", "--f", "nan"],
+        ["--algo", "mpc-super", "--f", "1e308"],
+        ["--algo", "baseline", "--epsilon", "1e-300"],
+        ["--algo", "multi-pass", "--epsilon", "1e-300"],
+        ["--algo", "mpc-near", "--mpc-budget", "inf"],
     ])
     def test_bad_knob_is_rejected(self, args, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -31,10 +31,18 @@ class TestMpcConfig:
         with pytest.raises(ValueError):
             MpcConfig("sublinear")
 
-    @pytest.mark.parametrize("budget", [0, -5, 0.0, float("nan")])
+    @pytest.mark.parametrize("budget", [0, -5, 0.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_budget(self, budget):
         with pytest.raises(ValueError, match="polylog_budget"):
             MpcConfig("nearlinear", polylog_budget=budget)
+
+    def test_unbounded_budget_holds_the_whole_pool(self):
+        g = gnp_directed(30, 0.3, seed=1)
+        cfg = MpcConfig("nearlinear", polylog_budget=1e308)
+        assert cfg.machine_memory(g.n, 0.2) >= 2**62
+        assert MpcConfig("nearlinear").machine_memory(g.n, 1e-110) >= 2**62  # epsilon**3 == 0
+        _, rho, ledger = mpc_nearlinear_run(g, Fraction(1), 0.2, cfg)
+        assert rho > 0 and ledger.phases == 1
 
     def test_memory_floors_at_n(self):
         cfg = MpcConfig("nearlinear", polylog_budget=0.001)

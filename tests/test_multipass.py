@@ -17,6 +17,12 @@ class TestMultiPassRun:
         with pytest.raises(ValueError, match="ratio guess"):
             multi_pass_run(make_stream(g, "given"), g.n, c, sample_params(g.n, 0.2))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_vertex_count_other_than_the_stream(self, n):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="vertex count"):
+            multi_pass_run(make_stream(g, "given"), n, 1, sample_params(g.n, 0.2))
+
     def test_clamped_probability_matches_baseline(self):
         # every graph here has far fewer than n*xi edges, so p = 1 and the
         # trajectory must equal the full-information peel, tie-breaks included

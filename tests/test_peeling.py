@@ -10,13 +10,15 @@ from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, density
 from dirdense.peeling import (
     PeelParams,
+    _exact_bag_peels,
     _peel_best,
+    _rescan_peels,
     baseline_peel,
     exact_oracle,
     iteration_cap,
     vsets_update,
 )
-from tests.support import gnp_directed, naive_best_pair, star_plus_triangle
+from tests.support import gnp_directed, naive_best_pair, reference_peel_once, star_plus_triangle
 
 
 class TestPeelParams:
@@ -85,6 +87,13 @@ class TestBaselinePeel:
         assert rho == 2.0
         assert len(trace) == 0
 
+    def test_density_ties_keep_the_earlier_pair(self):
+        g = DirectedGraph(4, [(3, 3), (0, 1), (3, 2), (0, 3), (1, 3), (0, 0), (0, 1)])
+        pair, rho, trace = baseline_peel(g, PeelParams(1, 0.2))
+        assert [step.density_after for step in trace[:2]] == [2.0, 2.0]
+        assert rho == 2.0
+        assert (pair.S, pair.T) == (frozenset({0}), frozenset(range(4)))
+
     def test_best_pair_density_is_consistent(self):
         for seed in range(5):
             g = gnp_directed(10, 0.3, seed)
@@ -135,19 +144,64 @@ def exact_bag_instances(draw):
     return g.src[inside], g.dst[inside], n, c, (s_mask, t_mask)
 
 
+@st.composite
+def any_bag_instances(draw):
+    """Any edge bag (parallel edges, self-loops, edges outside the pair), a
+    grid c and a start pair with both sides nonempty."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=50))
+    g = DirectedGraph(n, edges)
+    c = draw(st.sampled_from(build_grid(n, 2.0).values))
+    side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array).filter(np.any)
+    return g.src, g.dst, n, c, draw(side), draw(side)
+
+
+def _step_key(step):
+    return step.side, step.removed, step.s_mask.tolist(), step.t_mask.tolist(), step.cross
+
+
 class TestExactBagPeel:
     @given(exact_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
     def test_compact_matches_rescan_step_for_step(self, instance, eps):
         src, dst, n, c, start = instance
+        if start is None:
+            start = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         runs = []
-        for compact in (True, False):
-            trace = []
-            best_s, best_t, rho, cross, iterations = _peel_best(
-                src, dst, n, c, eps, compact=compact, trace=trace, start=start
-            )
-            runs.append((best_s.tolist(), best_t.tolist(), rho, cross, iterations, trace))
+        for peels in (_exact_bag_peels, _rescan_peels):
+            steps = peels(src, dst, n, c, eps, *start)
+            best_s, best_t, rho, cross, trace = _peel_best(steps, *start, src.size)
+            runs.append((best_s.tolist(), best_t.tolist(), rho, cross, trace))
         assert runs[0] == runs[1]
+
+    @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_first_step_matches_reference_peel(self, instance, eps):
+        src, dst, n, c, s_mask, t_mask = instance
+        inside = s_mask[src] & t_mask[dst]
+        side, removed, new_s, new_t, cross = reference_peel_once(src, dst, n, c, eps, s_mask, t_mask)
+        expected = side, removed, new_s.tolist(), new_t.tolist(), cross
+        step = next(_exact_bag_peels(src, dst, n, c, eps, s_mask, t_mask, inside=inside))
+        assert _step_key(step) == expected
+        assert (step.s_count, step.t_count) == (new_s.sum(), new_t.sum())
+        # the same bag filtered to (S, T) needs no membership mask
+        step = next(_exact_bag_peels(src[inside], dst[inside], n, c, eps, s_mask, t_mask))
+        assert _step_key(step) == expected
+
+    @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_inside_mask_runs_like_the_filtered_bag(self, instance, eps):
+        src, dst, n, c, s_mask, t_mask = instance
+        inside = s_mask[src] & t_mask[dst]
+        for array in (src, dst, s_mask, t_mask, inside):
+            array.setflags(write=False)  # the kernel writes no mask in place
+        masked = list(_exact_bag_peels(src, dst, n, c, eps, s_mask, t_mask, inside=inside))
+        filtered = list(_exact_bag_peels(src[inside], dst[inside], n, c, eps, s_mask, t_mask))
+        assert ([(_step_key(step), step.s_count, step.t_count) for step in masked]
+                == [(_step_key(step), step.s_count, step.t_count) for step in filtered])
+        assert all(step.s_count and step.t_count for step in masked[:-1])
+        assert not (masked[-1].s_count and masked[-1].t_count)
 
 
 class TestExactOracle:

@@ -200,3 +200,10 @@ def test_sample_params_formula():
         sample_params(100, 1.2)
     with pytest.raises(ValueError):
         sample_params(100, 0.2, f=0.0)
+
+
+@pytest.mark.parametrize("epsilon,f", [(0.0, 1.0), (1e-300, 1.0), (0.2, math.inf), (0.2, math.nan),
+                                       (0.2, 1e308), (0.2, -1.0), (math.nan, 1.0)])
+def test_sample_params_rejects_degenerate_settings(epsilon, f):
+    with pytest.raises(ValueError):
+        sample_params(100, epsilon, f)

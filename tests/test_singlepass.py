@@ -20,6 +20,12 @@ class TestSinglePassRun:
         with pytest.raises(ValueError, match="ratio guess"):
             SinglePassEngine(g.n, c, params, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_vertex_count_other_than_the_stream(self, n):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="vertex count"):
+            single_pass_run(make_stream(g, "given"), n, 1, sample_params(g.n, 0.2))
+
     def test_small_graph_collapses_to_baseline(self):
         # |E| << n*xi: the first batch is the whole stream, so the run is an
         # exact peel of everything and must reproduce the baseline output pair

@@ -1,13 +1,15 @@
+import hashlib
 import math
 import sys
 from fractions import Fraction
 
 import pytest
 
+from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
 from dirdense.mpc import MpcConfig
 from dirdense.peeling import exact_oracle
-from dirdense.csweep import build_grid, sweep
+from dirdense.csweep import RUNNERS, build_grid, sweep
 from tests.support import gnp_directed
 
 
@@ -44,6 +46,11 @@ class TestBuildGrid:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             build_grid(10, 1.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            build_grid(10, delta)
 
     @pytest.mark.parametrize("n", [2, 7, 16, 33, 50])
     def test_covers_every_rational_ratio(self, n):
@@ -90,6 +97,11 @@ class TestSweep:
         res = sweep("baseline", g, build_grid(2, 2), epsilon=0.2)
         winners = [r.c for r in res.rows if r.density == res.best_density]
         assert res.best_c == min(winners)
+
+    @pytest.mark.parametrize("epsilon", [0, 1e-300])
+    def test_degenerate_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError):
+            sweep("baseline", DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=epsilon)
 
     def test_unknown_runner_rejected(self):
         with pytest.raises(ValueError):
@@ -160,6 +172,24 @@ class TestSweep:
             _, oracle_rho = exact_oracle(g)
             res = sweep("baseline", g, build_grid(n, delta), epsilon=eps)
             assert res.best_density >= oracle_rho / bound_factor - 1e-12
+
+
+# sha256 of every runner's sweep rows below: a refactor of the peel kernel or a
+# runner must keep every row bit-identical, so only a change that means to
+# change results may record a new value
+_ROWS_FINGERPRINT = "e8fe7d32e2383a3414cd3591d02d51000e9fc193349ce4c570d7bc9152a39990"
+
+
+def test_sweep_rows_match_recorded_fingerprint():
+    g = gen_pref_attach(2000, 50, 3)
+    h = hashlib.sha256()
+    for f in (1 / 30, 1 / 3000):
+        for algo in RUNNERS:
+            for row in sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1).rows:
+                pair = None if row.pair is None else (sorted(row.pair.S), sorted(row.pair.T))
+                h.update(repr((algo, f, str(row.c), pair, repr(row.density), row.peak_edges,
+                               row.passes_or_rounds)).encode())
+    assert h.hexdigest() == _ROWS_FINGERPRINT
 
 
 class TestSharedStream:
