@@ -43,7 +43,7 @@ from .streaming import (
     set_sample,
     single_pass_run,
 )
-from .csweep import SweepGrid, build_grid, sweep
+from .csweep import build_grid, sweep
 
 __all__ = [
     "DirectedGraph",
@@ -55,7 +55,6 @@ __all__ = [
     "RunReport",
     "SampleParams",
     "SeenSet",
-    "SweepGrid",
     "VertexSetPair",
     "baseline_peel",
     "build_grid",

@@ -279,7 +279,7 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         rows.append(ReportRow(label, "exact", Fraction(s_size, t_size), rho,
                               s_size, t_size, g.m, 1, wall, cfg.seed))
     else:
-        grid = (cfg.c,) if cfg.c is not None else build_grid(g.n, cfg.delta).values
+        grid = (cfg.c,) if cfg.c is not None else build_grid(g.n, cfg.delta)
         mpc_config = None
         if cfg.algo == "mpc-super":
             mpc_config = MpcConfig("superlinear", mu=cfg.mpc_mu)

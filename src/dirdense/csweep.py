@@ -23,7 +23,7 @@ from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import PeelParams, baseline_peel
 from .streaming import make_stream, multi_pass_run, sample_params, single_pass_run
 
-__all__ = ["SweepGrid", "SweepResult", "SweepRow", "build_grid", "sweep"]
+__all__ = ["SweepResult", "SweepRow", "build_grid", "sweep"]
 
 RUNNERS = ("baseline", "multi-pass", "single-pass", "mpc-super", "mpc-near")
 
@@ -36,27 +36,14 @@ def _derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Ascending ratio guesses delta^i / n; first is 1/n, last is >= n."""
-
-    delta: float
-    values: tuple[Fraction, ...]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
 # Bound on grid denominators: a float delta is a binary fraction with up to 52
 # denominator bits, so exact products would gain that many bits per value.
 # Values that already fit, e.g. every delta=2 grid, are left unchanged.
 _MAX_DENOMINATOR = 1 << 62
 
 
-def build_grid(n: int, delta: float) -> SweepGrid:
+def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
+    """Ascending ratio guesses delta^i / n; first is 1/n, last is >= n."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 < delta < math.inf:
@@ -65,7 +52,7 @@ def build_grid(n: int, delta: float) -> SweepGrid:
     values = [Fraction(1, n)]
     while values[-1] < n:
         values.append((values[-1] * step).limit_denominator(_MAX_DENOMINATOR))
-    return SweepGrid(delta=float(delta), values=tuple(values))
+    return tuple(values)
 
 
 @dataclass
@@ -89,8 +76,8 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
-          seed: int = 0, stream_order: str = "shuffled",
+def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: float,
+          f: float = 1.0, seed: int = 0, stream_order: str = "shuffled",
           mpc_config: MpcConfig | None = None, workers: int = 1) -> SweepResult:
     """Run one algorithm per grid c and report every row plus the argmax.
 
@@ -102,7 +89,7 @@ def sweep(algo: str, g: DirectedGraph, grid, *, epsilon: float, f: float = 1.0,
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    values: Sequence[Fraction] = grid.values if isinstance(grid, SweepGrid) else tuple(grid)
+    values = tuple(grid)
     params = sample_params(g.n, epsilon, f)
     stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_MASK))
     stream = None

@@ -18,12 +18,21 @@ __all__ = [
 ]
 
 
+def _vertex_ids(values) -> np.ndarray:
+    """int64 array of the ids in ``values``; float and bool ids raise instead
+    of being truncated, and an empty array of any dtype is accepted."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {arr.dtype} values")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _pair_arrays(edges):
     """(src, dst) int64 arrays of an iterable of (u, v) pairs."""
     pairs = list(edges)
     if not pairs:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
+    arr = _vertex_ids(pairs)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be (u, v) pairs")
     return arr[:, 0].copy(), arr[:, 1].copy()
@@ -60,8 +69,7 @@ class DirectedGraph:
     @classmethod
     def from_arrays(cls, n: int, src, dst) -> "DirectedGraph":
         g = cls.__new__(cls)
-        g._freeze(n, np.ascontiguousarray(src, dtype=np.int64),
-                  np.ascontiguousarray(dst, dtype=np.int64))
+        g._freeze(n, _vertex_ids(src), _vertex_ids(dst))
         return g
 
     def _freeze(self, n, src, dst):
@@ -109,7 +117,8 @@ class VertexSetPair:
 
     @classmethod
     def of(cls, S, T, cross_edges=None) -> "VertexSetPair":
-        return cls(frozenset(int(v) for v in S), frozenset(int(v) for v in T), cross_edges)
+        return cls(frozenset(_vertex_ids(list(S)).tolist()),
+                   frozenset(_vertex_ids(list(T)).tolist()), cross_edges)
 
     @classmethod
     def from_masks(cls, s_mask, t_mask, cross_edges=None) -> "VertexSetPair":
@@ -149,13 +158,12 @@ class VertexSetPair:
 
 
 def member_mask(vertices, n: int) -> np.ndarray:
-    """Boolean membership mask over 0..n-1; raises on out-of-range ids."""
+    """Boolean membership mask over 0..n-1; raises on out-of-range or non-integer ids."""
     mask = np.zeros(n, dtype=bool)
-    if vertices:
-        idx = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"vertex id out of range [0, {n})")
-        mask[idx] = True
+    idx = _vertex_ids(list(vertices))
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    mask[idx] = True
     return mask
 
 

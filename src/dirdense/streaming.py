@@ -42,27 +42,24 @@ _EMPTY.setflags(write=False)
 
 @dataclass(frozen=True)
 class SampleParams:
-    """Sampling knobs: slack epsilon, per-vertex degree threshold xi, scale f.
-
-    f = 1 gives the analysis threshold xi = 60 ln(n) / epsilon^2; experiments
-    shrink it by orders of magnitude to trade accuracy for speed.
-    """
+    """Sampling knobs: slack epsilon and per-vertex degree threshold xi."""
 
     epsilon: float
     xi: int
-    f: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.xi < 1:
             raise ValueError("xi must be at least 1")
-        if not 0.0 < self.f < math.inf:
-            raise ValueError("xi scale f must be positive and finite")
 
 
 def sample_params(n: int, epsilon: float, f: float = 1.0) -> SampleParams:
-    """Build params with xi = ceil(f * 60 * ln(n) / epsilon^2), at least 1."""
+    """Build params with xi = ceil(f * 60 * ln(n) / epsilon^2), at least 1.
+
+    f = 1 gives the analysis threshold xi = 60 ln(n) / epsilon^2; experiments
+    shrink it by orders of magnitude to trade accuracy for speed.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if not (0.0 < epsilon < 1.0 and 0.0 < f < math.inf):
@@ -70,7 +67,7 @@ def sample_params(n: int, epsilon: float, f: float = 1.0) -> SampleParams:
     xi = f * 60.0 * math.log(n) / epsilon**2 if epsilon**2 else math.inf
     if not math.isfinite(xi):
         raise ValueError(f"xi = f * 60 ln(n) / epsilon^2 is not finite (f={f!r}, epsilon={epsilon!r})")
-    return SampleParams(epsilon=epsilon, xi=max(1, math.ceil(xi)), f=f)
+    return SampleParams(epsilon=epsilon, xi=max(1, math.ceil(xi)))
 
 
 class EdgeStream:

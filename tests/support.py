@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
+from hypothesis import strategies as st
 
+from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair
 
 
@@ -50,6 +53,19 @@ def star_with_fragment(n: int = 200, leaves: int = 120, fragment: int = 40,
             edges.append((a, b))
             edges.append((b, a))
     return DirectedGraph(n, edges)
+
+
+@st.composite
+def multigraphs_with_ratio(draw):
+    """A directed multigraph on at most 24 vertices with at most 79 edges
+    (self-loops and parallel edges allowed) and a ratio guess c: a value of
+    its delta = 2 grid or a fraction in [1/64, 64]."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    g = DirectedGraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=79)))
+    c = draw(st.sampled_from(build_grid(n, 2.0))
+             | st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64))
+    return g, c
 
 
 def relabeled(g: DirectedGraph, perm) -> DirectedGraph:

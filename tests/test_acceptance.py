@@ -143,7 +143,7 @@ def test_criterion_3_iteration_bound(er_corpus, pref_1e3, pref_1e4):
     violations = []
     for g in corpus:
         cap = iteration_cap(g.n, _EPS)
-        for c in build_grid(g.n, _DELTA).values:
+        for c in build_grid(g.n, _DELTA):
             _, _, trace = baseline_peel(g, PeelParams(c, _EPS))
             if len(trace) > cap:
                 violations.append((g.n, c, len(trace), cap))

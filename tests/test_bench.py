@@ -3,6 +3,7 @@ import io
 import math
 import re
 import warnings
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from dirdense.bench import (
     run_experiment,
     write_report_csv,
 )
+from dirdense.cli import build_parser
 from dirdense.cli import main as cli_main
 from tests.support import reference_parse_edgelist, reference_pref_attach
 
@@ -398,6 +400,23 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["1/0", "x"])
+    def test_bad_ratio_guess_is_a_usage_error(self, c, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--gen", "pref:n=30,k=2", "--algo", "baseline", "--c", c])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --c: invalid Fraction value: {c!r}" in err
+        assert "Traceback" not in err
+
+    def test_parser_states_no_defaults_and_only_config_fields(self):
+        parser = build_parser()
+        args = parser.parse_args(["--gen", "pref:n=30,k=2", "--algo", "baseline"])
+        assert vars(args) == {"gen": "pref:n=30,k=2", "algo": "baseline"}
+        config_fields = {f.name for f in fields(RunConfig)}
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests == config_fields
 
     def test_mpc_algo_smoke(self, capsys):
         code = cli_main(["--gen", "pref:n=30,k=2", "--algo", "mpc-super",

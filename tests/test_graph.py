@@ -55,6 +55,25 @@ class TestDirectedGraph:
         g = DirectedGraph(3, ((0, 1), (2, 0)))
         assert g.edges() == [(0, 1), (2, 0)]
 
+    @pytest.mark.parametrize("src, dst", [([0.5], [1.9]), ([1.0], [2.0]), ([True], [False]),
+                                          (np.array([0.0]), np.array([1], dtype=np.int64))])
+    def test_from_arrays_rejects_non_integer_ids(self, src, dst):
+        with pytest.raises(ValueError, match="integers"):
+            DirectedGraph.from_arrays(3, src, dst)
+
+    @pytest.mark.parametrize("edges", [[(0.5, 1.9)], [(0, 1), (1, 2.0)], [(True, False)]])
+    def test_rejects_non_integer_edge_pairs(self, edges):
+        with pytest.raises(ValueError, match="integers"):
+            DirectedGraph(3, edges)
+
+    def test_accepts_empty_and_any_integer_dtype(self):
+        assert DirectedGraph.from_arrays(3, np.array([]), []).m == 0
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            g = DirectedGraph.from_arrays(3, np.array([0, 2], dtype=dtype),
+                                          np.array([1, 0], dtype=dtype))
+            assert g.edges() == [(0, 1), (2, 0)]
+            assert g.src.dtype == np.int64
+
     def test_from_arrays_takes_source_and_target_arrays(self):
         g = DirectedGraph.from_arrays(3, np.array([0, 2]), np.array([1, 0]))
         assert g.edges() == [(0, 1), (2, 0)]
@@ -201,3 +220,21 @@ def test_member_mask_bounds():
     assert member_mask({0, 2}, 3).tolist() == [True, False, True]
     with pytest.raises(ValueError):
         member_mask({3}, 3)
+
+
+@pytest.mark.parametrize("ids", [[0.5, 1.7], [1.0], {True}, ["1"]])
+def test_member_mask_and_pairs_reject_non_integer_ids(ids):
+    with pytest.raises(ValueError, match="integers"):
+        member_mask(ids, 3)
+    with pytest.raises(ValueError, match="integers"):
+        VertexSetPair.of(ids, {0})
+    with pytest.raises(ValueError, match="integers"):
+        VertexSetPair.of({0}, ids)
+
+
+def test_pairs_keep_integer_ids_of_any_type():
+    pair = VertexSetPair.of(np.array([2, 0], dtype=np.int32), [np.int64(1)])
+    assert (pair.S, pair.T) == (frozenset({0, 2}), frozenset({1}))
+    assert all(type(v) is int for v in pair.S | pair.T)
+    assert member_mask(np.array([2, 0], dtype=np.uint8), 3).tolist() == [True, False, True]
+    assert member_mask(np.array([], dtype=np.int64), 3).tolist() == [False] * 3

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, density
 from dirdense.peeling import PeelParams, baseline_peel, exact_oracle, iteration_cap
 from dirdense.streaming import make_stream, multi_pass_run, sample_params
-from tests.support import gnp_directed, star_plus_triangle
+from tests.support import gnp_directed, multigraphs_with_ratio, star_plus_triangle
 
 
 class TestMultiPassRun:
@@ -37,6 +39,20 @@ class TestMultiPassRun:
             assert pair.S == base_pair.S
             assert pair.T == base_pair.T
             assert rho == base_rho
+
+    @given(multigraphs_with_ratio(), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+           st.sampled_from(["given", "shuffled"]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_graph_budget_equals_baseline(self, instance, eps, order, seed):
+        # n*xi >= m >= |E(S, T)| clamps every step's p to 1, so each sampled
+        # step sees every cross edge, whatever c and the stream order
+        g, c = instance
+        params = sample_params(g.n, eps)
+        assume(g.n * params.xi >= g.m)
+        base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, eps))
+        pair, rho, _, _ = multi_pass_run(make_stream(g, order, seed), g.n, c, params,
+                                         rng=np.random.default_rng(seed))
+        assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)
 
     def test_edgeless_graph(self):
         g = DirectedGraph(6, [])

@@ -18,7 +18,14 @@ from dirdense.peeling import (
     iteration_cap,
     vsets_update,
 )
-from tests.support import gnp_directed, naive_best_pair, reference_peel_once, star_plus_triangle
+from tests.support import (
+    gnp_directed,
+    multigraphs_with_ratio,
+    naive_best_pair,
+    reference_peel_once,
+    relabeled,
+    star_plus_triangle,
+)
 
 
 class TestPeelParams:
@@ -101,6 +108,18 @@ class TestBaselinePeel:
             assert density(g, pair) == pytest.approx(rho, abs=1e-12)
             assert pair.cross_edges == count_cross_edges(g, pair)
 
+    @given(multigraphs_with_ratio(), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_relabeling_maps_pair_and_density(self, instance, eps, seed):
+        g, c = instance
+        perm = np.random.default_rng(seed).permutation(g.n)
+        pair, rho, _ = baseline_peel(g, PeelParams(c, eps))
+        moved, moved_rho, _ = baseline_peel(relabeled(g, perm), PeelParams(c, eps))
+        assert moved.S == {int(perm[v]) for v in pair.S}
+        assert moved.T == {int(perm[v]) for v in pair.T}
+        assert moved_rho == rho
+
     @given(
         st.integers(min_value=2, max_value=16),
         st.sampled_from([0.1, 0.2, 0.5, 0.9]),
@@ -135,7 +154,7 @@ def exact_bag_instances(draw):
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=50))
     g = DirectedGraph(n, edges)
-    c = draw(st.sampled_from(build_grid(n, 2.0).values))
+    c = draw(st.sampled_from(build_grid(n, 2.0)))
     if draw(st.booleans()):
         return g.src, g.dst, n, c, None
     side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
@@ -152,7 +171,7 @@ def any_bag_instances(draw):
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=50))
     g = DirectedGraph(n, edges)
-    c = draw(st.sampled_from(build_grid(n, 2.0).values))
+    c = draw(st.sampled_from(build_grid(n, 2.0)))
     side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array).filter(np.any)
     return g.src, g.dst, n, c, draw(side), draw(side)
 

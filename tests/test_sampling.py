@@ -191,7 +191,6 @@ class TestSampledDensityEstimate:
 
 def test_sample_params_formula():
     params = sample_params(100, 0.2)
-    assert params.f == 1.0  # analysis setting by default
     assert params.xi == math.ceil(60 * math.log(100) / 0.04)
     assert sample_params(1, 0.2).xi == 1  # clamped
     scaled = sample_params(100, 0.2, f=0.5)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, density
 from dirdense.peeling import PeelParams, baseline_peel
 from dirdense.streaming import SinglePassEngine, make_stream, sample_params, single_pass_run
-from tests.support import gnp_directed, star_with_fragment
+from tests.support import gnp_directed, multigraphs_with_ratio, star_with_fragment
 
 
 class TestSinglePassRun:
@@ -94,3 +96,17 @@ class TestSinglePassRun:
                                            rng=np.random.default_rng(0))
             results.append((pair.S, pair.T, rho))
         assert results[0] == results[1] == results[2]
+
+    @given(multigraphs_with_ratio(), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+           st.sampled_from(["given", "shuffled"]), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_stream_budget_equals_baseline(self, instance, eps, order, seed):
+        # n*xi >= m: the first batch is the whole stream (p = 1), so the run is
+        # one exact peel of every edge, whatever c and the stream order
+        g, c = instance
+        params = sample_params(g.n, eps)
+        assume(g.n * params.xi >= g.m)
+        base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, eps))
+        pair, rho, _ = single_pass_run(make_stream(g, order, seed), g.n, c, params,
+                                       rng=np.random.default_rng(seed))
+        assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)

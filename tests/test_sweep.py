@@ -16,32 +16,32 @@ from tests.support import gnp_directed
 class TestBuildGrid:
     def test_powers_of_two_n8(self):
         grid = build_grid(8, 2)
-        assert list(grid.values) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
-                                     Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
+        assert list(grid) == [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2),
+                              Fraction(1), Fraction(2), Fraction(4), Fraction(8)]
 
     def test_single_vertex(self):
-        assert list(build_grid(1, 2).values) == [Fraction(1)]
+        assert list(build_grid(1, 2)) == [Fraction(1)]
 
     def test_n100_endpoints_and_count(self):
         grid = build_grid(100, 2)
         assert len(grid) == 15
-        assert grid.values[0] == Fraction(1, 100)
-        assert grid.values[-1] == Fraction(2**14, 100)
-        assert grid.values[-1] >= 100
-        assert grid.values[-2] < 100
+        assert grid[0] == Fraction(1, 100)
+        assert grid[-1] == Fraction(2**14, 100)
+        assert grid[-1] >= 100
+        assert grid[-2] < 100
 
     def test_consecutive_ratio_is_delta(self):
         grid = build_grid(30, 1.5)
-        for lo, hi in zip(grid.values, grid.values[1:]):
+        for lo, hi in zip(grid, grid[1:]):
             assert hi / lo == Fraction(1.5)
 
     def test_float_delta_keeps_denominators_bounded(self):
         n = 10**5
         grid = build_grid(n, 1.1)
-        assert grid.values[0] == Fraction(1, n)
-        assert grid.values[-1] >= n > grid.values[-2]
-        assert all(lo < hi for lo, hi in zip(grid.values, grid.values[1:]))
-        assert max(c.denominator.bit_length() for c in grid.values) <= 64
+        assert grid[0] == Fraction(1, n)
+        assert grid[-1] >= n > grid[-2]
+        assert all(lo < hi for lo, hi in zip(grid, grid[1:]))
+        assert max(c.denominator.bit_length() for c in grid) <= 64
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestBuildGrid:
         # every candidate optimum a/b with 1 <= a, b <= n has a grid value
         # within a multiplicative delta on either side
         delta = Fraction(2)
-        grid = build_grid(n, 2).values
+        grid = build_grid(n, 2)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 target = Fraction(a, b)
@@ -83,7 +83,7 @@ class TestSweep:
         g = DirectedGraph(3, [(0, 1), (0, 2)])
         grid = build_grid(3, 2)
         res = sweep("baseline", g, grid, epsilon=0.2)
-        assert [row.c for row in res.rows] == list(grid.values)
+        assert [row.c for row in res.rows] == list(grid)
 
     def test_best_matches_rowwise_maximum(self):
         g = gnp_directed(12, 0.4, seed=2)

@@ -9,6 +9,7 @@ package test; this test makes that visible.
 """
 
 import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -66,3 +67,12 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line} {name}" for line, name in _unused_imports(tree)]
     assert not found, f"unused imports: {found}"
+
+
+def test_every_exported_name_resolves():
+    modules = [importlib.import_module("dirdense")]
+    modules += [importlib.import_module(f"dirdense.{path.stem}")
+                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    stale = [f"{module.__name__}.{name}" for module in modules
+             for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not stale, f"__all__ names that do not resolve: {stale}"
