@@ -7,7 +7,6 @@ memory-bounded phased execution, and a small exact oracle for validation.
 
 from .bench import (
     RunConfig,
-    RunReport,
     compare_reports,
     gen_pref_attach,
     parse_report_csv,
@@ -43,7 +42,7 @@ from .streaming import (
     set_sample,
     single_pass_run,
 )
-from .csweep import build_grid, sweep
+from .csweep import SweepResult, build_grid, sweep
 
 __all__ = [
     "DirectedGraph",
@@ -52,9 +51,9 @@ __all__ = [
     "PeelParams",
     "RoundLedger",
     "RunConfig",
-    "RunReport",
     "SampleParams",
     "SeenSet",
+    "SweepResult",
     "VertexSetPair",
     "baseline_peel",
     "build_grid",

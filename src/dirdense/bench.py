@@ -8,7 +8,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -17,14 +17,12 @@ import numpy as np
 from .graph import DirectedGraph
 from .mpc import MpcConfig
 from .peeling import exact_oracle
-from .csweep import build_grid, sweep
+from .csweep import SweepResult, SweepRow, build_grid, sweep
 
 __all__ = [
     "CSV_HEADER",
     "ComparisonSummary",
-    "ReportRow",
     "RunConfig",
-    "RunReport",
     "compare_reports",
     "gen_pref_attach",
     "parse_report_csv",
@@ -204,33 +202,6 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
 
 
-@dataclass
-class ReportRow:
-    dataset: str
-    algo: str
-    c: Fraction
-    density: float | None
-    s_size: int | None
-    t_size: int | None
-    peak_edges: int | None
-    passes_or_rounds: int | None
-    wall_ms: float
-    seed: int
-    error: str | None = None
-
-
-@dataclass
-class RunReport:
-    rows: list[ReportRow] = field(default_factory=list)
-
-    def max_density(self) -> float:
-        vals = [r.density for r in self.rows if r.density is not None]
-        return max(vals) if vals else 0.0
-
-    def total_wall_ms(self) -> float:
-        return sum(r.wall_ms for r in self.rows)
-
-
 def _parse_gen_spec(spec: str) -> dict:
     kind, _, args = spec.partition(":")
     if kind != "pref":
@@ -262,7 +233,7 @@ def _load_graph(cfg: RunConfig) -> tuple[DirectedGraph, str]:
     return g, f"pref_n{spec['n']}_k{spec['k']}"
 
 
-def run_experiment(cfg: RunConfig) -> RunReport:
+def run_experiment(cfg: RunConfig) -> SweepResult:
     """Build or load the graph, sweep c (unless pinned), and emit a report.
 
     Per-c algorithm failures become error rows; the run keeps going. A CSV
@@ -270,14 +241,13 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     every column except wall_ms.
     """
     g, label = _load_graph(cfg)
-    rows: list[ReportRow] = []
     if cfg.algo == "exact":
         started = time.perf_counter()
         pair, rho = exact_oracle(g)
         wall = (time.perf_counter() - started) * 1000.0
         s_size, t_size = pair.sizes()
-        rows.append(ReportRow(label, "exact", Fraction(s_size, t_size), rho,
-                              s_size, t_size, g.m, 1, wall, cfg.seed))
+        row = SweepRow(Fraction(s_size, t_size), pair, rho, s_size, t_size, g.m, 1, wall)
+        report = SweepResult("exact", cfg.seed, [row])
     else:
         grid = (cfg.c,) if cfg.c is not None else build_grid(g.n, cfg.delta)
         mpc_config = None
@@ -285,79 +255,80 @@ def run_experiment(cfg: RunConfig) -> RunReport:
             mpc_config = MpcConfig("superlinear", mu=cfg.mpc_mu)
         elif cfg.algo == "mpc-near":
             mpc_config = MpcConfig("nearlinear", polylog_budget=cfg.mpc_budget)
-        result = sweep(cfg.algo, g, grid, epsilon=cfg.epsilon, f=cfg.f, seed=cfg.seed,
+        report = sweep(cfg.algo, g, grid, epsilon=cfg.epsilon, f=cfg.f, seed=cfg.seed,
                        stream_order=cfg.stream_order, mpc_config=mpc_config, workers=cfg.workers)
-        for row in result.rows:
+        for row in report.rows:
             if row.error is not None:
                 print(f"warning: c={row.c}: {row.error}", file=sys.stderr)
-            rows.append(ReportRow(label, cfg.algo, row.c, row.density, row.s_size, row.t_size,
-                                  row.peak_edges, row.passes_or_rounds, row.wall_ms, cfg.seed,
-                                  row.error))
-    report = RunReport(rows)
+    report.dataset = label
     if cfg.out:
         write_report_csv(report, cfg.out)
     return report
 
 
-def _format_density(value: float | None) -> str:
-    return "" if value is None else format(value, ".6g")
-
-
-def _write_report(report: RunReport, fh):
+def _write_report(report: SweepResult, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in report.rows:
-        writer.writerow([
-            r.dataset,
-            r.algo,
-            str(r.c),
-            _format_density(r.density),
-            "" if r.s_size is None else r.s_size,
-            "" if r.t_size is None else r.t_size,
-            "" if r.peak_edges is None else r.peak_edges,
-            "" if r.passes_or_rounds is None else r.passes_or_rounds,
-            format(r.wall_ms, ".3f"),
-            r.seed,
-            "" if r.error is None else r.error,
-        ])
+        density = "" if r.density is None else format(r.density, ".6g")
+        counts = ("" if v is None else v
+                  for v in (r.s_size, r.t_size, r.peak_edges, r.passes_or_rounds))
+        writer.writerow([report.dataset, report.algo, r.c, density, *counts,
+                         format(r.wall_ms, ".3f"), report.seed, r.error or ""])
 
 
-def write_report_csv(report: RunReport, path: str):
+def write_report_csv(report: SweepResult, path: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _write_report(report, fh)
 
 
-def report_csv_text(report: RunReport) -> str:
+def report_csv_text(report: SweepResult) -> str:
     buf = io.StringIO()
     _write_report(report, buf)
     return buf.getvalue()
 
 
-def read_report_csv(path: str) -> RunReport:
+def read_report_csv(path: str) -> SweepResult:
     """Read a report CSV file written by ``write_report_csv``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_report_csv(fh.read())
 
 
-def parse_report_csv(text: str) -> RunReport:
-    """Parse report CSV text back into rows; an empty error field means none."""
+def parse_report_csv(text: str) -> SweepResult:
+    """Parse report CSV text back into one run's rows; an empty error field
+    means none, and no row carries a pair.
+
+    Every row must hold exactly one of a density and an error, and all rows
+    must name the same dataset, algo and seed. A malformed CSV raises
+    ValueError naming its line.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError("unexpected CSV header")
+    if next(reader, None) != CSV_HEADER.split(","):
+        raise ValueError(f"line 1: expected the header {CSV_HEADER}")
+    run = None
     rows = []
     for rec in reader:
+        where = f"line {reader.line_num}"
+        if len(rec) != 11:
+            raise ValueError(f"{where}: expected 11 fields, got {len(rec)}")
         dataset, algo, c, dens, s_size, t_size, peak, rounds, wall, seed, error = rec
-        rows.append(ReportRow(
-            dataset, algo, Fraction(c),
-            float(dens) if dens else None,
-            int(s_size) if s_size else None,
-            int(t_size) if t_size else None,
-            int(peak) if peak else None,
-            int(rounds) if rounds else None,
-            float(wall), int(seed), error or None,
-        ))
-    return RunReport(rows)
+        if bool(dens) == bool(error):
+            raise ValueError(f"{where}: a row holds exactly one of density and error")
+        try:
+            key = (dataset, algo, int(seed))
+            counts = [int(v) if v else None for v in (s_size, t_size, peak, rounds)]
+            rows.append(SweepRow(Fraction(c), None, float(dens) if dens else None, *counts,
+                                 float(wall), error or None))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if run is None:
+            run = key
+        elif key != run:
+            raise ValueError(f"{where}: dataset, algo or seed differs from the first row's")
+    if run is None:
+        raise ValueError("line 2: the report has no rows")
+    dataset, algo, seed = run
+    return SweepResult(algo, seed, rows, dataset)
 
 
 @dataclass
@@ -365,7 +336,7 @@ class ComparisonRow:
     c: Fraction
     density_a: float | None
     density_b: float | None
-    ratio: float
+    ratio: float | None
 
 
 @dataclass
@@ -381,22 +352,22 @@ def _ratio(numer: float, denom: float) -> float:
     return 1.0 if numer == 0 else math.inf
 
 
-def compare_reports(a: RunReport, b: RunReport) -> ComparisonSummary:
+def compare_reports(a: SweepResult, b: SweepResult) -> ComparisonSummary:
     """Per-c density ratios b/a, the max-density ratio, and wall-time speedup.
 
-    speedup is a's total wall time over b's (values above 1 mean b is
-    faster). Reports must cover the same c grid in the same order.
+    A per-c ratio is None when either row is an error row. speedup is a's
+    total wall time over b's (values above 1 mean b is faster). Reports must
+    cover the same c grid in the same order.
     """
     if [r.c for r in a.rows] != [r.c for r in b.rows]:
         raise ValueError("reports cover different c grids")
     rows = []
     for ra, rb in zip(a.rows, b.rows):
-        da = ra.density if ra.density is not None else 0.0
-        db = rb.density if rb.density is not None else 0.0
-        rows.append(ComparisonRow(ra.c, ra.density, rb.density, _ratio(db, da)))
-    summary = ComparisonSummary(
+        failed = ra.error is not None or rb.error is not None
+        ratio = None if failed else _ratio(rb.density, ra.density)
+        rows.append(ComparisonRow(ra.c, ra.density, rb.density, ratio))
+    return ComparisonSummary(
         rows=rows,
-        max_density_ratio=_ratio(b.max_density(), a.max_density()),
-        speedup=_ratio(a.total_wall_ms(), b.total_wall_ms()),
+        max_density_ratio=_ratio(b.best_density, a.best_density),
+        speedup=_ratio(sum(r.wall_ms for r in a.rows), sum(r.wall_ms for r in b.rows)),
     )
-    return summary

@@ -54,8 +54,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    best = max((r for r in report.rows if r.density is not None),
-               key=lambda r: r.density, default=None)
+    best = report.best_row
     if best is None:
         print("no successful rows", file=sys.stderr)
         return 1

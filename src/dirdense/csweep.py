@@ -27,7 +27,9 @@ __all__ = ["SweepResult", "SweepRow", "build_grid", "sweep"]
 
 RUNNERS = ("baseline", "multi-pass", "single-pass", "mpc-super", "mpc-near")
 
-_LABEL_IDS = {"stream": 1, "multi": 2, "single": 3, "mpc": 4}
+# each id is part of every seed derived under its label, so it is fixed;
+# the two MPC runners share one
+_LABEL_IDS = {"stream": 1, "multi-pass": 2, "single-pass": 3, "mpc-super": 4, "mpc-near": 4}
 _SEED_MASK = (1 << 63) - 1
 
 
@@ -70,19 +72,45 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    best_c: Fraction | None
-    best_pair: VertexSetPair | None
-    best_density: float
+    """Every row of one run of ``algo``; ``dataset`` names its graph."""
+
+    algo: str
+    seed: int
     rows: list[SweepRow]
+    dataset: str = ""
+
+    @property
+    def best_row(self) -> SweepRow | None:
+        """The densest row without an error; ties go to the earlier row."""
+        best = None
+        for row in self.rows:
+            if row.error is None and (best is None or row.density > best.density):
+                best = row
+        return best
+
+    @property
+    def best_c(self) -> Fraction | None:
+        best = self.best_row
+        return None if best is None else best.c
+
+    @property
+    def best_pair(self) -> VertexSetPair | None:
+        best = self.best_row
+        return None if best is None else best.pair
+
+    @property
+    def best_density(self) -> float:
+        best = self.best_row
+        return 0.0 if best is None else best.density
 
 
 def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: float,
           f: float = 1.0, seed: int = 0, stream_order: str = "shuffled",
           mpc_config: MpcConfig | None = None, workers: int = 1) -> SweepResult:
-    """Run one algorithm per grid c and report every row plus the argmax.
+    """Run one algorithm per grid c and report every row.
 
-    Per-c failures become error rows; the sweep itself never aborts. Ties
-    across c resolve toward the smaller c. ``mpc_config`` goes to the MPC
+    Per-c failures become error rows; the sweep itself never aborts.
+    ``SweepResult.best_row`` names the argmax. ``mpc_config`` goes to the MPC
     runners as given, so None means the runner's default.
     """
     if algo not in RUNNERS:
@@ -99,30 +127,21 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     def run_cell(index: int) -> SweepRow:
         c = values[index]
         try:
+            rng = None if algo == "baseline" else _derived_rng(seed, algo, index)
+            started = time.perf_counter()
             if algo == "baseline":
-                started = time.perf_counter()
                 pair, rho, steps = baseline_peel(g, PeelParams(c, epsilon))
-                wall = (time.perf_counter() - started) * 1000.0
                 peak, rounds = g.m, len(steps)
             elif algo == "multi-pass":
-                rng = _derived_rng(seed, "multi", index)
-                started = time.perf_counter()
-                pair, rho, passes, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
-                wall = (time.perf_counter() - started) * 1000.0
-                rounds = passes
+                pair, rho, rounds, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
             elif algo == "single-pass":
-                rng = _derived_rng(seed, "single", index)
-                started = time.perf_counter()
                 pair, rho, peak = single_pass_run(stream.replay(), g.n, c, params, rng=rng)
-                wall = (time.perf_counter() - started) * 1000.0
                 rounds = 1
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
-                rng = _derived_rng(seed, "mpc", index)
-                started = time.perf_counter()
                 pair, rho, ledger = run(g, c, epsilon, mpc_config, params, rng=rng)
-                wall = (time.perf_counter() - started) * 1000.0
                 peak, rounds = ledger.peak_edges, ledger.rounds
+            wall = (time.perf_counter() - started) * 1000.0
             return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
             # a message-less exception still names itself, so the row stays an error row
@@ -136,10 +155,4 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     else:
         rows = [run_cell(i) for i in indices]
 
-    best_row = None
-    for row in rows:
-        if row.error is None and (best_row is None or row.density > best_row.density):
-            best_row = row
-    if best_row is None:
-        return SweepResult(None, None, 0.0, rows)
-    return SweepResult(best_row.c, best_row.pair, best_row.density, rows)
+    return SweepResult(algo, seed, rows)

@@ -39,7 +39,10 @@ def _pair_arrays(edges):
 
 
 def _checked_arrays(n, src, dst):
-    """Return (src, dst) unchanged after checking them against vertices 0..n-1."""
+    """Return (src, dst) unchanged after checking them against vertices 0..n-1;
+    a float or bool vertex count raises instead of being truncated."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if src.ndim != 1 or src.shape != dst.shape:

@@ -24,6 +24,7 @@ from dirdense.bench import (
     write_report_csv,
 )
 from dirdense.cli import build_parser
+from dirdense.csweep import RUNNERS, SweepResult, SweepRow
 from dirdense.cli import main as cli_main
 from tests.support import reference_parse_edgelist, reference_pref_attach
 
@@ -220,7 +221,7 @@ class TestRunExperiment:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(report.rows)
         assert text.endswith("\n")
-        assert report.max_density() == 1.0
+        assert report.best_density == 1.0
 
     def test_rerun_identical_except_wall(self, tmp_path):
         cfg = dict(algo="single-pass", gen="pref:n=60,k=3", seed=5, epsilon=0.2)
@@ -276,7 +277,7 @@ class TestRunExperiment:
         report = run_experiment(RunConfig(algo="exact", gen="pref:n=12,k=2"))
         assert len(report.rows) == 1
         row = report.rows[0]
-        assert row.algo == "exact"
+        assert report.algo == "exact"
         assert row.density > 0
 
     def test_io_error_carries_path(self, tmp_path):
@@ -330,11 +331,86 @@ class TestCompareReports:
         summary = compare_reports(r, doubled)
         assert summary.max_density_ratio == pytest.approx(2.0)
 
+    def test_failed_cells_have_no_ratio(self):
+        a = SweepResult("baseline", 0, [_row(1, 2.0), _row(2, None, "boom"), _row(4, None, "x")])
+        b = SweepResult("baseline", 0, [_row(1, None, "bang"), _row(2, 3.0), _row(4, None, "y")])
+        summary = compare_reports(a, b)
+        assert [row.ratio for row in summary.rows] == [None, None, None]
+        assert summary.max_density_ratio == 1.5
+
     def test_grid_mismatch_rejected(self):
         a = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2"))
         b = run_experiment(RunConfig(algo="baseline", gen="pref:n=60,k=2"))
         with pytest.raises(ValueError):
             compare_reports(a, b)
+
+
+def _row(c, density, error=None):
+    """A report row without a pair: a success when density is set, else an error row."""
+    if error is not None:
+        return SweepRow(Fraction(c), None, None, None, None, None, None, 0.0, error)
+    return SweepRow(Fraction(c), None, density, 1, 1, 10, 1, 1.0)
+
+
+class TestParseReportCsv:
+    _GOOD = "d,baseline,1/2,1.5,2,3,10,4,0.5,7,"
+
+    def test_round_trips_dataset_algo_and_seed(self):
+        report = parse_report_csv(f"{CSV_HEADER}\n{self._GOOD}\n")
+        assert (report.dataset, report.algo, report.seed) == ("d", "baseline", 7)
+        assert report.rows == [SweepRow(Fraction(1, 2), None, 1.5, 2, 3, 10, 4, 0.5)]
+
+    @pytest.mark.parametrize("text, where", [
+        ("", "line 1"),
+        ("dataset,algo\n", "line 1"),
+        (CSV_HEADER + "\n", "line 2"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,2.0,0.1,7\n", "line 3: expected 11 fields, got 6"),
+        (f"{CSV_HEADER}\nd,baseline,1/2,,,,,,0.0,0,\n", "line 2: .*exactly one of density and error"),
+        (f"{CSV_HEADER}\nd,baseline,1/2,1.5,2,3,10,4,0.5,7,boom\n", "line 2: .*exactly one"),
+        (f"{CSV_HEADER}\n{_GOOD}\ne,baseline,1,1.5,2,3,10,4,0.5,7,\n", "line 3: dataset, algo or seed"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,mpc-near,1,1.5,2,3,10,4,0.5,7,\n", "line 3: dataset, algo or seed"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,1.5,2,3,10,4,0.5,8,\n", "line 3: dataset, algo or seed"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1/0,1.5,2,3,10,4,0.5,7,\n", "line 3"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,x,2,3,10,4,0.5,7,\n", "line 3"),
+        (f"{CSV_HEADER}\nd,baseline,1,1.5,2,3,10,4,0.5,seven,\n", "line 2"),
+    ])
+    def test_malformed_csv_is_rejected_naming_its_line(self, text, where):
+        with pytest.raises(ValueError, match=where):
+            parse_report_csv(text)
+
+
+class TestBestRow:
+    """``SweepResult.best_row`` is the one best-row rule: the densest row
+    without an error, the earlier row on ties."""
+
+    def test_tie_and_error_row(self):
+        report = SweepResult("baseline", 0, [_row("1/4", 2.0), _row("1/2", None, "boom"),
+                                             _row(1, 3.0), _row(2, 3.0), _row(4, 1.0)])
+        assert report.best_row is report.rows[2]
+        assert (report.best_c, report.best_pair, report.best_density) == (1, None, 3.0)
+        again = parse_report_csv(report_csv_text(report))
+        assert again.best_c == report.best_c
+        flat = SweepResult("baseline", 0, [_row(c, 1.5) for c in ("1/4", "1/2", 1, 2, 4)])
+        summary = compare_reports(flat, report)
+        assert summary.max_density_ratio == report.best_row.density / 1.5
+        assert [row.ratio for row in summary.rows] == [2.0 / 1.5, None, 2.0, 2.0, 1.0 / 1.5]
+
+    def test_no_successful_row(self):
+        report = SweepResult("baseline", 0, [_row(1, None, "boom"), _row(2, None, "bang")])
+        assert report.best_row is None
+        assert (report.best_c, report.best_pair, report.best_density) == (None, None, 0.0)
+
+    @pytest.mark.parametrize("algo", RUNNERS)
+    def test_csv_and_cli_name_the_best_row(self, algo, capsys):
+        argv = ["--gen", "pref:n=80,k=4", "--algo", algo, "--seed", "2", "--f", "0.05"]
+        report = run_experiment(RunConfig(**vars(build_parser().parse_args(argv))))
+        assert report.best_row is not None
+        assert parse_report_csv(report_csv_text(report)).best_c == report.best_c
+        assert cli_main(argv) == 0
+        best = report.best_row
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"best: density={best.density:.6g} at c={best.c} "
+            f"(|S|={best.s_size}, |T|={best.t_size})")
 
 
 class TestCli:

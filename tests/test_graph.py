@@ -66,6 +66,19 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="integers"):
             DirectedGraph(3, edges)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(3.0), np.bool_(True)])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            DirectedGraph(n, [(0, 2)])
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            DirectedGraph.from_arrays(n, [0], [0])
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
+    def test_accepts_integer_vertex_counts(self, n):
+        g = DirectedGraph.from_arrays(n, [0, 2], [1, 0])
+        assert g.n == 3 and type(g.n) is int
+        assert DirectedGraph(n, [(0, 2)]).n == 3
+
     def test_accepts_empty_and_any_integer_dtype(self):
         assert DirectedGraph.from_arrays(3, np.array([]), []).m == 0
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):

@@ -69,6 +69,43 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {found}"
 
 
+def _private_definitions(tree):
+    """Module-level ``_name`` functions, classes and constants, with their lines."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _loaded_names(tree):
+    """Names a module reads or imports."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    dead = [f"{name}:{line} {helper}" for name, tree in trees.items()
+            for helper, line in _private_definitions(tree).items() if helper not in loaded]
+    assert not dead, f"private helpers nothing in the package reads: {dead}"
+
+
 def test_every_exported_name_resolves():
     modules = [importlib.import_module("dirdense")]
     modules += [importlib.import_module(f"dirdense.{path.stem}")
