@@ -18,6 +18,7 @@ from .graph import DirectedGraph
 from .mpc import MpcConfig
 from .peeling import exact_oracle
 from .csweep import SweepResult, SweepRow, build_grid, sweep
+from .streaming import STREAM_ORDERS
 
 __all__ = [
     "CSV_HEADER",
@@ -196,6 +197,9 @@ class RunConfig:
             raise ValueError("delta must be finite and exceed 1")
         if not 0 < self.f < math.inf:
             raise ValueError("f must be positive and finite")
+        if self.stream_order not in STREAM_ORDERS:
+            raise ValueError(f"unknown stream order {self.stream_order!r}; "
+                             f"expected one of {STREAM_ORDERS}")
         if self.c is not None and self.c <= 0:
             raise ValueError("ratio guess c must be positive")
         if self.workers < 1:
@@ -299,8 +303,10 @@ def parse_report_csv(text: str) -> SweepResult:
     means none, and no row carries a pair.
 
     Every row must hold exactly one of a density and an error, and all rows
-    must name the same dataset, algo and seed. A malformed CSV raises
-    ValueError naming its line.
+    must name the same dataset, algo and seed. A success row, as a run
+    writes it, has c > 0, |S| and |T| of at least 1, a finite density of at
+    least 0, and a peak, a round count and a wall_ms of at least 0. A
+    malformed CSV raises ValueError naming its line.
     """
     reader = csv.reader(io.StringIO(text))
     if next(reader, None) != CSV_HEADER.split(","):
@@ -317,10 +323,15 @@ def parse_report_csv(text: str) -> SweepResult:
         try:
             key = (dataset, algo, int(seed))
             counts = [int(v) if v else None for v in (s_size, t_size, peak, rounds)]
-            rows.append(SweepRow(Fraction(c), None, float(dens) if dens else None, *counts,
-                                 float(wall), error or None))
+            row = SweepRow(Fraction(c), None, float(dens) if dens else None, *counts,
+                           float(wall), error or None)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if row.error is None:
+            problem = _success_row_problem(row)
+            if problem:
+                raise ValueError(f"{where}: a success row needs {problem}")
+        rows.append(row)
         if run is None:
             run = key
         elif key != run:
@@ -329,6 +340,21 @@ def parse_report_csv(text: str) -> SweepResult:
         raise ValueError("line 2: the report has no rows")
     dataset, algo, seed = run
     return SweepResult(algo, seed, rows, dataset)
+
+
+def _success_row_problem(row: SweepRow) -> str | None:
+    """What a parsed success row lacks that every run's success row has."""
+    if not row.c > 0:
+        return "c > 0"
+    if None in (row.s_size, row.t_size, row.peak_edges, row.passes_or_rounds):
+        return "|S|, |T|, peak_edges and passes_or_rounds"
+    if not (row.s_size >= 1 and row.t_size >= 1):
+        return "|S| and |T| of at least 1"
+    if not (math.isfinite(row.density) and row.density >= 0):
+        return "a finite density of at least 0"
+    if not (row.peak_edges >= 0 and row.passes_or_rounds >= 0 and row.wall_ms >= 0):
+        return "peak_edges, passes_or_rounds and wall_ms of at least 0"
+    return None
 
 
 @dataclass

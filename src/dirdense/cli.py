@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .bench import RunConfig, report_csv_text, run_experiment
 from .csweep import RUNNERS
+from .streaming import STREAM_ORDERS
 
 
 def _fraction(text: str) -> Fraction:
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c", type=_fraction,
                         help="single ratio guess (e.g. 0.25 or 1/8); overrides the sweep")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--stream", dest="stream_order", choices=("given", "shuffled"))
+    parser.add_argument("--stream", dest="stream_order", choices=STREAM_ORDERS)
     parser.add_argument("--mpc-mu", type=float, help="superlinear memory exponent")
     parser.add_argument("--mpc-budget", type=float,
                         help="nearlinear words-per-vertex budget (default ln(n)^2/eps^3)")

@@ -3,8 +3,10 @@
 The optimal |S|/|T| is unknown, so runners are executed once per grid value
 delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
 edge stream once, before the first cell, and every cell reads its own replay
-of those shared read-only arrays; sampling randomness is split per grid cell,
-so per-c results are seed-deterministic regardless of scheduling.
+of those shared read-only arrays; an MPC sweep likewise orders its edge pool
+once, in the shuffled stream's order, and every cell draws from its own pool
+over those arrays. Sampling randomness is split per grid cell, so per-c
+results are seed-deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import PeelParams, baseline_peel
-from .streaming import make_stream, multi_pass_run, sample_params, single_pass_run
+from .streaming import (STREAM_ORDERS, _shuffled_edges, make_stream, multi_pass_run, sample_params,
+                        single_pass_run)
 
 __all__ = ["SweepResult", "SweepRow", "build_grid", "sweep"]
 
@@ -111,18 +114,25 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
 
     Per-c failures become error rows; the sweep itself never aborts.
     ``SweepResult.best_row`` names the argmax. ``mpc_config`` goes to the MPC
-    runners as given, so None means the runner's default.
+    runners as given, so None means the runner's default. The MPC runners
+    need uniform samples, so their pool is always in the shuffled order, and
+    ``stream_order`` orders only the streaming runners' stream; it is
+    checked for every runner.
     """
     if algo not in RUNNERS:
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")
+    if stream_order not in STREAM_ORDERS:
+        raise ValueError(f"unknown stream order {stream_order!r}; expected one of {STREAM_ORDERS}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     values = tuple(grid)
     params = sample_params(g.n, epsilon, f)
     stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_MASK))
-    stream = None
+    stream = mpc_pool = None
     if algo in ("multi-pass", "single-pass"):
         stream = make_stream(g, stream_order, stream_seed)
+    elif algo in ("mpc-super", "mpc-near"):
+        mpc_pool = _shuffled_edges(g, stream_seed)
 
     def run_cell(index: int) -> SweepRow:
         c = values[index]
@@ -139,7 +149,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
                 rounds = 1
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
-                pair, rho, ledger = run(g, c, epsilon, mpc_config, params, rng=rng)
+                pair, rho, ledger = run(g, c, epsilon, mpc_config, params, rng=rng, pool=mpc_pool)
                 peak, rounds = ledger.peak_edges, ledger.rounds
             wall = (time.perf_counter() - started) * 1000.0
             return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)

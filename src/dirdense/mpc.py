@@ -10,12 +10,16 @@ degree tally used by the near-linear mode, and the final fetch) and nothing
 for coordinator-local work: round counts, not wall time, are the quantity
 under study.
 
-The simulator permutes the pool once per run, at its first draw, and every
-draw takes the head of the pool; relevance filters keep the survivors in
-order. Nothing the engine has seen depends on the order of the edges not
-drawn yet, so that order stays uniform through every filter, and each head
-is a uniform sample in uniform order: the law of a fresh permutation per
-draw, at one permutation's cost.
+The pool starts as the graph's edges in one uniform order, every draw takes
+the head of the pool, and relevance filters keep the survivors in order.
+Nothing the engine has seen depends on the order of the edges not drawn
+yet, so that order stays uniform through every filter, and each head is a
+uniform sample in uniform order: within a run, the law of a fresh
+permutation per draw, at no permutation's cost. A sweep orders the pool
+once, with its "stream" seed, and every cell starts from that shared
+read-only order, so across cells the order is shared, as the sweep's one
+stream is for the streaming runners; a runner called on its own permutes
+the edges itself.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 
 from .graph import DirectedGraph, density
 from .peeling import _density, _exact_bag_peels, _ratio_prefers_sources
-from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, sample_params
+from .streaming import (_EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges,
+                        sample_params)
 
 __all__ = [
     "MpcConfig",
@@ -93,21 +98,18 @@ class RoundLedger:
 class RelevantEdgeSet:
     """Edges still available to feed the coordinator; shrinks monotonically.
 
-    The pool is held as ``src``/``dst`` arrays that start as the graph's own
-    read-only arrays. The first ``draw`` puts the pool in uniform order with
-    one permutation; after that ``intersect_pair`` keeps the survivors in
-    their order and ``draw`` removes the head. The engine has seen only
-    drawn edges, so nothing it did, the filters included, depends on the
-    order of the undrawn ones: that order stays uniform, and each head is a
-    uniform k-subset in uniform order, as a fresh permutation per draw would
-    give. The permutation waits for the first draw because the near-linear
-    mode's first filter shrinks the pool before anything is drawn.
+    The pool is held as ``src``/``dst`` arrays that start as a graph's edges
+    in uniform order; they are never written, so pools may share them.
+    ``intersect_pair`` keeps the survivors in their order and ``draw``
+    removes the head. The engine has seen only drawn edges, so nothing it
+    did, the filters included, depends on the order of the undrawn ones:
+    that order stays uniform, and each head is a uniform k-subset in uniform
+    order, as a fresh permutation per draw would give.
     """
 
-    def __init__(self, g: DirectedGraph):
-        self.src = g.src
-        self.dst = g.dst
-        self._permuted = False
+    def __init__(self, src, dst):
+        self.src = src
+        self.dst = dst
 
     @property
     def size(self) -> int:
@@ -121,17 +123,12 @@ class RelevantEdgeSet:
         self.src = self.src[keep]
         self.dst = self.dst[keep]
 
-    def draw(self, k, rng):
-        """Remove and return k uniformly chosen edges, in uniform order."""
-        if not self._permuted:
-            perm = rng.permutation(self.src.size)
-            self.src = self.src[perm]
-            self.dst = self.dst[perm]
-            self._permuted = True
+    def draw(self, k):
+        """Remove and return the head's k edges: uniformly chosen, in uniform order."""
         k = max(0, min(int(k), self.src.size))
         taken = self.src[:k], self.dst[:k]
         if k == self.src.size:
-            # an empty view would keep the permuted arrays alive
+            # an empty view would keep the pool's arrays alive
             self.src = self.dst = _EMPTY
         else:
             self.src = self.src[k:]
@@ -144,16 +141,16 @@ class _PhaseController:
 
     It is the installment source of the engine's stream: ``size`` is the
     pool not fetched yet, and every ``fetch`` runs one phase. The ratio
-    guess, epsilon and xi are the engine's own; the regime is ``cfg``'s.
+    guess, epsilon and xi are the engine's own; the regime is ``cfg``'s;
+    ``pool`` is g's edges in uniform order.
     """
 
-    def __init__(self, g, cfg, engine, rng, ledger):
+    def __init__(self, g, cfg, engine, pool, ledger):
         self.g = g
         self.nearlinear = cfg.regime == "nearlinear"
         self.engine = engine
-        self.rng = rng
         self.ledger = ledger
-        self.rel = RelevantEdgeSet(g)
+        self.rel = RelevantEdgeSet(*pool)
         self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property
@@ -183,7 +180,7 @@ class _PhaseController:
             else:
                 want = self.mem
             ledger.rounds += 2  # sampling + removal
-        drawn_src, drawn_dst = self.rel.draw(want, self.rng)
+        drawn_src, drawn_dst = self.rel.draw(want)
         ledger.log.append(
             PhaseRecord(ledger.phases, int(drawn_src.size), before, after,
                         engine.s_count, engine.t_count, local_finish, flip_peels)
@@ -220,23 +217,26 @@ class _PhaseController:
         return peels
 
 
-def _mpc_run(g, c, epsilon, cfg, params, rng):
+def _mpc_run(g, c, epsilon, cfg, params, rng, pool):
     if params is None:
         params = sample_params(g.n, epsilon)
     elif params.epsilon != epsilon:
         raise ValueError(f"params.epsilon {params.epsilon!r} differs from epsilon {epsilon!r}")
+    if pool is not None and not pool[0].size == pool[1].size == g.m:
+        raise ValueError(f"pool must hold the graph's {g.m} edges")
     if rng is None:
         rng = np.random.default_rng(0)
     seeds = rng.integers(0, (1 << 63) - 1, size=2)
     engine_rng = np.random.default_rng(int(seeds[0]))
-    draw_rng = np.random.default_rng(int(seeds[1]))
+    if pool is None:
+        pool = _shuffled_edges(g, int(seeds[1]))
     ledger = RoundLedger()
     batch_fn = None
     if cfg.regime == "nearlinear":
         xi = params.xi
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
     engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn)
-    controller = _PhaseController(g, cfg, engine, draw_rng, ledger)
+    controller = _PhaseController(g, cfg, engine, pool, ledger)
     engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
     ledger.peak_edges = engine.peak_edges
     pair = engine.best_pair()
@@ -244,37 +244,41 @@ def _mpc_run(g, c, epsilon, cfg, params, rng):
 
 
 def mpc_superlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | None = None,
-                        params: SampleParams | None = None, *, rng=None):
+                        params: SampleParams | None = None, *, rng=None, pool=None):
     """Phased run with machine memory n**(1+mu); returns (pair, density, ledger).
 
     Each phase refilters the relevant pool to the engine's current pair,
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
-    and the engine finishes locally. The pool is permuted once, at the
-    first draw, and each draw takes its head: the undrawn edges' order is
-    independent of everything the engine has seen, so after the
-    order-keeping filters the head is a uniform sample in uniform order, as
-    a fresh permutation per draw would give. The reported density is
-    recomputed exactly on the input graph. ``params`` defaults to
-    ``sample_params(g.n, epsilon)``; one built with another epsilon is
-    rejected.
+    and the engine finishes locally. ``pool`` is g's edges as (src, dst)
+    arrays in uniform order, which the run only reads; None permutes them
+    here with a seed drawn from ``rng``. Each draw takes the pool's head:
+    the undrawn edges' order is independent of everything the engine has
+    seen, so after the order-keeping filters the head is a uniform sample
+    in uniform order, the law of a fresh permutation per draw; runs given
+    one pool read the same order, as a sweep's cells read its one stream.
+    The reported density is recomputed exactly on the input graph.
+    ``params`` defaults to ``sample_params(g.n, epsilon)``; one built with
+    another epsilon is rejected.
     """
     cfg = cfg or MpcConfig("superlinear", mu=0.3)
     if cfg.regime != "superlinear":
         raise ValueError("config regime must be 'superlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng)
+    return _mpc_run(g, c, epsilon, cfg, params, rng, pool)
 
 
 def mpc_nearlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | None = None,
-                       params: SampleParams | None = None, *, rng=None):
+                       params: SampleParams | None = None, *, rng=None, pool=None):
     """Phased run with machine memory n * polylog_budget.
 
     On top of the superlinear phase body, each phase first tallies exact
     cross-degrees and peels the over-ratio side until the ratio test flips
     (no fresh data needed while only one side shrinks), and fetched samples
-    scale with (|S| + |T|) * xi instead of the full machine budget.
+    scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
+    is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
+    drawn from its head, or None to permute them here.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":
         raise ValueError("config regime must be 'nearlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng)
+    return _mpc_run(g, c, epsilon, cfg, params, rng, pool)

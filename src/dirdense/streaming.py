@@ -36,6 +36,8 @@ __all__ = [
     "single_pass_run",
 ]
 
+STREAM_ORDERS = ("given", "shuffled")
+
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
@@ -200,12 +202,18 @@ def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
     if order == "given":
         return EdgeStream(g.n, g.src, g.dst, order="given")
     if order == "shuffled":
-        perm = np.random.default_rng(seed).permutation(g.m)
-        src, dst = g.src[perm], g.dst[perm]
-        src.setflags(write=False)
-        dst.setflags(write=False)
-        return EdgeStream(g.n, src, dst, order="shuffled")
+        return EdgeStream(g.n, *_shuffled_edges(g, seed), order="shuffled")
     raise ValueError(f"unknown stream order {order!r}")
+
+
+def _shuffled_edges(g, seed: int):
+    """g's edges in the seed's uniform order, as read-only (src, dst) arrays:
+    the order of ``make_stream(g, "shuffled", seed)`` and of an MPC pool."""
+    perm = np.random.default_rng(seed).permutation(g.m)
+    src, dst = g.src[perm], g.dst[perm]
+    src.setflags(write=False)
+    dst.setflags(write=False)
+    return src, dst
 
 
 _SEEN_CAPACITY = 1024  # initial buffer length; doubles as needed

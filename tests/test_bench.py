@@ -24,8 +24,9 @@ from dirdense.bench import (
     write_report_csv,
 )
 from dirdense.cli import build_parser
-from dirdense.csweep import RUNNERS, SweepResult, SweepRow
+from dirdense.csweep import RUNNERS, SweepResult, SweepRow, sweep
 from dirdense.cli import main as cli_main
+from dirdense.graph import DirectedGraph
 from tests.support import reference_parse_edgelist, reference_pref_attach
 
 # well-formed edge-list lines, and adversarial pieces spliced into them: ids
@@ -313,6 +314,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
 
+    @pytest.mark.parametrize("algo", ["baseline", "single-pass", "mpc-near"])
+    def test_config_rejects_unknown_stream_order(self, algo):
+        with pytest.raises(ValueError, match="stream order 'bogus'"):
+            RunConfig(algo=algo, gen="pref:n=9,k=1", stream_order="bogus")
+
 
 class TestCompareReports:
     def test_identical_reports_all_ones(self):
@@ -377,6 +383,43 @@ class TestParseReportCsv:
     def test_malformed_csv_is_rejected_naming_its_line(self, text, where):
         with pytest.raises(ValueError, match=where):
             parse_report_csv(text)
+
+    @pytest.mark.parametrize("row, needs", [
+        pytest.param("d,baseline,1/2,1.5,,,,,0.5,7,",
+                     r"\|S\|, \|T\|, peak_edges and passes_or_rounds", id="blank-counts"),
+        pytest.param("d,baseline,1/2,1.5,2,3,,4,0.5,7,", "peak_edges and passes_or_rounds",
+                     id="blank-peak"),
+        pytest.param("d,baseline,1/2,1.5,2,3,10,,0.5,7,", "peak_edges and passes_or_rounds",
+                     id="blank-rounds"),
+        pytest.param("d,baseline,-1/2,1.5,-3,0,,,-0.5,7,", "c > 0", id="negative-c-and-sizes"),
+        pytest.param("d,baseline,0,1.5,2,3,10,4,0.5,7,", "c > 0", id="zero-c"),
+        pytest.param("d,baseline,1/2,1.5,0,3,10,4,0.5,7,", r"\|S\| and \|T\| of at least 1",
+                     id="empty-s"),
+        pytest.param("d,baseline,1/2,1.5,2,-3,10,4,0.5,7,", r"\|S\| and \|T\| of at least 1",
+                     id="negative-t"),
+        pytest.param("d,baseline,1/2,nan,2,3,10,4,0.5,7,", "a finite density", id="nan-density"),
+        pytest.param("d,baseline,1/2,inf,2,3,10,4,0.5,7,", "a finite density", id="inf-density"),
+        pytest.param("d,baseline,1/2,-1.5,2,3,10,4,0.5,7,", "a finite density of at least 0",
+                     id="negative-density"),
+        pytest.param("d,baseline,1/2,1.5,2,3,-10,4,0.5,7,", "wall_ms of at least 0",
+                     id="negative-peak"),
+        pytest.param("d,baseline,1/2,1.5,2,3,10,-4,0.5,7,", "wall_ms of at least 0",
+                     id="negative-rounds"),
+        pytest.param("d,baseline,1/2,1.5,2,3,10,4,-0.5,7,", "wall_ms of at least 0",
+                     id="negative-wall-ms"),
+    ])
+    def test_success_row_no_run_writes_is_rejected(self, row, needs):
+        # a good row first, so a nan row cannot win best_row over it either
+        text = f"{CSV_HEADER}\nd,baseline,1/4,2.0,2,3,10,4,0.5,7,\n{row}\n"
+        with pytest.raises(ValueError, match=f"line 3: a success row needs .*{needs}"):
+            parse_report_csv(text)
+
+    def test_error_rows_keep_their_blank_counts(self):
+        # a sweep over c = 0 writes an error row with that c and no counts
+        report = sweep("baseline", DirectedGraph(2, [(0, 1)]), [Fraction(0)], epsilon=0.2)
+        assert report.rows[0].error is not None
+        again = parse_report_csv(report_csv_text(report))
+        assert [(r.c, r.s_size, r.error) for r in again.rows] == [(0, None, report.rows[0].error)]
 
 
 class TestBestRow:

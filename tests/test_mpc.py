@@ -15,7 +15,7 @@ from dirdense.mpc import (
     mpc_superlinear_run,
 )
 from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
-from dirdense.streaming import SinglePassEngine, sample_params
+from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed, star_plus_triangle
 
@@ -72,16 +72,14 @@ class TestRunnerArguments:
             run(g, c, 0.2)
 
 
-class _CountingRng:
-    """A generator that counts its ``permutation`` calls."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.permutations = 0
-
-    def permutation(self, x):
-        self.permutations += 1
-        return self._rng.permutation(x)
+    @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
+    def test_pool_must_hold_the_graph_edges(self, run):
+        g = gnp_directed(20, 0.3, seed=1)
+        src, dst = _shuffled_edges(g, 0)
+        with pytest.raises(ValueError, match="pool"):
+            run(g, 1, 0.2, pool=(src[1:], dst[1:]))
+        _, _, ledger = run(g, 1, 0.2, pool=(src, dst))
+        assert ledger.phases >= 1
 
 
 def _codes(g, src, dst):
@@ -89,21 +87,23 @@ def _codes(g, src, dst):
 
 
 class TestRelevantEdgeSet:
-    def test_draws_and_remainder_partition_the_pool(self):
+    def test_draws_are_the_pool_head_and_partition_it(self):
         g = gnp_directed(30, 0.3, seed=2)
-        pool = RelevantEdgeSet(g)
-        rng = np.random.default_rng(5)
-        drawn = [pool.draw(k, rng) for k in (7, 0, 40, 1)]
+        src, dst = _shuffled_edges(g, 5)
+        pool = RelevantEdgeSet(src, dst)
+        drawn = [pool.draw(k) for k in (7, 0, 40, 1)]
         assert [s.size for s, _ in drawn] == [7, 0, 40, 1]
-        parts = [_codes(g, s, d) for s, d in drawn] + [_codes(g, pool.src, pool.dst)]
-        assert np.array_equal(np.sort(np.concatenate(parts)), np.sort(_codes(g, g.src, g.dst)))
-        rest = pool.draw(g.m, rng)  # more than is left: takes the rest
+        head = np.concatenate([_codes(g, s, d) for s, d in drawn])
+        assert np.array_equal(head, _codes(g, src[:48], dst[:48]))
+        assert np.array_equal(_codes(g, pool.src, pool.dst), _codes(g, src[48:], dst[48:]))
+        rest = pool.draw(g.m)  # more than is left: takes the rest
         assert rest[0].size == g.m - 48 and pool.size == 0
+        assert np.array_equal(np.sort(_codes(g, src, dst)), np.sort(_codes(g, g.src, g.dst)))
 
     def test_filter_keeps_the_survivors_in_order(self):
         g = gnp_directed(30, 0.3, seed=3)
-        pool = RelevantEdgeSet(g)
-        pool.draw(5, np.random.default_rng(1))
+        pool = RelevantEdgeSet(*_shuffled_edges(g, 1))
+        pool.draw(5)
         before_src, before_dst = pool.src, pool.dst
         s_mask = np.arange(g.n) % 3 != 0
         t_mask = np.arange(g.n) % 4 != 1
@@ -112,47 +112,37 @@ class TestRelevantEdgeSet:
         assert 0 < pool.size < keep.size
         assert np.array_equal(pool.src, before_src[keep])
         assert np.array_equal(pool.dst, before_dst[keep])
+        head, _ = pool.draw(1)
+        assert np.array_equal(head, before_src[keep][:1])
 
     def test_whole_pair_filter_keeps_the_same_arrays(self):
         g = gnp_directed(20, 0.3, seed=4)
-        pool = RelevantEdgeSet(g)
+        src, dst = _shuffled_edges(g, 0)
+        pool = RelevantEdgeSet(src, dst)
         everyone = np.ones(g.n, dtype=bool)
         pool.intersect_pair(everyone, everyone)
-        assert pool.src is g.src and pool.dst is g.dst  # no copy before the first draw
-        pool.draw(3, np.random.default_rng(0))
+        assert pool.src is src and pool.dst is dst  # no copy of the shared order
+        pool.draw(3)
         src, dst = pool.src, pool.dst
         pool.intersect_pair(everyone, everyone)
         assert pool.src is src and pool.dst is dst
 
-    def test_pool_is_permuted_once_at_its_first_draw(self):
-        g = gnp_directed(30, 0.3, seed=5)
-        pool = RelevantEdgeSet(g)
-        rng = _CountingRng(0)
-        pool.intersect_pair(np.arange(g.n) != 0, np.ones(g.n, dtype=bool))
-        assert rng.permutations == 0
-        pool.draw(4, rng)
-        assert rng.permutations == 1
-        pool.intersect_pair(np.arange(g.n) != 1, np.ones(g.n, dtype=bool))
-        for k in (4, 0, 10, g.m):
-            pool.draw(k, rng)
-        assert rng.permutations == 1 and pool.size == 0
-
-    def test_draw_filter_draw_has_the_uniform_law(self):
-        # edge i is (i, 6 + i); after one edge is drawn the filter drops edges
-        # 4 and 5, then an ordered pair is drawn from the survivors. Under the
-        # law of a fresh permutation per draw, every (first, pair) outcome of
-        # a given first edge is equally likely: 48 cells in all.
+    def test_permute_once_draw_filter_draw_has_the_uniform_law(self):
+        # edge i is (i, 6 + i); the pool is permuted once, one edge is drawn,
+        # the filter drops edges 4 and 5, then an ordered pair is drawn from
+        # the survivors. Under the law of a fresh permutation per draw, every
+        # (first, pair) outcome of a given first edge is equally likely: 48
+        # cells in all.
         g = DirectedGraph(12, [(i, 6 + i) for i in range(6)])
         s_mask = np.arange(g.n) < 4
         t_mask = np.ones(g.n, dtype=bool)
         trials = 4000
         counts = {}
         for seed in range(trials):
-            rng = np.random.default_rng(seed)
-            pool = RelevantEdgeSet(g)
-            (first,), _ = pool.draw(1, rng)
+            pool = RelevantEdgeSet(*_shuffled_edges(g, seed))
+            (first,), _ = pool.draw(1)
             pool.intersect_pair(s_mask, t_mask)
-            (a, b), _ = pool.draw(2, rng)
+            (a, b), _ = pool.draw(2)
             key = (int(first), int(a), int(b))
             counts[key] = counts.get(key, 0) + 1
         expected = {}
@@ -287,7 +277,7 @@ class TestNearlinear:
                                       np.random.default_rng(0))
             engine.set_pair(s_mask, t_mask)
             controller = _PhaseController(graph, MpcConfig("nearlinear"), engine,
-                                          np.random.default_rng(0), RoundLedger())
+                                          (graph.src, graph.dst), RoundLedger())
             peels = controller._flip_peel()
             return peels, engine.s_mask.tolist(), engine.t_mask.tolist(), engine.best_value
 

@@ -3,6 +3,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirdense.bench import gen_pref_attach
@@ -107,6 +108,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("magic", DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=0.2)
 
+    @pytest.mark.parametrize("algo", RUNNERS)
+    def test_unknown_stream_order_rejected_for_every_runner(self, algo, monkeypatch):
+        import dirdense.csweep as sweep_mod
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        for name in ("baseline_peel", "multi_pass_run", "single_pass_run",
+                     "mpc_superlinear_run", "mpc_nearlinear_run"):
+            monkeypatch.setattr(sweep_mod, name, no_cell)
+        with pytest.raises(ValueError, match="stream order 'bogus'"):
+            sweep(algo, DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=0.2,
+                  stream_order="bogus")
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -154,10 +169,15 @@ class TestSweep:
         grid = build_grid(13, 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        # machine memories of 21 and 13 edges against m = 61, so MPC cells
+        # draw several times from the one read-only pool they share
+        configs = {"mpc-super": MpcConfig("superlinear", mu=0.2),
+                   "mpc-near": MpcConfig("nearlinear", polylog_budget=1.0)}
         try:
-            for algo in ("single-pass", "multi-pass"):
-                serial = sweep(algo, g, grid, epsilon=0.2, seed=7, workers=1)
-                threaded = sweep(algo, g, grid, epsilon=0.2, seed=7, workers=4)
+            for algo in ("single-pass", "multi-pass", "mpc-super", "mpc-near"):
+                cfg = configs.get(algo)
+                serial = sweep(algo, g, grid, epsilon=0.2, seed=7, mpc_config=cfg, workers=1)
+                threaded = sweep(algo, g, grid, epsilon=0.2, seed=7, mpc_config=cfg, workers=4)
                 assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in threaded.rows]
                 assert serial.best_c == threaded.best_c
         finally:
@@ -174,22 +194,30 @@ class TestSweep:
             assert res.best_density >= oracle_rho / bound_factor - 1e-12
 
 
-# sha256 of every runner's sweep rows below: a refactor of the peel kernel or a
-# runner must keep every row bit-identical, so only a change that means to
-# change results may record a new value
-_ROWS_FINGERPRINT = "e8fe7d32e2383a3414cd3591d02d51000e9fc193349ce4c570d7bc9152a39990"
+# sha256 of the sweep rows below, one per runner group: a refactor of the peel
+# kernel or a runner must keep every row bit-identical, so only a change that
+# means to change results may record a new value. The MPC digest was
+# re-recorded when MPC sweeps began drawing from one pool per sweep, ordered
+# by the sweep's stream seed; the streaming digest is unchanged by that.
+_ROWS_FINGERPRINTS = {
+    ("baseline", "multi-pass", "single-pass"):
+        "e787ec9a3876446dbd2c8d0f31964ea644db86100ada2e82471dd1e46c061083",
+    ("mpc-super", "mpc-near"):
+        "20acf6475f2064d2ab22d1f738568946fa812667d8b2702eb1f64946451ba046",
+}
 
 
-def test_sweep_rows_match_recorded_fingerprint():
+@pytest.mark.parametrize("algos", list(_ROWS_FINGERPRINTS))
+def test_sweep_rows_match_recorded_fingerprint(algos):
     g = gen_pref_attach(2000, 50, 3)
     h = hashlib.sha256()
     for f in (1 / 30, 1 / 3000):
-        for algo in RUNNERS:
+        for algo in algos:
             for row in sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1).rows:
                 pair = None if row.pair is None else (sorted(row.pair.S), sorted(row.pair.T))
                 h.update(repr((algo, f, str(row.c), pair, repr(row.density), row.peak_edges,
                                row.passes_or_rounds)).encode())
-    assert h.hexdigest() == _ROWS_FINGERPRINT
+    assert h.hexdigest() == _ROWS_FINGERPRINTS[algos]
 
 
 class TestSharedStream:
@@ -222,6 +250,49 @@ class TestSharedStream:
         g = gnp_directed(10, 0.4, seed=3)
         sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, seed=4)
         assert len(streams[0]) == builds
+
+    @pytest.mark.parametrize("algo,cfg", [("mpc-super", MpcConfig("superlinear", mu=0.2)),
+                                          ("mpc-near", MpcConfig("nearlinear", polylog_budget=2.0))])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_mpc_sweep_builds_its_pool_once_and_no_cell_permutes(self, streams, monkeypatch,
+                                                                 algo, cfg, workers):
+        import dirdense.csweep as sweep_mod
+
+        built = streams[0]
+        pools, permutations = [], []
+        shuffled_edges = sweep_mod._shuffled_edges
+        make_rng = np.random.default_rng
+
+        def record_pool(*args):
+            pools.append(shuffled_edges(*args))
+            return pools[-1]
+
+        class CountingRng:
+            """Every generator the sweep makes, counting its permutations."""
+
+            def __init__(self, *args):
+                self._rng = make_rng(*args)
+
+            def permutation(self, x):
+                permutations.append(x)
+                return self._rng.permutation(x)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(sweep_mod, "_shuffled_edges", record_pool)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        g = gnp_directed(60, 0.8, seed=4)  # machine memories of 136 and 120 edges, m = 2798
+        res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.5, f=1 / 4000, seed=6,
+                    mpc_config=cfg, workers=workers)
+        assert all(row.error is None for row in res.rows)
+        assert len(pools) == 1 and permutations == [g.m] and not built
+        src, dst = pools[0]
+        assert not src.flags.writeable and not dst.flags.writeable
+        # the pool has the order of the stream a single-pass sweep of this seed reads
+        sweep("single-pass", g, build_grid(g.n, 2), epsilon=0.5, f=1 / 4000, seed=6)
+        stream_src, stream_dst = built[0].replay().take_all()
+        assert np.array_equal(stream_src, src) and np.array_equal(stream_dst, dst)
 
     @pytest.mark.parametrize("order", ["shuffled", "given"])
     @pytest.mark.parametrize("workers", [1, 4])
