@@ -7,29 +7,15 @@ memory-bounded phased execution, and a small exact oracle for validation.
 
 from .bench import (
     RunConfig,
-    compare_reports,
     gen_pref_attach,
     parse_report_csv,
     parse_snap_edgelist,
-    read_report_csv,
     run_experiment,
     write_report_csv,
 )
-from .graph import (
-    DirectedGraph,
-    VertexSetPair,
-    count_cross_edges,
-    density,
-    restricted_degrees,
-)
+from .graph import DirectedGraph, VertexSetPair, count_cross_edges, density
 from .mpc import MpcConfig, RoundLedger, mpc_nearlinear_run, mpc_superlinear_run
-from .peeling import (
-    PeelParams,
-    baseline_peel,
-    exact_oracle,
-    iteration_cap,
-    vsets_update,
-)
+from .peeling import PeelParams, baseline_peel, exact_oracle
 from .streaming import (
     EdgeStream,
     SampleParams,
@@ -57,28 +43,23 @@ __all__ = [
     "VertexSetPair",
     "baseline_peel",
     "build_grid",
-    "compare_reports",
     "count_cross_edges",
     "density",
     "estimate_cross_edges",
     "exact_oracle",
     "gen_pref_attach",
-    "iteration_cap",
     "make_stream",
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
     "multi_pass_run",
     "parse_report_csv",
     "parse_snap_edgelist",
-    "read_report_csv",
-    "restricted_degrees",
     "run_experiment",
     "sample_params",
     "sampled_density_estimate",
     "set_sample",
     "single_pass_run",
     "sweep",
-    "vsets_update",
     "write_report_csv",
 ]
 

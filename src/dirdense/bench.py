@@ -17,18 +17,15 @@ import numpy as np
 from .graph import DirectedGraph
 from .mpc import MpcConfig
 from .peeling import exact_oracle
-from .csweep import SweepResult, SweepRow, build_grid, sweep
+from .csweep import SweepResult, SweepRow, _check_seed, build_grid, sweep
 from .streaming import STREAM_ORDERS
 
 __all__ = [
     "CSV_HEADER",
-    "ComparisonSummary",
     "RunConfig",
-    "compare_reports",
     "gen_pref_attach",
     "parse_report_csv",
     "parse_snap_edgelist",
-    "read_report_csv",
     "report_csv_text",
     "run_experiment",
     "write_report_csv",
@@ -204,6 +201,7 @@ class RunConfig:
             raise ValueError("ratio guess c must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _check_seed(self.seed)
 
 
 def _parse_gen_spec(spec: str) -> dict:
@@ -274,7 +272,7 @@ def _write_report(report: SweepResult, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in report.rows:
-        density = "" if r.density is None else format(r.density, ".6g")
+        density = "" if r.density is None else repr(r.density)
         counts = ("" if v is None else v
                   for v in (r.s_size, r.t_size, r.peak_edges, r.passes_or_rounds))
         writer.writerow([report.dataset, report.algo, r.c, density, *counts,
@@ -290,12 +288,6 @@ def report_csv_text(report: SweepResult) -> str:
     buf = io.StringIO()
     _write_report(report, buf)
     return buf.getvalue()
-
-
-def read_report_csv(path: str) -> SweepResult:
-    """Read a report CSV file written by ``write_report_csv``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_report_csv(fh.read())
 
 
 def parse_report_csv(text: str) -> SweepResult:
@@ -355,45 +347,3 @@ def _success_row_problem(row: SweepRow) -> str | None:
     if not (row.peak_edges >= 0 and row.passes_or_rounds >= 0 and row.wall_ms >= 0):
         return "peak_edges, passes_or_rounds and wall_ms of at least 0"
     return None
-
-
-@dataclass
-class ComparisonRow:
-    c: Fraction
-    density_a: float | None
-    density_b: float | None
-    ratio: float | None
-
-
-@dataclass
-class ComparisonSummary:
-    rows: list[ComparisonRow]
-    max_density_ratio: float
-    speedup: float
-
-
-def _ratio(numer: float, denom: float) -> float:
-    if denom > 0:
-        return numer / denom
-    return 1.0 if numer == 0 else math.inf
-
-
-def compare_reports(a: SweepResult, b: SweepResult) -> ComparisonSummary:
-    """Per-c density ratios b/a, the max-density ratio, and wall-time speedup.
-
-    A per-c ratio is None when either row is an error row. speedup is a's
-    total wall time over b's (values above 1 mean b is faster). Reports must
-    cover the same c grid in the same order.
-    """
-    if [r.c for r in a.rows] != [r.c for r in b.rows]:
-        raise ValueError("reports cover different c grids")
-    rows = []
-    for ra, rb in zip(a.rows, b.rows):
-        failed = ra.error is not None or rb.error is not None
-        ratio = None if failed else _ratio(rb.density, ra.density)
-        rows.append(ComparisonRow(ra.c, ra.density, rb.density, ratio))
-    return ComparisonSummary(
-        rows=rows,
-        max_density_ratio=_ratio(b.best_density, a.best_density),
-        speedup=_ratio(sum(r.wall_ms for r in a.rows), sum(r.wall_ms for r in b.rows)),
-    )

@@ -33,11 +33,17 @@ RUNNERS = ("baseline", "multi-pass", "single-pass", "mpc-super", "mpc-near")
 # each id is part of every seed derived under its label, so it is fixed;
 # the two MPC runners share one
 _LABEL_IDS = {"stream": 1, "multi-pass": 2, "single-pass": 3, "mpc-super": 4, "mpc-near": 4}
-_SEED_MASK = (1 << 63) - 1
+_SEED_LIMIT = 1 << 63  # run seeds lie in [0, 2**63)
+
+
+def _check_seed(seed: int) -> None:
+    """Raise unless ``seed`` is a run seed: an integer in [0, 2**63)."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**63), got {seed}")
 
 
 def _derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
-    entropy = (int(seed) & _SEED_MASK, _LABEL_IDS[label], int(index))
+    entropy = (int(seed), _LABEL_IDS[label], int(index))
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -125,9 +131,10 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
         raise ValueError(f"unknown stream order {stream_order!r}; expected one of {STREAM_ORDERS}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _check_seed(seed)
     values = tuple(grid)
     params = sample_params(g.n, epsilon, f)
-    stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_MASK))
+    stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_LIMIT - 1))
     stream = mpc_pool = None
     if algo in ("multi-pass", "single-pass"):
         stream = make_stream(g, stream_order, stream_seed)

@@ -14,7 +14,6 @@ __all__ = [
     "count_cross_edges",
     "density",
     "member_mask",
-    "restricted_degrees",
 ]
 
 
@@ -182,16 +181,3 @@ def density(g, pair: VertexSetPair) -> float:
     if not s_size or not t_size:
         return 0.0
     return count_cross_edges(g, pair) / math.sqrt(s_size * t_size)
-
-
-def restricted_degrees(g, pair: VertexSetPair) -> tuple[dict, dict]:
-    """Per-vertex cross-degrees: edges v->T for v in S, and S->v for v in T."""
-    s_mask, t_mask = pair.masks(g.n)
-    qualifying = s_mask[g.src] & t_mask[g.dst]
-    out_counts = np.bincount(g.src[qualifying], minlength=g.n)
-    in_counts = np.bincount(g.dst[qualifying], minlength=g.n)
-    s_ids = np.flatnonzero(s_mask)
-    t_ids = np.flatnonzero(t_mask)
-    out_map = dict(zip(s_ids.tolist(), out_counts[s_ids].tolist()))
-    in_map = dict(zip(t_ids.tolist(), in_counts[t_ids].tolist()))
-    return out_map, in_map

@@ -16,8 +16,6 @@ __all__ = [
     "PeelStep",
     "baseline_peel",
     "exact_oracle",
-    "iteration_cap",
-    "vsets_update",
 ]
 
 
@@ -47,13 +45,6 @@ class PeelStep(NamedTuple):
     side: str  # "S" or "T"
     removed: int
     density_after: float
-
-
-def iteration_cap(n: int, epsilon: float) -> int:
-    """Worst-case peel count before one side must be empty."""
-    if n <= 1:
-        return 0
-    return math.ceil(2.0 * math.log(n) / math.log(1.0 + epsilon))
 
 
 def _density(cross: int, s_count: int, t_count: int) -> float:
@@ -92,20 +83,6 @@ class _Step(NamedTuple):
     s_count: int
     t_count: int
     cross: int
-
-
-def vsets_update(g_view, params: PeelParams, pair: VertexSetPair) -> VertexSetPair:
-    """Peel the over-ratio side of (S, T) once, using g_view's edges for degrees.
-
-    ``g_view`` may be the full graph or any sampled edge bag over the pair.
-    """
-    if not all(pair.sizes()):
-        raise ValueError("vsets_update requires nonempty S and T")
-    src, dst = g_view.src, g_view.dst
-    s_mask, t_mask = pair.masks(g_view.n)
-    step = next(_exact_bag_peels(src, dst, g_view.n, params.c, params.epsilon, s_mask, t_mask,
-                                 inside=s_mask[src] & t_mask[dst]))
-    return VertexSetPair.from_masks(step.s_mask, step.t_mask)
 
 
 def _rescan_peels(src, dst, n, c, epsilon, s_mask, t_mask):

@@ -10,6 +10,12 @@ keeps only a bounded working set: the retained cross-edge buffer for the
 current pair, thinned samples of it, and one batch in flight. When the
 stream dries up, or the rest of it fits the sample budget, the engine
 retains every remaining cross edge and finishes with one exact peel.
+
+Each sampled step of the engine runs the three public estimators, the same
+functions the tests check: ``estimate_cross_edges`` scales a batch's cross
+count up to the unseen population, ``set_sample`` draws the rate-p sample
+from the retained buffer and the stream, and ``sampled_density_estimate``
+scores a pair from its sampled cross count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, VertexSetPair
+from .graph import VertexSetPair
 from .peeling import _exact_bag_peels, _peel_best, _ratio_guess
 
 __all__ = [
@@ -273,8 +279,15 @@ class SeenSet:
         return self._src[: self.size], self._dst[: self.size]
 
 
-def _set_sample(seen: SeenSet, s_mask, t_mask, p, size_estimate, stream, rng):
-    """Shared implementation; returns (src, dst, exhausted, fresh_pair)."""
+def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stream, rng):
+    """Sample the current cross-edge population of (S, T) without a second pass.
+
+    Already-retained edges are thinned independently at rate p; a binomially
+    sized count of fresh qualifying edges is then pulled off the stream
+    (skipping and discarding non-qualifying ones). Returns (src, dst,
+    exhausted, fresh): the sampled batch, a flag set when the stream ran out
+    before the draw was filled, and the fresh edges as (src, dst).
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
     size_estimate = int(size_estimate)
@@ -294,49 +307,29 @@ def _set_sample(seen: SeenSet, s_mask, t_mask, p, size_estimate, stream, rng):
     return src, dst, exhausted, (fresh_src, fresh_dst)
 
 
-def set_sample(seen: SeenSet, pair: VertexSetPair, p: float, size_estimate: int, stream, *, rng):
-    """Sample the current cross-edge population without a second pass.
+def estimate_cross_edges(batch_size: int, batch_matching: int, stream_remaining: int,
+                         n_xi: int, seen_size: int, epsilon: float) -> int:
+    """Scale a batch's qualifying fraction up to the unseen population.
 
-    Already-retained edges are thinned independently at rate p; a binomially
-    sized count of fresh qualifying edges is then pulled off the stream
-    (skipping and discarding non-qualifying ones). Returns the sampled batch
-    (as a graph over the same vertices) and a flag set when the stream ran
-    out before the draw was filled.
+    ``batch_matching`` of the batch's ``batch_size`` edges lie inside the
+    pair. Floored, then clamped so the estimate never drops below the
+    evidence already in hand (retained edges plus the batch's qualifying
+    edges).
     """
-    s_mask, t_mask = pair.masks(seen.n)
-    src, dst, exhausted, _ = _set_sample(seen, s_mask, t_mask, p, size_estimate, stream, rng)
-    return DirectedGraph.from_arrays(seen.n, src, dst), exhausted
-
-
-def _estimate_from_counts(batch_size, batch_matching, stream_remaining, n_xi, seen_size, epsilon):
+    if batch_size < 1:
+        raise ValueError("estimate needs a nonempty batch")
     raw = (1.0 - epsilon) * (batch_matching / batch_size) * (stream_remaining + n_xi) + seen_size
     return max(int(math.floor(raw)), seen_size + batch_matching)
 
 
-def estimate_cross_edges(batch: DirectedGraph, pair: VertexSetPair, stream_remaining: int,
-                         n_xi: int, seen_size: int, epsilon: float) -> int:
-    """Scale the batch's qualifying fraction up to the unseen population.
-
-    Floored, then clamped so the estimate never drops below the evidence
-    already in hand (retained edges plus the batch's qualifying edges).
-    """
-    if batch.m == 0:
-        raise ValueError("estimate needs a nonempty batch")
-    s_mask, t_mask = pair.masks(batch.n)
-    matching = int(np.count_nonzero(s_mask[batch.src] & t_mask[batch.dst]))
-    return _estimate_from_counts(batch.m, matching, stream_remaining, n_xi, seen_size, epsilon)
-
-
-def sampled_density_estimate(sample, pair: VertexSetPair, p: float) -> float:
-    """Density of the pair in a rate-p sample, scaled back by 1/p."""
+def sampled_density_estimate(cross: int, p: float, s_count: int, t_count: int) -> float:
+    """Density of a pair with ``cross`` edges in a rate-p sample, scaled back
+    by 1/p; 0 when a side is empty."""
     if p <= 0:
         raise ValueError("p must be positive")
-    s_size, t_size = pair.sizes()
-    if not s_size or not t_size:
+    if not s_count or not t_count:
         return 0.0
-    s_mask, t_mask = pair.masks(sample.n)
-    cross = int(np.count_nonzero(s_mask[sample.src] & t_mask[sample.dst]))
-    return cross / (p * math.sqrt(s_size * t_size))
+    return cross / (p * math.sqrt(s_count * t_count))
 
 
 def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None):
@@ -466,7 +459,7 @@ class SinglePassEngine:
                     return
                 self.seen.add(qs, qd)
                 break
-            size_estimate = _estimate_from_counts(
+            size_estimate = estimate_cross_edges(
                 int(bs.size), int(qs.size), stream.remaining, batch, self.seen.size, eps
             )
             self.seen.add(qs, qd)
@@ -475,20 +468,20 @@ class SinglePassEngine:
                 # the whole remaining population fits the sample budget:
                 # retain all of it and peel exactly, as when it is sparse
                 break
-            h_src, h_dst, _, fresh = _set_sample(
+            h_src, h_dst, _, fresh = set_sample(
                 self.seen, self.s_mask, self.t_mask, p, size_estimate, stream, self.rng
             )
             self.seen.note_extra(h_src.size)
             # score the pre-peel pair too: the sample is entirely inside
             # (S, T), so |H| / p estimates its cross count
-            current = h_src.size / (p * math.sqrt(self.s_count * self.t_count))
-            self.offer_best(self.s_mask, self.t_mask, current)
+            self.offer_best(self.s_mask, self.t_mask,
+                            sampled_density_estimate(h_src.size, p, self.s_count, self.t_count))
             step = next(_exact_bag_peels(h_src, h_dst, self.n, self.c, eps, self.s_mask, self.t_mask))
             self.s_mask, self.t_mask = step.s_mask, step.t_mask
             self.s_count, self.t_count = step.s_count, step.t_count
-            if self.s_count and self.t_count:
-                estimate = step.cross / (p * math.sqrt(self.s_count * self.t_count))
-                self.offer_best(self.s_mask, self.t_mask, estimate)
+            # a pair with an empty side scores 0, which never beats the best
+            self.offer_best(self.s_mask, self.t_mask,
+                            sampled_density_estimate(step.cross, p, self.s_count, self.t_count))
             self.seen.add(*fresh)
             self.seen.refilter(self.s_mask, self.t_mask)
             # if the pair just died, the next batch matches nothing and the

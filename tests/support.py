@@ -13,6 +13,14 @@ from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair
 
 
+def iteration_cap(n: int, epsilon: float) -> int:
+    """Criterion 3's bound: the worst-case peel count before one side must be
+    empty, as each peel leaves at most a 1/(1 + epsilon) share of its side."""
+    if n <= 1:
+        return 0
+    return math.ceil(2.0 * math.log(n) / math.log(1.0 + epsilon))
+
+
 def gnp_directed(n: int, p: float, seed: int) -> DirectedGraph:
     """Random directed graph: each ordered pair (u, v), u != v, independently with prob p."""
     rng = np.random.default_rng(seed)

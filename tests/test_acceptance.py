@@ -23,9 +23,9 @@ import pytest
 
 from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid, sweep
-from dirdense.graph import DirectedGraph, VertexSetPair, density
+from dirdense.graph import DirectedGraph, density, member_mask
 from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from dirdense.peeling import PeelParams, baseline_peel, exact_oracle, iteration_cap
+from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
 from dirdense.streaming import (
     SeenSet,
     make_stream,
@@ -33,7 +33,7 @@ from dirdense.streaming import (
     set_sample,
     single_pass_run,
 )
-from tests.support import gnp_directed, star_with_fragment
+from tests.support import gnp_directed, iteration_cap, star_with_fragment
 
 _MEM_C = 2.1e-3
 _PHASE_C1 = 4.0
@@ -227,7 +227,8 @@ def test_criterion_5_concentration_suites():
     unseen, kept_count, p_sample = 800, 200, 0.1
     population = unseen + kept_count
     universe = DirectedGraph(population + 1, [(0, i) for i in range(1, unseen + 1)])
-    pair = VertexSetPair.of({0}, set(range(1, population + 1)))
+    s_mask = member_mask({0}, population + 1)
+    t_mask = member_mask(range(1, population + 1), population + 1)
     trials = 100_000
     inclusion = np.zeros(population + 1, dtype=np.int64)
     sizes = np.zeros(trials, dtype=np.int64)
@@ -237,9 +238,9 @@ def test_criterion_5_concentration_suites():
         seen = SeenSet(population + 1)
         seen.add(seen_template, seen_dst)
         stream = make_stream(universe, "shuffled", seed=trial)
-        batch, _ = set_sample(seen, pair, p_sample, population, stream, rng=rng)
-        sizes[trial] = batch.m
-        inclusion += np.bincount(batch.dst, minlength=population + 1)
+        _, dst, _, _ = set_sample(seen, s_mask, t_mask, p_sample, population, stream, rng=rng)
+        sizes[trial] = dst.size
+        inclusion += np.bincount(dst, minlength=population + 1)
     mean_size = float(sizes.mean())
     freqs = inclusion[1:] / trials
     worst = float(np.abs(freqs - p_sample).max())

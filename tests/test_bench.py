@@ -14,11 +14,9 @@ from hypothesis import strategies as st
 from dirdense.bench import (
     CSV_HEADER,
     RunConfig,
-    compare_reports,
     gen_pref_attach,
     parse_report_csv,
     parse_snap_edgelist,
-    read_report_csv,
     report_csv_text,
     run_experiment,
     write_report_csv,
@@ -241,7 +239,8 @@ class TestRunExperiment:
         report = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2", seed=1))
         out = tmp_path / "a,b.csv"
         write_report_csv(report, str(out))
-        assert report_csv_text(read_report_csv(str(out))) == report_csv_text(report)
+        again = parse_report_csv(out.read_text(encoding="utf-8"))
+        assert report_csv_text(again) == report_csv_text(report)
 
     def test_error_rows_round_trip(self, tmp_path, monkeypatch):
         import dirdense.csweep as sweep_mod
@@ -263,7 +262,7 @@ class TestRunExperiment:
         errors = [r.error for r in report.rows]
         assert errors[1:3] == ["boom, with a comma", "RuntimeError"]
         assert errors.count(None) == len(errors) - 2
-        again = read_report_csv(str(out))
+        again = parse_report_csv(out.read_text(encoding="utf-8"))
         assert [r.error for r in again.rows] == errors
         assert again.rows[1].density is None
         assert report_csv_text(again) == out.read_text()
@@ -319,36 +318,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="stream order 'bogus'"):
             RunConfig(algo=algo, gen="pref:n=9,k=1", stream_order="bogus")
 
-
-class TestCompareReports:
-    def test_identical_reports_all_ones(self):
-        r = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2"))
-        summary = compare_reports(r, r)
-        assert summary.max_density_ratio == 1.0
-        assert all(row.ratio == 1.0 for row in summary.rows)
-
-    def test_doubled_densities(self):
-        r = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2"))
-        import copy
-
-        doubled = copy.deepcopy(r)
-        for row in doubled.rows:
-            row.density *= 2
-        summary = compare_reports(r, doubled)
-        assert summary.max_density_ratio == pytest.approx(2.0)
-
-    def test_failed_cells_have_no_ratio(self):
-        a = SweepResult("baseline", 0, [_row(1, 2.0), _row(2, None, "boom"), _row(4, None, "x")])
-        b = SweepResult("baseline", 0, [_row(1, None, "bang"), _row(2, 3.0), _row(4, None, "y")])
-        summary = compare_reports(a, b)
-        assert [row.ratio for row in summary.rows] == [None, None, None]
-        assert summary.max_density_ratio == 1.5
-
-    def test_grid_mismatch_rejected(self):
-        a = run_experiment(RunConfig(algo="baseline", gen="pref:n=30,k=2"))
-        b = run_experiment(RunConfig(algo="baseline", gen="pref:n=60,k=2"))
-        with pytest.raises(ValueError):
-            compare_reports(a, b)
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**63, 2**64])
+    def test_config_rejects_seed_outside_the_seed_range(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**63), got {seed}")):
+            RunConfig(algo="single-pass", gen="pref:n=9,k=1", seed=seed)
+        RunConfig(algo="single-pass", gen="pref:n=9,k=1", seed=seed % 2**63)
 
 
 def _row(c, density, error=None):
@@ -433,10 +407,13 @@ class TestBestRow:
         assert (report.best_c, report.best_pair, report.best_density) == (1, None, 3.0)
         again = parse_report_csv(report_csv_text(report))
         assert again.best_c == report.best_c
-        flat = SweepResult("baseline", 0, [_row(c, 1.5) for c in ("1/4", "1/2", 1, 2, 4)])
-        summary = compare_reports(flat, report)
-        assert summary.max_density_ratio == report.best_row.density / 1.5
-        assert [row.ratio for row in summary.rows] == [2.0 / 1.5, None, 2.0, 2.0, 1.0 / 1.5]
+
+    def test_close_densities_keep_the_best_row_through_the_csv(self):
+        # printed to 6 digits both read 1105.61, and the tie would go to c = 1
+        report = SweepResult("baseline", 0, [_row(1, 1105.6081), _row(2, 1105.6083)])
+        again = parse_report_csv(report_csv_text(report))
+        assert report.best_c == again.best_c == 2
+        assert [r.density for r in again.rows] == [1105.6081, 1105.6083]
 
     def test_no_successful_row(self):
         report = SweepResult("baseline", 0, [_row(1, None, "boom"), _row(2, None, "bang")])
@@ -465,6 +442,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert "best:" in captured.out
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_generated_run_rejects_a_negative_seed(self, capsys):
+        code = cli_main(["--gen", "pref:n=20,k=2", "--algo", "baseline", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must lie in [0, 2**63), got -1\n"
 
     def test_stdout_csv_when_no_out(self, capsys):
         code = cli_main(["--gen", "pref:n=20,k=2", "--algo", "baseline", "--c", "1/2"])

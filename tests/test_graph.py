@@ -11,7 +11,6 @@ from dirdense.graph import (
     count_cross_edges,
     density,
     member_mask,
-    restricted_degrees,
 )
 from tests.support import gnp_directed, relabeled
 
@@ -157,36 +156,6 @@ class TestDensity:
             )
 
 
-class TestRestrictedDegrees:
-    def test_small_star(self):
-        g = DirectedGraph(4, [(0, 1), (0, 2), (0, 3)])
-        out_map, in_map = restricted_degrees(g, VertexSetPair.of({0}, {1, 2, 3}))
-        assert out_map == {0: 3}
-        assert in_map == {1: 1, 2: 1, 3: 1}
-
-    def test_parallel_multiplicity(self):
-        g = DirectedGraph(3, [(0, 2), (0, 2)])
-        out_map, in_map = restricted_degrees(g, VertexSetPair.of({0, 1}, {2}))
-        assert out_map == {0: 2, 1: 0}
-        assert in_map == {2: 2}
-
-    def test_cycle_all_ones(self):
-        all_v = set(range(4))
-        out_map, in_map = restricted_degrees(cycle4(), VertexSetPair.of(all_v, all_v))
-        assert out_map == {v: 1 for v in range(4)}
-        assert in_map == {v: 1 for v in range(4)}
-
-    @given(small_graphs())
-    def test_degree_sums_equal_cross_count(self, g):
-        s = set(range(0, g.n, 2))
-        t = set(range(g.n))
-        pair = VertexSetPair.of(s or {0}, t)
-        out_map, in_map = restricted_degrees(g, pair)
-        cross = count_cross_edges(g, pair)
-        assert sum(out_map.values()) == cross
-        assert sum(in_map.values()) == cross
-
-
 @st.composite
 def graph_and_masks(draw):
     g = draw(small_graphs())
@@ -204,7 +173,6 @@ class TestFromMasks:
         assert masked.sizes() == listed.sizes()
         assert count_cross_edges(g, masked) == count_cross_edges(g, listed)
         assert density(g, masked) == density(g, listed)
-        assert restricted_degrees(g, masked) == restricted_degrees(g, listed)
         assert masked == listed and listed == masked
         assert hash(masked) == hash(listed)
         assert (masked.S, masked.T, masked.cross_edges) == (listed.S, listed.T, listed.cross_edges)

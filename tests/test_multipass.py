@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, density
-from dirdense.peeling import PeelParams, baseline_peel, exact_oracle, iteration_cap
+from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
 from dirdense.streaming import make_stream, multi_pass_run, sample_params
-from tests.support import gnp_directed, multigraphs_with_ratio, star_plus_triangle
+from tests.support import gnp_directed, iteration_cap, multigraphs_with_ratio, star_plus_triangle
 
 
 class TestMultiPassRun:

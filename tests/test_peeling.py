@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirdense.csweep import build_grid
-from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, density
+from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, density, member_mask
 from dirdense.peeling import (
     PeelParams,
     _exact_bag_peels,
@@ -15,11 +15,10 @@ from dirdense.peeling import (
     _rescan_peels,
     baseline_peel,
     exact_oracle,
-    iteration_cap,
-    vsets_update,
 )
 from tests.support import (
     gnp_directed,
+    iteration_cap,
     multigraphs_with_ratio,
     naive_best_pair,
     reference_peel_once,
@@ -39,17 +38,24 @@ class TestPeelParams:
             PeelParams(c, eps)
 
 
-class TestVsetsUpdate:
+def first_rescan_peel(g, params, s, t):
+    """The pair after ``_rescan_peels``' first step from (S, T) over all of g's edges."""
+    step = next(_rescan_peels(g.src, g.dst, g.n, params.c, params.epsilon,
+                              member_mask(s, g.n), member_mask(t, g.n)))
+    return VertexSetPair.from_masks(step.s_mask, step.t_mask)
+
+
+class TestFirstRescanPeel:
     def test_peels_whole_source_side(self):
         # S={0,1}, T={2}, both sources below the 1.5*avg threshold
         g = DirectedGraph(3, [(0, 2), (1, 2)])
-        out = vsets_update(g, PeelParams(1, 0.5), VertexSetPair.of({0, 1}, {2}))
+        out = first_rescan_peel(g, PeelParams(1, 0.5), {0, 1}, {2})
         assert out.S == frozenset()
         assert out.T == frozenset({2})
 
     def test_zero_threshold_empties_side(self):
         g = DirectedGraph(4, [(2, 3)])  # no edges inside the pair
-        out = vsets_update(g, PeelParams(1, 0.2), VertexSetPair.of({0, 1}, {0, 1}))
+        out = first_rescan_peel(g, PeelParams(1, 0.2), {0, 1}, {0, 1})
         assert out.S == frozenset()
         assert out.T == frozenset({0, 1})
 
@@ -57,14 +63,9 @@ class TestVsetsUpdate:
         # star center 0 -> leaves 1..5, plus isolated vertex 6 in S
         g = DirectedGraph(7, [(0, leaf) for leaf in range(1, 6)])
         pair = VertexSetPair.of({0, 6}, {1, 2, 3, 4, 5})
-        out = vsets_update(g, PeelParams(10, 0.2), pair)
+        out = first_rescan_peel(g, PeelParams(10, 0.2), pair.S, pair.T)
         assert out.S == pair.S  # untouched side returned unchanged
         assert out.T == frozenset()
-
-    def test_rejects_empty_side(self):
-        g = DirectedGraph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            vsets_update(g, PeelParams(1, 0.2), VertexSetPair.of(set(), {1}))
 
 
 class TestBaselinePeel:

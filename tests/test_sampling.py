@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirdense.graph import DirectedGraph, VertexSetPair
+from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, member_mask
 from dirdense.streaming import (
     SeenSet,
     estimate_cross_edges,
@@ -21,17 +21,21 @@ def seen_with(n, pairs):
     return seen
 
 
+def masks(S, T, n):
+    return member_mask(S, n), member_mask(T, n)
+
+
 class TestSetSample:
     def test_p_one_is_deterministic(self):
         # H must be E' plus the next s - |E'| qualifying edges, in order
         g = DirectedGraph(4, [(2, 3), (0, 1), (0, 1), (2, 3), (0, 1)])
         stream = make_stream(g, "given")
         seen = seen_with(4, [(0, 1), (0, 1)])
-        pair = VertexSetPair.of({0}, {1})
-        batch, exhausted = set_sample(seen, pair, 1.0, 4, stream, rng=np.random.default_rng(0))
-        assert batch.m == 4
+        src, dst, exhausted, _ = set_sample(seen, *masks({0}, {1}, 4), 1.0, 4, stream,
+                                            rng=np.random.default_rng(0))
+        assert src.size == 4
         assert not exhausted
-        assert sorted(zip(batch.src.tolist(), batch.dst.tolist())) == [(0, 1)] * 4
+        assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1)] * 4
         # two fresh qualifying edges required reading positions 0..2
         assert stream.edges_read == 3
 
@@ -39,18 +43,18 @@ class TestSetSample:
         g = DirectedGraph(2, [(0, 1)] * 5)
         stream = make_stream(g, "given")
         seen = seen_with(2, [(0, 1)] * 3)
-        batch, exhausted = set_sample(
-            seen, VertexSetPair.of({0}, {1}), 0.5, 3, stream, rng=np.random.default_rng(1)
+        src, _, exhausted, _ = set_sample(
+            seen, *masks({0}, {1}, 2), 0.5, 3, stream, rng=np.random.default_rng(1)
         )
         assert stream.edges_read == 0
         assert not exhausted
-        assert batch.m <= 3
+        assert src.size <= 3
 
     def test_rejects_estimate_below_seen(self):
         g = DirectedGraph(2, [(0, 1)])
         seen = seen_with(2, [(0, 1)] * 3)
         with pytest.raises(ValueError):
-            set_sample(seen, VertexSetPair.of({0}, {1}), 0.5, 2,
+            set_sample(seen, *masks({0}, {1}, 2), 0.5, 2,
                        make_stream(g, "given"), rng=np.random.default_rng(0))
 
     def test_rejects_bad_p(self):
@@ -58,18 +62,18 @@ class TestSetSample:
         seen = SeenSet(2)
         for p in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
-                set_sample(seen, VertexSetPair.of({0}, {1}), p, 5,
+                set_sample(seen, *masks({0}, {1}, 2), p, 5,
                            make_stream(g, "given"), rng=np.random.default_rng(0))
 
     def test_flags_stream_exhaustion(self):
         g = DirectedGraph(2, [(0, 1)] * 2)
         stream = make_stream(g, "given")
         seen = SeenSet(2)
-        batch, exhausted = set_sample(
-            seen, VertexSetPair.of({0}, {1}), 1.0, 10, stream, rng=np.random.default_rng(0)
+        src, _, exhausted, _ = set_sample(
+            seen, *masks({0}, {1}, 2), 1.0, 10, stream, rng=np.random.default_rng(0)
         )
         assert exhausted
-        assert batch.m == 2
+        assert src.size == 2
 
     def test_marginal_inclusion_rate(self):
         # |E(S,T)| = 400, |E'| = 80, s = 400, p = 0.15: every edge lands in H
@@ -78,15 +82,15 @@ class TestSetSample:
         trials = 4000
         seen_template = [(0, 1)] * kept
         stream_edges = [(0, 1)] * (total - kept)
-        pair = VertexSetPair.of({0}, {1})
+        s_mask, t_mask = masks({0}, {1}, n)
         rng = np.random.default_rng(7)
         sizes = []
         for trial in range(trials):
             seen = seen_with(n, seen_template)
             g = DirectedGraph(n, stream_edges)
             stream = make_stream(g, "shuffled", seed=trial)
-            batch, _ = set_sample(seen, pair, p, total, stream, rng=rng)
-            sizes.append(batch.m)
+            src, _, _, _ = set_sample(seen, s_mask, t_mask, p, total, stream, rng=rng)
+            sizes.append(src.size)
         mean_size = np.mean(sizes)
         assert abs(mean_size - p * total) < 2.0
 
@@ -94,31 +98,28 @@ class TestSetSample:
         g = DirectedGraph(2, [(0, 1)] * 10)
         stream = make_stream(g, "given")
         seen = seen_with(2, [(0, 1)] * 4)
-        batch, _ = set_sample(seen, VertexSetPair.of({0}, {1}), 1.0, 6, stream,
-                              rng=np.random.default_rng(0))
+        src, _, _, _ = set_sample(seen, *masks({0}, {1}, 2), 1.0, 6, stream,
+                                  rng=np.random.default_rng(0))
         seen.refilter(np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
-        assert batch.m == 6  # untouched by the refilter
+        assert src.size == 6  # untouched by the refilter
 
 
 class TestEstimateCrossEdges:
     def test_direct_formula(self):
-        batch = DirectedGraph(4, [(0, 1)] * 50 + [(2, 3)] * 50)
-        pair = VertexSetPair.of({0}, {1})
-        s = estimate_cross_edges(batch, pair, stream_remaining=900, n_xi=100,
+        # a batch of 100 edges, 50 of them inside the pair
+        s = estimate_cross_edges(100, 50, stream_remaining=900, n_xi=100,
                                  seen_size=10, epsilon=0.2)
         assert s == 410  # 0.8 * 0.5 * 1000 + 10
 
     def test_clamps_to_evidence(self):
-        batch = DirectedGraph(4, [(2, 3)] * 10)
-        pair = VertexSetPair.of({0}, {1})
-        s = estimate_cross_edges(batch, pair, stream_remaining=100, n_xi=10,
+        # a batch of 10 edges, none inside the pair
+        s = estimate_cross_edges(10, 0, stream_remaining=100, n_xi=10,
                                  seen_size=7, epsilon=0.2)
         assert s == 7
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            estimate_cross_edges(DirectedGraph(2, []), VertexSetPair.of({0}, {1}),
-                                 10, 10, 0, 0.2)
+            estimate_cross_edges(0, 0, 10, 10, 0, 0.2)
 
     def test_population_bracketing(self):
         # randomized stream with 5000 qualifying among 100k: the estimate
@@ -136,10 +137,7 @@ class TestEstimateCrossEdges:
             perm = rng.permutation(total)
             sample = universe[perm[:batch_size]]
             matching = int(sample.sum())
-            batch = DirectedGraph(
-                3, [(0, 1)] * matching + [(2, 2)] * (batch_size - matching)
-            )
-            s = estimate_cross_edges(batch, VertexSetPair.of({0}, {1}),
+            s = estimate_cross_edges(batch_size, matching,
                                      stream_remaining=total - batch_size,
                                      n_xi=batch_size, seen_size=0, epsilon=eps)
             if s <= true_cross <= (1 + eps) / (1 - eps) * s:
@@ -151,32 +149,25 @@ class TestSampledDensityEstimate:
     def test_p_one_equals_density(self):
         batch = DirectedGraph(4, [(0, 1), (0, 2), (3, 3)])
         pair = VertexSetPair.of({0}, {1, 2})
-        assert sampled_density_estimate(batch, pair, 1.0) == pytest.approx(2 / math.sqrt(2))
+        cross = count_cross_edges(batch, pair)
+        assert sampled_density_estimate(cross, 1.0, *pair.sizes()) == pytest.approx(2 / math.sqrt(2))
 
     def test_scaling_arithmetic(self):
-        src = np.zeros(50, dtype=np.int64)
-        dst = np.ones(50, dtype=np.int64)
-        batch = DirectedGraph.from_arrays(200, src, dst)
-        pair = VertexSetPair.of({0}, {1})
-        # |E_H| = 50, p = 0.1, |S| = |T| = 100 would give 5.0; emulate sizes
-        pair100 = VertexSetPair.of(range(100), range(100, 200))
-        batch100 = DirectedGraph.from_arrays(200, src, dst + 99)
-        assert sampled_density_estimate(batch100, pair100, 0.1) == pytest.approx(5.0)
+        # |E_H| = 50, p = 0.1, |S| = |T| = 100 gives 5.0
+        assert sampled_density_estimate(50, 0.1, 100, 100) == pytest.approx(5.0)
 
     def test_empty_pair_is_zero(self):
-        batch = DirectedGraph(2, [(0, 1)])
-        assert sampled_density_estimate(batch, VertexSetPair.of(set(), {1}), 0.5) == 0.0
+        assert sampled_density_estimate(0, 0.5, 0, 1) == 0.0
 
     def test_rejects_nonpositive_p(self):
-        batch = DirectedGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            sampled_density_estimate(batch, VertexSetPair.of({0}, {1}), 0.0)
+            sampled_density_estimate(1, 0.0, 1, 1)
 
     def test_unbiased_over_resampling(self):
         # pair with true density 8.0 sampled at p = 0.2, mean within 0.1
         n = 50
         cross = 200  # density 8.0 on |S| = |T| = 25
-        pair = VertexSetPair.of(range(25), range(25, 50))
+        s_mask, t_mask = masks(range(25), range(25, 50), n)
         src = np.repeat(np.arange(25), 8).astype(np.int64)
         dst = 25 + (np.arange(cross) % 25).astype(np.int64)
         rng = np.random.default_rng(99)
@@ -184,8 +175,8 @@ class TestSampledDensityEstimate:
         estimates = []
         for _ in range(10_000):
             keep = rng.random(cross) < p
-            batch = DirectedGraph.from_arrays(n, src[keep], dst[keep])
-            estimates.append(sampled_density_estimate(batch, pair, p))
+            sampled = int(np.count_nonzero(s_mask[src[keep]] & t_mask[dst[keep]]))
+            estimates.append(sampled_density_estimate(sampled, p, 25, 25))
         assert abs(np.mean(estimates) - 8.0) < 0.1
 
 

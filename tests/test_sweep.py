@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -103,6 +104,14 @@ class TestSweep:
     def test_degenerate_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError):
             sweep("baseline", DirectedGraph(2, [(0, 1)]), build_grid(2, 2), epsilon=epsilon)
+
+    @pytest.mark.parametrize("algo", RUNNERS)
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_the_seed_range_rejected(self, algo, seed):
+        g = gnp_directed(10, 0.4, seed=3)
+        with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**63), got {seed}")):
+            sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, seed=seed)
+        assert sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, seed=seed % 2**63).best_row
 
     def test_unknown_runner_rejected(self):
         with pytest.raises(ValueError):

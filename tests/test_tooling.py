@@ -113,3 +113,50 @@ def test_every_exported_name_resolves():
     stale = [f"{module.__name__}.{name}" for module in modules
              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
+# public names the package may export without reading them itself, each with
+# the reason it stays public
+_UNREAD_EXPORTS = {
+    "parse_report_csv": "the reader of the report CSV the command line writes",
+}
+
+
+def _exports(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _readers(tree):
+    """(reader, name) for every name a module reads: the reader is the
+    module-level definition the read sits in (None outside any), and no
+    definition counts as reading its own name."""
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        yield from ((own, sub.id) for sub in ast.walk(node) if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load) and sub.id != own)
+
+
+def test_no_public_name_only_tests_reach():
+    """Every exported name is read in the package by code that is itself
+    reached: a name read only inside unread exports is unread too."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    exported = set().union(*map(_exports, trees))
+    assert set(_UNREAD_EXPORTS) <= exported
+    readers = {}
+    for tree in trees:
+        for reader, name in _readers(tree):
+            readers.setdefault(name, set()).add(reader)
+    unread = set()
+    while True:
+        newly = {name for name in exported - unread - set(_UNREAD_EXPORTS)
+                 if not readers.get(name, set()) - unread}
+        if not newly:
+            break
+        unread |= newly
+    assert not unread, f"exported names nothing in the package reads: {sorted(unread)}"
