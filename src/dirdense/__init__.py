@@ -15,7 +15,7 @@ from .bench import (
 )
 from .graph import DirectedGraph, VertexSetPair, count_cross_edges, density
 from .mpc import MpcConfig, RoundLedger, mpc_nearlinear_run, mpc_superlinear_run
-from .peeling import PeelParams, baseline_peel, exact_oracle
+from .peeling import baseline_peel, exact_oracle
 from .streaming import (
     EdgeStream,
     SampleParams,
@@ -34,7 +34,6 @@ __all__ = [
     "DirectedGraph",
     "EdgeStream",
     "MpcConfig",
-    "PeelParams",
     "RoundLedger",
     "RunConfig",
     "SampleParams",

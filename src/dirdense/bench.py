@@ -15,12 +15,13 @@ from typing import Iterable
 import numpy as np
 
 from .graph import DirectedGraph
-from .mpc import MpcConfig
-from .peeling import exact_oracle
-from .csweep import SweepResult, SweepRow, _check_seed, build_grid, sweep
+from .mpc import SUPERLINEAR_MU, MpcConfig
+from .peeling import _ratio_guess, exact_oracle
+from .csweep import RUNNERS, SweepResult, SweepRow, _check_seed, build_grid, sweep
 from .streaming import STREAM_ORDERS
 
 __all__ = [
+    "ALGOS",
     "CSV_HEADER",
     "RunConfig",
     "gen_pref_attach",
@@ -31,6 +32,7 @@ __all__ = [
     "write_report_csv",
 ]
 
+ALGOS = (*RUNNERS, "exact")  # what a run's algo may name: a sweep runner or the oracle
 CSV_HEADER = "dataset,algo,c,density,s_size,t_size,peak_edges,passes_or_rounds,wall_ms,seed,error"
 
 
@@ -180,7 +182,7 @@ class RunConfig:
     c: Fraction | None = None
     seed: int = 0
     stream_order: str = "shuffled"
-    mpc_mu: float = 0.3
+    mpc_mu: float = SUPERLINEAR_MU
     mpc_budget: float | None = None
     out: str | None = None
     workers: int = 1
@@ -197,8 +199,8 @@ class RunConfig:
         if self.stream_order not in STREAM_ORDERS:
             raise ValueError(f"unknown stream order {self.stream_order!r}; "
                              f"expected one of {STREAM_ORDERS}")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("ratio guess c must be positive")
+        if self.c is not None:
+            object.__setattr__(self, "c", _ratio_guess(self.c))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _check_seed(self.seed)
@@ -294,7 +296,8 @@ def parse_report_csv(text: str) -> SweepResult:
     """Parse report CSV text back into one run's rows; an empty error field
     means none, and no row carries a pair.
 
-    Every row must hold exactly one of a density and an error, and all rows
+    Every row must hold exactly one of a density and an error, a finite
+    wall_ms, an algo in ``ALGOS`` and a run seed in [0, 2**63), and all rows
     must name the same dataset, algo and seed. A success row, as a run
     writes it, has c > 0, |S| and |T| of at least 1, a finite density of at
     least 0, and a peak, a round count and a wall_ms of at least 0. A
@@ -313,10 +316,16 @@ def parse_report_csv(text: str) -> SweepResult:
         if bool(dens) == bool(error):
             raise ValueError(f"{where}: a row holds exactly one of density and error")
         try:
-            key = (dataset, algo, int(seed))
+            if algo not in ALGOS:
+                raise ValueError(f"unknown algo {algo!r}; expected one of {ALGOS}")
+            run_seed = int(seed)
+            _check_seed(run_seed)
+            key = (dataset, algo, run_seed)
             counts = [int(v) if v else None for v in (s_size, t_size, peak, rounds)]
             row = SweepRow(Fraction(c), None, float(dens) if dens else None, *counts,
                            float(wall), error or None)
+            if not math.isfinite(row.wall_ms):
+                raise ValueError(f"wall_ms must be finite, got {wall!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: {exc}") from None
         if row.error is None:

@@ -6,8 +6,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bench import RunConfig, report_csv_text, run_experiment
-from .csweep import RUNNERS
+from .bench import ALGOS, RunConfig, report_csv_text, run_experiment
 from .streaming import STREAM_ORDERS
 
 
@@ -31,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", dest="input_path", metavar="PATH",
                         help="edge-list file ('u v' lines, '#' comments)")
     source.add_argument("--gen", metavar="SPEC", help="synthetic graph, e.g. pref:n=1000,k=10")
-    parser.add_argument("--algo", required=True, choices=(*RUNNERS, "exact"))
+    parser.add_argument("--algo", required=True, choices=ALGOS)
     parser.add_argument("--epsilon", type=float)
     parser.add_argument("--delta", type=float, help="sweep grid factor (> 1)")
     parser.add_argument("--f", type=float, help="sample-threshold scale (1 = analysis setting)")

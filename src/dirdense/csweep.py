@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
 from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from .peeling import PeelParams, baseline_peel
+from .peeling import baseline_peel
 from .streaming import (STREAM_ORDERS, _shuffled_edges, make_stream, multi_pass_run, sample_params,
                         single_pass_run)
 
@@ -147,7 +147,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
             rng = None if algo == "baseline" else _derived_rng(seed, algo, index)
             started = time.perf_counter()
             if algo == "baseline":
-                pair, rho, steps = baseline_peel(g, PeelParams(c, epsilon))
+                pair, rho, steps = baseline_peel(g, c, epsilon)
                 peak, rounds = g.m, len(steps)
             elif algo == "multi-pass":
                 pair, rho, rounds, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
@@ -156,7 +156,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
                 rounds = 1
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
-                pair, rho, ledger = run(g, c, epsilon, mpc_config, params, rng=rng, pool=mpc_pool)
+                pair, rho, ledger = run(g, c, params, mpc_config, rng=rng, pool=mpc_pool)
                 peak, rounds = ledger.peak_edges, ledger.rounds
             wall = (time.perf_counter() - started) * 1000.0
             return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)

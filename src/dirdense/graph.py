@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -100,63 +101,55 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexSetPair:
     """Candidate (S, T) pair: S holds tail endpoints, T head endpoints.
 
-    The sets may overlap (the undirected special case is S == T). The
-    ``cross_edges`` cache, when present, must equal a fresh recount. Runners
-    build pairs with ``from_masks``: such a pair keeps read-only boolean
-    masks, answers ``sizes`` and the density helpers from them, and builds
-    the ``S`` and ``T`` frozensets only when they are first read. Equality
-    and hashing are on (S, T, cross_edges) either way.
+    The pair is two equal-length boolean masks over 0..n-1, kept as private
+    read-only copies; the sets may overlap (the undirected special case is
+    S == T). The ``cross_edges`` cache, when present, must equal a fresh
+    recount. The ``S`` and ``T`` frozensets are built when first read, and
+    equality and hashing are on (S, T, cross_edges). ``of`` builds a pair
+    from vertex ids.
     """
 
-    S: frozenset
-    T: frozenset
+    s_mask: np.ndarray
+    t_mask: np.ndarray
     cross_edges: int | None = None
-    _masks = None  # (s_mask, t_mask) of a pair built by from_masks
 
-    @classmethod
-    def of(cls, S, T, cross_edges=None) -> "VertexSetPair":
-        return cls(frozenset(_vertex_ids(list(S)).tolist()),
-                   frozenset(_vertex_ids(list(T)).tolist()), cross_edges)
-
-    @classmethod
-    def from_masks(cls, s_mask, t_mask, cross_edges=None) -> "VertexSetPair":
-        """Pair of the vertices set in two equal-length boolean masks (copied)."""
-        masks = (np.array(s_mask, dtype=bool), np.array(t_mask, dtype=bool))
+    def __post_init__(self):
+        masks = (np.array(self.s_mask), np.array(self.t_mask))
+        if any(mask.dtype != bool for mask in masks):
+            raise ValueError("masks must be boolean arrays; build a pair of vertex ids with of()")
         if masks[0].ndim != 1 or masks[0].shape != masks[1].shape:
             raise ValueError("masks must be 1-D and of equal length")
-        for mask in masks:
+        for name, mask in zip(("s_mask", "t_mask"), masks):
             mask.setflags(write=False)
-        pair = cls.__new__(cls)
-        object.__setattr__(pair, "_masks", masks)
-        object.__setattr__(pair, "cross_edges", cross_edges)
-        return pair
+            object.__setattr__(self, name, mask)
 
-    def __getattr__(self, name):
-        # reached only for attributes not set yet: S and T of a mask-built pair
-        if self._masks is None or name not in ("S", "T"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        members = frozenset(np.flatnonzero(self._masks[name == "T"]).tolist())
-        object.__setattr__(self, name, members)
-        return members
+    @classmethod
+    def of(cls, S, T, n: int, cross_edges=None) -> "VertexSetPair":
+        """Pair of the vertex ids in S and T over 0..n-1; raises on bad ids."""
+        return cls(member_mask(S, n), member_mask(T, n), cross_edges)
+
+    @cached_property
+    def S(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.s_mask).tolist())
+
+    @cached_property
+    def T(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.t_mask).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexSetPair):
+            return NotImplemented
+        return (self.S, self.T, self.cross_edges) == (other.S, other.T, other.cross_edges)
+
+    def __hash__(self):
+        return hash((self.S, self.T, self.cross_edges))
 
     def sizes(self) -> tuple[int, int]:
-        if self._masks is not None:
-            return int(np.count_nonzero(self._masks[0])), int(np.count_nonzero(self._masks[1]))
-        return len(self.S), len(self.T)
-
-    def masks(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(s_mask, t_mask) over 0..n-1; raises on out-of-range ids.
-
-        The carried masks are returned as they are (read-only) when they
-        span n vertices; otherwise the masks are built from S and T.
-        """
-        if self._masks is not None and self._masks[0].size == n:
-            return self._masks
-        return member_mask(self.S, n), member_mask(self.T, n)
+        return int(np.count_nonzero(self.s_mask)), int(np.count_nonzero(self.t_mask))
 
 
 def member_mask(vertices, n: int) -> np.ndarray:
@@ -170,14 +163,15 @@ def member_mask(vertices, n: int) -> np.ndarray:
 
 
 def count_cross_edges(g, pair: VertexSetPair) -> int:
-    """Number of edges from S into T, counting parallel edges with multiplicity."""
-    s_mask, t_mask = pair.masks(g.n)
-    return int(np.count_nonzero(s_mask[g.src] & t_mask[g.dst]))
+    """Number of edges from S into T, counting parallel edges with multiplicity;
+    raises unless the pair's masks span g's vertices."""
+    if pair.s_mask.size != g.n:
+        raise ValueError(f"pair spans {pair.s_mask.size} vertices, the graph {g.n}")
+    return int(np.count_nonzero(pair.s_mask[g.src] & pair.t_mask[g.dst]))
 
 
 def density(g, pair: VertexSetPair) -> float:
     """Cross-edge count over the geometric mean of set sizes; 0 on empty sets."""
+    cross = count_cross_edges(g, pair)
     s_size, t_size = pair.sizes()
-    if not s_size or not t_size:
-        return 0.0
-    return count_cross_edges(g, pair) / math.sqrt(s_size * t_size)
+    return cross / math.sqrt(s_size * t_size) if s_size and t_size else 0.0

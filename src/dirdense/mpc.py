@@ -31,8 +31,7 @@ import numpy as np
 
 from .graph import DirectedGraph, density
 from .peeling import _density, _exact_bag_peels, _ratio_prefers_sources
-from .streaming import (_EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges,
-                        sample_params)
+from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
     "MpcConfig",
@@ -42,6 +41,9 @@ __all__ = [
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
 ]
+
+SUPERLINEAR_MU = 0.3  # memory exponent of the default superlinear config
+
 
 @dataclass(frozen=True)
 class MpcConfig:
@@ -217,11 +219,7 @@ class _PhaseController:
         return peels
 
 
-def _mpc_run(g, c, epsilon, cfg, params, rng, pool):
-    if params is None:
-        params = sample_params(g.n, epsilon)
-    elif params.epsilon != epsilon:
-        raise ValueError(f"params.epsilon {params.epsilon!r} differs from epsilon {epsilon!r}")
+def _mpc_run(g, c, params, cfg, rng, pool):
     if pool is not None and not pool[0].size == pool[1].size == g.m:
         raise ValueError(f"pool must hold the graph's {g.m} edges")
     if rng is None:
@@ -243,8 +241,8 @@ def _mpc_run(g, c, epsilon, cfg, params, rng, pool):
     return pair, density(g, pair), ledger
 
 
-def mpc_superlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | None = None,
-                        params: SampleParams | None = None, *, rng=None, pool=None):
+def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig | None = None,
+                        *, rng=None, pool=None):
     """Phased run with machine memory n**(1+mu); returns (pair, density, ledger).
 
     Each phase refilters the relevant pool to the engine's current pair,
@@ -258,17 +256,17 @@ def mpc_superlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | No
     in uniform order, the law of a fresh permutation per draw; runs given
     one pool read the same order, as a sweep's cells read its one stream.
     The reported density is recomputed exactly on the input graph.
-    ``params`` defaults to ``sample_params(g.n, epsilon)``; one built with
-    another epsilon is rejected.
+    ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
+    means mu = ``SUPERLINEAR_MU``.
     """
-    cfg = cfg or MpcConfig("superlinear", mu=0.3)
+    cfg = cfg or MpcConfig("superlinear", mu=SUPERLINEAR_MU)
     if cfg.regime != "superlinear":
         raise ValueError("config regime must be 'superlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng, pool)
+    return _mpc_run(g, c, params, cfg, rng, pool)
 
 
-def mpc_nearlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | None = None,
-                       params: SampleParams | None = None, *, rng=None, pool=None):
+def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig | None = None,
+                       *, rng=None, pool=None):
     """Phased run with machine memory n * polylog_budget.
 
     On top of the superlinear phase body, each phase first tallies exact
@@ -281,4 +279,4 @@ def mpc_nearlinear_run(g: DirectedGraph, c, epsilon: float, cfg: MpcConfig | Non
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":
         raise ValueError("config regime must be 'nearlinear'")
-    return _mpc_run(g, c, epsilon, cfg, params, rng, pool)
+    return _mpc_run(g, c, params, cfg, rng, pool)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -12,7 +11,6 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 
 __all__ = [
-    "PeelParams",
     "PeelStep",
     "baseline_peel",
     "exact_oracle",
@@ -20,24 +18,14 @@ __all__ = [
 
 
 def _ratio_guess(c) -> Fraction:
-    """``c`` as a Fraction; raises unless it is positive."""
-    c = Fraction(c)
+    """``c`` as a Fraction; raises ValueError unless it is a positive rational."""
+    try:
+        c = Fraction(c)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"ratio guess c must be a positive rational, got {c!r}") from None
     if c <= 0:
         raise ValueError("ratio guess c must be positive")
     return c
-
-
-@dataclass(frozen=True)
-class PeelParams:
-    """Peeling knobs: the target |S|/|T| ratio guess and the slack factor."""
-
-    c: Fraction
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", _ratio_guess(self.c))
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
 
 
 class PeelStep(NamedTuple):
@@ -158,8 +146,9 @@ def _peel_best(steps, s_mask, t_mask, cross):
     return (*best, trace)
 
 
-def baseline_peel(g: DirectedGraph, params: PeelParams):
-    """Full-information peel from (V, V); returns (best pair, its density, steps).
+def baseline_peel(g: DirectedGraph, c, epsilon: float):
+    """Full-information peel from (V, V) with ratio guess ``c`` and slack
+    ``epsilon``; returns (best pair, its density, steps).
 
     ``steps`` is the list of ``PeelStep``s, one per peel iteration.
 
@@ -167,16 +156,18 @@ def baseline_peel(g: DirectedGraph, params: PeelParams):
     iteration, matching a pass-per-iteration streaming execution: nothing is
     cached or compacted between iterations.
     """
+    c = _ratio_guess(c)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    everyone = np.ones(g.n, dtype=bool)
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
-        pair = VertexSetPair(frozenset({0}), frozenset({0}), g.m)
-        return pair, float(g.m), []
-    everyone = np.ones(g.n, dtype=bool)
-    peels = _rescan_peels(g.src, g.dst, g.n, params.c, params.epsilon, everyone, everyone)
+        return VertexSetPair(everyone, everyone, g.m), float(g.m), []
+    peels = _rescan_peels(g.src, g.dst, g.n, c, epsilon, everyone, everyone)
     best_s, best_t, rho, cross, steps = _peel_best(peels, everyone, everyone, g.m)
-    return VertexSetPair.from_masks(best_s, best_t, cross), rho, steps
+    return VertexSetPair(best_s, best_t, cross), rho, steps
 
 
 _ORACLE_CHUNK = 1 << 14
@@ -221,4 +212,4 @@ def exact_oracle(g: DirectedGraph, max_vertices: int = 20):
     s_mask = ((best_subset >> bits) & 1).astype(bool)
     t_mask = np.zeros(n, dtype=bool)
     t_mask[best_prefix] = True
-    return VertexSetPair.from_masks(s_mask, t_mask, best_cross), best_rho
+    return VertexSetPair(s_mask, t_mask, best_cross), best_rho

@@ -383,7 +383,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
             best_s, best_t = s_mask, t_mask
             best_rho = rho
             best_cross = cross
-    return VertexSetPair.from_masks(best_s, best_t, best_cross), best_rho, passes, peak
+    return VertexSetPair(best_s, best_t, best_cross), best_rho, passes, peak
 
 
 class SinglePassEngine:
@@ -427,7 +427,7 @@ class SinglePassEngine:
             self.best_value = value
 
     def best_pair(self) -> VertexSetPair:
-        return VertexSetPair.from_masks(self.best_s, self.best_t)
+        return VertexSetPair(self.best_s, self.best_t)
 
     @property
     def peak_edges(self) -> int:

@@ -111,10 +111,8 @@ def naive_best_pair(g: DirectedGraph):
                 best_rho = rho
                 best = (s_mask, t_mask)
     s_mask, t_mask = best
-    pair = VertexSetPair(
-        frozenset(i for i in range(n) if s_mask >> i & 1),
-        frozenset(i for i in range(n) if t_mask >> i & 1),
-    )
+    pair = VertexSetPair.of((i for i in range(n) if s_mask >> i & 1),
+                            (i for i in range(n) if t_mask >> i & 1), n)
     return pair, best_rho
 
 

@@ -25,7 +25,7 @@ from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid, sweep
 from dirdense.graph import DirectedGraph, density, member_mask
 from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
+from dirdense.peeling import baseline_peel, exact_oracle
 from dirdense.streaming import (
     SeenSet,
     make_stream,
@@ -144,7 +144,7 @@ def test_criterion_3_iteration_bound(er_corpus, pref_1e3, pref_1e4):
     for g in corpus:
         cap = iteration_cap(g.n, _EPS)
         for c in build_grid(g.n, _DELTA):
-            _, _, trace = baseline_peel(g, PeelParams(c, _EPS))
+            _, _, trace = baseline_peel(g, c, _EPS)
             if len(trace) > cap:
                 violations.append((g.n, c, len(trace), cap))
     _report("3 pass/iteration bound", not violations, f"{len(violations)} violations")
@@ -261,7 +261,7 @@ def test_criterion_6_probability_clamp_collapse():
         params = sample_params(g.n, _EPS)
         assert g.m <= g.n * params.xi / 4  # collapse precondition
         c = ratios[seed % 3]
-        base_pair, _, _ = baseline_peel(g, PeelParams(c, _EPS))
+        base_pair, _, _ = baseline_peel(g, c, _EPS)
         stream = make_stream(g, "shuffled", seed=seed)
         pair, _, _ = single_pass_run(stream, g.n, c, params,
                                      rng=np.random.default_rng(seed))
@@ -281,7 +281,7 @@ def test_criterion_7_mpc_round_bounds():
         cfg = MpcConfig("superlinear", mu=mu)
         budget = math.ceil(_PHASE_C1 / mu)
         for seed in range(20):
-            _, _, ledger = mpc_superlinear_run(g, Fraction(8), _EPS, cfg, params,
+            _, _, ledger = mpc_superlinear_run(g, Fraction(8), params, cfg,
                                                rng=np.random.default_rng(seed))
             if ledger.phases > budget:
                 issues.append(("super", mu, seed, ledger.phases, budget))
@@ -289,7 +289,7 @@ def test_criterion_7_mpc_round_bounds():
     for polylog in (50.0, 20.0):
         cfg = MpcConfig("nearlinear", polylog_budget=polylog)
         for seed in range(20):
-            _, _, ledger = mpc_nearlinear_run(g, Fraction(8), _EPS, cfg, params,
+            _, _, ledger = mpc_nearlinear_run(g, Fraction(8), params, cfg,
                                               rng=np.random.default_rng(seed))
             if ledger.phases > near_budget:
                 issues.append(("near", polylog, seed, ledger.phases, near_budget))

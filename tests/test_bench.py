@@ -248,13 +248,13 @@ class TestRunExperiment:
         real = sweep_mod.baseline_peel
         calls = {"count": 0}
 
-        def flaky(g, params):
+        def flaky(g, c, epsilon):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("boom, with a comma")
             if calls["count"] == 3:
                 raise RuntimeError()
-            return real(g, params)
+            return real(g, c, epsilon)
 
         monkeypatch.setattr(sweep_mod, "baseline_peel", flaky)
         out = tmp_path / "r.csv"
@@ -307,11 +307,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="finite"):
             RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
 
-    @pytest.mark.parametrize("knobs", [{"c": Fraction(0)}, {"c": Fraction(-1)},
+    @pytest.mark.parametrize("knobs", [{"c": Fraction(0)}, {"c": Fraction(-1)}, {"c": "x"},
+                                       {"c": math.nan}, {"c": math.inf}, {"c": "1/0"},
                                        {"workers": 0}, {"workers": -3}])
-    def test_config_rejects_nonpositive_c_and_workers(self, knobs):
+    def test_config_rejects_bad_c_and_workers(self, knobs):
         with pytest.raises(ValueError):
             RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
+
+    def test_config_reads_c_as_a_fraction(self):
+        cfg = RunConfig(algo="single-pass", gen="pref:n=9,k=1", c="1/2")
+        assert cfg.c == Fraction(1, 2) and type(cfg.c) is Fraction
+        assert RunConfig(algo="single-pass", gen="pref:n=9,k=1", c=0.25).c == Fraction(1, 4)
 
     @pytest.mark.parametrize("algo", ["baseline", "single-pass", "mpc-near"])
     def test_config_rejects_unknown_stream_order(self, algo):
@@ -353,6 +359,14 @@ class TestParseReportCsv:
         (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1/0,1.5,2,3,10,4,0.5,7,\n", "line 3"),
         (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,x,2,3,10,4,0.5,7,\n", "line 3"),
         (f"{CSV_HEADER}\nd,baseline,1,1.5,2,3,10,4,0.5,seven,\n", "line 2"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,1.5,2,3,10,4,0.5,-1,\n",
+         re.escape("line 3: seed must lie in [0, 2**63), got -1")),
+        (f"{CSV_HEADER}\nd,baseline,1,1.5,2,3,10,4,0.5,9223372036854775808,\n",
+         re.escape("line 2: seed must lie in [0, 2**63), got 9223372036854775808")),
+        (f"{CSV_HEADER}\nd,baseline,1,1.5,2,3,10,4,inf,7,\n", "line 2: wall_ms must be finite"),
+        (f"{CSV_HEADER}\n{_GOOD}\nd,baseline,1,,,,,,nan,7,boom\n",
+         "line 3: wall_ms must be finite"),
+        (f"{CSV_HEADER}\nd,bogus-algo,1,1.5,2,3,10,4,0.5,7,\n", "line 2: unknown algo 'bogus-algo'"),
     ])
     def test_malformed_csv_is_rejected_naming_its_line(self, text, where):
         with pytest.raises(ValueError, match=where):

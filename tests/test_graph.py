@@ -12,6 +12,9 @@ from dirdense.graph import (
     density,
     member_mask,
 )
+from dirdense.mpc import mpc_nearlinear_run, mpc_superlinear_run
+from dirdense.peeling import baseline_peel, exact_oracle
+from dirdense.streaming import make_stream, multi_pass_run, sample_params, single_pass_run
 from tests.support import gnp_directed, relabeled
 
 
@@ -98,47 +101,47 @@ class TestDirectedGraph:
 class TestCountCrossEdges:
     def test_single_edge(self):
         g = DirectedGraph(2, [(0, 1)])
-        assert count_cross_edges(g, VertexSetPair.of({0}, {1})) == 1
+        assert count_cross_edges(g, VertexSetPair.of({0}, {1}, g.n)) == 1
 
     def test_direction_matters(self):
         g = DirectedGraph(2, [(0, 1)])
-        assert count_cross_edges(g, VertexSetPair.of({1}, {0})) == 0
+        assert count_cross_edges(g, VertexSetPair.of({1}, {0}, g.n)) == 0
 
     def test_cycle_full_pair(self):
         all_v = set(range(4))
-        assert count_cross_edges(cycle4(), VertexSetPair.of(all_v, all_v)) == 4
+        assert count_cross_edges(cycle4(), VertexSetPair.of(all_v, all_v, 4)) == 4
 
     def test_empty_sets_count_zero(self):
         g = cycle4()
-        assert count_cross_edges(g, VertexSetPair.of(set(), {0})) == 0
+        assert count_cross_edges(g, VertexSetPair.of(set(), {0}, g.n)) == 0
 
     def test_rejects_out_of_range_pair(self):
         g = cycle4()
         with pytest.raises(ValueError):
-            count_cross_edges(g, VertexSetPair.of({9}, {0}))
+            count_cross_edges(g, VertexSetPair.of({9}, {0}, g.n))
 
     def test_works_on_edge_batches(self):
         batch = DirectedGraph(3, [(0, 1), (0, 1)])
-        assert count_cross_edges(batch, VertexSetPair.of({0}, {1})) == 2
+        assert count_cross_edges(batch, VertexSetPair.of({0}, {1}, batch.n)) == 2
 
 
 class TestDensity:
     def test_single_edge(self):
         g = DirectedGraph(2, [(0, 1)])
-        assert density(g, VertexSetPair.of({0}, {1})) == 1.0
+        assert density(g, VertexSetPair.of({0}, {1}, g.n)) == 1.0
 
     def test_star_center_to_hundred_leaves(self):
         g = DirectedGraph(101, [(0, leaf) for leaf in range(1, 101)])
-        assert density(g, VertexSetPair.of({0}, set(range(1, 101)))) == 10.0
+        assert density(g, VertexSetPair.of({0}, set(range(1, 101)), g.n)) == 10.0
 
     def test_empty_set_convention(self):
         g = DirectedGraph(2, [(0, 1)])
-        assert density(g, VertexSetPair.of(set(), {1})) == 0.0
-        assert density(g, VertexSetPair.of({0}, set())) == 0.0
+        assert density(g, VertexSetPair.of(set(), {1}, g.n)) == 0.0
+        assert density(g, VertexSetPair.of({0}, set(), g.n)) == 0.0
 
     @given(small_graphs())
     def test_full_pair_density_recovers_edge_count(self, g):
-        full = VertexSetPair.of(range(g.n), range(g.n))
+        full = VertexSetPair.of(range(g.n), range(g.n), g.n)
         assert density(g, full) * g.n == pytest.approx(g.m, rel=1e-12)
 
     @given(small_graphs(), st.randoms())
@@ -149,9 +152,9 @@ class TestDensity:
         h = relabeled(g, perm)
         s = set(range(0, g.n, 2))
         t = set(range(1, g.n, 2)) or {0}
-        mapped = VertexSetPair.of({perm[v] for v in s}, {perm[v] for v in t})
+        mapped = VertexSetPair.of({perm[v] for v in s}, {perm[v] for v in t}, h.n)
         if s:
-            assert density(g, VertexSetPair.of(s, t)) == pytest.approx(
+            assert density(g, VertexSetPair.of(s, t, g.n)) == pytest.approx(
                 density(h, mapped), abs=1e-12
             )
 
@@ -163,13 +166,13 @@ def graph_and_masks(draw):
     return g, draw(masks), draw(masks), draw(st.none() | st.integers(0, 30))
 
 
-class TestFromMasks:
+class TestMaskPair:
     @given(graph_and_masks())
     @settings(max_examples=100)
     def test_matches_pair_built_from_ids(self, case):
         g, s, t, k = case
-        masked = VertexSetPair.from_masks(s, t, k)
-        listed = VertexSetPair.of(np.flatnonzero(s), np.flatnonzero(t), k)
+        masked = VertexSetPair(s, t, k)
+        listed = VertexSetPair.of(np.flatnonzero(s), np.flatnonzero(t), g.n, k)
         assert masked.sizes() == listed.sizes()
         assert count_cross_edges(g, masked) == count_cross_edges(g, listed)
         assert density(g, masked) == density(g, listed)
@@ -179,22 +182,54 @@ class TestFromMasks:
 
     def test_keeps_a_private_read_only_copy(self):
         s = np.array([True, False])
-        pair = VertexSetPair.from_masks(s, s)
+        pair = VertexSetPair(s, s)
         s[1] = True
         assert pair.sizes() == (1, 1) and pair.S == frozenset({0})
         with pytest.raises(AttributeError):
             pair.S = frozenset()
 
-    def test_shorter_masks_fall_back_to_ids(self):
+    def test_masks_over_another_vertex_count_are_rejected(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
-        pair = VertexSetPair.from_masks([True, False], [False, True])
-        assert count_cross_edges(g, pair) == 1
-        with pytest.raises(ValueError):
-            count_cross_edges(DirectedGraph(1), pair)
+        pair = VertexSetPair([True, False], [False, True])
+        for graph in (g, DirectedGraph(1)):
+            with pytest.raises(ValueError, match="pair spans 2 vertices"):
+                count_cross_edges(graph, pair)
+            with pytest.raises(ValueError, match="pair spans 2 vertices"):
+                density(graph, pair)
+        assert count_cross_edges(DirectedGraph(2, [(0, 1)]), pair) == 1
 
     def test_rejects_unequal_masks(self):
         with pytest.raises(ValueError):
-            VertexSetPair.from_masks([True], [True, False])
+            VertexSetPair([True], [True, False])
+
+    @pytest.mark.parametrize("s, t", [([0, 2], [1, 0]), (np.array([0, 1]), np.array([1, 1])),
+                                      ([0.0, 1.0], [1.0, 0.0])])
+    def test_rejects_masks_that_are_not_boolean(self, s, t):
+        with pytest.raises(ValueError, match="boolean"):
+            VertexSetPair(s, t)
+
+
+_RUNNER_PAIRS = {
+    "baseline": lambda g, params: baseline_peel(g, 1, params.epsilon)[0],
+    "multi-pass": lambda g, params: multi_pass_run(make_stream(g), g.n, 1, params)[0],
+    "single-pass": lambda g, params: single_pass_run(make_stream(g), g.n, 1, params)[0],
+    "mpc-super": lambda g, params: mpc_superlinear_run(g, 1, params)[0],
+    "mpc-near": lambda g, params: mpc_nearlinear_run(g, 1, params)[0],
+    "exact": lambda g, params: exact_oracle(g)[0],
+}
+
+
+@pytest.mark.parametrize("runner", _RUNNER_PAIRS)
+def test_every_runner_returns_a_pair_of_read_only_masks(runner):
+    g = gnp_directed(14, 0.4, seed=3)
+    params = sample_params(g.n, 0.2, f=1 / 3000)  # n * xi < m: the sampled runners sample
+    assert g.n * params.xi < g.m
+    pair = _RUNNER_PAIRS[runner](g, params)
+    for mask, members in ((pair.s_mask, pair.S), (pair.t_mask, pair.T)):
+        assert mask.dtype == bool and mask.shape == (g.n,)
+        assert not mask.flags.writeable
+        assert members == frozenset(np.flatnonzero(mask).tolist())
+    assert pair.sizes() == (len(pair.S), len(pair.T))
 
 
 def test_member_mask_bounds():
@@ -208,13 +243,13 @@ def test_member_mask_and_pairs_reject_non_integer_ids(ids):
     with pytest.raises(ValueError, match="integers"):
         member_mask(ids, 3)
     with pytest.raises(ValueError, match="integers"):
-        VertexSetPair.of(ids, {0})
+        VertexSetPair.of(ids, {0}, 3)
     with pytest.raises(ValueError, match="integers"):
-        VertexSetPair.of({0}, ids)
+        VertexSetPair.of({0}, ids, 3)
 
 
 def test_pairs_keep_integer_ids_of_any_type():
-    pair = VertexSetPair.of(np.array([2, 0], dtype=np.int32), [np.int64(1)])
+    pair = VertexSetPair.of(np.array([2, 0], dtype=np.int32), [np.int64(1)], 3)
     assert (pair.S, pair.T) == (frozenset({0, 2}), frozenset({1}))
     assert all(type(v) is int for v in pair.S | pair.T)
     assert member_mask(np.array([2, 0], dtype=np.uint8), 3).tolist() == [True, False, True]

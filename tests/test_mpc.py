@@ -14,7 +14,7 @@ from dirdense.mpc import (
     mpc_nearlinear_run,
     mpc_superlinear_run,
 )
-from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
+from dirdense.peeling import baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed, star_plus_triangle
@@ -41,7 +41,7 @@ class TestMpcConfig:
         cfg = MpcConfig("nearlinear", polylog_budget=1e308)
         assert cfg.machine_memory(g.n, 0.2) >= 2**62
         assert MpcConfig("nearlinear").machine_memory(g.n, 1e-110) >= 2**62  # epsilon**3 == 0
-        _, rho, ledger = mpc_nearlinear_run(g, Fraction(1), 0.2, cfg)
+        _, rho, ledger = mpc_nearlinear_run(g, Fraction(1), sample_params(g.n, 0.2), cfg)
         assert rho > 0 and ledger.phases == 1
 
     def test_memory_floors_at_n(self):
@@ -51,25 +51,19 @@ class TestMpcConfig:
     def test_regime_mismatch_rejected(self):
         g = DirectedGraph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            mpc_superlinear_run(g, 1, 0.2, MpcConfig("nearlinear"))
+            mpc_superlinear_run(g, 1, sample_params(g.n, 0.2), MpcConfig("nearlinear"))
         with pytest.raises(ValueError):
-            mpc_nearlinear_run(g, 1, 0.2, MpcConfig("superlinear", mu=0.3))
+            mpc_nearlinear_run(g, 1, sample_params(g.n, 0.2),
+                               MpcConfig("superlinear", mu=0.3))
 
 
 class TestRunnerArguments:
-    @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
-    def test_params_with_other_epsilon_rejected(self, run):
-        g = gnp_directed(20, 0.3, seed=1)
-        with pytest.raises(ValueError, match="epsilon"):
-            run(g, 1, 0.2, None, sample_params(g.n, 0.3))
-        run(g, 1, 0.2, None, sample_params(g.n, 0.2, f=0.01))  # same epsilon, other f
-
     @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
     @pytest.mark.parametrize("c", [0, -2])
     def test_rejects_nonpositive_c(self, run, c):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="ratio guess"):
-            run(g, c, 0.2)
+            run(g, c, sample_params(g.n, 0.2))
 
 
     @pytest.mark.parametrize("run", [mpc_superlinear_run, mpc_nearlinear_run])
@@ -77,8 +71,8 @@ class TestRunnerArguments:
         g = gnp_directed(20, 0.3, seed=1)
         src, dst = _shuffled_edges(g, 0)
         with pytest.raises(ValueError, match="pool"):
-            run(g, 1, 0.2, pool=(src[1:], dst[1:]))
-        _, _, ledger = run(g, 1, 0.2, pool=(src, dst))
+            run(g, 1, sample_params(g.n, 0.2), pool=(src[1:], dst[1:]))
+        _, _, ledger = run(g, 1, sample_params(g.n, 0.2), pool=(src, dst))
         assert ledger.phases >= 1
 
 
@@ -159,7 +153,7 @@ class TestRelevantEdgeSet:
 class TestSuperlinear:
     def test_everything_fits_one_machine(self):
         g = star_plus_triangle()
-        pair, rho, ledger = mpc_superlinear_run(g, Fraction(1, 6), 0.2,
+        pair, rho, ledger = mpc_superlinear_run(g, Fraction(1, 6), sample_params(g.n, 0.2),
                                                 MpcConfig("superlinear", mu=0.5))
         assert ledger.phases == 1
         assert ledger.log[-1].local_finish
@@ -167,7 +161,8 @@ class TestSuperlinear:
 
     def test_edgeless_graph_finishes_immediately(self):
         g = DirectedGraph(8, [])
-        pair, rho, ledger = mpc_superlinear_run(g, 1, 0.2, MpcConfig("superlinear", mu=0.3))
+        pair, rho, ledger = mpc_superlinear_run(g, 1, sample_params(g.n, 0.2),
+                                                MpcConfig("superlinear", mu=0.3))
         assert rho == 0.0
         assert ledger.phases == 0
         assert ledger.rounds == 0
@@ -176,7 +171,7 @@ class TestSuperlinear:
         g = gnp_directed(60, 0.8, seed=4)
         cfg = MpcConfig("superlinear", mu=0.2)  # memory 60^1.2 ~ 136 << m
         params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_superlinear_run(g, 1, 0.5, cfg, params,
+        _, _, ledger = mpc_superlinear_run(g, 1, params, cfg,
                                            rng=np.random.default_rng(0))
         assert ledger.phases >= 2
         for rec in ledger.log:
@@ -188,7 +183,7 @@ class TestSuperlinear:
         g = gnp_directed(60, 0.8, seed=4)
         cfg = MpcConfig("superlinear", mu=0.2)
         params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_superlinear_run(g, 1, 0.5, cfg, params,
+        _, _, ledger = mpc_superlinear_run(g, 1, params, cfg,
                                            rng=np.random.default_rng(0))
         expected = sum(2 if rec.local_finish else 3 for rec in ledger.log)
         assert ledger.rounds == expected
@@ -198,7 +193,7 @@ class TestSuperlinear:
         cfg = MpcConfig("superlinear", mu=0.25)
         params = sample_params(g.n, 0.4, f=1 / 2000)
         runs = [
-            mpc_superlinear_run(g, Fraction(1, 2), 0.4, cfg, params,
+            mpc_superlinear_run(g, Fraction(1, 2), params, cfg,
                                 rng=np.random.default_rng(42))
             for _ in range(2)
         ]
@@ -215,10 +210,10 @@ class TestSuperlinear:
         cfg = MpcConfig("superlinear", mu=0.1)
         params = sample_params(g.n, 0.2, f=1 / 1200)
         for c in (Fraction(1, 125), Fraction(1), Fraction(64)):
-            base, base_rho, _ = baseline_peel(g, PeelParams(c, 0.2))
+            base, base_rho, _ = baseline_peel(g, c, 0.2)
             ledgers = []
             for seed in (0, 1, 2):
-                pair, rho, ledger = mpc_superlinear_run(g, c, 0.2, cfg, params,
+                pair, rho, ledger = mpc_superlinear_run(g, c, params, cfg,
                                                         rng=np.random.default_rng(seed))
                 assert (pair.S, pair.T, rho) == (base.S, base.T, base_rho)
                 ledgers.append(ledger)
@@ -230,7 +225,7 @@ class TestSuperlinear:
 class TestNearlinear:
     def test_everything_fits_one_machine(self):
         g = star_plus_triangle()
-        pair, rho, ledger = mpc_nearlinear_run(g, Fraction(1, 6), 0.2)
+        pair, rho, ledger = mpc_nearlinear_run(g, Fraction(1, 6), sample_params(g.n, 0.2))
         assert ledger.phases == 1
         assert rho == pytest.approx(6 / math.sqrt(6))
 
@@ -239,8 +234,8 @@ class TestNearlinear:
         # a single fetched sample
         g = DirectedGraph(100, [(0, leaf) for leaf in range(1, 100)])
         cfg = MpcConfig("nearlinear", polylog_budget=1.0)
-        pair, rho, ledger = mpc_nearlinear_run(g, Fraction(1, 64), 0.2, cfg,
-                                               sample_params(100, 0.2, f=1 / 100),
+        pair, rho, ledger = mpc_nearlinear_run(g, Fraction(1, 64),
+                                               sample_params(100, 0.2, f=1 / 100), cfg,
                                                rng=np.random.default_rng(0))
         assert ledger.phases <= 2
         assert ledger.log[0].flip_peels >= 1
@@ -250,7 +245,7 @@ class TestNearlinear:
         g = gnp_directed(60, 0.8, seed=4)
         cfg = MpcConfig("nearlinear", polylog_budget=3.0)
         params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_nearlinear_run(g, 1, 0.5, cfg, params,
+        _, _, ledger = mpc_nearlinear_run(g, 1, params, cfg,
                                           rng=np.random.default_rng(1))
         # cost model: flip-peel degree tally adds one charge per phase
         expected = sum((3 if rec.local_finish else 4) for rec in ledger.log)
@@ -260,7 +255,7 @@ class TestNearlinear:
         g = gnp_directed(80, 0.9, seed=6)
         cfg = MpcConfig("nearlinear", polylog_budget=2.0)
         params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_nearlinear_run(g, 1, 0.5, cfg, params,
+        _, _, ledger = mpc_nearlinear_run(g, 1, params, cfg,
                                           rng=np.random.default_rng(1))
         nonfinal = [rec for rec in ledger.log if not rec.local_finish]
         if len(nonfinal) >= 2:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, density
-from dirdense.peeling import PeelParams, baseline_peel, exact_oracle
+from dirdense.peeling import baseline_peel, exact_oracle
 from dirdense.streaming import make_stream, multi_pass_run, sample_params
 from tests.support import gnp_directed, iteration_cap, multigraphs_with_ratio, star_plus_triangle
 
@@ -32,7 +32,7 @@ class TestMultiPassRun:
             g = gnp_directed(12, 0.3, seed)
             c = Fraction(1, 2)
             params = sample_params(g.n, 0.2)
-            base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, 0.2))
+            base_pair, base_rho, _ = baseline_peel(g, c, 0.2)
             stream = make_stream(g, "shuffled", seed=seed)
             pair, rho, _, _ = multi_pass_run(stream, g.n, c, params,
                                              rng=np.random.default_rng(seed))
@@ -49,7 +49,7 @@ class TestMultiPassRun:
         g, c = instance
         params = sample_params(g.n, eps)
         assume(g.n * params.xi >= g.m)
-        base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, eps))
+        base_pair, base_rho, _ = baseline_peel(g, c, eps)
         pair, rho, _, _ = multi_pass_run(make_stream(g, order, seed), g.n, c, params,
                                          rng=np.random.default_rng(seed))
         assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, density, member_mask
 from dirdense.peeling import (
-    PeelParams,
     _exact_bag_peels,
     _peel_best,
     _rescan_peels,
@@ -27,43 +26,45 @@ from tests.support import (
 )
 
 
-class TestPeelParams:
-    def test_coerces_to_fraction(self):
-        assert PeelParams(2, 0.2).c == Fraction(2)
-        assert PeelParams("1/3", 0.2).c == Fraction(1, 3)
+class TestBaselineArguments:
+    def test_takes_any_rational_ratio_guess(self):
+        g = star_plus_triangle()
+        assert baseline_peel(g, "1/3", 0.2) == baseline_peel(g, Fraction(1, 3), 0.2)
+        assert baseline_peel(g, 2, 0.2) == baseline_peel(g, Fraction(2), 0.2)
 
-    @pytest.mark.parametrize("c,eps", [(0, 0.2), (-1, 0.2), (1, 0.0), (1, 1.0)])
+    @pytest.mark.parametrize("c,eps", [(0, 0.2), (-1, 0.2), (math.inf, 0.2), (1, 0.0),
+                                       (1, 1.0), (1, math.nan)])
     def test_rejects_bad_values(self, c, eps):
         with pytest.raises(ValueError):
-            PeelParams(c, eps)
+            baseline_peel(star_plus_triangle(), c, eps)
 
 
-def first_rescan_peel(g, params, s, t):
+def first_rescan_peel(g, c, epsilon, s, t):
     """The pair after ``_rescan_peels``' first step from (S, T) over all of g's edges."""
-    step = next(_rescan_peels(g.src, g.dst, g.n, params.c, params.epsilon,
+    step = next(_rescan_peels(g.src, g.dst, g.n, Fraction(c), epsilon,
                               member_mask(s, g.n), member_mask(t, g.n)))
-    return VertexSetPair.from_masks(step.s_mask, step.t_mask)
+    return VertexSetPair(step.s_mask, step.t_mask)
 
 
 class TestFirstRescanPeel:
     def test_peels_whole_source_side(self):
         # S={0,1}, T={2}, both sources below the 1.5*avg threshold
         g = DirectedGraph(3, [(0, 2), (1, 2)])
-        out = first_rescan_peel(g, PeelParams(1, 0.5), {0, 1}, {2})
+        out = first_rescan_peel(g, 1, 0.5, {0, 1}, {2})
         assert out.S == frozenset()
         assert out.T == frozenset({2})
 
     def test_zero_threshold_empties_side(self):
         g = DirectedGraph(4, [(2, 3)])  # no edges inside the pair
-        out = first_rescan_peel(g, PeelParams(1, 0.2), {0, 1}, {0, 1})
+        out = first_rescan_peel(g, 1, 0.2, {0, 1}, {0, 1})
         assert out.S == frozenset()
         assert out.T == frozenset({0, 1})
 
     def test_under_ratio_peels_targets(self):
         # star center 0 -> leaves 1..5, plus isolated vertex 6 in S
         g = DirectedGraph(7, [(0, leaf) for leaf in range(1, 6)])
-        pair = VertexSetPair.of({0, 6}, {1, 2, 3, 4, 5})
-        out = first_rescan_peel(g, PeelParams(10, 0.2), pair.S, pair.T)
+        pair = VertexSetPair.of({0, 6}, {1, 2, 3, 4, 5}, g.n)
+        out = first_rescan_peel(g, 10, 0.2, pair.S, pair.T)
         assert out.S == pair.S  # untouched side returned unchanged
         assert out.T == frozenset()
 
@@ -71,13 +72,13 @@ class TestFirstRescanPeel:
 class TestBaselinePeel:
     def test_single_edge_reaches_optimum(self):
         g = DirectedGraph(2, [(0, 1)])
-        pair, rho, trace = baseline_peel(g, PeelParams(1, 0.2))
+        pair, rho, trace = baseline_peel(g, 1, 0.2)
         assert rho == 1.0
         assert density(g, pair) == 1.0
 
     def test_edgeless_graph(self):
         g = DirectedGraph(5, [])
-        pair, rho, trace = baseline_peel(g, PeelParams(1, 0.2))
+        pair, rho, trace = baseline_peel(g, 1, 0.2)
         assert rho == 0.0
         assert len(trace) == 1  # one iteration empties a side
 
@@ -85,19 +86,19 @@ class TestBaselinePeel:
         g = star_plus_triangle()
         _, oracle_rho = exact_oracle(g)
         assert oracle_rho == pytest.approx(6 / math.sqrt(6), abs=1e-12)
-        _, rho, _ = baseline_peel(g, PeelParams(Fraction(1, 6), 0.1))
+        _, rho, _ = baseline_peel(g, Fraction(1, 6), 0.1)
         assert rho >= oracle_rho / (2 * 1.1**3)
 
     def test_single_vertex_graph_counts_self_loops(self):
         g = DirectedGraph(1, [(0, 0), (0, 0)])
-        pair, rho, trace = baseline_peel(g, PeelParams(1, 0.2))
+        pair, rho, trace = baseline_peel(g, 1, 0.2)
         assert pair.S == pair.T == frozenset({0})
         assert rho == 2.0
         assert len(trace) == 0
 
     def test_density_ties_keep_the_earlier_pair(self):
         g = DirectedGraph(4, [(3, 3), (0, 1), (3, 2), (0, 3), (1, 3), (0, 0), (0, 1)])
-        pair, rho, trace = baseline_peel(g, PeelParams(1, 0.2))
+        pair, rho, trace = baseline_peel(g, 1, 0.2)
         assert [step.density_after for step in trace[:2]] == [2.0, 2.0]
         assert rho == 2.0
         assert (pair.S, pair.T) == (frozenset({0}), frozenset(range(4)))
@@ -105,7 +106,7 @@ class TestBaselinePeel:
     def test_best_pair_density_is_consistent(self):
         for seed in range(5):
             g = gnp_directed(10, 0.3, seed)
-            pair, rho, _ = baseline_peel(g, PeelParams(Fraction(1, 2), 0.25))
+            pair, rho, _ = baseline_peel(g, Fraction(1, 2), 0.25)
             assert density(g, pair) == pytest.approx(rho, abs=1e-12)
             assert pair.cross_edges == count_cross_edges(g, pair)
 
@@ -115,8 +116,8 @@ class TestBaselinePeel:
     def test_relabeling_maps_pair_and_density(self, instance, eps, seed):
         g, c = instance
         perm = np.random.default_rng(seed).permutation(g.n)
-        pair, rho, _ = baseline_peel(g, PeelParams(c, eps))
-        moved, moved_rho, _ = baseline_peel(relabeled(g, perm), PeelParams(c, eps))
+        pair, rho, _ = baseline_peel(g, c, eps)
+        moved, moved_rho, _ = baseline_peel(relabeled(g, perm), c, eps)
         assert moved.S == {int(perm[v]) for v in pair.S}
         assert moved.T == {int(perm[v]) for v in pair.T}
         assert moved_rho == rho
@@ -130,7 +131,7 @@ class TestBaselinePeel:
     def test_iteration_bound(self, n, eps, seed):
         g = gnp_directed(n, 0.3, seed)
         c = Fraction(1 + seed % 5, 1 + seed % 3)
-        _, _, trace = baseline_peel(g, PeelParams(c, eps))
+        _, _, trace = baseline_peel(g, c, eps)
         assert len(trace) <= iteration_cap(n, eps)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
@@ -139,7 +140,7 @@ class TestBaselinePeel:
         eps = 0.3
         g = gnp_directed(n, 0.4, seed)
         sizes = {"S": n, "T": n}
-        for step in baseline_peel(g, PeelParams(1, eps))[2]:
+        for step in baseline_peel(g, 1, eps)[2]:
             before = sizes[step.side]
             after = before - step.removed
             assert step.removed >= 1
@@ -248,9 +249,8 @@ class TestExactOracle:
         for seed in range(6):
             g = gnp_directed(8, 0.35, seed)
             pair, _ = exact_oracle(g)
-            s_mask, t_mask = pair.masks(g.n)
-            assert not s_mask.flags.writeable and not t_mask.flags.writeable  # carried
-            assert pair == VertexSetPair.of(pair.S, pair.T, count_cross_edges(g, pair))
+            assert not pair.s_mask.flags.writeable and not pair.t_mask.flags.writeable
+            assert pair == VertexSetPair.of(pair.S, pair.T, g.n, count_cross_edges(g, pair))
             assert pair.sizes() == (len(pair.S), len(pair.T))
 
     def test_reported_density_matches_pair(self):

@@ -148,7 +148,7 @@ class TestEstimateCrossEdges:
 class TestSampledDensityEstimate:
     def test_p_one_equals_density(self):
         batch = DirectedGraph(4, [(0, 1), (0, 2), (3, 3)])
-        pair = VertexSetPair.of({0}, {1, 2})
+        pair = VertexSetPair.of({0}, {1, 2}, batch.n)
         cross = count_cross_edges(batch, pair)
         assert sampled_density_estimate(cross, 1.0, *pair.sizes()) == pytest.approx(2 / math.sqrt(2))
 

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, density
-from dirdense.peeling import PeelParams, baseline_peel
+from dirdense.peeling import baseline_peel
 from dirdense.streaming import SinglePassEngine, make_stream, sample_params, single_pass_run
 from tests.support import gnp_directed, multigraphs_with_ratio, star_with_fragment
 
 
 class TestSinglePassRun:
-    @pytest.mark.parametrize("c", [0, -1, Fraction(-2)])
+    @pytest.mark.parametrize("c", [0, -1, Fraction(-2), float("inf"), "x"])
     def test_rejects_nonpositive_c(self, c):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         params = sample_params(g.n, 0.2)
@@ -34,7 +34,7 @@ class TestSinglePassRun:
         for seed in range(10):
             g = gnp_directed(20, 0.25, seed)
             c = Fraction(1, 3)
-            base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, 0.2))
+            base_pair, base_rho, _ = baseline_peel(g, c, 0.2)
             stream = make_stream(g, "shuffled", seed=seed)
             pair, rho, peak = single_pass_run(stream, g.n, c, sample_params(g.n, 0.2),
                                               rng=np.random.default_rng(seed))
@@ -106,7 +106,7 @@ class TestSinglePassRun:
         g, c = instance
         params = sample_params(g.n, eps)
         assume(g.n * params.xi >= g.m)
-        base_pair, base_rho, _ = baseline_peel(g, PeelParams(c, eps))
+        base_pair, base_rho, _ = baseline_peel(g, c, eps)
         pair, rho, _ = single_pass_run(make_stream(g, order, seed), g.n, c, params,
                                        rng=np.random.default_rng(seed))
         assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)

@@ -156,11 +156,11 @@ class TestSweep:
         real = sweep_mod.baseline_peel
         calls = {"count": 0}
 
-        def flaky(g, params):
+        def flaky(g, c, epsilon):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("boom")
-            return real(g, params)
+            return real(g, c, epsilon)
 
         monkeypatch.setattr(sweep_mod, "baseline_peel", flaky)
         g = DirectedGraph(2, [(0, 1)])
