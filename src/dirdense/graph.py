@@ -101,7 +101,7 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VertexSetPair:
     """Candidate (S, T) pair: S holds tail endpoints, T head endpoints.
 
@@ -117,15 +117,20 @@ class VertexSetPair:
     t_mask: np.ndarray
     cross_edges: int | None = None
 
-    def __post_init__(self):
-        masks = (np.array(self.s_mask), np.array(self.t_mask))
+    def __init__(self, s_mask, t_mask, cross_edges=None, *, S=None, T=None):
+        """``S`` or ``T`` by keyword replaces that side by its vertex ids, so
+        ``dataclasses.replace(pair, S=ids)`` is the same pair with another S."""
+        masks = (np.array(s_mask), np.array(t_mask))
         if any(mask.dtype != bool for mask in masks):
             raise ValueError("masks must be boolean arrays; build a pair of vertex ids with of()")
         if masks[0].ndim != 1 or masks[0].shape != masks[1].shape:
             raise ValueError("masks must be 1-D and of equal length")
+        n = masks[0].size
+        masks = [mask if ids is None else member_mask(ids, n) for mask, ids in zip(masks, (S, T))]
         for name, mask in zip(("s_mask", "t_mask"), masks):
             mask.setflags(write=False)
             object.__setattr__(self, name, mask)
+        object.__setattr__(self, "cross_edges", cross_edges)
 
     @classmethod
     def of(cls, S, T, n: int, cross_edges=None) -> "VertexSetPair":
@@ -162,16 +167,20 @@ def member_mask(vertices, n: int) -> np.ndarray:
     return mask
 
 
+def _check_spans(g, pair: VertexSetPair):
+    if pair.s_mask.size != g.n:
+        raise ValueError(f"pair spans {pair.s_mask.size} vertices, the graph {g.n}")
+
+
 def count_cross_edges(g, pair: VertexSetPair) -> int:
     """Number of edges from S into T, counting parallel edges with multiplicity;
     raises unless the pair's masks span g's vertices."""
-    if pair.s_mask.size != g.n:
-        raise ValueError(f"pair spans {pair.s_mask.size} vertices, the graph {g.n}")
+    _check_spans(g, pair)
     return int(np.count_nonzero(pair.s_mask[g.src] & pair.t_mask[g.dst]))
 
 
 def density(g, pair: VertexSetPair) -> float:
     """Cross-edge count over the geometric mean of set sizes; 0 on empty sets."""
-    cross = count_cross_edges(g, pair)
+    _check_spans(g, pair)
     s_size, t_size = pair.sizes()
-    return cross / math.sqrt(s_size * t_size) if s_size and t_size else 0.0
+    return count_cross_edges(g, pair) / math.sqrt(s_size * t_size) if s_size and t_size else 0.0

@@ -18,14 +18,17 @@ __all__ = [
 
 
 def _ratio_guess(c) -> Fraction:
-    """``c`` as a Fraction; raises ValueError unless it is a positive rational."""
+    """``c`` as a Fraction; raises ValueError unless it is a positive rational.
+    A bool is not one, as it is not a vertex id or count either."""
     try:
-        c = Fraction(c)
+        ratio = None if isinstance(c, bool) else Fraction(c)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ValueError(f"ratio guess c must be a positive rational, got {c!r}") from None
-    if c <= 0:
+        ratio = None
+    if ratio is None:
+        raise ValueError(f"ratio guess c must be a positive rational, got {c!r}")
+    if ratio <= 0:
         raise ValueError("ratio guess c must be positive")
-    return c
+    return ratio
 
 
 class PeelStep(NamedTuple):

@@ -308,7 +308,7 @@ class TestRunExperiment:
             RunConfig(algo="single-pass", gen="pref:n=9,k=1", **knobs)
 
     @pytest.mark.parametrize("knobs", [{"c": Fraction(0)}, {"c": Fraction(-1)}, {"c": "x"},
-                                       {"c": math.nan}, {"c": math.inf}, {"c": "1/0"},
+                                       {"c": math.nan}, {"c": math.inf}, {"c": "1/0"}, {"c": True},
                                        {"workers": 0}, {"workers": -3}])
     def test_config_rejects_bad_c_and_workers(self, knobs):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,17 @@ class TestMaskPair:
             with pytest.raises(ValueError, match="pair spans 2 vertices"):
                 density(graph, pair)
         assert count_cross_edges(DirectedGraph(2, [(0, 1)]), pair) == 1
+        with pytest.raises(ValueError, match="pair spans 2 vertices"):
+            density(g, VertexSetPair([False, False], [False, True]))
+
+    def test_replace_swaps_a_side_for_vertex_ids(self):
+        pair = VertexSetPair([True, True, False], [False, True, True], 2)
+        dropped = replace(pair, S=frozenset({1}))
+        assert (dropped.S, dropped.T, dropped.cross_edges) == ({1}, {1, 2}, 2)
+        assert not dropped.s_mask.flags.writeable
+        assert replace(pair, T=[0]) == VertexSetPair.of({0, 1}, {0}, 3, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            replace(pair, S={3})
 
     def test_rejects_unequal_masks(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ class TestBaselineArguments:
         assert baseline_peel(g, "1/3", 0.2) == baseline_peel(g, Fraction(1, 3), 0.2)
         assert baseline_peel(g, 2, 0.2) == baseline_peel(g, Fraction(2), 0.2)
 
-    @pytest.mark.parametrize("c,eps", [(0, 0.2), (-1, 0.2), (math.inf, 0.2), (1, 0.0),
+    @pytest.mark.parametrize("c,eps", [(0, 0.2), (-1, 0.2), (math.inf, 0.2), (True, 0.2), (1, 0.0),
                                        (1, 1.0), (1, math.nan)])
     def test_rejects_bad_values(self, c, eps):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from tests.support import gnp_directed, multigraphs_with_ratio, star_with_fragme
 
 
 class TestSinglePassRun:
-    @pytest.mark.parametrize("c", [0, -1, Fraction(-2), float("inf"), "x"])
+    @pytest.mark.parametrize("c", [0, -1, Fraction(-2), float("inf"), "x", True])
     def test_rejects_nonpositive_c(self, c):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         params = sample_params(g.n, 0.2)
