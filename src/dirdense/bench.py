@@ -10,6 +10,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -171,7 +172,11 @@ def gen_pref_attach(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment needs: input, algorithm, knobs, output."""
+    """Everything one experiment needs: input, algorithm, knobs, output.
+
+    The algo and every knob, the MPC ones included, are checked here,
+    before any graph is loaded.
+    """
 
     algo: str
     input_path: str | None = None
@@ -188,6 +193,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.algo not in ALGOS:
+            raise ValueError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
         if (self.input_path is None) == (self.gen is None):
             raise ValueError("exactly one of input_path / gen must be set")
         if not 0.0 < self.epsilon < 1.0:
@@ -204,6 +211,16 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _check_seed(self.seed)
+        self.mpc_config  # noqa: B018 - builds the config, so MpcConfig checks mu and the budget now
+
+    @cached_property
+    def mpc_config(self) -> MpcConfig | None:
+        """The machine-memory config of an MPC algo; None for the others."""
+        if self.algo == "mpc-super":
+            return MpcConfig("superlinear", mu=self.mpc_mu)
+        if self.algo == "mpc-near":
+            return MpcConfig("nearlinear", polylog_budget=self.mpc_budget)
+        return None
 
 
 def _parse_gen_spec(spec: str) -> dict:
@@ -254,13 +271,9 @@ def run_experiment(cfg: RunConfig) -> SweepResult:
         report = SweepResult("exact", cfg.seed, [row])
     else:
         grid = (cfg.c,) if cfg.c is not None else build_grid(g.n, cfg.delta)
-        mpc_config = None
-        if cfg.algo == "mpc-super":
-            mpc_config = MpcConfig("superlinear", mu=cfg.mpc_mu)
-        elif cfg.algo == "mpc-near":
-            mpc_config = MpcConfig("nearlinear", polylog_budget=cfg.mpc_budget)
         report = sweep(cfg.algo, g, grid, epsilon=cfg.epsilon, f=cfg.f, seed=cfg.seed,
-                       stream_order=cfg.stream_order, mpc_config=mpc_config, workers=cfg.workers)
+                       stream_order=cfg.stream_order, mpc_config=cfg.mpc_config,
+                       workers=cfg.workers)
         for row in report.rows:
             if row.error is not None:
                 print(f"warning: c={row.c}: {row.error}", file=sys.stderr)

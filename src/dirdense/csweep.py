@@ -147,8 +147,8 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
             rng = None if algo == "baseline" else _derived_rng(seed, algo, index)
             started = time.perf_counter()
             if algo == "baseline":
-                pair, rho, steps = baseline_peel(g, c, epsilon)
-                peak, rounds = g.m, len(steps)
+                pair, rho, rounds = baseline_peel(g, c, epsilon)
+                peak = g.m
             elif algo == "multi-pass":
                 pair, rho, rounds, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
             elif algo == "single-pass":

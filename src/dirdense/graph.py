@@ -107,17 +107,15 @@ class VertexSetPair:
 
     The pair is two equal-length boolean masks over 0..n-1, kept as private
     read-only copies; the sets may overlap (the undirected special case is
-    S == T). The ``cross_edges`` cache, when present, must equal a fresh
-    recount. The ``S`` and ``T`` frozensets are built when first read, and
-    equality and hashing are on (S, T, cross_edges). ``of`` builds a pair
-    from vertex ids.
+    S == T). The ``S`` and ``T`` frozensets are built when first read, and
+    equality and hashing are on (S, T). ``of`` builds a pair from vertex
+    ids.
     """
 
     s_mask: np.ndarray
     t_mask: np.ndarray
-    cross_edges: int | None = None
 
-    def __init__(self, s_mask, t_mask, cross_edges=None, *, S=None, T=None):
+    def __init__(self, s_mask, t_mask, *, S=None, T=None):
         """``S`` or ``T`` by keyword replaces that side by its vertex ids, so
         ``dataclasses.replace(pair, S=ids)`` is the same pair with another S."""
         masks = (np.array(s_mask), np.array(t_mask))
@@ -130,12 +128,11 @@ class VertexSetPair:
         for name, mask in zip(("s_mask", "t_mask"), masks):
             mask.setflags(write=False)
             object.__setattr__(self, name, mask)
-        object.__setattr__(self, "cross_edges", cross_edges)
 
     @classmethod
-    def of(cls, S, T, n: int, cross_edges=None) -> "VertexSetPair":
+    def of(cls, S, T, n: int) -> "VertexSetPair":
         """Pair of the vertex ids in S and T over 0..n-1; raises on bad ids."""
-        return cls(member_mask(S, n), member_mask(T, n), cross_edges)
+        return cls(member_mask(S, n), member_mask(T, n))
 
     @cached_property
     def S(self) -> frozenset:
@@ -148,10 +145,10 @@ class VertexSetPair:
     def __eq__(self, other):
         if not isinstance(other, VertexSetPair):
             return NotImplemented
-        return (self.S, self.T, self.cross_edges) == (other.S, other.T, other.cross_edges)
+        return (self.S, self.T) == (other.S, other.T)
 
     def __hash__(self):
-        return hash((self.S, self.T, self.cross_edges))
+        return hash((self.S, self.T))
 
     def sizes(self) -> tuple[int, int]:
         return int(np.count_nonzero(self.s_mask)), int(np.count_nonzero(self.t_mask))

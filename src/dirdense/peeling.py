@@ -11,7 +11,6 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 
 __all__ = [
-    "PeelStep",
     "baseline_peel",
     "exact_oracle",
 ]
@@ -29,13 +28,6 @@ def _ratio_guess(c) -> Fraction:
     if ratio <= 0:
         raise ValueError("ratio guess c must be positive")
     return ratio
-
-
-class PeelStep(NamedTuple):
-    iteration: int
-    side: str  # "S" or "T"
-    removed: int
-    density_after: float
 
 
 def _density(cross: int, s_count: int, t_count: int) -> float:
@@ -133,27 +125,25 @@ def _peel_best(steps, s_mask, t_mask, cross):
     """Consume peel ``steps`` from (S, T), tracking the best exact-density pair.
 
     ``cross`` is the start pair's cross count, and the start pair is the
-    first candidate. Returns (best S mask, best T mask, best density, its
-    cross count, the ``PeelStep`` trace). The masks are the steps' own, not
-    copies, since the kernel never writes one in place.
+    first candidate. Returns (best S mask, best T mask, best density, the
+    number of steps). The masks are the steps' own, not copies, since the
+    kernel never writes one in place.
     """
     s_count = int(np.count_nonzero(s_mask))
     t_count = int(np.count_nonzero(t_mask))
-    best = (s_mask, t_mask, _density(cross, s_count, t_count), cross)
-    trace: list[PeelStep] = []
-    for step in steps:
+    best = (s_mask, t_mask, _density(cross, s_count, t_count))
+    count = 0
+    for count, step in enumerate(steps, start=1):
         rho = _density(step.cross, step.s_count, step.t_count)
-        trace.append(PeelStep(len(trace) + 1, step.side, step.removed, rho))
         if rho > best[2]:
-            best = (step.s_mask, step.t_mask, rho, step.cross)
-    return (*best, trace)
+            best = (step.s_mask, step.t_mask, rho)
+    return (*best, count)
 
 
 def baseline_peel(g: DirectedGraph, c, epsilon: float):
     """Full-information peel from (V, V) with ratio guess ``c`` and slack
-    ``epsilon``; returns (best pair, its density, steps).
-
-    ``steps`` is the list of ``PeelStep``s, one per peel iteration.
+    ``epsilon``; returns (best pair, its density, the number of peel
+    iterations).
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
@@ -167,10 +157,10 @@ def baseline_peel(g: DirectedGraph, c, epsilon: float):
     everyone = np.ones(g.n, dtype=bool)
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
-        return VertexSetPair(everyone, everyone, g.m), float(g.m), []
+        return VertexSetPair(everyone, everyone), float(g.m), 0
     peels = _rescan_peels(g.src, g.dst, g.n, c, epsilon, everyone, everyone)
-    best_s, best_t, rho, cross, steps = _peel_best(peels, everyone, everyone, g.m)
-    return VertexSetPair(best_s, best_t, cross), rho, steps
+    best_s, best_t, rho, iterations = _peel_best(peels, everyone, everyone, g.m)
+    return VertexSetPair(best_s, best_t), rho, iterations
 
 
 _ORACLE_CHUNK = 1 << 14
@@ -196,7 +186,6 @@ def exact_oracle(g: DirectedGraph, max_vertices: int = 20):
     best_rho = -1.0
     best_subset = 0
     best_prefix = None
-    best_cross = 0
     for lo in range(1, 1 << n, _ORACLE_CHUNK):
         ids = np.arange(lo, min(lo + _ORACLE_CHUNK, 1 << n), dtype=np.int64)
         subset = ((ids[:, None] >> bits) & 1).astype(np.int64)
@@ -211,8 +200,7 @@ def exact_oracle(g: DirectedGraph, max_vertices: int = 20):
             best_rho = float(rho[row, t_idx])
             best_subset = int(ids[row])
             best_prefix = order[row, : t_idx + 1].copy()
-            best_cross = int(prefix_cross[row, t_idx])
     s_mask = ((best_subset >> bits) & 1).astype(bool)
     t_mask = np.zeros(n, dtype=bool)
     t_mask[best_prefix] = True
-    return VertexSetPair(s_mask, t_mask, best_cross), best_rho
+    return VertexSetPair(s_mask, t_mask), best_rho

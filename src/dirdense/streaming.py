@@ -6,10 +6,15 @@ installments as reads run short, which is how the phased MPC simulator hands
 the single-pass engine its machine-sized samples. The multi-pass runner
 resets and rescans a static stream once per sampling step and once per
 exact recount. The single-pass engine reads every edge at most once and
-keeps only a bounded working set: the retained cross-edge buffer for the
-current pair, thinned samples of it, and one batch in flight. When the
-stream dries up, or the rest of it fits the sample budget, the engine
-retains every remaining cross edge and finishes with one exact peel.
+keeps only a bounded working set: the retained cross edges of the current
+pair, thinned samples of them, and one batch in flight. When the stream
+dries up, or the rest of it fits the sample budget, the engine retains
+every remaining cross edge and finishes with one exact peel.
+
+Nothing here writes an edge array or a vertex mask in place: streams hand
+out views of their buffers, the retained set and every sample are new
+arrays or such views, and each peel builds new masks. So an array, once
+handed out, may be kept or shared without a copy.
 
 Each sampled step of the engine runs the three public estimators, the same
 functions the tests check: ``estimate_cross_edges`` scales a batch's cross
@@ -222,61 +227,46 @@ def _shuffled_edges(g, seed: int):
     return src, dst
 
 
-_SEEN_CAPACITY = 1024  # initial buffer length; doubles as needed
-
-
 class SeenSet:
     """Retained cross-edges for the current pair, with a high-water mark.
 
-    ``peak_size`` additionally counts batches noted as in flight via
-    ``note_extra``, so it reflects the most edges simultaneously held.
+    Holds two arrays it never writes: ``add`` concatenates, or keeps the
+    given arrays when it holds nothing, and ``refilter`` keeps the survivors
+    in new arrays. ``peak_size`` additionally counts batches noted as in
+    flight via ``note_extra``, so it reflects the most edges simultaneously
+    held.
     """
 
-    __slots__ = ("n", "_src", "_dst", "size", "peak_size")
+    __slots__ = ("_src", "_dst", "peak_size")
 
-    def __init__(self, n):
-        self.n = int(n)
-        self._src = np.empty(_SEEN_CAPACITY, dtype=np.int64)
-        self._dst = np.empty(_SEEN_CAPACITY, dtype=np.int64)
-        self.size = 0
+    def __init__(self):
+        self._src = self._dst = _EMPTY
         self.peak_size = 0
 
-    def _grow(self, need):
-        if need > self._src.size:
-            cap = max(2 * self._src.size, need)
-            for name in ("_src", "_dst"):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=np.int64)
-                new[: self.size] = old[: self.size]
-                setattr(self, name, new)
+    @property
+    def size(self) -> int:
+        return int(self._src.size)
 
     def add(self, src, dst):
-        k = int(src.size)
-        if k:
-            self._grow(self.size + k)
-            self._src[self.size : self.size + k] = src
-            self._dst[self.size : self.size + k] = dst
-            self.size += k
-            if self.size > self.peak_size:
-                self.peak_size = self.size
+        if not src.size:
+            return
+        if self._src.size:
+            src = np.concatenate([self._src, src])
+            dst = np.concatenate([self._dst, dst])
+        self._src, self._dst = src, dst
+        self.peak_size = max(self.peak_size, self.size)
 
     def note_extra(self, k):
-        if self.size + k > self.peak_size:
-            self.peak_size = self.size + int(k)
+        self.peak_size = max(self.peak_size, self.size + int(k))
 
     def refilter(self, s_mask, t_mask):
-        """Drop retained edges outside the (shrunken) current pair, in place."""
-        src = self._src[: self.size]
-        dst = self._dst[: self.size]
-        keep = s_mask[src] & t_mask[dst]
-        kept = int(np.count_nonzero(keep))
-        if kept != self.size:
-            self._src[:kept] = src[keep]
-            self._dst[:kept] = dst[keep]
-            self.size = kept
+        """Drop retained edges outside the (shrunken) current pair."""
+        keep = s_mask[self._src] & t_mask[self._dst]
+        if not keep.all():
+            self._src, self._dst = self._src[keep], self._dst[keep]
 
     def arrays(self):
-        return self._src[: self.size], self._dst[: self.size]
+        return self._src, self._dst
 
 
 def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stream, rng):
@@ -301,7 +291,6 @@ def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stre
     extra = size_estimate - seen.size
     draws = int(rng.binomial(extra, p)) if extra > 0 else 0
     fresh_src, fresh_dst, exhausted = stream.take_qualifying(draws, s_mask, t_mask)
-    # concatenate always copies, so the result never aliases the seen buffer
     src = np.concatenate([kept_src, fresh_src])
     dst = np.concatenate([kept_dst, fresh_dst])
     return src, dst, exhausted, (fresh_src, fresh_dst)
@@ -357,7 +346,6 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
     cross = recount(s_mask, t_mask)
     passes = 1
     best_s, best_t = s_mask, t_mask
-    best_cross = cross
     best_rho = cross / n
     peak = 0
     while s_count and t_count:
@@ -382,8 +370,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
         if rho > best_rho:
             best_s, best_t = s_mask, t_mask
             best_rho = rho
-            best_cross = cross
-    return VertexSetPair(best_s, best_t, best_cross), best_rho, passes, peak
+    return VertexSetPair(best_s, best_t), best_rho, passes, peak
 
 
 class SinglePassEngine:
@@ -403,13 +390,10 @@ class SinglePassEngine:
         self.params = params
         self.rng = rng
         self._batch_size = batch_size_fn or (lambda s_count, t_count: n * params.xi)
-        self.s_mask = np.ones(n, dtype=bool)
-        self.t_mask = np.ones(n, dtype=bool)
+        self.s_mask = self.t_mask = self.best_s = self.best_t = np.ones(n, dtype=bool)
         self.s_count = n
         self.t_count = n
-        self.seen = SeenSet(n)
-        self.best_s = self.s_mask.copy()
-        self.best_t = self.t_mask.copy()
+        self.seen = SeenSet()
         self.best_value = 0.0
 
     # -- hooks used by the phased simulator ---------------------------------
@@ -422,8 +406,8 @@ class SinglePassEngine:
 
     def offer_best(self, s_mask, t_mask, value):
         if value > self.best_value:
-            self.best_s = s_mask.copy()
-            self.best_t = t_mask.copy()
+            self.best_s = s_mask
+            self.best_t = t_mask
             self.best_value = value
 
     def best_pair(self) -> VertexSetPair:
@@ -452,11 +436,6 @@ class SinglePassEngine:
             if qs.size < 2 * xi or stream.remaining == 0:
                 # too sparse to estimate, or the stream just ended: keep every
                 # remaining cross edge and finish with full information
-                if qs is bs and self.seen.size == 0 and stream.remaining == 0:
-                    # nothing was retained or peeled yet (_cross passed the
-                    # whole batch through): peel the batch in place
-                    self._local_peel(bs, bd)
-                    return
                 self.seen.add(qs, qd)
                 break
             size_estimate = estimate_cross_edges(
@@ -501,7 +480,7 @@ class SinglePassEngine:
             return
         steps = _exact_bag_peels(edge_src, edge_dst, self.n, self.c, self.params.epsilon,
                                  self.s_mask, self.t_mask)
-        bs, bt, rho, _, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)
+        bs, bt, rho, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)
         self.offer_best(bs, bt, rho)
 
     def _finish(self, stream):
@@ -510,8 +489,6 @@ class SinglePassEngine:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
             self.seen.add(*self._cross(rs, rd))
-        # _peel_best only reads the buffer views; nothing mutates the seen
-        # set once the stream is drained
         self._local_peel(*self.seen.arrays())
 
 

@@ -144,9 +144,9 @@ def test_criterion_3_iteration_bound(er_corpus, pref_1e3, pref_1e4):
     for g in corpus:
         cap = iteration_cap(g.n, _EPS)
         for c in build_grid(g.n, _DELTA):
-            _, _, trace = baseline_peel(g, c, _EPS)
-            if len(trace) > cap:
-                violations.append((g.n, c, len(trace), cap))
+            _, _, iterations = baseline_peel(g, c, _EPS)
+            if iterations > cap:
+                violations.append((g.n, c, iterations, cap))
     _report("3 pass/iteration bound", not violations, f"{len(violations)} violations")
     assert not violations, violations[:5]
 
@@ -235,7 +235,7 @@ def test_criterion_5_concentration_suites():
     seen_template = np.full(kept_count, 0, dtype=np.int64)
     seen_dst = np.arange(unseen + 1, population + 1, dtype=np.int64)
     for trial in range(trials):
-        seen = SeenSet(population + 1)
+        seen = SeenSet()
         seen.add(seen_template, seen_dst)
         stream = make_stream(universe, "shuffled", seed=trial)
         _, dst, _, _ = set_sample(seen, s_mask, t_mask, p_sample, population, stream, rng=rng)

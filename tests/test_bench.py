@@ -25,6 +25,7 @@ from dirdense.cli import build_parser
 from dirdense.csweep import RUNNERS, SweepResult, SweepRow, sweep
 from dirdense.cli import main as cli_main
 from dirdense.graph import DirectedGraph
+from dirdense.mpc import MpcConfig
 from tests.support import reference_parse_edgelist, reference_pref_attach
 
 # well-formed edge-list lines, and adversarial pieces spliced into them: ids
@@ -323,6 +324,23 @@ class TestRunExperiment:
     def test_config_rejects_unknown_stream_order(self, algo):
         with pytest.raises(ValueError, match="stream order 'bogus'"):
             RunConfig(algo=algo, gen="pref:n=9,k=1", stream_order="bogus")
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"algo": "bogus"}, "unknown algo 'bogus'"),
+        ({"algo": "mpc-super", "mpc_mu": 2.0}, "mu in \\(0, 1\\)"),
+        ({"algo": "mpc-near", "mpc_budget": -1.0}, "polylog_budget must be positive"),
+    ])
+    def test_config_rejects_unknown_algo_and_bad_mpc_settings(self, knobs, message, tmp_path):
+        # the input file does not exist, so only a check before any load passes this test
+        with pytest.raises(ValueError, match=message):
+            RunConfig(input_path=str(tmp_path / "missing.txt"), **knobs)
+
+    def test_config_holds_the_mpc_config_its_algo_runs_with(self):
+        cfg = RunConfig(algo="mpc-super", gen="pref:n=9,k=1", mpc_mu=0.4)
+        assert cfg.mpc_config == MpcConfig("superlinear", mu=0.4)
+        assert cfg.mpc_config is cfg.mpc_config
+        assert RunConfig(algo="mpc-near", gen="pref:n=9,k=1").mpc_config == MpcConfig("nearlinear")
+        assert RunConfig(algo="baseline", gen="pref:n=9,k=1").mpc_config is None
 
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**63, 2**64])
     def test_config_rejects_seed_outside_the_seed_range(self, seed):

@@ -164,22 +164,21 @@ class TestDensity:
 def graph_and_masks(draw):
     g = draw(small_graphs())
     masks = st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(lambda bits: np.array(bits, dtype=bool))
-    return g, draw(masks), draw(masks), draw(st.none() | st.integers(0, 30))
+    return g, draw(masks), draw(masks)
 
 
 class TestMaskPair:
     @given(graph_and_masks())
     @settings(max_examples=100)
     def test_matches_pair_built_from_ids(self, case):
-        g, s, t, k = case
-        masked = VertexSetPair(s, t, k)
-        listed = VertexSetPair.of(np.flatnonzero(s), np.flatnonzero(t), g.n, k)
+        g, s, t = case
+        masked = VertexSetPair(s, t)
+        listed = VertexSetPair.of(np.flatnonzero(s), np.flatnonzero(t), g.n)
         assert masked.sizes() == listed.sizes()
         assert count_cross_edges(g, masked) == count_cross_edges(g, listed)
         assert density(g, masked) == density(g, listed)
         assert masked == listed and listed == masked
         assert hash(masked) == hash(listed)
-        assert (masked.S, masked.T, masked.cross_edges) == (listed.S, listed.T, listed.cross_edges)
 
     def test_keeps_a_private_read_only_copy(self):
         s = np.array([True, False])
@@ -202,11 +201,11 @@ class TestMaskPair:
             density(g, VertexSetPair([False, False], [False, True]))
 
     def test_replace_swaps_a_side_for_vertex_ids(self):
-        pair = VertexSetPair([True, True, False], [False, True, True], 2)
+        pair = VertexSetPair([True, True, False], [False, True, True])
         dropped = replace(pair, S=frozenset({1}))
-        assert (dropped.S, dropped.T, dropped.cross_edges) == ({1}, {1, 2}, 2)
+        assert (dropped.S, dropped.T) == ({1}, {1, 2})
         assert not dropped.s_mask.flags.writeable
-        assert replace(pair, T=[0]) == VertexSetPair.of({0, 1}, {0}, 3, 2)
+        assert replace(pair, T=[0]) == VertexSetPair.of({0, 1}, {0}, 3)
         with pytest.raises(ValueError, match="out of range"):
             replace(pair, S={3})
 
@@ -242,6 +241,15 @@ def test_every_runner_returns_a_pair_of_read_only_masks(runner):
         assert not mask.flags.writeable
         assert members == frozenset(np.flatnonzero(mask).tolist())
     assert pair.sizes() == (len(pair.S), len(pair.T))
+
+
+def test_pairs_with_the_same_sets_are_equal_whichever_runner_built_them():
+    g = DirectedGraph(5, [(0, 1), (0, 2), (1, 2), (2, 0), (3, 4), (0, 1)])
+    params = sample_params(g.n, 0.2)
+    expected = VertexSetPair.of({0}, {1, 2}, g.n)
+    pairs = {runner: build(g, params) for runner, build in _RUNNER_PAIRS.items()}
+    assert all(pair == expected for pair in pairs.values()), pairs
+    assert len(set(pairs.values())) == 1
 
 
 def test_member_mask_bounds():

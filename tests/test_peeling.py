@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirdense.csweep import build_grid
-from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, density, member_mask
+from dirdense.graph import DirectedGraph, VertexSetPair, density, member_mask
 from dirdense.peeling import (
     _exact_bag_peels,
     _peel_best,
@@ -78,9 +78,9 @@ class TestBaselinePeel:
 
     def test_edgeless_graph(self):
         g = DirectedGraph(5, [])
-        pair, rho, trace = baseline_peel(g, 1, 0.2)
+        pair, rho, iterations = baseline_peel(g, 1, 0.2)
         assert rho == 0.0
-        assert len(trace) == 1  # one iteration empties a side
+        assert iterations == 1  # one iteration empties a side
 
     def test_star_triangle_bound(self):
         g = star_plus_triangle()
@@ -91,15 +91,18 @@ class TestBaselinePeel:
 
     def test_single_vertex_graph_counts_self_loops(self):
         g = DirectedGraph(1, [(0, 0), (0, 0)])
-        pair, rho, trace = baseline_peel(g, 1, 0.2)
+        pair, rho, iterations = baseline_peel(g, 1, 0.2)
         assert pair.S == pair.T == frozenset({0})
         assert rho == 2.0
-        assert len(trace) == 0
+        assert iterations == 0
 
     def test_density_ties_keep_the_earlier_pair(self):
         g = DirectedGraph(4, [(3, 3), (0, 1), (3, 2), (0, 3), (1, 3), (0, 0), (0, 1)])
-        pair, rho, trace = baseline_peel(g, 1, 0.2)
-        assert [step.density_after for step in trace[:2]] == [2.0, 2.0]
+        everyone = np.ones(g.n, dtype=bool)
+        steps = list(_rescan_peels(g.src, g.dst, g.n, Fraction(1), 0.2, everyone, everyone))
+        assert [step.cross / math.sqrt(step.s_count * step.t_count) for step in steps[:2]] == [2.0, 2.0]
+        pair, rho, iterations = baseline_peel(g, 1, 0.2)
+        assert iterations == len(steps)
         assert rho == 2.0
         assert (pair.S, pair.T) == (frozenset({0}), frozenset(range(4)))
 
@@ -108,7 +111,6 @@ class TestBaselinePeel:
             g = gnp_directed(10, 0.3, seed)
             pair, rho, _ = baseline_peel(g, Fraction(1, 2), 0.25)
             assert density(g, pair) == pytest.approx(rho, abs=1e-12)
-            assert pair.cross_edges == count_cross_edges(g, pair)
 
     @given(multigraphs_with_ratio(), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
            st.integers(min_value=0, max_value=2**32 - 1))
@@ -131,8 +133,8 @@ class TestBaselinePeel:
     def test_iteration_bound(self, n, eps, seed):
         g = gnp_directed(n, 0.3, seed)
         c = Fraction(1 + seed % 5, 1 + seed % 3)
-        _, _, trace = baseline_peel(g, c, eps)
-        assert len(trace) <= iteration_cap(n, eps)
+        _, _, iterations = baseline_peel(g, c, eps)
+        assert iterations <= iteration_cap(n, eps)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -140,7 +142,8 @@ class TestBaselinePeel:
         eps = 0.3
         g = gnp_directed(n, 0.4, seed)
         sizes = {"S": n, "T": n}
-        for step in baseline_peel(g, 1, eps)[2]:
+        everyone = np.ones(n, dtype=bool)
+        for step in _rescan_peels(g.src, g.dst, n, Fraction(1), eps, everyone, everyone):
             before = sizes[step.side]
             after = before - step.removed
             assert step.removed >= 1
@@ -191,10 +194,12 @@ class TestExactBagPeel:
             start = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         runs = []
         for peels in (_exact_bag_peels, _rescan_peels):
-            steps = peels(src, dst, n, c, eps, *start)
-            best_s, best_t, rho, cross, trace = _peel_best(steps, *start, src.size)
-            runs.append((best_s.tolist(), best_t.tolist(), rho, cross, trace))
+            steps = list(peels(src, dst, n, c, eps, *start))
+            best_s, best_t, rho, count = _peel_best(steps, *start, src.size)
+            runs.append(([_step_key(step) for step in steps], best_s.tolist(), best_t.tolist(),
+                         rho, count))
         assert runs[0] == runs[1]
+        assert runs[0][-1] == len(runs[0][0])
 
     @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -250,7 +255,7 @@ class TestExactOracle:
             g = gnp_directed(8, 0.35, seed)
             pair, _ = exact_oracle(g)
             assert not pair.s_mask.flags.writeable and not pair.t_mask.flags.writeable
-            assert pair == VertexSetPair.of(pair.S, pair.T, g.n, count_cross_edges(g, pair))
+            assert pair == VertexSetPair.of(pair.S, pair.T, g.n)
             assert pair.sizes() == (len(pair.S), len(pair.T))
 
     def test_reported_density_matches_pair(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, member_mask
 from dirdense.streaming import (
@@ -14,8 +16,8 @@ from dirdense.streaming import (
 )
 
 
-def seen_with(n, pairs):
-    seen = SeenSet(n)
+def seen_with(pairs):
+    seen = SeenSet()
     arr = np.asarray(pairs, dtype=np.int64)
     seen.add(arr[:, 0], arr[:, 1])
     return seen
@@ -30,7 +32,7 @@ class TestSetSample:
         # H must be E' plus the next s - |E'| qualifying edges, in order
         g = DirectedGraph(4, [(2, 3), (0, 1), (0, 1), (2, 3), (0, 1)])
         stream = make_stream(g, "given")
-        seen = seen_with(4, [(0, 1), (0, 1)])
+        seen = seen_with([(0, 1), (0, 1)])
         src, dst, exhausted, _ = set_sample(seen, *masks({0}, {1}, 4), 1.0, 4, stream,
                                             rng=np.random.default_rng(0))
         assert src.size == 4
@@ -42,7 +44,7 @@ class TestSetSample:
     def test_estimate_equal_to_seen_skips_stream(self):
         g = DirectedGraph(2, [(0, 1)] * 5)
         stream = make_stream(g, "given")
-        seen = seen_with(2, [(0, 1)] * 3)
+        seen = seen_with([(0, 1)] * 3)
         src, _, exhausted, _ = set_sample(
             seen, *masks({0}, {1}, 2), 0.5, 3, stream, rng=np.random.default_rng(1)
         )
@@ -52,14 +54,14 @@ class TestSetSample:
 
     def test_rejects_estimate_below_seen(self):
         g = DirectedGraph(2, [(0, 1)])
-        seen = seen_with(2, [(0, 1)] * 3)
+        seen = seen_with([(0, 1)] * 3)
         with pytest.raises(ValueError):
             set_sample(seen, *masks({0}, {1}, 2), 0.5, 2,
                        make_stream(g, "given"), rng=np.random.default_rng(0))
 
     def test_rejects_bad_p(self):
         g = DirectedGraph(2, [(0, 1)])
-        seen = SeenSet(2)
+        seen = SeenSet()
         for p in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 set_sample(seen, *masks({0}, {1}, 2), p, 5,
@@ -68,7 +70,7 @@ class TestSetSample:
     def test_flags_stream_exhaustion(self):
         g = DirectedGraph(2, [(0, 1)] * 2)
         stream = make_stream(g, "given")
-        seen = SeenSet(2)
+        seen = SeenSet()
         src, _, exhausted, _ = set_sample(
             seen, *masks({0}, {1}, 2), 1.0, 10, stream, rng=np.random.default_rng(0)
         )
@@ -86,7 +88,7 @@ class TestSetSample:
         rng = np.random.default_rng(7)
         sizes = []
         for trial in range(trials):
-            seen = seen_with(n, seen_template)
+            seen = seen_with(seen_template)
             g = DirectedGraph(n, stream_edges)
             stream = make_stream(g, "shuffled", seed=trial)
             src, _, _, _ = set_sample(seen, s_mask, t_mask, p, total, stream, rng=rng)
@@ -97,11 +99,59 @@ class TestSetSample:
     def test_sample_never_aliases_seen_buffer(self):
         g = DirectedGraph(2, [(0, 1)] * 10)
         stream = make_stream(g, "given")
-        seen = seen_with(2, [(0, 1)] * 4)
+        seen = seen_with([(0, 1)] * 4)
         src, _, _, _ = set_sample(seen, *masks({0}, {1}, 2), 1.0, 6, stream,
                                   rng=np.random.default_rng(0))
         seen.refilter(np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
         assert src.size == 6  # untouched by the refilter
+
+
+_SEEN_N = 6
+
+
+@st.composite
+def seen_set_runs(draw):
+    """A graph and SeenSet operations on its edge stream: ("add", k) retains
+    the stream's next k edges, ("note", k) notes k edges in flight, and
+    ("refilter", S, T) keeps the retained edges inside (S, T)."""
+    vertex = st.integers(0, _SEEN_N - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    side = st.lists(st.booleans(), min_size=_SEEN_N, max_size=_SEEN_N)
+    op = st.one_of(st.tuples(st.just("add"), st.integers(0, 12)),
+                   st.tuples(st.just("note"), st.integers(0, 12)),
+                   st.tuples(st.just("refilter"), side, side))
+    return DirectedGraph(_SEEN_N, edges), draw(st.lists(op, max_size=20))
+
+
+@given(seen_set_runs())
+@settings(max_examples=200, deadline=None)
+def test_seen_set_matches_a_list_model(run):
+    g, ops = run
+    stream = make_stream(g, "given")  # hands out read-only views: an in-place write raises
+    seen = SeenSet()
+    model, peak, handed_out = [], 0, []
+    for op in ops:
+        if op[0] == "add":
+            src, dst = stream.take(op[1])
+            seen.add(src, dst)
+            model += zip(src.tolist(), dst.tolist())
+            peak = max(peak, len(model))
+        elif op[0] == "note":
+            seen.note_extra(op[1])
+            peak = max(peak, len(model) + op[1])
+        else:
+            s_mask, t_mask = np.array(op[1]), np.array(op[2])
+            s_mask.setflags(write=False)
+            t_mask.setflags(write=False)
+            seen.refilter(s_mask, t_mask)
+            model = [(u, v) for u, v in model if op[1][u] and op[2][v]]
+        src, dst = seen.arrays()
+        assert list(zip(src.tolist(), dst.tolist())) == model
+        assert seen.size == len(model)
+        assert seen.peak_size == peak
+        handed_out.append((src, dst, list(model)))
+    for src, dst, held in handed_out:
+        assert list(zip(src.tolist(), dst.tolist())) == held  # no later operation wrote them
 
 
 class TestEstimateCrossEdges:

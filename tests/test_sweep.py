@@ -67,7 +67,7 @@ class TestBuildGrid:
 
 
 def _row_key(row):
-    pair = None if row.pair is None else (sorted(row.pair.S), sorted(row.pair.T), row.pair.cross_edges)
+    pair = None if row.pair is None else (sorted(row.pair.S), sorted(row.pair.T))
     return (row.c, pair, row.density, row.s_size, row.t_size, row.peak_edges,
             row.passes_or_rounds, row.error)
 
