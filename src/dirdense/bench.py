@@ -175,7 +175,7 @@ class RunConfig:
     """Everything one experiment needs: input, algorithm, knobs, output.
 
     The algo and every knob, the MPC ones included, are checked here,
-    before any graph is loaded.
+    before any graph is loaded; an MPC knob is rejected for any other algo.
     """
 
     algo: str
@@ -187,7 +187,7 @@ class RunConfig:
     c: Fraction | None = None
     seed: int = 0
     stream_order: str = "shuffled"
-    mpc_mu: float = SUPERLINEAR_MU
+    mpc_mu: float | None = None  # None: mpc.SUPERLINEAR_MU
     mpc_budget: float | None = None
     out: str | None = None
     workers: int = 1
@@ -211,13 +211,16 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _check_seed(self.seed)
+        for knob, owner in (("mpc_mu", "mpc-super"), ("mpc_budget", "mpc-near")):
+            if getattr(self, knob) is not None and self.algo != owner:
+                raise ValueError(f"{knob} applies only to algo {owner!r}, not {self.algo!r}")
         self.mpc_config  # noqa: B018 - builds the config, so MpcConfig checks mu and the budget now
 
     @cached_property
     def mpc_config(self) -> MpcConfig | None:
         """The machine-memory config of an MPC algo; None for the others."""
         if self.algo == "mpc-super":
-            return MpcConfig("superlinear", mu=self.mpc_mu)
+            return MpcConfig("superlinear", mu=SUPERLINEAR_MU if self.mpc_mu is None else self.mpc_mu)
         if self.algo == "mpc-near":
             return MpcConfig("nearlinear", polylog_budget=self.mpc_budget)
         return None

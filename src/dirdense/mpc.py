@@ -19,7 +19,8 @@ permutation per draw, at no permutation's cost. A sweep orders the pool
 once, with its "stream" seed, and every cell starts from that shared
 read-only order, so across cells the order is shared, as the sweep's one
 stream is for the streaming runners; a runner called on its own permutes
-the edges itself.
+the edges itself. Consecutive head draws are adjacent views, which the
+stream joins as views, so at (V, V) the coordinator's bag is the pool itself.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class RelevantEdgeSet:
         self.dst = self.dst[keep]
 
     def draw(self, k):
-        """Remove and return the head's k edges: uniformly chosen, in uniform order."""
+        """Remove and return the head's k edges: uniformly chosen, in uniform
+        order. Consecutive draws are adjacent views of the pool's arrays, so
+        at (V, V) the coordinator's bag is the pool itself."""
         k = max(0, min(int(k), self.src.size))
         taken = self.src[:k], self.dst[:k]
         if k == self.src.size:

@@ -14,7 +14,9 @@ every remaining cross edge and finishes with one exact peel.
 Nothing here writes an edge array or a vertex mask in place: streams hand
 out views of their buffers, the retained set and every sample are new
 arrays or such views, and each peel builds new masks. So an array, once
-handed out, may be kept or shared without a copy.
+handed out, may be kept or shared without a copy. Joining two views that
+lie end to end in one buffer, as an installment after the unread edges or
+new edges after the retained ones may, gives a view of that buffer again.
 
 Each sampled step of the engine runs the three public estimators, the same
 functions the tests check: ``estimate_cross_edges`` scales a batch's cross
@@ -141,8 +143,8 @@ class EdgeStream:
         if installment is None:
             return False
         lo = self._cursor
-        self._src = np.concatenate([self._src[lo:], installment[0]])
-        self._dst = np.concatenate([self._dst[lo:], installment[1]])
+        self._src = _joined(self._src[lo:], installment[0])
+        self._dst = _joined(self._dst[lo:], installment[1])
         self._cursor = 0
         return True
 
@@ -227,14 +229,33 @@ def _shuffled_edges(g, seed: int):
     return src, dst
 
 
+def _joined(a, b):
+    """``a`` then ``b``: a view of their one contiguous 1-D buffer when ``b``
+    starts where ``a`` ends in it, else a new array; read-only if either is."""
+    if not (a.size and b.size):
+        return b if b.size else a
+    base, start = a.base, a.__array_interface__["data"][0]
+    if (isinstance(base, np.ndarray) and base is b.base and base.dtype == a.dtype == b.dtype
+            and base.strides == a.strides == b.strides == (a.itemsize,)
+            and b.__array_interface__["data"][0] == start + a.nbytes):
+        lo = (start - base.__array_interface__["data"][0]) // a.itemsize
+        out = base[lo : lo + a.size + b.size]
+    else:
+        out = np.concatenate([a, b])
+    if not (a.flags.writeable and b.flags.writeable):
+        out.flags.writeable = False
+    return out
+
+
 class SeenSet:
     """Retained cross-edges for the current pair, with a high-water mark.
 
-    Holds two arrays it never writes: ``add`` concatenates, or keeps the
-    given arrays when it holds nothing, and ``refilter`` keeps the survivors
-    in new arrays. ``peak_size`` additionally counts batches noted as in
-    flight via ``note_extra``, so it reflects the most edges simultaneously
-    held.
+    Holds two arrays it never writes: ``add`` joins the new edges after the
+    retained ones, and ``refilter`` keeps the survivors in new arrays. Edges
+    added right where the retained ones end in the same buffer extend the
+    view instead of being copied. ``peak_size`` additionally counts batches
+    noted as in flight via ``note_extra``, so it reflects the most edges
+    simultaneously held.
     """
 
     __slots__ = ("_src", "_dst", "peak_size")
@@ -248,12 +269,7 @@ class SeenSet:
         return int(self._src.size)
 
     def add(self, src, dst):
-        if not src.size:
-            return
-        if self._src.size:
-            src = np.concatenate([self._src, src])
-            dst = np.concatenate([self._dst, dst])
-        self._src, self._dst = src, dst
+        self._src, self._dst = _joined(self._src, src), _joined(self._dst, dst)
         self.peak_size = max(self.peak_size, self.size)
 
     def note_extra(self, k):

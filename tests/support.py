@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -11,6 +14,19 @@ from hypothesis import strategies as st
 
 from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair
+
+
+def load_perfbench_module(name: str):
+    """Import ``perfbench/<name>.py``, which lives beside the package, not in it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def iteration_cap(n: int, epsilon: float) -> int:

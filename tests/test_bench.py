@@ -5,6 +5,7 @@ import re
 import warnings
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirdense.bench import (
+    ALGOS,
     CSV_HEADER,
     RunConfig,
     gen_pref_attach,
@@ -25,8 +27,8 @@ from dirdense.cli import build_parser
 from dirdense.csweep import RUNNERS, SweepResult, SweepRow, sweep
 from dirdense.cli import main as cli_main
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig
-from tests.support import reference_parse_edgelist, reference_pref_attach
+from dirdense.mpc import SUPERLINEAR_MU, MpcConfig
+from tests.support import load_perfbench_module, reference_parse_edgelist, reference_pref_attach
 
 # well-formed edge-list lines, and adversarial pieces spliced into them: ids
 # the bulk reader and int() may disagree on, every whitespace and line break
@@ -335,12 +337,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             RunConfig(input_path=str(tmp_path / "missing.txt"), **knobs)
 
+    @pytest.mark.parametrize("algo, knob, value, owner", [
+        (algo, knob, value, owner)
+        for knob, value, owner in (("mpc_mu", 0.4, "mpc-super"), ("mpc_mu", 2.0, "mpc-super"),
+                                   ("mpc_budget", 20.0, "mpc-near"), ("mpc_budget", -1.0, "mpc-near"))
+        for algo in ALGOS if algo != owner
+    ])
+    def test_config_rejects_an_mpc_setting_its_algo_does_not_use(self, algo, knob, value, owner,
+                                                                  tmp_path):
+        # the input file does not exist, so only a check before any load passes this test
+        with pytest.raises(ValueError, match=f"{knob} applies only to algo '{owner}', not '{algo}'"):
+            RunConfig(algo=algo, input_path=str(tmp_path / "missing.txt"), **{knob: value})
+
     def test_config_holds_the_mpc_config_its_algo_runs_with(self):
         cfg = RunConfig(algo="mpc-super", gen="pref:n=9,k=1", mpc_mu=0.4)
         assert cfg.mpc_config == MpcConfig("superlinear", mu=0.4)
         assert cfg.mpc_config is cfg.mpc_config
+        default = RunConfig(algo="mpc-super", gen="pref:n=9,k=1")
+        assert default.mpc_mu is None
+        assert default.mpc_config == MpcConfig("superlinear", mu=SUPERLINEAR_MU)
         assert RunConfig(algo="mpc-near", gen="pref:n=9,k=1").mpc_config == MpcConfig("nearlinear")
         assert RunConfig(algo="baseline", gen="pref:n=9,k=1").mpc_config is None
+
+    def test_benchmark_mpc_workloads_pass_only_their_own_setting(self):
+        configs = {}
+        for w in load_perfbench_module("workloads").WORKLOADS.values():
+            argv = w.argv(0, Path("graph.txt"), Path("report.csv"))
+            configs[w.algo] = RunConfig(**vars(build_parser().parse_args(argv))).mpc_config
+        assert configs["mpc-super"] == MpcConfig("superlinear", mu=0.1)
+        assert configs["mpc-near"] == MpcConfig("nearlinear", polylog_budget=20.0)
+        assert configs["single-pass"] is None
 
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**63, 2**64])
     def test_config_rejects_seed_outside_the_seed_range(self, seed):
@@ -542,6 +568,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"argument --c: invalid Fraction value: {c!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["--algo", "mpc-super", "--mpc-budget", "-1"],
+        ["--algo", "mpc-near", "--mpc-mu", "0.4"],
+        ["--algo", "single-pass", "--mpc-mu", "0.4"],
+        ["--algo", "baseline", "--mpc-budget", "20"],
+    ])
+    def test_an_mpc_flag_for_another_algo_is_rejected(self, args, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli_main(["--gen", "pref:n=200,k=3", "--out", str(out), *args])
+        assert code == 2
+        assert "applies only to algo" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parser_states_no_defaults_and_only_config_fields(self):
         parser = build_parser()

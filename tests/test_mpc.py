@@ -221,6 +221,33 @@ class TestSuperlinear:
             assert all(rec.e_rel_before == rec.e_rel_after for rec in ledgers[0].log[:-1])
             assert ledgers[1] == ledgers[0] and ledgers[2] == ledgers[0]
 
+    def test_phases_at_the_whole_pair_hand_the_finishing_peel_the_pool_itself(self, monkeypatch):
+        # n*xi = 70,000 lies between the machine memory 25,118 and m = 99,990:
+        # four head draws at (V, V), joined as views of the pool, no copy
+        g = gen_pref_attach(10**4, 10, 0)
+        params = sample_params(10**4, 0.2, 1 / 2000)
+        cfg = MpcConfig("superlinear", mu=0.1)
+        assert cfg.machine_memory(g.n, 0.2) < g.n * params.xi < g.m
+        bags = []
+        local_peel = SinglePassEngine._local_peel
+
+        def spy(engine, edge_src, edge_dst):
+            bags.append((edge_src, edge_dst))
+            return local_peel(engine, edge_src, edge_dst)
+
+        monkeypatch.setattr(SinglePassEngine, "_local_peel", spy)
+        ledgers = []
+        for pool in (_shuffled_edges(g, 0), tuple(a.copy() for a in _shuffled_edges(g, 0))):
+            _, _, ledger = mpc_superlinear_run(g, 1, params, cfg, pool=pool)
+            (bag_src, bag_dst), = bags
+            bags.clear()
+            assert bag_src.size == bag_dst.size == g.m
+            assert np.shares_memory(bag_src, pool[0]) and np.shares_memory(bag_dst, pool[1])
+            ledgers.append((ledger.rounds, ledger.phases, ledger.peak_edges))
+        # the copies are writeable; the results do not depend on that flag
+        assert ledgers[1] == ledgers[0]
+        assert ledgers[0][1] == 4
+
 
 class TestNearlinear:
     def test_everything_fits_one_machine(self):

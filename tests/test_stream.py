@@ -2,11 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, member_mask
-from dirdense.streaming import EdgeStream, make_stream
+from dirdense.streaming import EdgeStream, _joined, make_stream
 
 
 def toy_graph():
@@ -176,3 +176,77 @@ class TestSourceFedStream:
             fed.replay()
         assert fed.resets == 0
         assert fed.take_all()[0].tolist() == [0, 1]
+
+
+def _read_only_pool(size=50):
+    pool = np.arange(size, dtype=np.int64) * 3 + 1
+    pool.setflags(write=False)
+    return pool
+
+
+_cuts = st.lists(st.integers(0, 40), min_size=3, max_size=3).map(sorted)
+
+
+class TestJoined:
+    @settings(max_examples=200, deadline=None)
+    @given(cuts=_cuts)
+    def test_adjacent_slices_join_into_a_read_only_view_of_their_buffer(self, cuts):
+        i, j, k = cuts
+        assume(i < j < k)
+        pool = _read_only_pool()
+        a, b = pool[i:j], pool[j:k]
+        out = _joined(a, b)
+        assert out.tolist() == np.concatenate([a, b]).tolist()
+        assert np.shares_memory(out, pool)
+        assert not out.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(cuts=_cuts, gap=st.integers(1, 5),
+           case=st.sampled_from(["gap", "two pools", "two bases on one buffer", "swapped",
+                                 "dtype view", "half-width view", "mixed dtypes"]))
+    def test_any_other_two_slices_are_joined_into_a_new_array(self, cuts, gap, case):
+        i, j, k = cuts
+        pool = _read_only_pool()
+        a, b = pool[i:j], pool[j:k]
+        if case == "gap":
+            b = pool[j + gap : k + gap]
+        elif case == "two pools":
+            b = _read_only_pool()[j:k]
+        elif case == "two bases on one buffer":
+            b = np.frombuffer(memoryview(pool), dtype=pool.dtype)[j:k]
+        elif case == "swapped":
+            a, b = b, a
+        elif case == "dtype view":
+            # adjacent and on one base, but not of the base's dtype
+            a, b = pool.view(np.uint64)[i:j], pool.view(np.uint64)[j:k]
+        elif case == "half-width view":
+            halves = pool.view(np.int32)
+            a, b = halves[2 * i : 2 * j], halves[2 * j : 2 * k]
+        else:
+            b = pool.view(np.float64)[j:k]
+        assume(a.size and b.size)
+        out = _joined(a, b)
+        expected = np.concatenate([a, b])
+        assert out.dtype == expected.dtype and out.tolist() == expected.tolist()
+        assert out.base is None
+        assert not (np.shares_memory(out, pool) or np.shares_memory(out, b))
+        assert not out.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(cuts=_cuts)
+    def test_an_empty_side_returns_the_other_as_is(self, cuts):
+        i, j, _ = cuts
+        pool = _read_only_pool()
+        side, empty = pool[i:j], pool[j:j]
+        assert _joined(side, empty) is side
+        assert _joined(empty, side) is (side if side.size else empty)
+
+    def test_a_writeable_view_joined_with_a_read_only_one_is_read_only(self):
+        pool = np.arange(10, dtype=np.int64)
+        head = pool[:4]
+        head.flags.writeable = False
+        for a, b in ((head, pool[4:]), (head, pool[5:])):
+            out = _joined(a, b)
+            assert out.tolist() == np.concatenate([a, b]).tolist()
+            assert not out.flags.writeable
+        assert pool.flags.writeable

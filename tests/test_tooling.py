@@ -10,28 +10,16 @@ package test; this test makes that visible.
 
 import ast
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
+from tests.support import load_perfbench_module
+
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
 PACKAGE = ROOT / "src" / "dirdense"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_every_probe_is_defined_on_its_owner():
-    probes = _load_spans()._probes()
+    probes = load_perfbench_module("spans")._probes()
     assert probes
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in probes if attr not in owner.__dict__]
