@@ -7,6 +7,16 @@ of those shared read-only arrays; an MPC sweep likewise orders its edge pool
 once, in the shuffled stream's order, and every cell draws from its own pool
 over those arrays. Sampling randomness is split per grid cell, so per-c
 results are seed-deterministic regardless of scheduling.
+
+A peel step depends on c only through the side it peels, so cells whose
+guesses make the same side choices share their peel steps. A baseline
+sweep, and a single-pass sweep, hands every cell one ``SharedPeel`` over
+the graph's edges: the first cell whose exact peel starts from (V, V) walks
+every guess's peel at once, and the others read their results from that
+walk. A single-pass cell that sampled never asks for it. A cell's
+``wall_ms`` therefore holds the walk's time if its call started the walk:
+with one worker the rows' ``wall_ms`` add up to the sweep's runner time,
+and with more, a cell waiting for the walk also counts its wait.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
 from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from .peeling import baseline_peel
+from .peeling import SharedPeel, baseline_peel
 from .streaming import (STREAM_ORDERS, _shuffled_edges, make_stream, multi_pass_run, sample_params,
                         single_pass_run)
 
@@ -68,6 +78,10 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 
 @dataclass
 class SweepRow:
+    """One cell's result. ``wall_ms`` is its runner call's time, which
+    includes the sweep's shared peel walk in the cell that started it (see
+    the module docstring)."""
+
     c: Fraction
     pair: VertexSetPair | None
     density: float | None
@@ -140,6 +154,9 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
         stream = make_stream(g, stream_order, stream_seed)
     elif algo in ("mpc-super", "mpc-near"):
         mpc_pool = _shuffled_edges(g, stream_seed)
+    shared = None
+    if algo in ("baseline", "single-pass"):
+        shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")
 
     def run_cell(index: int) -> SweepRow:
         c = values[index]
@@ -147,12 +164,13 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
             rng = None if algo == "baseline" else _derived_rng(seed, algo, index)
             started = time.perf_counter()
             if algo == "baseline":
-                pair, rho, rounds = baseline_peel(g, c, epsilon)
+                pair, rho, rounds = baseline_peel(g, c, epsilon, shared=shared)
                 peak = g.m
             elif algo == "multi-pass":
                 pair, rho, rounds, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
             elif algo == "single-pass":
-                pair, rho, peak = single_pass_run(stream.replay(), g.n, c, params, rng=rng)
+                pair, rho, peak = single_pass_run(stream.replay(), g.n, c, params, rng=rng,
+                                                  shared=shared)
                 rounds = 1
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run

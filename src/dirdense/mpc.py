@@ -207,7 +207,7 @@ class _PhaseController:
         if engine.s_count < g.n or engine.t_count < g.n:
             inside = engine.s_mask[g.src] & engine.t_mask[g.dst]
         steps = _exact_bag_peels(
-            g.src, g.dst, g.n, engine.c, engine.params.epsilon, engine.s_mask, engine.t_mask,
+            g.src, g.dst, g.n, (engine.c,), engine.params.epsilon, engine.s_mask, engine.t_mask,
             inside=inside,
         )
         peels = 0

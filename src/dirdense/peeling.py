@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import math
+import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -11,6 +14,7 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 
 __all__ = [
+    "SharedPeel",
     "baseline_peel",
     "exact_oracle",
 ]
@@ -57,7 +61,8 @@ def _threshold_drop(deg, side_mask, cross, side_count, epsilon):
 
 
 class _Step(NamedTuple):
-    """One peel of the kernel: the side, how many left it, and the pair after."""
+    """One peel of the kernel: the side, how many left it, the pair after,
+    and the guesses that take it, as indices into the kernel's guesses."""
 
     side: str  # "S" or "T"
     removed: int
@@ -66,24 +71,28 @@ class _Step(NamedTuple):
     s_count: int
     t_count: int
     cross: int
+    guesses: range
 
 
-def _rescan_peels(src, dst, n, c, epsilon, s_mask, t_mask):
-    """Peel steps that rescan the whole bag every iteration, caching nothing.
-
-    Each step is the kernel's first step on the whole bag, which may hold
-    edges outside (S, T): one membership pass and one tally of the peeled
-    side, as a pass-per-iteration stream would do.
-    """
-    while s_mask.any() and t_mask.any():
-        step = next(_exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask,
-                                     inside=s_mask[src] & t_mask[dst]))
-        yield step
-        s_mask, t_mask = step.s_mask, step.t_mask
+def _first_target_peeler(cs, guesses: range, counts) -> int:
+    """The first index in ``guesses`` whose guess peels T at a pair of these
+    side counts; every guess before it peels S, as ``cs`` ascends and the
+    ratio test |S|/|T| >= c holds for every c up to |S|/|T|."""
+    return bisect.bisect_left(cs, True, guesses.start, guesses.stop,
+                              key=lambda c: not _ratio_prefers_sources(*counts, c))
 
 
-def _exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask, *, inside=None):
-    """Threshold peel steps from (S, T): the one implementation of a peel step.
+def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, rescan=False):
+    """Threshold peel steps from (S, T) for the ascending ratio guesses
+    ``cs``: the one implementation of a peel step.
+
+    A step depends on c only through the side the ratio test picks, and the
+    test is monotone in c: at each pair the guesses split into a low range
+    that peels S and a high range that peels T. Guesses that made the same
+    choices are at the same pair, so the kernel walks the tree of pairs
+    depth first, and each step names the range of guesses that take it
+    (``step.guesses``). Every guess sees its own steps in order, and the
+    walk holds only the bags of the pairs on its current path.
 
     With ``inside=None`` every bag edge must lie inside (S, T): the bag's
     size is the cross count and degrees are tallied without a membership
@@ -94,72 +103,154 @@ def _exact_bag_peels(src, dst, n, c, epsilon, s_mask, t_mask, *, inside=None):
     Peels come in runs of the same side. The other side does not change
     during a run, so one bincount at its start keeps every surviving
     member's degree exact, and each peel needs only a masked sum for the new
-    cross count. When the ratio test flips, one gather on the side that
-    shrank compacts the bag to E(S, T); a consumer taking only ``next``
-    never pays for it. No mask is written in place: a peel builds a new mask
-    for its side and yields the other side's as it is, so steps may be kept.
+    cross count. Guesses whose ratio test flips leave the run, and one
+    gather on the side that shrank compacts the bag to E(S, T) for them; a
+    consumer taking only ``next`` never pays for it. With ``rescan``
+    nothing is kept between steps: each pair makes one membership pass over
+    the whole bag, which may hold edges outside it (``inside`` is not
+    needed), and one tally per side it peels, as a pass-per-iteration
+    stream would. No mask is written in place: a peel builds a new mask for
+    its side and yields the other side's as it is, so steps may be kept.
     """
-    ends = (src, dst)
-    masks = [s_mask, t_mask]
-    counts = [int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask))]
-    cross = int(src.size) if inside is None else int(np.count_nonzero(inside))
-    while counts[0] and counts[1]:
-        side = int(not _ratio_prefers_sources(*counts, c))
-        deg = np.bincount(ends[side] if inside is None else ends[side][inside], minlength=n)
-        while counts[0] and counts[1] and side == int(not _ratio_prefers_sources(*counts, c)):
-            drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
-            removed = int(np.count_nonzero(drop))
-            masks[side] = masks[side] & ~drop
-            counts[side] -= removed
-            cross = int(deg[masks[side]].sum())
-            yield _Step("ST"[side], removed, masks[0], masks[1], counts[0], counts[1], cross)
-        if counts[0] and counts[1]:
-            keep = masks[side][ends[side]]
+    counts = (int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
+    bag = None if rescan else (src, dst)
+    # (guesses, masks, counts, bag ends or None to rescan, inside, side whose
+    # peels the bag still holds or None)
+    todo = [(range(len(cs)), (s_mask, t_mask), counts, bag, inside, None)]
+    while todo:
+        guesses, start_masks, start_counts, ends, inside, stale = todo.pop()
+        if not (guesses and start_counts[0] and start_counts[1]):
+            continue
+        if ends is None:
+            ends, inside = (src, dst), start_masks[0][src] & start_masks[1][dst]
+        elif stale is not None:
+            keep = start_masks[stale][ends[stale]]
             if inside is not None:
                 keep &= inside
                 inside = None
             ends = (ends[0][keep], ends[1][keep])
+        start_cross = int(ends[0].size) if inside is None else int(np.count_nonzero(inside))
+        split = _first_target_peeler(cs, guesses, start_counts)
+        # the T-peelers' run, then the S-peelers' run from the same bag
+        for side, guesses in ((1, range(split, guesses.stop)), (0, range(guesses.start, split))):
+            if not guesses:
+                continue
+            masks, counts, cross = list(start_masks), list(start_counts), start_cross
+            deg = np.bincount(ends[side] if inside is None else ends[side][inside], minlength=n)
+            while True:
+                drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
+                removed = int(np.count_nonzero(drop))
+                masks[side] = masks[side] & ~drop
+                counts[side] -= removed
+                cross = int(deg[masks[side]].sum())
+                yield _Step("ST"[side], removed, *masks, *counts, cross, guesses)
+                if not (counts[0] and counts[1]):
+                    break
+                pair = tuple(masks), tuple(counts)
+                if rescan:
+                    todo.append((guesses, *pair, None, None, None))
+                    break
+                # peeling a side moves |S|/|T| towards the other side's guesses
+                split = _first_target_peeler(cs, guesses, pair[1])
+                if side:
+                    left, guesses = range(guesses.start, split), range(split, guesses.stop)
+                else:
+                    left, guesses = range(split, guesses.stop), range(guesses.start, split)
+                if left:
+                    todo.append((left, *pair, ends, inside, side))
+                if not guesses:
+                    break
 
 
-def _peel_best(steps, s_mask, t_mask, cross):
-    """Consume peel ``steps`` from (S, T), tracking the best exact-density pair.
+def _peel_best(steps, s_mask, t_mask, cross, guesses=1):
+    """Consume peel ``steps`` from (S, T), tracking each guess's best
+    exact-density pair.
 
-    ``cross`` is the start pair's cross count, and the start pair is the
-    first candidate. Returns (best S mask, best T mask, best density, the
-    number of steps). The masks are the steps' own, not copies, since the
-    kernel never writes one in place.
+    ``cross`` is the start pair's cross count, and the start pair is every
+    guess's first candidate. Returns, per guess, (best S mask, best T mask,
+    best density, the number of its steps). The masks are the steps' own,
+    not copies, since the kernel never writes one in place.
     """
     s_count = int(np.count_nonzero(s_mask))
     t_count = int(np.count_nonzero(t_mask))
-    best = (s_mask, t_mask, _density(cross, s_count, t_count))
-    count = 0
-    for count, step in enumerate(steps, start=1):
+    best = [(s_mask, t_mask, _density(cross, s_count, t_count), 0)] * guesses
+    for step in steps:
         rho = _density(step.cross, step.s_count, step.t_count)
-        if rho > best[2]:
-            best = (step.s_mask, step.t_mask, rho)
-    return (*best, count)
+        for i in step.guesses:
+            s, t, top, count = best[i]
+            if rho > top:
+                s, t, top = step.s_mask, step.t_mask, rho
+            best[i] = (s, t, top, count + 1)
+    return best
 
 
-def baseline_peel(g: DirectedGraph, c, epsilon: float):
+class SharedPeel:
+    """The exact peels from (V, V) of one edge bag for a sweep's ratio
+    guesses, walked once by ``_exact_bag_peels`` when a runner first asks.
+
+    Guesses that are not positive rationals are left out, so each of their
+    cells still fails on its own; order and repeats do not matter.
+    ``rescan`` walks as ``baseline_peel`` peels, with one pass over the
+    whole bag per pair. Threads may share the object: the first ``best``
+    call runs the walk under a lock, and the calls waiting on it read its
+    result.
+    """
+
+    def __init__(self, src, dst, n, guesses, epsilon, *, rescan=False):
+        self.src, self.dst, self.n = src, dst, int(n)
+        self.epsilon, self.rescan = epsilon, rescan
+        valid = set()
+        for c in guesses:
+            with contextlib.suppress(ValueError):
+                valid.add(_ratio_guess(c))
+        self.guesses = tuple(sorted(valid))
+        self._lock = threading.Lock()
+        self._best = None
+
+    def best(self, c: Fraction, n: int, m: int, epsilon: float):
+        """(best S mask, best T mask, best density, steps) of the peel with
+        guess ``c`` from (V, V) of a bag of ``m`` edges on ``n`` vertices;
+        raises ValueError unless that is a peel this object walks."""
+        if (n, m, epsilon) != (self.n, int(self.src.size), self.epsilon) or c not in self.guesses:
+            raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
+                             f"epsilon={epsilon!r}")
+        with self._lock:
+            if self._best is None:
+                self._best = dict(zip(self.guesses, self._walk()))
+        return self._best[c]
+
+    def _walk(self):
+        everyone = np.ones(self.n, dtype=bool)
+        steps = _exact_bag_peels(self.src, self.dst, self.n, self.guesses, self.epsilon,
+                                 everyone, everyone, rescan=self.rescan)
+        return _peel_best(steps, everyone, everyone, self.src.size, len(self.guesses))
+
+
+def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | None = None):
     """Full-information peel from (V, V) with ratio guess ``c`` and slack
     ``epsilon``; returns (best pair, its density, the number of peel
     iterations).
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
-    cached or compacted between iterations.
+    cached or compacted between iterations. ``shared``, a rescanning
+    ``SharedPeel`` over g's edges that covers ``c``, supplies the result
+    from its one walk for every guess of a sweep, where each pair's pass is
+    made once for all guesses at it; the result and iteration count are
+    those of the peel alone.
     """
     c = _ratio_guess(c)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    everyone = np.ones(g.n, dtype=bool)
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
+        everyone = np.ones(1, dtype=bool)
         return VertexSetPair(everyone, everyone), float(g.m), 0
-    peels = _rescan_peels(g.src, g.dst, g.n, c, epsilon, everyone, everyone)
-    best_s, best_t, rho, iterations = _peel_best(peels, everyone, everyone, g.m)
+    if shared is None:
+        shared = SharedPeel(g.src, g.dst, g.n, (c,), epsilon, rescan=True)
+    best_s, best_t, rho, iterations = shared.best(c, g.n, g.m, epsilon)
     return VertexSetPair(best_s, best_t), rho, iterations
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import VertexSetPair
-from .peeling import _exact_bag_peels, _peel_best, _ratio_guess
+from .peeling import SharedPeel, _exact_bag_peels, _peel_best, _ratio_guess
 
 __all__ = [
     "EdgeStream",
@@ -376,7 +376,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
         sample_dst = ed[pick]
         peak = max(peak, int(pick.size))
         # the sample lies inside (S, T), so the kernel's first step is the peel
-        step = next(_exact_bag_peels(sample_src, sample_dst, n, c, eps, s_mask, t_mask))
+        step = next(_exact_bag_peels(sample_src, sample_dst, n, (c,), eps, s_mask, t_mask))
         s_mask, t_mask, s_count, t_count = step.s_mask, step.t_mask, step.s_count, step.t_count
         if not (s_count and t_count):
             break
@@ -400,11 +400,13 @@ class SinglePassEngine:
     densities at the finish.
     """
 
-    def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None):
+    def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None,
+                 shared: SharedPeel | None = None):
         self.n = int(n)
         self.c = _ratio_guess(c)
         self.params = params
         self.rng = rng
+        self.shared = shared
         self._batch_size = batch_size_fn or (lambda s_count, t_count: n * params.xi)
         self.s_mask = self.t_mask = self.best_s = self.best_t = np.ones(n, dtype=bool)
         self.s_count = n
@@ -471,7 +473,8 @@ class SinglePassEngine:
             # (S, T), so |H| / p estimates its cross count
             self.offer_best(self.s_mask, self.t_mask,
                             sampled_density_estimate(h_src.size, p, self.s_count, self.t_count))
-            step = next(_exact_bag_peels(h_src, h_dst, self.n, self.c, eps, self.s_mask, self.t_mask))
+            step = next(_exact_bag_peels(h_src, h_dst, self.n, (self.c,), eps,
+                                         self.s_mask, self.t_mask))
             self.s_mask, self.t_mask = step.s_mask, step.t_mask
             self.s_count, self.t_count = step.s_count, step.t_count
             # a pair with an empty side scores 0, which never beats the best
@@ -490,13 +493,19 @@ class SinglePassEngine:
         full-information continuation of the streamed one. Every bag edge
         must lie inside the current pair: the peel takes the bag's size as
         the pair's cross count and tallies degrees without re-checking
-        membership.
+        membership. A peel from (V, V), where no sampled step happened and
+        the bag holds every edge of the stream, is taken from the shared
+        peel when there is one.
         """
         if edge_src.size == 0:
             return
-        steps = _exact_bag_peels(edge_src, edge_dst, self.n, self.c, self.params.epsilon,
-                                 self.s_mask, self.t_mask)
-        bs, bt, rho, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)
+        eps = self.params.epsilon
+        if self.shared is not None and self.s_count == self.t_count == self.n:
+            bs, bt, rho, _ = self.shared.best(self.c, self.n, edge_src.size, eps)
+        else:
+            steps = _exact_bag_peels(edge_src, edge_dst, self.n, (self.c,), eps,
+                                     self.s_mask, self.t_mask)
+            bs, bt, rho, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)[0]
         self.offer_best(bs, bt, rho)
 
     def _finish(self, stream):
@@ -508,15 +517,22 @@ class SinglePassEngine:
         self._local_peel(*self.seen.arrays())
 
 
-def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None):
+def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None,
+                    shared: SharedPeel | None = None):
     """One-pass sampled peeling over a (preferably shuffled) stream.
 
     Returns (best pair, its density estimate, peak retained edges). The
     estimate is exact whenever the final in-buffer peel produced the best.
+    ``shared``, a ``SharedPeel`` over the stream's edges (in any order) with
+    ``params.epsilon`` that covers ``c``, supplies the finishing peel when
+    it starts from (V, V): then no sampled step happened and the bag holds
+    the whole stream, so the peel is the one every such cell of a sweep
+    shares. The stream is still read in full, and the result is the peel's
+    own.
     """
     if n != stream.n:
         raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    engine = SinglePassEngine(n, c, params, rng)
+    engine = SinglePassEngine(n, c, params, rng, shared=shared)
     engine.run(stream)
     return engine.best_pair(), engine.best_value, engine.peak_edges

@@ -328,7 +328,9 @@ def test_criterion_8b_single_pass_strictly_faster(crit8_runs):
     assert ok, (
         f"single-pass sweep {wall_single:.1f}ms is not strictly below the baseline "
         f"{wall_base:.1f}ms (median of 3 interleaved runs); here n*xi >= m, so "
-        "every single-pass cell is the p=1 exact finishing peel of the whole stream"
+        "every single-pass cell is the p=1 exact finishing peel of the whole stream. "
+        "Both sweeps share peel steps across cells: each walks every guess's peel "
+        "once, single-pass compacting its bag and baseline rescanning all edges per pair"
     )
 
 

@@ -251,13 +251,13 @@ class TestRunExperiment:
         real = sweep_mod.baseline_peel
         calls = {"count": 0}
 
-        def flaky(g, c, epsilon):
+        def flaky(g, c, epsilon, **kwargs):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("boom, with a comma")
             if calls["count"] == 3:
                 raise RuntimeError()
-            return real(g, c, epsilon)
+            return real(g, c, epsilon, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "baseline_peel", flaky)
         out = tmp_path / "r.csv"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair, density, member_mask
 from dirdense.peeling import (
+    SharedPeel,
     _exact_bag_peels,
     _peel_best,
-    _rescan_peels,
     baseline_peel,
     exact_oracle,
 )
@@ -37,6 +40,11 @@ class TestBaselineArguments:
     def test_rejects_bad_values(self, c, eps):
         with pytest.raises(ValueError):
             baseline_peel(star_plus_triangle(), c, eps)
+
+
+def _rescan_peels(src, dst, n, c, epsilon, s_mask, t_mask):
+    """The kernel's steps for the one guess ``c``, rescanning the bag per step."""
+    return _exact_bag_peels(src, dst, n, (c,), epsilon, s_mask, t_mask, rescan=True)
 
 
 def first_rescan_peel(g, c, epsilon, s, t):
@@ -193,9 +201,9 @@ class TestExactBagPeel:
         if start is None:
             start = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         runs = []
-        for peels in (_exact_bag_peels, _rescan_peels):
-            steps = list(peels(src, dst, n, c, eps, *start))
-            best_s, best_t, rho, count = _peel_best(steps, *start, src.size)
+        for rescan in (False, True):
+            steps = list(_exact_bag_peels(src, dst, n, (c,), eps, *start, rescan=rescan))
+            [(best_s, best_t, rho, count)] = _peel_best(steps, *start, src.size)
             runs.append(([_step_key(step) for step in steps], best_s.tolist(), best_t.tolist(),
                          rho, count))
         assert runs[0] == runs[1]
@@ -208,11 +216,11 @@ class TestExactBagPeel:
         inside = s_mask[src] & t_mask[dst]
         side, removed, new_s, new_t, cross = reference_peel_once(src, dst, n, c, eps, s_mask, t_mask)
         expected = side, removed, new_s.tolist(), new_t.tolist(), cross
-        step = next(_exact_bag_peels(src, dst, n, c, eps, s_mask, t_mask, inside=inside))
+        step = next(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
         assert _step_key(step) == expected
         assert (step.s_count, step.t_count) == (new_s.sum(), new_t.sum())
         # the same bag filtered to (S, T) needs no membership mask
-        step = next(_exact_bag_peels(src[inside], dst[inside], n, c, eps, s_mask, t_mask))
+        step = next(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
         assert _step_key(step) == expected
 
     @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
@@ -222,12 +230,150 @@ class TestExactBagPeel:
         inside = s_mask[src] & t_mask[dst]
         for array in (src, dst, s_mask, t_mask, inside):
             array.setflags(write=False)  # the kernel writes no mask in place
-        masked = list(_exact_bag_peels(src, dst, n, c, eps, s_mask, t_mask, inside=inside))
-        filtered = list(_exact_bag_peels(src[inside], dst[inside], n, c, eps, s_mask, t_mask))
+        masked = list(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
+        filtered = list(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
         assert ([(_step_key(step), step.s_count, step.t_count) for step in masked]
                 == [(_step_key(step), step.s_count, step.t_count) for step in filtered])
         assert all(step.s_count and step.t_count for step in masked[:-1])
         assert not (masked[-1].s_count and masked[-1].t_count)
+
+
+@st.composite
+def guess_walk_instances(draw):
+    """A multigraph (self-loops and parallel edges, possibly edgeless, n may
+    be 1), a start pair, and a list of guesses in any order with repeats.
+    Guesses a/b with a, b <= n include every ratio |S|/|T| a pair can have."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    g = DirectedGraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=40)))
+    ratio = st.builds(Fraction, st.integers(min_value=1, max_value=n),
+                      st.integers(min_value=1, max_value=n))
+    guess = ratio | st.sampled_from(build_grid(n, 2.0)) | st.fractions(
+        min_value=Fraction(1, 16), max_value=16, max_denominator=16)
+    guesses = draw(st.lists(guess, min_size=1, max_size=12))
+    side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    everyone = np.ones(n, dtype=bool)
+    start = (draw(side), draw(side)) if draw(st.booleans()) else (everyone, everyone)
+    return g, guesses, start
+
+
+def _best_key(best):
+    s_mask, t_mask, rho, count = best
+    return s_mask.tolist(), t_mask.tolist(), repr(rho), count
+
+
+def _reference_baseline(g, c, eps):
+    """Best (S mask, T mask, density, steps) of repeated frozen reference
+    peels from (V, V) until a side is empty; ties keep the earlier pair."""
+    s_mask = t_mask = np.ones(g.n, dtype=bool)
+    best = (s_mask, t_mask, g.m / g.n, 0)
+    steps = 0
+    while s_mask.any() and t_mask.any():
+        _, _, s_mask, t_mask, cross = reference_peel_once(g.src, g.dst, g.n, c, eps, s_mask, t_mask)
+        steps += 1
+        s_count, t_count = int(s_mask.sum()), int(t_mask.sum())
+        rho = cross / math.sqrt(s_count * t_count) if s_count and t_count else 0.0
+        best = (s_mask, t_mask, rho, steps) if rho > best[2] else (*best[:3], steps)
+    return best
+
+
+class TestGuessWalk:
+    @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_each_guess_alone(self, instance, eps, rescan):
+        """Walking every guess at once gives each guess its own peel, step
+        for step, from any start pair, compacting or rescanning."""
+        g, guesses, (s_mask, t_mask) = instance
+        inside = s_mask[g.src] & t_mask[g.dst]
+        src, dst = (g.src, g.dst) if rescan else (g.src[inside], g.dst[inside])
+        cs = tuple(sorted(set(guesses)))
+        steps = list(_exact_bag_peels(src, dst, g.n, cs, eps, s_mask, t_mask, rescan=rescan))
+        walked = _peel_best(steps, s_mask, t_mask, int(inside.sum()), len(cs))
+        for i, c in enumerate(cs):
+            alone = list(_exact_bag_peels(src, dst, g.n, (c,), eps, s_mask, t_mask, rescan=rescan))
+            assert ([_step_key(step) for step in steps if i in step.guesses]
+                    == [_step_key(step) for step in alone])
+            [best] = _peel_best(alone, s_mask, t_mask, int(inside.sum()))
+            assert _best_key(walked[i]) == _best_key(best)
+
+    @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_shared_compact_peel_matches_the_kernel_per_guess(self, instance, eps):
+        g, guesses, _ = instance
+        shared = SharedPeel(g.src, g.dst, g.n, guesses, eps)
+        everyone = np.ones(g.n, dtype=bool)
+        for c in guesses:
+            steps = _exact_bag_peels(g.src, g.dst, g.n, (c,), eps, everyone, everyone)
+            [alone] = _peel_best(steps, everyone, everyone, g.m)
+            assert _best_key(shared.best(c, g.n, g.m, eps)) == _best_key(alone)
+
+    @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_shared_rescan_peel_matches_baseline_per_guess(self, instance, eps):
+        g, guesses, _ = instance
+        shared = SharedPeel(g.src, g.dst, g.n, guesses, eps, rescan=True)
+        for c in guesses:
+            pair, rho, iterations = baseline_peel(g, c, eps, shared=shared)
+            alone = baseline_peel(g, c, eps)
+            assert (pair, repr(rho), iterations) == (alone[0], repr(alone[1]), alone[2])
+            if g.n > 1:  # a one-vertex graph has no peel to compare
+                assert _best_key((pair.s_mask, pair.t_mask, rho, iterations)) == _best_key(
+                    _reference_baseline(g, c, eps))
+
+    def test_walk_runs_once_and_skips_invalid_guesses(self, monkeypatch):
+        g = gnp_directed(12, 0.4, seed=1)
+        walks = []
+        walk = SharedPeel._walk
+        monkeypatch.setattr(SharedPeel, "_walk", lambda self: walks.append(self) or walk(self))
+        grid = build_grid(g.n, 2)
+        shared = SharedPeel(g.src, g.dst, g.n, (*grid, 0, True, -1, "x", grid[2]), 0.2)
+        assert shared.guesses == grid
+        assert not walks
+        for c in reversed(grid):
+            shared.best(c, g.n, g.m, 0.2)
+        assert len(walks) == 1
+
+    def test_threads_share_one_walk(self, monkeypatch):
+        """More threads than cores ask at once, with frequent switches: the
+        walk still runs once, and every thread reads its result."""
+        g = gen_pref_attach(20_000, 10, 2)
+        grid = build_grid(g.n, 2)
+        walks = []
+        walk = SharedPeel._walk
+        monkeypatch.setattr(SharedPeel, "_walk", lambda self: walks.append(self) or walk(self))
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        results = {}
+        start = threading.Barrier(8)
+
+        def ask(i):
+            start.wait(timeout=60)
+            results[i] = [shared.best(c, g.n, g.m, 0.2) for c in grid[i % len(grid):]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(walks) == 1 and len(results) == 8
+        alone = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        for i, got in results.items():
+            assert [_best_key(b) for b in got] == [_best_key(alone.best(c, g.n, g.m, 0.2))
+                                                  for c in grid[i % len(grid):]]
+
+    @pytest.mark.parametrize("n,m,eps,c", [(13, 49, 0.2, Fraction(1)), (12, 48, 0.2, Fraction(1)),
+                                           (12, 49, 0.3, Fraction(1)), (12, 49, 0.2, Fraction(3))])
+    def test_best_rejects_a_peel_it_does_not_walk(self, n, m, eps, c):
+        g = gnp_directed(12, 0.4, seed=1)
+        assert (g.n, g.m) == (12, 49)
+        shared = SharedPeel(g.src, g.dst, g.n, (Fraction(1), Fraction(2)), 0.2)
+        with pytest.raises(ValueError, match="does not cover"):
+            shared.best(c, n, m, eps)
 
 
 class TestExactOracle:

@@ -156,11 +156,11 @@ class TestSweep:
         real = sweep_mod.baseline_peel
         calls = {"count": 0}
 
-        def flaky(g, c, epsilon):
+        def flaky(g, c, epsilon, **kwargs):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("boom")
-            return real(g, c, epsilon)
+            return real(g, c, epsilon, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "baseline_peel", flaky)
         g = DirectedGraph(2, [(0, 1)])
@@ -318,3 +318,79 @@ class TestSharedStream:
         src, dst = built[0].replay().take_all()
         assert src.size == g.m
         assert not src.flags.writeable and not dst.flags.writeable
+
+
+class TestSharedPeel:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Every shared peel walk the sweep runs."""
+        from dirdense.peeling import SharedPeel
+
+        walked = []
+        walk = SharedPeel._walk
+
+        def record(self):
+            walked.append(self)
+            return walk(self)
+
+        monkeypatch.setattr(SharedPeel, "_walk", record)
+        return walked
+
+    @pytest.fixture(scope="class")
+    def pref(self):
+        return gen_pref_attach(2000, 50, 3)
+
+    @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_walk_per_exact_sweep(self, walks, pref, algo, workers):
+        # f = 1/30 gives n * xi = 762,000 >= m = 100,000
+        res = sweep(algo, pref, build_grid(pref.n, 2), epsilon=0.2, f=1 / 30, seed=1,
+                    workers=workers)
+        assert all(row.error is None for row in res.rows)
+        assert len(walks) == 1
+        assert walks[0].rescan == (algo == "baseline")
+
+    @pytest.mark.parametrize("algo,f", [("single-pass", 1 / 3000), ("multi-pass", 1 / 30),
+                                        ("mpc-super", 1 / 2000), ("mpc-near", 1 / 2000)])
+    def test_no_walk_where_no_cell_peels_the_whole_graph_exactly(self, walks, pref, algo, f):
+        # single-pass at f = 1/3000: n * xi = 8,000 < m, so every cell samples
+        res = sweep(algo, pref, build_grid(pref.n, 2), epsilon=0.2, f=f, seed=1)
+        assert all(row.error is None for row in res.rows)
+        assert not walks
+
+    @pytest.mark.parametrize("algo,f", [("baseline", 1.0), ("single-pass", 1 / 30),
+                                        ("single-pass", 1 / 3000)])
+    @pytest.mark.parametrize("order", ["shuffled", "given"])
+    def test_rows_equal_cells_run_without_it(self, monkeypatch, pref, algo, f, order):
+        import dirdense.csweep as sweep_mod
+
+        grid = build_grid(pref.n, 2)
+        shared = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1, stream_order=order)
+        monkeypatch.setattr(sweep_mod, "SharedPeel", lambda *args, **kwargs: None)
+        alone = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1, stream_order=order)
+        assert [_row_key(r) for r in shared.rows] == [_row_key(r) for r in alone.rows]
+        assert [repr(r.density) for r in shared.rows] == [repr(r.density) for r in alone.rows]
+
+    @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
+    def test_unsorted_grid_with_repeats(self, pref, algo):
+        grid = build_grid(pref.n, 2)
+        mixed = (*reversed(grid), grid[3], grid[0], grid[3])
+        res = sweep(algo, pref, mixed, epsilon=0.2, f=1 / 30, seed=1, workers=4)
+        ordered = sweep(algo, pref, grid, epsilon=0.2, f=1 / 30, seed=1)
+        by_c = {r.c: _row_key(r) for r in ordered.rows}
+        assert [_row_key(r) for r in res.rows] == [by_c[c] for c in mixed]
+
+    @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
+    @pytest.mark.parametrize("bad", [0, True])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_an_invalid_guess_fails_only_its_cell(self, walks, pref, algo, bad, workers):
+        grid = list(build_grid(pref.n, 2))
+        clean = sweep(algo, pref, grid, epsilon=0.2, f=1 / 30, seed=1)
+        grid[4] = bad
+        res = sweep(algo, pref, grid, epsilon=0.2, f=1 / 30, seed=1, workers=workers)
+        assert "ratio guess c must be" in res.rows[4].error
+        assert res.rows[4].pair is None
+        others = [i for i in range(len(grid)) if i != 4]
+        assert ([_row_key(res.rows[i]) for i in others]
+                == [_row_key(clean.rows[i]) for i in others])
+        assert len(walks) == 2  # one per sweep
