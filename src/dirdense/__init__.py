@@ -14,8 +14,8 @@ from .bench import (
     write_report_csv,
 )
 from .graph import DirectedGraph, VertexSetPair, count_cross_edges, density
-from .mpc import MpcConfig, RoundLedger, mpc_nearlinear_run, mpc_superlinear_run
-from .peeling import baseline_peel, exact_oracle
+from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
+from .peeling import RoundLedger, baseline_peel, exact_oracle
 from .streaming import (
     EdgeStream,
     SampleParams,

@@ -175,7 +175,8 @@ class RunConfig:
     """Everything one experiment needs: input, algorithm, knobs, output.
 
     The algo and every knob, the MPC ones included, are checked here,
-    before any graph is loaded; an MPC knob is rejected for any other algo.
+    before any graph is loaded; an MPC knob is rejected for any other algo,
+    and a pinned c for the exact oracle, which sweeps no c.
     """
 
     algo: str
@@ -207,6 +208,8 @@ class RunConfig:
             raise ValueError(f"unknown stream order {self.stream_order!r}; "
                              f"expected one of {STREAM_ORDERS}")
         if self.c is not None:
+            if self.algo == "exact":
+                raise ValueError("c applies only to a sweep algo, not 'exact'")
             object.__setattr__(self, "c", _ratio_guess(self.c))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")

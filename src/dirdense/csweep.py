@@ -8,6 +8,9 @@ once, in the shuffled stream's order, and every cell draws from its own pool
 over those arrays. Sampling randomness is split per grid cell, so per-c
 results are seed-deterministic regardless of scheduling.
 
+Every runner returns (pair, density, ``RoundLedger``), and a row's
+``peak_edges`` and ``passes_or_rounds`` are its ledger's.
+
 A peel step depends on c only through the side it peels, so cells whose
 guesses make the same side choices share their peel steps. A baseline
 sweep, and a single-pass sweep, hands every cell one ``SharedPeel`` over
@@ -164,20 +167,17 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
             rng = None if algo == "baseline" else _derived_rng(seed, algo, index)
             started = time.perf_counter()
             if algo == "baseline":
-                pair, rho, rounds = baseline_peel(g, c, epsilon, shared=shared)
-                peak = g.m
+                result = baseline_peel(g, c, epsilon, shared=shared)
             elif algo == "multi-pass":
-                pair, rho, rounds, peak = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
+                result = multi_pass_run(stream.replay(), g.n, c, params, rng=rng)
             elif algo == "single-pass":
-                pair, rho, peak = single_pass_run(stream.replay(), g.n, c, params, rng=rng,
-                                                  shared=shared)
-                rounds = 1
+                result = single_pass_run(stream.replay(), g.n, c, params, rng=rng, shared=shared)
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
-                pair, rho, ledger = run(g, c, params, mpc_config, rng=rng, pool=mpc_pool)
-                peak, rounds = ledger.peak_edges, ledger.rounds
+                result = run(g, c, params, mpc_config, rng=rng, pool=mpc_pool)
             wall = (time.perf_counter() - started) * 1000.0
-            return SweepRow(c, pair, rho, *pair.sizes(), peak, rounds, wall)
+            pair, rho, ledger = result
+            return SweepRow(c, pair, rho, *pair.sizes(), ledger.peak_edges, ledger.rounds, wall)
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
             # a message-less exception still names itself, so the row stays an error row
             error = str(exc) or type(exc).__name__

@@ -26,19 +26,18 @@ stream joins as views, so at (V, V) the coordinator's bag is the pool itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import _density, _exact_bag_peels, _ratio_prefers_sources
+from .peeling import RoundLedger, _density, _exact_bag_peels, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
     "MpcConfig",
     "PhaseRecord",
     "RelevantEdgeSet",
-    "RoundLedger",
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
 ]
@@ -90,14 +89,6 @@ class PhaseRecord:
     flip_peels: int = 0
 
 
-@dataclass
-class RoundLedger:
-    rounds: int = 0
-    phases: int = 0
-    peak_edges: int = 0
-    log: list[PhaseRecord] = field(default_factory=list)
-
-
 class RelevantEdgeSet:
     """Edges still available to feed the coordinator; shrinks monotonically.
 
@@ -146,8 +137,9 @@ class _PhaseController:
 
     It is the installment source of the engine's stream: ``size`` is the
     pool not fetched yet, and every ``fetch`` runs one phase. The ratio
-    guess, epsilon and xi are the engine's own; the regime is ``cfg``'s;
-    ``pool`` is g's edges in uniform order.
+    guess, epsilon, xi and a near-linear phase's draw size, one engine
+    batch, are the engine's own; the regime is ``cfg``'s; ``pool`` is g's
+    edges in uniform order.
     """
 
     def __init__(self, g, cfg, engine, pool, ledger):
@@ -180,10 +172,9 @@ class _PhaseController:
             want = after  # the whole pool: nothing is left to fetch
             ledger.rounds += 1  # final fetch onto the coordinator
         else:
-            if self.nearlinear:
-                want = min((engine.s_count + engine.t_count) * engine.params.xi, self.mem)
-            else:
-                want = self.mem
+            want = self.mem
+            if self.nearlinear:  # one engine batch, at most a machine-load
+                want = min(engine.batch_size(engine.s_count, engine.t_count), want)
             ledger.rounds += 2  # sampling + removal
         drawn_src, drawn_dst = self.rel.draw(want)
         ledger.log.append(
@@ -234,6 +225,7 @@ def _mpc_run(g, c, params, cfg, rng, pool):
     ledger = RoundLedger()
     batch_fn = None
     if cfg.regime == "nearlinear":
+        # the batch size of the engine and the draw size of each phase
         xi = params.xi
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
     engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn)

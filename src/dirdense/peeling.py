@@ -6,6 +6,7 @@ import bisect
 import contextlib
 import math
 import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -14,10 +15,23 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 
 __all__ = [
+    "RoundLedger",
     "SharedPeel",
     "baseline_peel",
     "exact_oracle",
 ]
+
+
+@dataclass
+class RoundLedger:
+    """What a runner call cost, the third item every runner returns: its
+    passes or rounds and the most edges it held at once. Only the MPC
+    runners fill ``phases`` and ``log``, one ``mpc.PhaseRecord`` a phase."""
+
+    rounds: int = 0
+    phases: int = 0
+    peak_edges: int = 0
+    log: list = field(default_factory=list)
 
 
 def _ratio_guess(c) -> Fraction:
@@ -228,8 +242,8 @@ class SharedPeel:
 
 def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | None = None):
     """Full-information peel from (V, V) with ratio guess ``c`` and slack
-    ``epsilon``; returns (best pair, its density, the number of peel
-    iterations).
+    ``epsilon``; returns (best pair, its density, ledger): the peel
+    iterations, and all m edges as the peak.
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
@@ -247,11 +261,11 @@ def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | N
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
         everyone = np.ones(1, dtype=bool)
-        return VertexSetPair(everyone, everyone), float(g.m), 0
+        return VertexSetPair(everyone, everyone), float(g.m), RoundLedger(peak_edges=g.m)
     if shared is None:
         shared = SharedPeel(g.src, g.dst, g.n, (c,), epsilon, rescan=True)
     best_s, best_t, rho, iterations = shared.best(c, g.n, g.m, epsilon)
-    return VertexSetPair(best_s, best_t), rho, iterations
+    return VertexSetPair(best_s, best_t), rho, RoundLedger(rounds=iterations, peak_edges=g.m)
 
 
 _ORACLE_CHUNK = 1 << 14

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import VertexSetPair
-from .peeling import SharedPeel, _exact_bag_peels, _peel_best, _ratio_guess
+from .peeling import RoundLedger, SharedPeel, _exact_bag_peels, _peel_best, _ratio_guess
 
 __all__ = [
     "EdgeStream",
@@ -342,8 +342,8 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
 
     Each step samples the current cross-edges independently at
     p = min(n*xi / ((1-eps) |E(S,T)|), 1), peels once on the sample, then
-    recounts the surviving pair exactly. Returns
-    (best pair, best exact density, passes, peak sampled edges).
+    recounts the surviving pair exactly. Returns (best pair, best exact
+    density, ledger): the passes, and the largest sample as the peak.
     """
     if n != stream.n:
         raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")
@@ -386,7 +386,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
         if rho > best_rho:
             best_s, best_t = s_mask, t_mask
             best_rho = rho
-    return VertexSetPair(best_s, best_t), best_rho, passes, peak
+    return VertexSetPair(best_s, best_t), best_rho, RoundLedger(rounds=passes, peak_edges=peak)
 
 
 class SinglePassEngine:
@@ -407,7 +407,7 @@ class SinglePassEngine:
         self.params = params
         self.rng = rng
         self.shared = shared
-        self._batch_size = batch_size_fn or (lambda s_count, t_count: n * params.xi)
+        self.batch_size = batch_size_fn or (lambda s_count, t_count: n * params.xi)
         self.s_mask = self.t_mask = self.best_s = self.best_t = np.ones(n, dtype=bool)
         self.s_count = n
         self.t_count = n
@@ -447,7 +447,7 @@ class SinglePassEngine:
         eps = self.params.epsilon
         xi = self.params.xi
         while stream.remaining:
-            batch = max(1, int(self._batch_size(self.s_count, self.t_count)))
+            batch = max(1, int(self.batch_size(self.s_count, self.t_count)))
             bs, bd = stream.take(batch)
             self.seen.note_extra(bs.size)
             qs, qd = self._cross(bs, bd)
@@ -483,7 +483,7 @@ class SinglePassEngine:
             self.seen.add(*fresh)
             self.seen.refilter(self.s_mask, self.t_mask)
             # if the pair just died, the next batch matches nothing and the
-            # sparse branch above drains the stream and wraps up
+            # sparse branch above wraps up without reading the rest
         self._finish(stream)
 
     def _local_peel(self, edge_src, edge_dst):
@@ -509,8 +509,9 @@ class SinglePassEngine:
         self.offer_best(bs, bt, rho)
 
     def _finish(self, stream):
-        """Drain the stream, retain its cross edges, and peel them exactly."""
-        if stream.remaining:
+        """Drain the stream, retain its cross edges, and peel them exactly;
+        a pair with an empty side has none left, so then nothing is read."""
+        if stream.remaining and self.s_count and self.t_count:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
             self.seen.add(*self._cross(rs, rd))
@@ -521,8 +522,9 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
                     shared: SharedPeel | None = None):
     """One-pass sampled peeling over a (preferably shuffled) stream.
 
-    Returns (best pair, its density estimate, peak retained edges). The
-    estimate is exact whenever the final in-buffer peel produced the best.
+    Returns (best pair, its density estimate, ledger): one round, and the
+    engine's ``peak_edges``. The estimate is exact whenever the final
+    in-buffer peel produced the best.
     ``shared``, a ``SharedPeel`` over the stream's edges (in any order) with
     ``params.epsilon`` that covers ``c``, supplies the finishing peel when
     it starts from (V, V): then no sampled step happened and the bag holds
@@ -535,4 +537,4 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
     rng = rng if rng is not None else np.random.default_rng(0)
     engine = SinglePassEngine(n, c, params, rng, shared=shared)
     engine.run(stream)
-    return engine.best_pair(), engine.best_value, engine.peak_edges
+    return engine.best_pair(), engine.best_value, RoundLedger(rounds=1, peak_edges=engine.peak_edges)

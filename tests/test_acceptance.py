@@ -144,9 +144,9 @@ def test_criterion_3_iteration_bound(er_corpus, pref_1e3, pref_1e4):
     for g in corpus:
         cap = iteration_cap(g.n, _EPS)
         for c in build_grid(g.n, _DELTA):
-            _, _, iterations = baseline_peel(g, c, _EPS)
-            if iterations > cap:
-                violations.append((g.n, c, iterations, cap))
+            _, _, ledger = baseline_peel(g, c, _EPS)
+            if ledger.rounds > cap:
+                violations.append((g.n, c, ledger.rounds, cap))
     _report("3 pass/iteration bound", not violations, f"{len(violations)} violations")
     assert not violations, violations[:5]
 
@@ -160,11 +160,11 @@ def test_criterion_4_memory_bound(pref_1e3, pref_1e4):
         for eps in (0.1, 0.2):
             params = sample_params(n, eps)
             stream = make_stream(graph, "shuffled", seed=7)
-            _, _, peak = single_pass_run(stream, n, 1, params,
-                                         rng=np.random.default_rng(1))
+            _, _, ledger = single_pass_run(stream, n, 1, params,
+                                           rng=np.random.default_rng(1))
             bound = _MEM_C * n * math.log(n) ** 2 / eps**3
-            if peak > bound:
-                violations.append((n, eps, peak, bound))
+            if ledger.peak_edges > bound:
+                violations.append((n, eps, ledger.peak_edges, bound))
     elapsed = time.perf_counter() - started
     ok = not violations and elapsed < 300
     _report("4 memory bound", ok, f"{len(violations)} violations, {elapsed:.1f}s")

@@ -349,6 +349,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"{knob} applies only to algo '{owner}', not '{algo}'"):
             RunConfig(algo=algo, input_path=str(tmp_path / "missing.txt"), **{knob: value})
 
+    @pytest.mark.parametrize("c", [Fraction(1, 2), 10, "x"])
+    def test_config_rejects_a_pinned_c_for_the_exact_oracle(self, c, tmp_path):
+        # the oracle sweeps no c, so a pinned one would be silently ignored
+        with pytest.raises(ValueError, match="c applies only to a sweep algo, not 'exact'"):
+            RunConfig(algo="exact", input_path=str(tmp_path / "missing.txt"), c=c)
+
     def test_config_holds_the_mpc_config_its_algo_runs_with(self):
         cfg = RunConfig(algo="mpc-super", gen="pref:n=9,k=1", mpc_mu=0.4)
         assert cfg.mpc_config == MpcConfig("superlinear", mu=0.4)
@@ -580,6 +586,14 @@ class TestCli:
         code = cli_main(["--gen", "pref:n=200,k=3", "--out", str(out), *args])
         assert code == 2
         assert "applies only to algo" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_pinned_c_for_the_exact_oracle_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli_main(["--gen", "pref:n=12,k=2", "--algo", "exact", "--c", "1/2",
+                         "--out", str(out)])
+        assert code == 2
+        assert "error: c applies only to a sweep algo, not 'exact'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_parser_states_no_defaults_and_only_config_fields(self):

@@ -9,12 +9,11 @@ from dirdense.graph import DirectedGraph
 from dirdense.mpc import (
     MpcConfig,
     RelevantEdgeSet,
-    RoundLedger,
     _PhaseController,
     mpc_nearlinear_run,
     mpc_superlinear_run,
 )
-from dirdense.peeling import baseline_peel, exact_oracle
+from dirdense.peeling import RoundLedger, baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed, star_plus_triangle

@@ -34,8 +34,8 @@ class TestMultiPassRun:
             params = sample_params(g.n, 0.2)
             base_pair, base_rho, _ = baseline_peel(g, c, 0.2)
             stream = make_stream(g, "shuffled", seed=seed)
-            pair, rho, _, _ = multi_pass_run(stream, g.n, c, params,
-                                             rng=np.random.default_rng(seed))
+            pair, rho, _ = multi_pass_run(stream, g.n, c, params,
+                                          rng=np.random.default_rng(seed))
             assert pair.S == base_pair.S
             assert pair.T == base_pair.T
             assert rho == base_rho
@@ -50,17 +50,17 @@ class TestMultiPassRun:
         params = sample_params(g.n, eps)
         assume(g.n * params.xi >= g.m)
         base_pair, base_rho, _ = baseline_peel(g, c, eps)
-        pair, rho, _, _ = multi_pass_run(make_stream(g, order, seed), g.n, c, params,
-                                         rng=np.random.default_rng(seed))
+        pair, rho, _ = multi_pass_run(make_stream(g, order, seed), g.n, c, params,
+                                      rng=np.random.default_rng(seed))
         assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)
 
     def test_edgeless_graph(self):
         g = DirectedGraph(6, [])
         stream = make_stream(g, "given")
-        pair, rho, passes, peak = multi_pass_run(stream, 6, 1, sample_params(6, 0.2))
+        pair, rho, ledger = multi_pass_run(stream, 6, 1, sample_params(6, 0.2))
         assert rho == 0.0
-        assert passes == 2  # initial count + the single sampling pass
-        assert peak == 0
+        assert ledger.rounds == 2  # initial count + the single sampling pass
+        assert ledger.peak_edges == 0
 
     def test_star_triangle_recovery_over_seeds(self):
         g = star_plus_triangle()
@@ -70,8 +70,8 @@ class TestMultiPassRun:
         hits = 0
         for seed in range(100):
             stream = make_stream(g, "shuffled", seed=seed)
-            _, rho, _, _ = multi_pass_run(stream, g.n, Fraction(1, 6), params,
-                                          rng=np.random.default_rng(seed))
+            _, rho, _ = multi_pass_run(stream, g.n, Fraction(1, 6), params,
+                                       rng=np.random.default_rng(seed))
             hits += rho >= bound
         assert hits >= 99
 
@@ -80,16 +80,16 @@ class TestMultiPassRun:
             g = gnp_directed(14, 0.4, seed)
             eps = 0.2
             stream = make_stream(g, "shuffled", seed=seed)
-            _, _, passes, _ = multi_pass_run(stream, g.n, 1, sample_params(g.n, eps),
-                                             rng=np.random.default_rng(seed))
-            assert passes <= 2 * iteration_cap(g.n, eps)
+            _, _, ledger = multi_pass_run(stream, g.n, 1, sample_params(g.n, eps),
+                                          rng=np.random.default_rng(seed))
+            assert ledger.rounds <= 2 * iteration_cap(g.n, eps)
 
     def test_density_is_exact_for_reported_pair(self):
         for seed in range(5):
             g = gnp_directed(11, 0.4, seed)
             stream = make_stream(g, "shuffled", seed=seed)
-            pair, rho, _, _ = multi_pass_run(stream, g.n, Fraction(2), sample_params(g.n, 0.3),
-                                             rng=np.random.default_rng(seed))
+            pair, rho, _ = multi_pass_run(stream, g.n, Fraction(2), sample_params(g.n, 0.3),
+                                          rng=np.random.default_rng(seed))
             assert density(g, pair) == pytest.approx(rho, abs=1e-12)
 
     def test_genuinely_sampled_run_still_peels(self):
@@ -98,8 +98,7 @@ class TestMultiPassRun:
         params = sample_params(g.n, 0.5, f=1 / 2000)
         assert g.n * params.xi < g.m  # sampling actually engages
         stream = make_stream(g, "shuffled", seed=1)
-        pair, rho, passes, peak = multi_pass_run(stream, g.n, 1, params,
-                                                 rng=np.random.default_rng(5))
+        pair, rho, ledger = multi_pass_run(stream, g.n, 1, params, rng=np.random.default_rng(5))
         assert density(g, pair) == pytest.approx(rho, abs=1e-12)
-        assert peak < g.m
-        assert passes <= 2 * iteration_cap(g.n, 0.5)
+        assert ledger.peak_edges < g.m
+        assert ledger.rounds <= 2 * iteration_cap(g.n, 0.5)

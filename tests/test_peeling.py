@@ -86,9 +86,9 @@ class TestBaselinePeel:
 
     def test_edgeless_graph(self):
         g = DirectedGraph(5, [])
-        pair, rho, iterations = baseline_peel(g, 1, 0.2)
+        pair, rho, ledger = baseline_peel(g, 1, 0.2)
         assert rho == 0.0
-        assert iterations == 1  # one iteration empties a side
+        assert ledger.rounds == 1  # one iteration empties a side
 
     def test_star_triangle_bound(self):
         g = star_plus_triangle()
@@ -99,18 +99,18 @@ class TestBaselinePeel:
 
     def test_single_vertex_graph_counts_self_loops(self):
         g = DirectedGraph(1, [(0, 0), (0, 0)])
-        pair, rho, iterations = baseline_peel(g, 1, 0.2)
+        pair, rho, ledger = baseline_peel(g, 1, 0.2)
         assert pair.S == pair.T == frozenset({0})
         assert rho == 2.0
-        assert iterations == 0
+        assert ledger.rounds == 0
 
     def test_density_ties_keep_the_earlier_pair(self):
         g = DirectedGraph(4, [(3, 3), (0, 1), (3, 2), (0, 3), (1, 3), (0, 0), (0, 1)])
         everyone = np.ones(g.n, dtype=bool)
         steps = list(_rescan_peels(g.src, g.dst, g.n, Fraction(1), 0.2, everyone, everyone))
         assert [step.cross / math.sqrt(step.s_count * step.t_count) for step in steps[:2]] == [2.0, 2.0]
-        pair, rho, iterations = baseline_peel(g, 1, 0.2)
-        assert iterations == len(steps)
+        pair, rho, ledger = baseline_peel(g, 1, 0.2)
+        assert ledger.rounds == len(steps)
         assert rho == 2.0
         assert (pair.S, pair.T) == (frozenset({0}), frozenset(range(4)))
 
@@ -141,8 +141,8 @@ class TestBaselinePeel:
     def test_iteration_bound(self, n, eps, seed):
         g = gnp_directed(n, 0.3, seed)
         c = Fraction(1 + seed % 5, 1 + seed % 3)
-        _, _, iterations = baseline_peel(g, c, eps)
-        assert iterations <= iteration_cap(n, eps)
+        _, _, ledger = baseline_peel(g, c, eps)
+        assert ledger.rounds <= iteration_cap(n, eps)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -313,11 +313,11 @@ class TestGuessWalk:
         g, guesses, _ = instance
         shared = SharedPeel(g.src, g.dst, g.n, guesses, eps, rescan=True)
         for c in guesses:
-            pair, rho, iterations = baseline_peel(g, c, eps, shared=shared)
+            pair, rho, ledger = baseline_peel(g, c, eps, shared=shared)
             alone = baseline_peel(g, c, eps)
-            assert (pair, repr(rho), iterations) == (alone[0], repr(alone[1]), alone[2])
+            assert (pair, repr(rho), ledger) == (alone[0], repr(alone[1]), alone[2])
             if g.n > 1:  # a one-vertex graph has no peel to compare
-                assert _best_key((pair.s_mask, pair.t_mask, rho, iterations)) == _best_key(
+                assert _best_key((pair.s_mask, pair.t_mask, rho, ledger.rounds)) == _best_key(
                     _reference_baseline(g, c, eps))
 
     def test_walk_runs_once_and_skips_invalid_guesses(self, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph, density
 from dirdense.peeling import baseline_peel
 from dirdense.streaming import SinglePassEngine, make_stream, sample_params, single_pass_run
@@ -36,19 +37,19 @@ class TestSinglePassRun:
             c = Fraction(1, 3)
             base_pair, base_rho, _ = baseline_peel(g, c, 0.2)
             stream = make_stream(g, "shuffled", seed=seed)
-            pair, rho, peak = single_pass_run(stream, g.n, c, sample_params(g.n, 0.2),
-                                              rng=np.random.default_rng(seed))
+            pair, rho, ledger = single_pass_run(stream, g.n, c, sample_params(g.n, 0.2),
+                                                rng=np.random.default_rng(seed))
             assert pair.S == base_pair.S
             assert pair.T == base_pair.T
             assert rho == base_rho
-            assert peak == g.m
+            assert ledger.peak_edges == g.m
 
     def test_edgeless_stream(self):
         g = DirectedGraph(4, [])
         stream = make_stream(g, "given")
-        pair, rho, peak = single_pass_run(stream, 4, 1, sample_params(4, 0.2))
+        pair, rho, ledger = single_pass_run(stream, 4, 1, sample_params(4, 0.2))
         assert rho == 0.0
-        assert peak == 0
+        assert ledger.peak_edges == 0
 
     def test_reads_each_edge_at_most_once(self):
         cases = [
@@ -61,13 +62,26 @@ class TestSinglePassRun:
             assert stream.edges_read <= g.m
             assert stream.resets == 0
 
+    def test_a_pair_that_loses_a_side_stops_reading(self):
+        # at c = 1/n a sampled peel empties a side long before the stream
+        # ends; no cross edge can remain, so the rest is neither read nor
+        # counted as held
+        g = gen_pref_attach(200, 100, seed=1)
+        params = sample_params(g.n, 0.2, f=1 / 3000)
+        assert g.n * params.xi < g.m  # the cell samples
+        stream = make_stream(g, "shuffled", seed=5)
+        pair, rho, ledger = single_pass_run(stream, g.n, Fraction(1, g.n), params,
+                                            rng=np.random.default_rng(3))
+        assert stream.edges_read < g.m
+        assert ledger.peak_edges < g.m - stream.edges_read
+        assert pair.S and pair.T and rho > 0
+
     def test_sampled_path_reports_pair_with_sane_estimate(self):
         g = gnp_directed(80, 0.5, seed=9)
         params = sample_params(g.n, 0.5, f=1 / 3000)
         assert g.n * params.xi < g.m
         stream = make_stream(g, "shuffled", seed=2)
-        pair, rho, peak = single_pass_run(stream, g.n, 1, params,
-                                          rng=np.random.default_rng(11))
+        pair, rho, _ = single_pass_run(stream, g.n, 1, params, rng=np.random.default_rng(11))
         assert pair.S and pair.T
         exact = density(g, pair)
         assert rho >= 0.0

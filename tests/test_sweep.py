@@ -212,7 +212,7 @@ _ROWS_FINGERPRINTS = {
     ("baseline", "multi-pass", "single-pass"):
         "e787ec9a3876446dbd2c8d0f31964ea644db86100ada2e82471dd1e46c061083",
     ("mpc-super", "mpc-near"):
-        "20acf6475f2064d2ab22d1f738568946fa812667d8b2702eb1f64946451ba046",
+        "d7a8086a89a37a2f99140e60e68e92f0ebf1d94e38c60951dd4ed1b29349052c",
 }
 
 

@@ -5,12 +5,18 @@ the package's own source.
 ``owner.__dict__[attr]``, so a probed callable must be defined directly on
 the module or class it is looked up on. A refactor that moves one into a
 base class or renames it breaks traced benchmark runs without failing any
-package test; this test makes that visible.
+package test; this test makes that visible. Another runs the full probe
+set over small command-line sweeps, so a runner result that the probes'
+hooks can no longer read fails here too.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 from pathlib import Path
+
+import pytest
 
 from tests.support import load_perfbench_module
 
@@ -24,6 +30,38 @@ def test_every_probe_is_defined_on_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in probes if attr not in owner.__dict__]
     assert not missing, f"probed callables not defined on their owner: {missing}"
+
+
+@pytest.mark.parametrize("algo", ["single-pass", "mpc-super", "mpc-near"])
+def test_full_trace_of_a_cli_sweep_reads_every_runner_result(algo, tmp_path):
+    """The traced benchmark's hooks read what the runners return: the MPC
+    ledgers' rounds and phase logs, and each single-pass cell's stream."""
+    from dirdense import cli
+
+    spans = load_perfbench_module("spans")
+    tracer = spans.Tracer()
+    argv = ["--gen", "pref:n=200,k=20", "--algo", algo, "--f", "0.001", "--seed", "2",
+            "--out", str(tmp_path / "report.csv")]
+    if algo == "mpc-near":
+        argv += ["--mpc-budget", "2"]
+    with tracer.installed(full=True), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    layers = tracer.layer_metrics()
+    assert set(layers) | {"trace.overhead_s"} == set(spans.LAYER_UNITS)
+    rows = tracer.sweep_result.rows
+    assert rows and all(row.error is None for row in rows)
+    assert layers["csweep.cells"] == len(rows)
+    assert layers["streaming.peak_edges"] == max(row.peak_edges for row in rows)
+    if algo == "single-pass":
+        assert set(tracer.cells) == {row.c for row in rows}
+        assert layers["streaming.edges_read"] == sum(read for _, read, _ in tracer.cells.values())
+        assert layers["streaming.resets"] == 0
+        assert layers["streaming.take_qualifying_calls"] > 0  # the cells sampled
+    else:
+        assert layers["mpc.rounds"] == sum(row.passes_or_rounds for row in rows)
+        assert layers["mpc.phases"] > len(rows)  # some cell ran more than one phase
+        assert layers["mpc.edges_fetched"] == layers["mpc.edges_drawn"] > 0
+        assert (layers["mpc.flip_peels"] > 0) == (algo == "mpc-near")
 
 
 def _unused_imports(tree):
