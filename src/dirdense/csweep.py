@@ -12,11 +12,13 @@ Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
 
 A peel step depends on c only through the side it peels, so cells whose
-guesses make the same side choices share their peel steps. A baseline
-sweep, and a single-pass sweep, hands every cell one ``SharedPeel`` over
-the graph's edges: the first cell whose exact peel starts from (V, V) walks
-every guess's peel at once, and the others read their results from that
-walk. A single-pass cell that sampled never asks for it. A cell's
+guesses make the same side choices share their peel steps. Every sweep but
+a multi-pass one hands every cell one ``SharedPeel`` over the graph's
+edges: the first cell whose exact peel starts from (V, V) walks every
+guess's peel at once, and the others read their results from that walk.
+The sharing sweeps are baseline, single-pass and mpc-super; a single-pass
+or mpc-super cell that sampled never asks for it, and neither does an
+mpc-near cell, whose first phase flip-peels. A cell's
 ``wall_ms`` therefore holds the walk's time if its call started the walk:
 with one worker the rows' ``wall_ms`` add up to the sweep's runner time,
 and with more, a cell waiting for the walk also counts its wait.
@@ -82,8 +84,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 @dataclass
 class SweepRow:
     """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the sweep's shared peel walk in the cell that started it (see
-    the module docstring)."""
+    includes the sweep's shared peel walk in the cell that started it, in
+    a baseline, single-pass or mpc-super sweep (see the module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None
@@ -158,7 +160,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     elif algo in ("mpc-super", "mpc-near"):
         mpc_pool = _shuffled_edges(g, stream_seed)
     shared = None
-    if algo in ("baseline", "single-pass"):
+    if algo != "multi-pass":
         shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")
 
     def run_cell(index: int) -> SweepRow:
@@ -174,7 +176,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
                 result = single_pass_run(stream.replay(), g.n, c, params, rng=rng, shared=shared)
             else:
                 run = mpc_superlinear_run if algo == "mpc-super" else mpc_nearlinear_run
-                result = run(g, c, params, mpc_config, rng=rng, pool=mpc_pool)
+                result = run(g, c, params, mpc_config, rng=rng, pool=mpc_pool, shared=shared)
             wall = (time.perf_counter() - started) * 1000.0
             pair, rho, ledger = result
             return SweepRow(c, pair, rho, *pair.sizes(), ledger.peak_edges, ledger.rounds, wall)

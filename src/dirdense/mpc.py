@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import RoundLedger, _density, _exact_bag_peels, _ratio_prefers_sources
+from .peeling import RoundLedger, SharedPeel, _density, _exact_bag_peels, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
@@ -213,7 +213,7 @@ class _PhaseController:
         return peels
 
 
-def _mpc_run(g, c, params, cfg, rng, pool):
+def _mpc_run(g, c, params, cfg, rng, pool, shared):
     if pool is not None and not pool[0].size == pool[1].size == g.m:
         raise ValueError(f"pool must hold the graph's {g.m} edges")
     if rng is None:
@@ -228,7 +228,7 @@ def _mpc_run(g, c, params, cfg, rng, pool):
         # the batch size of the engine and the draw size of each phase
         xi = params.xi
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
-    engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn)
+    engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn, shared=shared)
     controller = _PhaseController(g, cfg, engine, pool, ledger)
     engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
     ledger.peak_edges = engine.peak_edges
@@ -237,7 +237,7 @@ def _mpc_run(g, c, params, cfg, rng, pool):
 
 
 def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig | None = None,
-                        *, rng=None, pool=None):
+                        *, rng=None, pool=None, shared: SharedPeel | None = None):
     """Phased run with machine memory n**(1+mu); returns (pair, density, ledger).
 
     Each phase refilters the relevant pool to the engine's current pair,
@@ -253,15 +253,22 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     The reported density is recomputed exactly on the input graph.
     ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
     means mu = ``SUPERLINEAR_MU``.
+    ``shared``, a ``SharedPeel`` over g's edges (in any order) with
+    ``params.epsilon`` that covers ``c``, supplies the coordinator's
+    finishing peel when it starts from (V, V): then no sampled step
+    happened, no filter removed an edge, and the bag holds every edge of
+    g, so the peel is the one every such cell of a sweep shares. The pool
+    is still drained in full and every round charged; the result and the
+    ledger are the run's own.
     """
     cfg = cfg or MpcConfig("superlinear", mu=SUPERLINEAR_MU)
     if cfg.regime != "superlinear":
         raise ValueError("config regime must be 'superlinear'")
-    return _mpc_run(g, c, params, cfg, rng, pool)
+    return _mpc_run(g, c, params, cfg, rng, pool, shared)
 
 
 def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig | None = None,
-                       *, rng=None, pool=None):
+                       *, rng=None, pool=None, shared: SharedPeel | None = None):
     """Phased run with machine memory n * polylog_budget.
 
     On top of the superlinear phase body, each phase first tallies exact
@@ -269,9 +276,11 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     (no fresh data needed while only one side shrinks), and fetched samples
     scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
     is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
-    drawn from its head, or None to permute them here.
+    drawn from its head, or None to permute them here. ``shared`` is taken
+    as there, but a near-linear run never asks for it: its first phase
+    flip-peels, so the coordinator never peels from (V, V).
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":
         raise ValueError("config regime must be 'nearlinear'")
-    return _mpc_run(g, c, params, cfg, rng, pool)
+    return _mpc_run(g, c, params, cfg, rng, pool, shared)

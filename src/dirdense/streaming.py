@@ -495,7 +495,9 @@ class SinglePassEngine:
         the pair's cross count and tallies degrees without re-checking
         membership. A peel from (V, V), where no sampled step happened and
         the bag holds every edge of the stream, is taken from the shared
-        peel when there is one.
+        peel when there is one: for single-pass the stream is the graph's
+        edges, and for a phased run it is the whole pool, which no filter
+        at (V, V) shrinks.
         """
         if edge_src.size == 0:
             return

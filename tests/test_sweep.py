@@ -9,8 +9,9 @@ import pytest
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig
-from dirdense.peeling import exact_oracle
+from dirdense.mpc import MpcConfig, mpc_superlinear_run
+from dirdense.peeling import SharedPeel, exact_oracle
+from dirdense.streaming import sample_params
 from dirdense.csweep import RUNNERS, build_grid, sweep
 from tests.support import gnp_directed
 
@@ -340,13 +341,28 @@ class TestSharedPeel:
     def pref(self):
         return gen_pref_attach(2000, 50, 3)
 
-    @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
+    @pytest.fixture(scope="class")
+    def pref10k(self):
+        return gen_pref_attach(10_000, 10, 3)
+
+    # Sweeps whose every cell peels the whole graph from (V, V), as
+    # (algo, graph fixture, f, MPC config). Single-pass at f = 1/30:
+    # n * xi = 762,000 >= m = 100,000, so each cell reads its stream in one
+    # batch. mpc-super at mu = 0.1, f = 1/2000: the first batch of n * xi =
+    # 70,000 spans three machine-loads of 25,118 at (V, V), then p > 1 and
+    # the pool of m = 99,990 is drained and peeled exactly.
+    EXACT_SWEEPS = [("baseline", "pref", 1 / 30, None),
+                    ("single-pass", "pref", 1 / 30, None),
+                    ("mpc-super", "pref10k", 1 / 2000, MpcConfig("superlinear", mu=0.1))]
+
+    @pytest.mark.parametrize("algo,graph,f,cfg", EXACT_SWEEPS)
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_one_walk_per_exact_sweep(self, walks, pref, algo, workers):
-        # f = 1/30 gives n * xi = 762,000 >= m = 100,000
-        res = sweep(algo, pref, build_grid(pref.n, 2), epsilon=0.2, f=1 / 30, seed=1,
+    def test_one_walk_per_exact_sweep(self, request, walks, algo, graph, f, cfg, workers):
+        g = request.getfixturevalue(graph)
+        res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1, mpc_config=cfg,
                     workers=workers)
         assert all(row.error is None for row in res.rows)
+        assert all(row.peak_edges == g.m for row in res.rows)
         assert len(walks) == 1
         assert walks[0].rescan == (algo == "baseline")
 
@@ -358,18 +374,37 @@ class TestSharedPeel:
         assert all(row.error is None for row in res.rows)
         assert not walks
 
-    @pytest.mark.parametrize("algo,f", [("baseline", 1.0), ("single-pass", 1 / 30),
-                                        ("single-pass", 1 / 3000)])
+    @pytest.mark.parametrize("algo,graph,f,cfg", [
+        ("baseline", "pref", 1.0, None), ("single-pass", "pref", 1 / 30, None),
+        ("single-pass", "pref", 1 / 3000, None), EXACT_SWEEPS[2]])
     @pytest.mark.parametrize("order", ["shuffled", "given"])
-    def test_rows_equal_cells_run_without_it(self, monkeypatch, pref, algo, f, order):
+    def test_rows_equal_cells_run_without_it(self, request, monkeypatch, algo, graph, f, cfg,
+                                             order):
         import dirdense.csweep as sweep_mod
 
-        grid = build_grid(pref.n, 2)
-        shared = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1, stream_order=order)
+        g = request.getfixturevalue(graph)
+        grid = build_grid(g.n, 2)
+        shared = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, stream_order=order,
+                       mpc_config=cfg)
         monkeypatch.setattr(sweep_mod, "SharedPeel", lambda *args, **kwargs: None)
-        alone = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1, stream_order=order)
+        alone = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, stream_order=order,
+                      mpc_config=cfg)
         assert [_row_key(r) for r in shared.rows] == [_row_key(r) for r in alone.rows]
         assert [repr(r.density) for r in shared.rows] == [repr(r.density) for r in alone.rows]
+
+    @pytest.mark.parametrize("other", ["edges", "epsilon"])
+    def test_mpc_run_rejects_a_shared_peel_of_another_bag(self, pref, other):
+        # f = 1/30: the run reads the whole pool in one batch and peels it from (V, V)
+        c = Fraction(1, 4)
+        params = sample_params(pref.n, 0.2, f=1 / 30)
+        src, dst, epsilon = pref.src, pref.dst, params.epsilon
+        if other == "edges":
+            src, dst = src[1:], dst[1:]
+        else:
+            epsilon = 0.3
+        shared = SharedPeel(src, dst, pref.n, (c,), epsilon)
+        with pytest.raises(ValueError, match="does not cover"):
+            mpc_superlinear_run(pref, c, params, rng=np.random.default_rng(0), shared=shared)
 
     @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
     def test_unsorted_grid_with_repeats(self, pref, algo):
