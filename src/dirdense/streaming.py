@@ -446,7 +446,7 @@ class SinglePassEngine:
     def run(self, stream):
         eps = self.params.epsilon
         xi = self.params.xi
-        while stream.remaining:
+        while stream.remaining and self.s_count and self.t_count:
             batch = max(1, int(self.batch_size(self.s_count, self.t_count)))
             bs, bd = stream.take(batch)
             self.seen.note_extra(bs.size)
@@ -482,8 +482,7 @@ class SinglePassEngine:
                             sampled_density_estimate(step.cross, p, self.s_count, self.t_count))
             self.seen.add(*fresh)
             self.seen.refilter(self.s_mask, self.t_mask)
-            # if the pair just died, the next batch matches nothing and the
-            # sparse branch above wraps up without reading the rest
+            # a pair with an empty side has no cross edge left to read
         self._finish(stream)
 
     def _local_peel(self, edge_src, edge_dst):

@@ -76,6 +76,18 @@ class TestSinglePassRun:
         assert ledger.peak_edges < g.m - stream.edges_read
         assert pair.S and pair.T and rho > 0
 
+    def test_a_dead_pair_reads_no_further_batch(self):
+        # the same cell: the sampled step that empties a side comes after
+        # 13,751 edges read, and the engine stops there instead of reading
+        # one more batch of n * xi = 600 edges that nothing can match
+        g = gen_pref_attach(200, 100, seed=1)
+        params = sample_params(g.n, 0.2, f=1 / 3000)
+        stream = make_stream(g, "shuffled", seed=5)
+        engine = SinglePassEngine(g.n, Fraction(1, g.n), params, np.random.default_rng(3))
+        engine.run(stream)
+        assert not (engine.s_count and engine.t_count)
+        assert stream.edges_read == 13_751
+
     def test_sampled_path_reports_pair_with_sane_estimate(self):
         g = gnp_directed(80, 0.5, seed=9)
         params = sample_params(g.n, 0.5, f=1 / 3000)
