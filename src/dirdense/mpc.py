@@ -155,7 +155,12 @@ class _PhaseController:
         return self.rel.size
 
     def fetch(self):
-        """Run one phase and return its draw, or None once the pool is empty."""
+        """Run one phase and return its draw, or None once the pool is empty.
+
+        A flip-peel that empties a side ends the run with its tally: no pool
+        edge can lie inside the pair, so the pool is released unfiltered and
+        nothing more is charged.
+        """
         if not self.rel.size:
             return None
         engine, ledger = self.engine, self.ledger
@@ -164,6 +169,11 @@ class _PhaseController:
         if self.nearlinear and engine.s_count and engine.t_count:
             flip_peels = self._flip_peel()
         before = self.rel.size
+        if not (engine.s_count and engine.t_count):
+            self.rel = RelevantEdgeSet(_EMPTY, _EMPTY)
+            ledger.log.append(PhaseRecord(ledger.phases, 0, before, 0, engine.s_count,
+                                          engine.t_count, True, flip_peels))
+            return None
         self.rel.intersect_pair(engine.s_mask, engine.t_mask)
         ledger.rounds += 1
         after = self.rel.size

@@ -268,14 +268,32 @@ class TestNearlinear:
         assert rho >= (99 / math.sqrt(99)) / (2 * 1.2**3)
 
     def test_phases_record_flip_peels_and_rounds(self):
+        # cost model: the flip-peel degree tally adds one charge per phase,
+        # and a phase whose flip-peel empties a side is charged that alone
         g = gnp_directed(60, 0.8, seed=4)
-        cfg = MpcConfig("nearlinear", polylog_budget=3.0)
-        params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_nearlinear_run(g, 1, params, cfg,
-                                          rng=np.random.default_rng(1))
-        # cost model: flip-peel degree tally adds one charge per phase
-        expected = sum((3 if rec.local_finish else 4) for rec in ledger.log)
-        assert ledger.rounds == expected
+        pref = gen_pref_attach(300, 20, seed=1)
+        pref_cfg = MpcConfig("nearlinear", polylog_budget=2.0)
+        pref_params = sample_params(pref.n, 0.2, f=1 / 3000)
+        cases = [
+            (g, 1, MpcConfig("nearlinear", polylog_budget=3.0), sample_params(g.n, 0.5, f=1 / 4000)),
+            (pref, Fraction(256, 75), pref_cfg, pref_params),   # a draw, then a dead phase
+            (pref, Fraction(4096, 75), pref_cfg, pref_params),  # a draw, then the final fetch
+        ]
+        charges = {"dead": 1, "final": 3, "draw": 4}
+        seen = set()
+        for graph, c, cfg, params in cases:
+            _, _, ledger = mpc_nearlinear_run(graph, c, params, cfg,
+                                              rng=np.random.default_rng(1))
+            kinds = []
+            for rec in ledger.log:
+                if not (rec.s_size and rec.t_size):
+                    assert rec.local_finish and rec.edges_fetched == rec.e_rel_after == 0
+                    kinds.append("dead")
+                else:
+                    kinds.append("final" if rec.local_finish else "draw")
+            assert ledger.rounds == sum(charges[kind] for kind in kinds)
+            seen.update(kinds)
+        assert seen == set(charges)
 
     def test_shrinking_sides_shrink_fetches(self):
         g = gnp_directed(80, 0.9, seed=6)

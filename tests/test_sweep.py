@@ -213,7 +213,7 @@ _ROWS_FINGERPRINTS = {
     ("baseline", "multi-pass", "single-pass"):
         "e787ec9a3876446dbd2c8d0f31964ea644db86100ada2e82471dd1e46c061083",
     ("mpc-super", "mpc-near"):
-        "d7a8086a89a37a2f99140e60e68e92f0ebf1d94e38c60951dd4ed1b29349052c",
+        "9172fcefdaa53d9fa8393f07dd211d33a7fb5bde5ce3514d73bd31db4968d4c6",
 }
 
 
