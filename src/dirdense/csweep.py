@@ -12,13 +12,13 @@ Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
 
 A peel step depends on c only through the side it peels, so cells whose
-guesses make the same side choices share their peel steps. Every sweep but
-a multi-pass one hands every cell one ``SharedPeel`` over the graph's
-edges: the first cell whose exact peel starts from (V, V) walks every
-guess's peel at once, and the others read their results from that walk.
-The sharing sweeps are baseline, single-pass and mpc-super; a single-pass
-or mpc-super cell that sampled never asks for it, and neither does an
-mpc-near cell, whose first phase flip-peels. A cell's
+guesses make the same side choices share their peel steps. A baseline,
+single-pass or mpc-super sweep hands every cell one ``SharedPeel`` over the
+graph's edges: the first cell whose exact peel starts from (V, V) walks
+every guess's peel at once, and the others read their results from that
+walk. A single-pass or mpc-super cell that sampled never asks for it. An
+mpc-near sweep hands one out too, but its cells never ask: each one's first
+phase flip-peels, so no peel starts from (V, V). A cell's
 ``wall_ms`` therefore holds the walk's time if its call started the walk:
 with one worker the rows' ``wall_ms`` add up to the sweep's runner time,
 and with more, a cell waiting for the walk also counts its wait.

@@ -157,9 +157,10 @@ class _PhaseController:
     def fetch(self):
         """Run one phase and return its draw, or None once the pool is empty.
 
-        A flip-peel that empties a side ends the run with its tally: no pool
-        edge can lie inside the pair, so the pool is released unfiltered and
-        nothing more is charged.
+        Once a side of the pair is empty, as a near-linear flip-peel may
+        leave it, no pool edge can lie inside the pair: the phase ends, and
+        the pool is released unfiltered with nothing charged past the flip
+        tally.
         """
         if not self.rel.size:
             return None
