@@ -12,14 +12,16 @@ Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
 
 A peel step depends on c only through the side it peels, so cells whose
-guesses make the same side choices share their peel steps. A baseline,
-single-pass or mpc-super sweep hands every cell one ``SharedPeel`` over the
-graph's edges: the first cell whose exact peel starts from (V, V) walks
-every guess's peel at once, and the others read their results from that
-walk. A single-pass or mpc-super cell that sampled never asks for it. An
-mpc-near sweep hands one out too, but its cells never ask: each one's first
-phase flip-peels, so no peel starts from (V, V). A cell's
-``wall_ms`` therefore holds the walk's time if its call started the walk:
+guesses make the same side choices share their peel steps. Every sweep but
+a multi-pass one hands every cell one ``SharedPeel`` over the graph's
+edges. In a baseline, single-pass or mpc-super sweep, the first cell whose
+exact peel starts from (V, V) walks every guess's peel at once, and the
+others read their results from that walk; a single-pass or mpc-super cell
+that sampled never asks for it. An mpc-near cell's first phase flip-peels
+from (V, V), and that flip-peel is the guess's first run of the same
+peel: the first cell walks the start of the peel until every guess has
+left its first run, and every cell reads its run from there. A cell's
+``wall_ms`` therefore holds a walk's time if its call started the walk:
 with one worker the rows' ``wall_ms`` add up to the sweep's runner time,
 and with more, a cell waiting for the walk also counts its wait.
 """
@@ -84,8 +86,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 @dataclass
 class SweepRow:
     """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the sweep's shared peel walk in the cell that started it, in
-    a baseline, single-pass or mpc-super sweep (see the module docstring)."""
+    includes the sweep's shared peel walk in the cell that started it (see
+    the module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None

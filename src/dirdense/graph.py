@@ -173,6 +173,8 @@ def count_cross_edges(g, pair: VertexSetPair) -> int:
     """Number of edges from S into T, counting parallel edges with multiplicity;
     raises unless the pair's masks span g's vertices."""
     _check_spans(g, pair)
+    if pair.s_mask.all() and pair.t_mask.all():
+        return g.m  # (V, V) holds every edge
     return int(np.count_nonzero(pair.s_mask[g.src] & pair.t_mask[g.dst]))
 
 

@@ -201,23 +201,29 @@ class _PhaseController:
         shrinks, the other side's cross-degrees stay valid, so the exact-bag
         kernel's first run of peels needs no new data. The kernel reads the
         graph's edges through the pair's membership mask and is stopped
-        before it would compact the bag for the other side.
+        before it would compact the bag for the other side. From (V, V)
+        this run is the guess's first run of the exact peel of g, which the
+        engine's ``shared`` peel, when there is one, supplies for every cell
+        of a sweep; the tally is still charged. Each step's density is
+        exact.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
-        inside = None
-        if engine.s_count < g.n or engine.t_count < g.n:
-            inside = engine.s_mask[g.src] & engine.t_mask[g.dst]
-        steps = _exact_bag_peels(
-            g.src, g.dst, g.n, (engine.c,), engine.params.epsilon, engine.s_mask, engine.t_mask,
-            inside=inside,
-        )
+        eps = engine.params.epsilon
+        at_root = engine.s_count == engine.t_count == g.n
+        if at_root and engine.shared is not None:
+            steps = engine.shared.first_run(engine.c, g.n, g.m, eps)
+        else:
+            inside = None if at_root else engine.s_mask[g.src] & engine.t_mask[g.dst]
+            steps = _exact_bag_peels(g.src, g.dst, g.n, (engine.c,), eps, engine.s_mask,
+                                     engine.t_mask, inside=inside)
         peels = 0
         for step in steps:
             peels += 1
             if not (step.s_count and step.t_count):
                 break
-            engine.offer_best(step.s_mask, step.t_mask, _density(step.cross, step.s_count, step.t_count))
+            engine.offer_best(step.s_mask, step.t_mask,
+                              _density(step.cross, step.s_count, step.t_count), exact=True)
             if _ratio_prefers_sources(step.s_count, step.t_count, engine.c) != (step.side == "S"):
                 break
         engine.set_pair(step.s_mask, step.t_mask)
@@ -244,7 +250,7 @@ def _mpc_run(g, c, params, cfg, rng, pool, shared):
     engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
     ledger.peak_edges = engine.peak_edges
     pair = engine.best_pair()
-    return pair, density(g, pair), ledger
+    return pair, engine.best_value if engine.best_exact else density(g, pair), ledger
 
 
 def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig | None = None,
@@ -261,7 +267,8 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     seen, so after the order-keeping filters the head is a uniform sample
     in uniform order, the law of a fresh permutation per draw; runs given
     one pool read the same order, as a sweep's cells read its one stream.
-    The reported density is recomputed exactly on the input graph.
+    The reported density is exact: the engine's own count when an exact
+    peel gave its best, else a recount on the input graph.
     ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
     means mu = ``SUPERLINEAR_MU``.
     ``shared``, a ``SharedPeel`` over g's edges (in any order) with
@@ -287,9 +294,12 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     (no fresh data needed while only one side shrinks), and fetched samples
     scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
     is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
-    drawn from its head, or None to permute them here. ``shared`` is taken
-    as there, but a near-linear run never asks for it: its first phase
-    flip-peels, so the coordinator never peels from (V, V).
+    drawn from its head, or None to permute them here. ``shared``, a
+    ``SharedPeel`` as there, supplies the first phase's flip-peel instead:
+    that phase starts at (V, V), so its peels are the guess's first run of
+    the exact peel of g, which every cell of a sweep reads from the one
+    walk. Later phases, and the finishing peel, which never starts from
+    (V, V), run on their own; every round is still charged.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

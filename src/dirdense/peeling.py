@@ -200,14 +200,16 @@ def _peel_best(steps, s_mask, t_mask, cross, guesses=1):
 
 class SharedPeel:
     """The exact peels from (V, V) of one edge bag for a sweep's ratio
-    guesses, walked once by ``_exact_bag_peels`` when a runner first asks.
+    guesses, walked by ``_exact_bag_peels`` when a runner first asks.
 
-    Guesses that are not positive rationals are left out, so each of their
-    cells still fails on its own; order and repeats do not matter.
-    ``rescan`` walks as ``baseline_peel`` peels, with one pass over the
-    whole bag per pair. Threads may share the object: the first ``best``
-    call runs the walk under a lock, and the calls waiting on it read its
-    result.
+    It has two products, each computed once: ``best``, every guess's peel
+    result, from the whole walk, and ``first_run``, every guess's first run
+    of one side's peels, from the walk's start. Guesses that are not
+    positive rationals are left out, so each of their cells still fails on
+    its own; order and repeats do not matter. ``rescan`` walks for ``best``
+    as ``baseline_peel`` peels, with one pass over the whole bag per pair.
+    Threads may share the object: the first call for a product computes it
+    under a lock, and the calls waiting on it read the result.
     """
 
     def __init__(self, src, dst, n, guesses, epsilon, *, rescan=False):
@@ -219,25 +221,66 @@ class SharedPeel:
                 valid.add(_ratio_guess(c))
         self.guesses = tuple(sorted(valid))
         self._lock = threading.Lock()
-        self._best = None
+        self._best = self._first_runs = None
+
+    def _check(self, c, n, m, epsilon):
+        if (n, m, epsilon) != (self.n, int(self.src.size), self.epsilon) or c not in self.guesses:
+            raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
+                             f"epsilon={epsilon!r}")
 
     def best(self, c: Fraction, n: int, m: int, epsilon: float):
         """(best S mask, best T mask, best density, steps) of the peel with
         guess ``c`` from (V, V) of a bag of ``m`` edges on ``n`` vertices;
         raises ValueError unless that is a peel this object walks."""
-        if (n, m, epsilon) != (self.n, int(self.src.size), self.epsilon) or c not in self.guesses:
-            raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
-                             f"epsilon={epsilon!r}")
+        self._check(c, n, m, epsilon)
         with self._lock:
             if self._best is None:
                 self._best = dict(zip(self.guesses, self._walk()))
         return self._best[c]
+
+    def first_run(self, c: Fraction, n: int, m: int, epsilon: float):
+        """The ``_Step``s of guess ``c``'s first run from (V, V) of a bag of
+        ``m`` edges on ``n`` vertices: its peels of the side its ratio test
+        picks there, up to and including the one after which the test flips
+        or a side is empty. Raises ValueError as ``best`` does."""
+        self._check(c, n, m, epsilon)
+        with self._lock:
+            if self._first_runs is None:
+                self._first_runs = dict(zip(self.guesses, self._first_run_walk()))
+        return self._first_runs[c]
 
     def _walk(self):
         everyone = np.ones(self.n, dtype=bool)
         steps = _exact_bag_peels(self.src, self.dst, self.n, self.guesses, self.epsilon,
                                  everyone, everyone, rescan=self.rescan)
         return _peel_best(steps, everyone, everyone, self.src.size, len(self.guesses))
+
+    def _first_run_walk(self):
+        """Each guess's first-run steps, read from the compacting walk's root.
+
+        The root's two runs, one per side, hold every guess's first run, and
+        the walk yields both before it compacts a bag. A guess leaves its run
+        at the step after which its ratio test flips, or a side is empty, so
+        the walk is read only until every guess has left.
+        """
+        cs = self.guesses
+        runs = [[] for _ in cs]
+        everyone = np.ones(self.n, dtype=bool)
+        in_run = len(cs)
+        for step in _exact_bag_peels(self.src, self.dst, self.n, cs, self.epsilon,
+                                     everyone, everyone):
+            for i in step.guesses:
+                runs[i].append(step)
+            if step.s_count and step.t_count:
+                # the guesses whose test now picks the other side leave
+                split = _first_target_peeler(cs, step.guesses, (step.s_count, step.t_count))
+                start, stop = step.guesses.start, step.guesses.stop
+                in_run -= split - start if step.side == "T" else stop - split
+            else:
+                in_run -= len(step.guesses)
+            if not in_run:
+                break
+        return runs
 
 
 def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | None = None):

@@ -397,7 +397,11 @@ class SinglePassEngine:
     sample budget, then drains the stream and finishes with an exact
     compacted peel of the retained buffer. The running best is ranked by
     sampled-density estimates during streaming and by exact in-buffer
-    densities at the finish.
+    densities at the finish; ``best_exact`` says whether ``best_value`` is
+    an exact density, as the finishing peel's and a near-linear phase's
+    flip-peel steps are, or a sampled estimate. ``shared`` supplies the
+    finishing peel from (V, V) and, for the phased simulator, a
+    flip-peel's first run from (V, V).
     """
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None,
@@ -413,6 +417,7 @@ class SinglePassEngine:
         self.t_count = n
         self.seen = SeenSet()
         self.best_value = 0.0
+        self.best_exact = False  # (V, V) starts at 0.0, not at its density
 
     # -- hooks used by the phased simulator ---------------------------------
     def set_pair(self, s_mask, t_mask):
@@ -422,11 +427,14 @@ class SinglePassEngine:
         self.t_count = int(np.count_nonzero(t_mask))
         self.seen.refilter(s_mask, t_mask)
 
-    def offer_best(self, s_mask, t_mask, value):
+    def offer_best(self, s_mask, t_mask, value, exact=False):
+        """Keep (S, T) as the best if ``value`` beats it; ``exact`` says
+        whether ``value`` is the pair's exact density or an estimate."""
         if value > self.best_value:
             self.best_s = s_mask
             self.best_t = t_mask
             self.best_value = value
+            self.best_exact = exact
 
     def best_pair(self) -> VertexSetPair:
         return VertexSetPair(self.best_s, self.best_t)
@@ -507,7 +515,7 @@ class SinglePassEngine:
             steps = _exact_bag_peels(edge_src, edge_dst, self.n, (self.c,), eps,
                                      self.s_mask, self.t_mask)
             bs, bt, rho, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)[0]
-        self.offer_best(bs, bt, rho)
+        self.offer_best(bs, bt, rho, exact=True)
 
     def _finish(self, stream):
         """Drain the stream, retain its cross edges, and peel them exactly;

@@ -125,6 +125,13 @@ class TestCountCrossEdges:
         batch = DirectedGraph(3, [(0, 1), (0, 1)])
         assert count_cross_edges(batch, VertexSetPair.of({0}, {1}, batch.n)) == 2
 
+    def test_whole_pair_counts_every_edge(self):
+        # self-loops and parallel edges each count once per copy
+        g = DirectedGraph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (2, 2), (3, 1), (1, 3)])
+        everyone = np.ones(g.n, dtype=bool)
+        masked = int(np.count_nonzero(everyone[g.src] & everyone[g.dst]))
+        assert count_cross_edges(g, VertexSetPair(everyone, everyone)) == g.m == masked == 7
+
 
 class TestDensity:
     def test_single_edge(self):

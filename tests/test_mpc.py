@@ -296,16 +296,17 @@ class TestNearlinear:
         assert seen == set(charges)
 
     def test_shrinking_sides_shrink_fetches(self):
-        g = gnp_directed(80, 0.9, seed=6)
-        cfg = MpcConfig("nearlinear", polylog_budget=2.0)
-        params = sample_params(g.n, 0.5, f=1 / 4000)
-        _, _, ledger = mpc_nearlinear_run(g, 1, params, cfg,
+        # two draw phases, at (|S|, |T|) = (11, 200) and (11, 71), then a
+        # flip-peel empties S
+        g = gnp_directed(200, 0.3, seed=6)
+        cfg = MpcConfig("nearlinear", polylog_budget=1.0)
+        params = sample_params(g.n, 0.2, f=1 / 4000)
+        _, _, ledger = mpc_nearlinear_run(g, Fraction(2, 25), params, cfg,
                                           rng=np.random.default_rng(1))
         nonfinal = [rec for rec in ledger.log if not rec.local_finish]
-        if len(nonfinal) >= 2:
-            assert nonfinal[-1].s_size + nonfinal[-1].t_size \
-                <= nonfinal[0].s_size + nonfinal[0].t_size
-
+        assert len(nonfinal) >= 2
+        assert nonfinal[-1].s_size + nonfinal[-1].t_size \
+            <= nonfinal[0].s_size + nonfinal[0].t_size
 
     @pytest.mark.parametrize("c", [Fraction(1, 8), Fraction(1), Fraction(8)])
     def test_flip_peel_reads_only_the_edges_inside_the_pair(self, c):
@@ -328,6 +329,29 @@ class TestNearlinear:
             inside = s_mask[g.src] & t_mask[g.dst]
             sub = DirectedGraph.from_arrays(g.n, g.src[inside], g.dst[inside])
             assert flip_peel(g, s_mask, t_mask) == flip_peel(sub, s_mask, t_mask)
+
+
+@pytest.mark.parametrize("algo", ["mpc-super", "mpc-near"])
+def test_reported_density_is_the_exact_density(monkeypatch, algo):
+    # a row whose best came from an exact peel reports the engine's own
+    # count; one whose best is a sampled estimate is recounted on g
+    import dirdense.mpc as mpc_mod
+
+    recounts = []
+    recount = mpc_mod.density
+
+    def record(graph, pair):
+        recounts.append(pair)
+        return recount(graph, pair)
+
+    monkeypatch.setattr(mpc_mod, "density", record)
+    g = gen_pref_attach(2000, 50, 3)
+    rows = []
+    for f in (1 / 30, 1 / 3000):
+        rows += sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1).rows
+    assert all(row.error is None for row in rows)
+    assert [repr(row.density) for row in rows] == [repr(recount(g, row.pair)) for row in rows]
+    assert 0 < len(recounts) < len(rows)  # both kinds of cell are covered
 
 
 class TestApproximationParity:

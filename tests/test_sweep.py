@@ -9,7 +9,7 @@ import pytest
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig, mpc_superlinear_run
+from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
 from dirdense.peeling import SharedPeel, exact_oracle
 from dirdense.streaming import sample_params
 from dirdense.csweep import RUNNERS, build_grid, sweep
@@ -337,6 +337,19 @@ class TestSharedPeel:
         monkeypatch.setattr(SharedPeel, "_walk", record)
         return walked
 
+    @pytest.fixture
+    def first_run_walks(self, monkeypatch):
+        """Every walk for the guesses' first runs the sweep runs."""
+        walked = []
+        walk = SharedPeel._first_run_walk
+
+        def record(self):
+            walked.append(self)
+            return walk(self)
+
+        monkeypatch.setattr(SharedPeel, "_first_run_walk", record)
+        return walked
+
     @pytest.fixture(scope="class")
     def pref(self):
         return gen_pref_attach(2000, 50, 3)
@@ -366,6 +379,13 @@ class TestSharedPeel:
         assert len(walks) == 1
         assert walks[0].rescan == (algo == "baseline")
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_first_run_walk_per_mpc_near_sweep(self, walks, first_run_walks, pref, workers):
+        res = sweep("mpc-near", pref, build_grid(pref.n, 2), epsilon=0.2, f=1 / 2000, seed=1,
+                    workers=workers)
+        assert all(row.error is None for row in res.rows)
+        assert len(first_run_walks) == 1 and not walks
+
     @pytest.mark.parametrize("algo,f", [("single-pass", 1 / 3000), ("multi-pass", 1 / 30),
                                         ("mpc-super", 1 / 2000), ("mpc-near", 1 / 2000)])
     def test_no_walk_where_no_cell_peels_the_whole_graph_exactly(self, walks, pref, algo, f):
@@ -376,7 +396,8 @@ class TestSharedPeel:
 
     @pytest.mark.parametrize("algo,graph,f,cfg", [
         ("baseline", "pref", 1.0, None), ("single-pass", "pref", 1 / 30, None),
-        ("single-pass", "pref", 1 / 3000, None), EXACT_SWEEPS[2]])
+        ("single-pass", "pref", 1 / 3000, None), EXACT_SWEEPS[2],
+        ("mpc-near", "pref", 1 / 2000, None)])
     @pytest.mark.parametrize("order", ["shuffled", "given"])
     def test_rows_equal_cells_run_without_it(self, request, monkeypatch, algo, graph, f, cfg,
                                              order):
@@ -394,7 +415,8 @@ class TestSharedPeel:
 
     @pytest.mark.parametrize("other", ["edges", "epsilon"])
     def test_mpc_run_rejects_a_shared_peel_of_another_bag(self, pref, other):
-        # f = 1/30: the run reads the whole pool in one batch and peels it from (V, V)
+        # f = 1/30: an mpc-super run reads the whole pool in one batch and
+        # peels it from (V, V); an mpc-near run's first phase flip-peels there
         c = Fraction(1, 4)
         params = sample_params(pref.n, 0.2, f=1 / 30)
         src, dst, epsilon = pref.src, pref.dst, params.epsilon
@@ -403,8 +425,9 @@ class TestSharedPeel:
         else:
             epsilon = 0.3
         shared = SharedPeel(src, dst, pref.n, (c,), epsilon)
-        with pytest.raises(ValueError, match="does not cover"):
-            mpc_superlinear_run(pref, c, params, rng=np.random.default_rng(0), shared=shared)
+        for run in (mpc_superlinear_run, mpc_nearlinear_run):
+            with pytest.raises(ValueError, match="does not cover"):
+                run(pref, c, params, rng=np.random.default_rng(0), shared=shared)
 
     @pytest.mark.parametrize("algo", ["baseline", "single-pass"])
     def test_unsorted_grid_with_repeats(self, pref, algo):
