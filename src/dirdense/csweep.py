@@ -14,16 +14,18 @@ Every runner returns (pair, density, ``RoundLedger``), and a row's
 A peel step depends on c only through the side it peels, so cells whose
 guesses make the same side choices share their peel steps. Every sweep but
 a multi-pass one hands every cell one ``SharedPeel`` over the graph's
-edges. In a baseline, single-pass or mpc-super sweep, the first cell whose
-exact peel starts from (V, V) walks every guess's peel at once, and the
-others read their results from that walk; a single-pass or mpc-super cell
-that sampled never asks for it. An mpc-near cell's first phase flip-peels
-from (V, V), and that flip-peel is the guess's first run of the same
-peel: the first cell walks the start of the peel until every guess has
-left its first run, and every cell reads its run from there. A cell's
-``wall_ms`` therefore holds a walk's time if its call started the walk:
-with one worker the rows' ``wall_ms`` add up to the sweep's runner time,
-and with more, a cell waiting for the walk also counts its wait.
+edges: one walk of every guess's exact peel from (V, V), which walks each
+step once and which each cell reads only as far as it needs. A baseline
+cell, and a single-pass or mpc-super cell that did not sample, peels
+exactly from (V, V) and reads its guess's steps to the end, so the first
+such cell drains the walk; a cell that sampled never reads it. An mpc-near
+cell's first phase flip-peels from (V, V) and reads only its guess's first
+run, so an mpc-near sweep reads no further than the root's two runs. A
+cell's ``wall_ms`` therefore holds the steps it was the first to read: in
+an exact sweep the first cell drains the walk, and an mpc-near cell pays
+for the root-run steps it is the first to read. With one worker the rows'
+``wall_ms`` add up to the sweep's runner time, and with more, a cell
+waiting for the walk also counts its wait.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 @dataclass
 class SweepRow:
     """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the sweep's shared peel walk in the cell that started it (see
-    the module docstring)."""
+    includes the steps of the sweep's shared peel walk that the cell was
+    the first to read (see the module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import RoundLedger, SharedPeel, _density, _exact_bag_peels, _ratio_prefers_sources
+from .peeling import RoundLedger, SharedPeel, _density, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
@@ -79,7 +79,6 @@ class MpcConfig:
 
 @dataclass
 class PhaseRecord:
-    index: int
     edges_fetched: int
     e_rel_before: int
     e_rel_after: int
@@ -165,15 +164,14 @@ class _PhaseController:
         if not self.rel.size:
             return None
         engine, ledger = self.engine, self.ledger
-        ledger.phases += 1
         flip_peels = 0
         if self.nearlinear and engine.s_count and engine.t_count:
             flip_peels = self._flip_peel()
         before = self.rel.size
         if not (engine.s_count and engine.t_count):
             self.rel = RelevantEdgeSet(_EMPTY, _EMPTY)
-            ledger.log.append(PhaseRecord(ledger.phases, 0, before, 0, engine.s_count,
-                                          engine.t_count, True, flip_peels))
+            ledger.log.append(PhaseRecord(0, before, 0, engine.s_count, engine.t_count, True,
+                                          flip_peels))
             return None
         self.rel.intersect_pair(engine.s_mask, engine.t_mask)
         ledger.rounds += 1
@@ -188,37 +186,24 @@ class _PhaseController:
                 want = min(engine.batch_size(engine.s_count, engine.t_count), want)
             ledger.rounds += 2  # sampling + removal
         drawn_src, drawn_dst = self.rel.draw(want)
-        ledger.log.append(
-            PhaseRecord(ledger.phases, int(drawn_src.size), before, after,
-                        engine.s_count, engine.t_count, local_finish, flip_peels)
-        )
+        ledger.log.append(PhaseRecord(int(drawn_src.size), before, after, engine.s_count,
+                                      engine.t_count, local_finish, flip_peels))
         return drawn_src, drawn_dst
 
     def _flip_peel(self) -> int:
         """Peel the over-ratio side with exact degrees until the ratio test flips.
 
         One charged tally supplies every degree needed: while only one side
-        shrinks, the other side's cross-degrees stay valid, so the exact-bag
-        kernel's first run of peels needs no new data. The kernel reads the
-        graph's edges through the pair's membership mask and is stopped
-        before it would compact the bag for the other side. From (V, V)
-        this run is the guess's first run of the exact peel of g, which the
-        engine's ``shared`` peel, when there is one, supplies for every cell
-        of a sweep; the tally is still charged. Each step's density is
-        exact.
+        shrinks, the other side's cross-degrees stay valid, so the first run
+        of the engine's exact peel of the graph's edges needs no new data.
+        The run stops before the kernel would compact the bag for the other
+        side, and from (V, V) it reads only the start of the sweep's shared
+        walk. Each step's density is exact.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
-        eps = engine.params.epsilon
-        at_root = engine.s_count == engine.t_count == g.n
-        if at_root and engine.shared is not None:
-            steps = engine.shared.first_run(engine.c, g.n, g.m, eps)
-        else:
-            inside = None if at_root else engine.s_mask[g.src] & engine.t_mask[g.dst]
-            steps = _exact_bag_peels(g.src, g.dst, g.n, (engine.c,), eps, engine.s_mask,
-                                     engine.t_mask, inside=inside)
         peels = 0
-        for step in steps:
+        for step in engine.peels(g.src, g.dst, filtered=False):
             peels += 1
             if not (step.s_count and step.t_count):
                 break
@@ -273,11 +258,11 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     means mu = ``SUPERLINEAR_MU``.
     ``shared``, a ``SharedPeel`` over g's edges (in any order) with
     ``params.epsilon`` that covers ``c``, supplies the coordinator's
-    finishing peel when it starts from (V, V): then no sampled step
+    finishing peel's steps when it starts from (V, V): then no sampled step
     happened, no filter removed an edge, and the bag holds every edge of
-    g, so the peel is the one every such cell of a sweep shares. The pool
-    is still drained in full and every round charged; the result and the
-    ledger are the run's own.
+    g, so the steps are guess c's in the walk every such cell of a sweep
+    reads. The pool is still drained in full and every round charged; the
+    result and the ledger are the run's own.
     """
     cfg = cfg or MpcConfig("superlinear", mu=SUPERLINEAR_MU)
     if cfg.regime != "superlinear":
@@ -296,10 +281,10 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
     drawn from its head, or None to permute them here. ``shared``, a
     ``SharedPeel`` as there, supplies the first phase's flip-peel instead:
-    that phase starts at (V, V), so its peels are the guess's first run of
-    the exact peel of g, which every cell of a sweep reads from the one
-    walk. Later phases, and the finishing peel, which never starts from
-    (V, V), run on their own; every round is still charged.
+    that phase starts at (V, V), so its peels are guess c's first run in
+    the walk, and every cell of a sweep reads only that far into it. Later
+    phases, and the finishing peel, which never starts from (V, V), run on
+    their own; every round is still charged.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

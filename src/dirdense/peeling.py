@@ -26,12 +26,15 @@ __all__ = [
 class RoundLedger:
     """What a runner call cost, the third item every runner returns: its
     passes or rounds and the most edges it held at once. Only the MPC
-    runners fill ``phases`` and ``log``, one ``mpc.PhaseRecord`` a phase."""
+    runners fill ``log``, one ``mpc.PhaseRecord`` a phase."""
 
     rounds: int = 0
-    phases: int = 0
     peak_edges: int = 0
     log: list = field(default_factory=list)
+
+    @property
+    def phases(self) -> int:
+        return len(self.log)
 
 
 def _ratio_guess(c) -> Fraction:
@@ -176,111 +179,82 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
                     break
 
 
-def _peel_best(steps, s_mask, t_mask, cross, guesses=1):
-    """Consume peel ``steps`` from (S, T), tracking each guess's best
-    exact-density pair.
+def _peel_best(steps, s_mask, t_mask, cross):
+    """Consume one guess's peel ``steps`` from (S, T) and return its best
+    exact-density pair: (best S mask, best T mask, best density).
 
-    ``cross`` is the start pair's cross count, and the start pair is every
-    guess's first candidate. Returns, per guess, (best S mask, best T mask,
-    best density, the number of its steps). The masks are the steps' own,
-    not copies, since the kernel never writes one in place.
+    ``cross`` is the start pair's cross count, and the start pair is the
+    first candidate; ties keep the earlier pair. The masks are the steps'
+    own, not copies, since the kernel never writes one in place.
     """
-    s_count = int(np.count_nonzero(s_mask))
-    t_count = int(np.count_nonzero(t_mask))
-    best = [(s_mask, t_mask, _density(cross, s_count, t_count), 0)] * guesses
+    best = s_mask, t_mask
+    top = _density(cross, int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
     for step in steps:
         rho = _density(step.cross, step.s_count, step.t_count)
-        for i in step.guesses:
-            s, t, top, count = best[i]
-            if rho > top:
-                s, t, top = step.s_mask, step.t_mask, rho
-            best[i] = (s, t, top, count + 1)
-    return best
+        if rho > top:
+            best, top = (step.s_mask, step.t_mask), rho
+    return *best, top
 
 
 class SharedPeel:
     """The exact peels from (V, V) of one edge bag for a sweep's ratio
-    guesses, walked by ``_exact_bag_peels`` when a runner first asks.
+    guesses, as one ``_exact_bag_peels`` walk over all of them, read lazily.
 
-    It has two products, each computed once: ``best``, every guess's peel
-    result, from the whole walk, and ``first_run``, every guess's first run
-    of one side's peels, from the walk's start. Guesses that are not
-    positive rationals are left out, so each of their cells still fails on
-    its own; order and repeats do not matter. ``rescan`` walks for ``best``
-    as ``baseline_peel`` peels, with one pass over the whole bag per pair.
-    Threads may share the object: the first call for a product computes it
-    under a lock, and the calls waiting on it read the result.
+    ``steps`` hands out one guess's steps in order. The walk advances only
+    when a reader needs a step not walked yet, and every step it yields is
+    kept, so each is walked once: a reader that drains its guess's steps
+    drains the walk, and one that stops early, as a flip-peel after its
+    first run does, leaves the rest unwalked. Guesses that are not positive
+    rationals are left out, so each of their cells still fails on its own;
+    order and repeats do not matter. ``rescan`` walks as ``baseline_peel``
+    peels, with one pass over the whole bag per pair. Threads may share the
+    object: the walk advances under a lock. A walk that raises keeps the
+    exception, and every reader that needs a step past the last one walked
+    raises it too, so no peel ends short.
     """
 
     def __init__(self, src, dst, n, guesses, epsilon, *, rescan=False):
-        self.src, self.dst, self.n = src, dst, int(n)
-        self.epsilon, self.rescan = epsilon, rescan
+        self.n, self.m, self.epsilon = int(n), int(src.size), epsilon
         valid = set()
         for c in guesses:
             with contextlib.suppress(ValueError):
                 valid.add(_ratio_guess(c))
         self.guesses = tuple(sorted(valid))
+        everyone = np.ones(self.n, dtype=bool)
+        self._walk = _exact_bag_peels(src, dst, self.n, self.guesses, epsilon, everyone, everyone,
+                                      rescan=rescan)
+        self._walked = []
+        self._error = None
         self._lock = threading.Lock()
-        self._best = self._first_runs = None
 
-    def _check(self, c, n, m, epsilon):
-        if (n, m, epsilon) != (self.n, int(self.src.size), self.epsilon) or c not in self.guesses:
+    def steps(self, c: Fraction, n: int, m: int, epsilon: float):
+        """An iterator over the ``_Step``s of the peel with guess ``c`` from
+        (V, V) of a bag of ``m`` edges on ``n`` vertices; raises ValueError
+        unless that is a peel this object walks."""
+        if (n, m, epsilon) != (self.n, self.m, self.epsilon) or c not in self.guesses:
             raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
                              f"epsilon={epsilon!r}")
+        return self._read(self.guesses.index(c))
 
-    def best(self, c: Fraction, n: int, m: int, epsilon: float):
-        """(best S mask, best T mask, best density, steps) of the peel with
-        guess ``c`` from (V, V) of a bag of ``m`` edges on ``n`` vertices;
-        raises ValueError unless that is a peel this object walks."""
-        self._check(c, n, m, epsilon)
-        with self._lock:
-            if self._best is None:
-                self._best = dict(zip(self.guesses, self._walk()))
-        return self._best[c]
-
-    def first_run(self, c: Fraction, n: int, m: int, epsilon: float):
-        """The ``_Step``s of guess ``c``'s first run from (V, V) of a bag of
-        ``m`` edges on ``n`` vertices: its peels of the side its ratio test
-        picks there, up to and including the one after which the test flips
-        or a side is empty. Raises ValueError as ``best`` does."""
-        self._check(c, n, m, epsilon)
-        with self._lock:
-            if self._first_runs is None:
-                self._first_runs = dict(zip(self.guesses, self._first_run_walk()))
-        return self._first_runs[c]
-
-    def _walk(self):
-        everyone = np.ones(self.n, dtype=bool)
-        steps = _exact_bag_peels(self.src, self.dst, self.n, self.guesses, self.epsilon,
-                                 everyone, everyone, rescan=self.rescan)
-        return _peel_best(steps, everyone, everyone, self.src.size, len(self.guesses))
-
-    def _first_run_walk(self):
-        """Each guess's first-run steps, read from the compacting walk's root.
-
-        The root's two runs, one per side, hold every guess's first run, and
-        the walk yields both before it compacts a bag. A guess leaves its run
-        at the step after which its ratio test flips, or a side is empty, so
-        the walk is read only until every guess has left.
-        """
-        cs = self.guesses
-        runs = [[] for _ in cs]
-        everyone = np.ones(self.n, dtype=bool)
-        in_run = len(cs)
-        for step in _exact_bag_peels(self.src, self.dst, self.n, cs, self.epsilon,
-                                     everyone, everyone):
-            for i in step.guesses:
-                runs[i].append(step)
-            if step.s_count and step.t_count:
-                # the guesses whose test now picks the other side leave
-                split = _first_target_peeler(cs, step.guesses, (step.s_count, step.t_count))
-                start, stop = step.guesses.start, step.guesses.stop
-                in_run -= split - start if step.side == "T" else stop - split
-            else:
-                in_run -= len(step.guesses)
-            if not in_run:
-                break
-        return runs
+    def _read(self, i):
+        """Guess ``i``'s steps: the walked ones, then the walk's as it advances."""
+        walked, k = self._walked, 0
+        while True:
+            with self._lock:
+                if k == len(walked):
+                    if self._error is not None:
+                        raise self._error
+                    try:
+                        walked.append(next(self._walk))
+                    except StopIteration:
+                        return
+                    except BaseException as exc:
+                        self._error = exc
+                        raise
+                step = walked[k]
+            k += 1
+            if i in step.guesses:
+                yield step
 
 
 def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | None = None):
@@ -290,25 +264,26 @@ def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | N
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
-    cached or compacted between iterations. ``shared``, a rescanning
-    ``SharedPeel`` over g's edges that covers ``c``, supplies the result
-    from its one walk for every guess of a sweep, where each pair's pass is
-    made once for all guesses at it; the result and iteration count are
-    those of the peel alone.
+    cached or compacted between iterations. The steps come from ``shared``,
+    a rescanning ``SharedPeel`` over g's edges that covers ``c``, or else
+    from a one-guess one built here: in a sweep's shared walk each pair's
+    pass is made once for all guesses at it, and the result and iteration
+    count are those of the peel alone.
     """
     c = _ratio_guess(c)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    everyone = np.ones(g.n, dtype=bool)
     if g.n == 1:
         # single-vertex graph: only candidate is ({0}, {0}); edges are self-loops
-        everyone = np.ones(1, dtype=bool)
         return VertexSetPair(everyone, everyone), float(g.m), RoundLedger(peak_edges=g.m)
     if shared is None:
         shared = SharedPeel(g.src, g.dst, g.n, (c,), epsilon, rescan=True)
-    best_s, best_t, rho, iterations = shared.best(c, g.n, g.m, epsilon)
-    return VertexSetPair(best_s, best_t), rho, RoundLedger(rounds=iterations, peak_edges=g.m)
+    steps = list(shared.steps(c, g.n, g.m, epsilon))
+    best_s, best_t, rho = _peel_best(steps, everyone, everyone, g.m)
+    return VertexSetPair(best_s, best_t), rho, RoundLedger(rounds=len(steps), peak_edges=g.m)
 
 
 _ORACLE_CHUNK = 1 << 14

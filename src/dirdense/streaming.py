@@ -399,9 +399,9 @@ class SinglePassEngine:
     sampled-density estimates during streaming and by exact in-buffer
     densities at the finish; ``best_exact`` says whether ``best_value`` is
     an exact density, as the finishing peel's and a near-linear phase's
-    flip-peel steps are, or a sampled estimate. ``shared`` supplies the
-    finishing peel from (V, V) and, for the phased simulator, a
-    flip-peel's first run from (V, V).
+    flip-peel steps are, or a sampled estimate. ``peels`` is the one source
+    of exact peel steps: from (V, V) it reads them from ``shared``, the
+    sweep's walk, when there is one.
     """
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None,
@@ -439,14 +439,30 @@ class SinglePassEngine:
     def best_pair(self) -> VertexSetPair:
         return VertexSetPair(self.best_s, self.best_t)
 
+    def peels(self, src, dst, *, filtered=True):
+        """Guess c's exact peel steps from the current pair over the edge bag
+        (``src``, ``dst``), which holds every edge of E(S, T); with
+        ``filtered`` it holds no other, else the kernel reads it through the
+        pair's membership mask. At (V, V) the bag is every edge, and the
+        steps are those of the ``shared`` walk when there is one."""
+        eps, at_root = self.params.epsilon, self._at_root()
+        if at_root and self.shared is not None:
+            return self.shared.steps(self.c, self.n, int(src.size), eps)
+        inside = None if filtered or at_root else self.s_mask[src] & self.t_mask[dst]
+        return _exact_bag_peels(src, dst, self.n, (self.c,), eps, self.s_mask, self.t_mask,
+                                inside=inside)
+
     @property
     def peak_edges(self) -> int:
         return self.seen.peak_size
 
     # ------------------------------------------------------------------------
+    def _at_root(self) -> bool:
+        return self.s_count == self.t_count == self.n
+
     def _cross(self, src, dst):
         """The edges inside the current pair; all of them before any peel."""
-        if self.s_count == self.n and self.t_count == self.n:
+        if self._at_root():
             return src, dst
         keep = self.s_mask[src] & self.t_mask[dst]
         return src[keep], dst[keep]
@@ -500,22 +516,14 @@ class SinglePassEngine:
         full-information continuation of the streamed one. Every bag edge
         must lie inside the current pair: the peel takes the bag's size as
         the pair's cross count and tallies degrees without re-checking
-        membership. A peel from (V, V), where no sampled step happened and
-        the bag holds every edge of the stream, is taken from the shared
-        peel when there is one: for single-pass the stream is the graph's
-        edges, and for a phased run it is the whole pool, which no filter
-        at (V, V) shrinks.
+        membership. At (V, V) no sampled step happened and the bag holds
+        every edge of the stream: for single-pass the graph's edges, and
+        for a phased run the whole pool, which no filter at (V, V) shrinks.
         """
         if edge_src.size == 0:
             return
-        eps = self.params.epsilon
-        if self.shared is not None and self.s_count == self.t_count == self.n:
-            bs, bt, rho, _ = self.shared.best(self.c, self.n, edge_src.size, eps)
-        else:
-            steps = _exact_bag_peels(edge_src, edge_dst, self.n, (self.c,), eps,
-                                     self.s_mask, self.t_mask)
-            bs, bt, rho, _ = _peel_best(steps, self.s_mask, self.t_mask, edge_src.size)[0]
-        self.offer_best(bs, bt, rho, exact=True)
+        steps = self.peels(edge_src, edge_dst)
+        self.offer_best(*_peel_best(steps, self.s_mask, self.t_mask, edge_src.size), exact=True)
 
     def _finish(self, stream):
         """Drain the stream, retain its cross edges, and peel them exactly;
@@ -535,11 +543,11 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
     engine's ``peak_edges``. The estimate is exact whenever the final
     in-buffer peel produced the best.
     ``shared``, a ``SharedPeel`` over the stream's edges (in any order) with
-    ``params.epsilon`` that covers ``c``, supplies the finishing peel when
-    it starts from (V, V): then no sampled step happened and the bag holds
-    the whole stream, so the peel is the one every such cell of a sweep
-    shares. The stream is still read in full, and the result is the peel's
-    own.
+    ``params.epsilon`` that covers ``c``, supplies the finishing peel's
+    steps when it starts from (V, V): then no sampled step happened and the
+    bag holds the whole stream, so the steps are guess c's in the walk
+    every such cell of a sweep reads. The stream is still read in full, and
+    the result is the peel's own.
     """
     if n != stream.n:
         raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")

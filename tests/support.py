@@ -226,3 +226,35 @@ def reference_peel_once(src, dst, n, c, epsilon, s_mask, t_mask):
     if peel_sources:
         return "S", int(np.count_nonzero(drop)), kept, t_mask, cross_after
     return "T", int(np.count_nonzero(drop)), s_mask, kept, cross_after
+
+
+def step_key(step):
+    """A peel kernel step as plain values, for comparing steps."""
+    return step.side, step.removed, step.s_mask.tolist(), step.t_mask.tolist(), step.cross
+
+
+def record_shared_walks(monkeypatch, *, fail_after=None):
+    """Record every walk of the peel kernel that a ``SharedPeel`` makes.
+
+    Returns a list that gets one (args, kwargs, steps) per walk when the
+    walk yields its first step; ``steps`` holds every step it yielded. The
+    runners' own peels call the kernel through ``streaming``, so only shared
+    walks are recorded. With ``fail_after``, a walk raises MemoryError once
+    it has yielded that many steps.
+    """
+    import dirdense.peeling as peeling
+
+    walks = []
+    kernel = peeling._exact_bag_peels
+
+    def walk(*args, **kwargs):
+        steps = []
+        walks.append((args, kwargs, steps))
+        for step in kernel(*args, **kwargs):
+            if len(steps) == fail_after:
+                raise MemoryError("the walk ran out of memory")
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(peeling, "_exact_bag_peels", walk)
+    return walks

@@ -23,9 +23,11 @@ from tests.support import (
     iteration_cap,
     multigraphs_with_ratio,
     naive_best_pair,
+    record_shared_walks,
     reference_peel_once,
     relabeled,
     star_plus_triangle,
+    step_key,
 )
 
 
@@ -189,10 +191,6 @@ def any_bag_instances(draw):
     return g.src, g.dst, n, c, draw(side), draw(side)
 
 
-def _step_key(step):
-    return step.side, step.removed, step.s_mask.tolist(), step.t_mask.tolist(), step.cross
-
-
 class TestExactBagPeel:
     @given(exact_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -203,11 +201,10 @@ class TestExactBagPeel:
         runs = []
         for rescan in (False, True):
             steps = list(_exact_bag_peels(src, dst, n, (c,), eps, *start, rescan=rescan))
-            [(best_s, best_t, rho, count)] = _peel_best(steps, *start, src.size)
-            runs.append(([_step_key(step) for step in steps], best_s.tolist(), best_t.tolist(),
-                         rho, count))
+            best_s, best_t, rho = _peel_best(steps, *start, src.size)
+            runs.append(([step_key(step) for step in steps], best_s.tolist(), best_t.tolist(),
+                         rho))
         assert runs[0] == runs[1]
-        assert runs[0][-1] == len(runs[0][0])
 
     @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -217,11 +214,11 @@ class TestExactBagPeel:
         side, removed, new_s, new_t, cross = reference_peel_once(src, dst, n, c, eps, s_mask, t_mask)
         expected = side, removed, new_s.tolist(), new_t.tolist(), cross
         step = next(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
-        assert _step_key(step) == expected
+        assert step_key(step) == expected
         assert (step.s_count, step.t_count) == (new_s.sum(), new_t.sum())
         # the same bag filtered to (S, T) needs no membership mask
         step = next(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
-        assert _step_key(step) == expected
+        assert step_key(step) == expected
 
     @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=200, deadline=None)
@@ -232,8 +229,8 @@ class TestExactBagPeel:
             array.setflags(write=False)  # the kernel writes no mask in place
         masked = list(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
         filtered = list(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
-        assert ([(_step_key(step), step.s_count, step.t_count) for step in masked]
-                == [(_step_key(step), step.s_count, step.t_count) for step in filtered])
+        assert ([(step_key(step), step.s_count, step.t_count) for step in masked]
+                == [(step_key(step), step.s_count, step.t_count) for step in filtered])
         assert all(step.s_count and step.t_count for step in masked[:-1])
         assert not (masked[-1].s_count and masked[-1].t_count)
 
@@ -257,9 +254,12 @@ def guess_walk_instances(draw):
     return g, guesses, start
 
 
-def _best_key(best):
-    s_mask, t_mask, rho, count = best
-    return s_mask.tolist(), t_mask.tolist(), repr(rho), count
+def _best_key(steps, n, m):
+    """The best pair, its density and the step count of one guess's peel
+    ``steps`` from (V, V) of m edges on n vertices."""
+    everyone = np.ones(n, dtype=bool)
+    s_mask, t_mask, rho = _peel_best(steps, everyone, everyone, m)
+    return s_mask.tolist(), t_mask.tolist(), repr(rho), len(steps)
 
 
 def _reference_baseline(g, c, eps):
@@ -277,35 +277,53 @@ def _reference_baseline(g, c, eps):
     return best
 
 
+def _interleaved(readers):
+    """Every reader's items, read one item of each reader in turn."""
+    got = [[] for _ in readers]
+    live = list(enumerate(readers))
+    while live:
+        for i, reader in list(live):
+            item = next(reader, None)
+            if item is None:
+                live.remove((i, reader))
+            else:
+                got[i].append(item)
+    return got
+
+
 class TestGuessWalk:
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_walk_matches_each_guess_alone(self, instance, eps, rescan):
         """Walking every guess at once gives each guess its own peel, step
-        for step, from any start pair, compacting or rescanning."""
+        for step, from any start pair, compacting or rescanning; from
+        (V, V) the shared peel hands out those steps."""
         g, guesses, (s_mask, t_mask) = instance
         inside = s_mask[g.src] & t_mask[g.dst]
         src, dst = (g.src, g.dst) if rescan else (g.src[inside], g.dst[inside])
         cs = tuple(sorted(set(guesses)))
         steps = list(_exact_bag_peels(src, dst, g.n, cs, eps, s_mask, t_mask, rescan=rescan))
-        walked = _peel_best(steps, s_mask, t_mask, int(inside.sum()), len(cs))
+        at_root = s_mask.all() and t_mask.all()
+        shared = SharedPeel(src, dst, g.n, guesses, eps, rescan=rescan) if at_root else None
         for i, c in enumerate(cs):
-            alone = list(_exact_bag_peels(src, dst, g.n, (c,), eps, s_mask, t_mask, rescan=rescan))
-            assert ([_step_key(step) for step in steps if i in step.guesses]
-                    == [_step_key(step) for step in alone])
-            [best] = _peel_best(alone, s_mask, t_mask, int(inside.sum()))
-            assert _best_key(walked[i]) == _best_key(best)
+            alone = [step_key(step) for step in
+                     _exact_bag_peels(src, dst, g.n, (c,), eps, s_mask, t_mask, rescan=rescan)]
+            assert [step_key(step) for step in steps if i in step.guesses] == alone
+            if shared is not None:
+                assert [step_key(step) for step in shared.steps(c, g.n, g.m, eps)] == alone
 
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
     def test_shared_compact_peel_matches_the_kernel_per_guess(self, instance, eps):
+        """Readers that take turns, one step each, read every guess's own
+        steps from the one lazily advanced walk."""
         g, guesses, _ = instance
         shared = SharedPeel(g.src, g.dst, g.n, guesses, eps)
         everyone = np.ones(g.n, dtype=bool)
-        for c in guesses:
-            steps = _exact_bag_peels(g.src, g.dst, g.n, (c,), eps, everyone, everyone)
-            [alone] = _peel_best(steps, everyone, everyone, g.m)
-            assert _best_key(shared.best(c, g.n, g.m, eps)) == _best_key(alone)
+        got = _interleaved([shared.steps(c, g.n, g.m, eps) for c in guesses])
+        for c, steps in zip(guesses, got):
+            alone = _exact_bag_peels(g.src, g.dst, g.n, (c,), eps, everyone, everyone)
+            assert [step_key(step) for step in steps] == [step_key(step) for step in alone]
 
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -317,37 +335,37 @@ class TestGuessWalk:
             alone = baseline_peel(g, c, eps)
             assert (pair, repr(rho), ledger) == (alone[0], repr(alone[1]), alone[2])
             if g.n > 1:  # a one-vertex graph has no peel to compare
-                assert _best_key((pair.s_mask, pair.t_mask, rho, ledger.rounds)) == _best_key(
-                    _reference_baseline(g, c, eps))
+                s_mask, t_mask, top, count = _reference_baseline(g, c, eps)
+                assert ((pair.s_mask.tolist(), pair.t_mask.tolist(), repr(rho), ledger.rounds)
+                        == (s_mask.tolist(), t_mask.tolist(), repr(top), count))
 
     def test_walk_runs_once_and_skips_invalid_guesses(self, monkeypatch):
         g = gnp_directed(12, 0.4, seed=1)
-        walks = []
-        walk = SharedPeel._walk
-        monkeypatch.setattr(SharedPeel, "_walk", lambda self: walks.append(self) or walk(self))
+        walks = record_shared_walks(monkeypatch)
         grid = build_grid(g.n, 2)
         shared = SharedPeel(g.src, g.dst, g.n, (*grid, 0, True, -1, "x", grid[2]), 0.2)
         assert shared.guesses == grid
         assert not walks
         for c in reversed(grid):
-            shared.best(c, g.n, g.m, 0.2)
-        assert len(walks) == 1
+            list(shared.steps(c, g.n, g.m, 0.2))
+        [(_, _, walked)] = walks
+        everyone = np.ones(g.n, dtype=bool)
+        whole = list(_exact_bag_peels(g.src, g.dst, g.n, grid, 0.2, everyone, everyone))
+        assert [step_key(step) for step in walked] == [step_key(step) for step in whole]
 
     def test_threads_share_one_walk(self, monkeypatch):
-        """More threads than cores ask at once, with frequent switches: the
-        walk still runs once, and every thread reads its result."""
+        """More threads than cores read at once, with frequent switches: the
+        walk still runs once, and every thread reads its guesses' steps."""
         g = gen_pref_attach(20_000, 10, 2)
         grid = build_grid(g.n, 2)
-        walks = []
-        walk = SharedPeel._walk
-        monkeypatch.setattr(SharedPeel, "_walk", lambda self: walks.append(self) or walk(self))
+        walks = record_shared_walks(monkeypatch)
         shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
         results = {}
         start = threading.Barrier(8)
 
         def ask(i):
             start.wait(timeout=60)
-            results[i] = [shared.best(c, g.n, g.m, 0.2) for c in grid[i % len(grid):]]
+            results[i] = [list(shared.steps(c, g.n, g.m, 0.2)) for c in grid[i % len(grid):]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -363,17 +381,30 @@ class TestGuessWalk:
         assert len(walks) == 1 and len(results) == 8
         alone = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
         for i, got in results.items():
-            assert [_best_key(b) for b in got] == [_best_key(alone.best(c, g.n, g.m, 0.2))
-                                                  for c in grid[i % len(grid):]]
+            assert ([_best_key(steps, g.n, g.m) for steps in got]
+                    == [_best_key(list(alone.steps(c, g.n, g.m, 0.2)), g.n, g.m)
+                        for c in grid[i % len(grid):]])
 
     @pytest.mark.parametrize("n,m,eps,c", [(13, 49, 0.2, Fraction(1)), (12, 48, 0.2, Fraction(1)),
                                            (12, 49, 0.3, Fraction(1)), (12, 49, 0.2, Fraction(3))])
-    def test_best_rejects_a_peel_it_does_not_walk(self, n, m, eps, c):
+    def test_steps_rejects_a_peel_it_does_not_walk(self, n, m, eps, c):
         g = gnp_directed(12, 0.4, seed=1)
         assert (g.n, g.m) == (12, 49)
         shared = SharedPeel(g.src, g.dst, g.n, (Fraction(1), Fraction(2)), 0.2)
         with pytest.raises(ValueError, match="does not cover"):
-            shared.best(c, n, m, eps)
+            shared.steps(c, n, m, eps)
+
+    def test_a_failed_walk_fails_every_later_reader(self, monkeypatch):
+        g = gen_pref_attach(2000, 50, 3)
+        grid = build_grid(g.n, 2)
+        assert len(grid) == 23
+        walks = record_shared_walks(monkeypatch, fail_after=2)
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        for c in grid:
+            with pytest.raises(MemoryError):
+                list(shared.steps(c, g.n, g.m, 0.2))
+        [(_, _, walked)] = walks
+        assert len(walked) == 2
 
 
 class TestExactOracle:

@@ -10,10 +10,10 @@ import pytest
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
 from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
-from dirdense.peeling import SharedPeel, exact_oracle
+from dirdense.peeling import SharedPeel, _exact_bag_peels, exact_oracle
 from dirdense.streaming import sample_params
 from dirdense.csweep import RUNNERS, build_grid, sweep
-from tests.support import gnp_directed
+from tests.support import gnp_directed, record_shared_walks, step_key
 
 
 class TestBuildGrid:
@@ -324,31 +324,8 @@ class TestSharedStream:
 class TestSharedPeel:
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Every shared peel walk the sweep runs."""
-        from dirdense.peeling import SharedPeel
-
-        walked = []
-        walk = SharedPeel._walk
-
-        def record(self):
-            walked.append(self)
-            return walk(self)
-
-        monkeypatch.setattr(SharedPeel, "_walk", record)
-        return walked
-
-    @pytest.fixture
-    def first_run_walks(self, monkeypatch):
-        """Every walk for the guesses' first runs the sweep runs."""
-        walked = []
-        walk = SharedPeel._first_run_walk
-
-        def record(self):
-            walked.append(self)
-            return walk(self)
-
-        monkeypatch.setattr(SharedPeel, "_first_run_walk", record)
-        return walked
+        """Every shared peel walk the sweep runs, with the steps it yielded."""
+        return record_shared_walks(monkeypatch)
 
     @pytest.fixture(scope="class")
     def pref(self):
@@ -376,18 +353,26 @@ class TestSharedPeel:
                     workers=workers)
         assert all(row.error is None for row in res.rows)
         assert all(row.peak_edges == g.m for row in res.rows)
-        assert len(walks) == 1
-        assert walks[0].rescan == (algo == "baseline")
+        [(args, kwargs, walked)] = walks
+        assert kwargs["rescan"] == (algo == "baseline")
+        # one walk, which the first reader drained
+        whole = list(_exact_bag_peels(*args, **kwargs))
+        assert [step_key(step) for step in walked] == [step_key(step) for step in whole]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_one_first_run_walk_per_mpc_near_sweep(self, walks, first_run_walks, pref, workers):
+    def test_mpc_near_sweep_walks_only_the_root_runs(self, walks, pref, workers):
         res = sweep("mpc-near", pref, build_grid(pref.n, 2), epsilon=0.2, f=1 / 2000, seed=1,
                     workers=workers)
         assert all(row.error is None for row in res.rows)
-        assert len(first_run_walks) == 1 and not walks
+        [(args, kwargs, walked)] = walks
+        # each step peels one side of (V, V), so no compacted bag was read
+        assert walked and all(pref.n in (step.s_count, step.t_count) for step in walked)
+        whole = list(_exact_bag_peels(*args, **kwargs))
+        assert [step_key(step) for step in walked] == [step_key(s) for s in whole[:len(walked)]]
+        assert len(walked) < len(whole)
 
     @pytest.mark.parametrize("algo,f", [("single-pass", 1 / 3000), ("multi-pass", 1 / 30),
-                                        ("mpc-super", 1 / 2000), ("mpc-near", 1 / 2000)])
+                                        ("mpc-super", 1 / 2000)])
     def test_no_walk_where_no_cell_peels_the_whole_graph_exactly(self, walks, pref, algo, f):
         # single-pass at f = 1/3000: n * xi = 8,000 < m, so every cell samples
         res = sweep(algo, pref, build_grid(pref.n, 2), epsilon=0.2, f=f, seed=1)
@@ -452,3 +437,22 @@ class TestSharedPeel:
         assert ([_row_key(res.rows[i]) for i in others]
                 == [_row_key(clean.rows[i]) for i in others])
         assert len(walks) == 2  # one per sweep
+
+    @pytest.mark.parametrize("algo,f", [("baseline", 1.0), ("single-pass", 1 / 30),
+                                        ("mpc-near", 1 / 2000)])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_failed_walk_fails_every_cell_that_reads_past_it(self, monkeypatch, pref, algo, f,
+                                                                workers):
+        grid = build_grid(pref.n, 2)
+        clean = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1)
+        walks = record_shared_walks(monkeypatch, fail_after=2)
+        res = sweep(algo, pref, grid, epsilon=0.2, f=f, seed=1, workers=workers)
+        assert len(walks) == 1 and len(walks[0][2]) == 2
+        failed = [row for row in res.rows if row.error is not None]
+        assert failed and all(row.error == "the walk ran out of memory" for row in failed)
+        if algo != "mpc-near":  # every cell drains the walk
+            assert len(failed) == len(grid)
+        # a cell succeeds only if it read no step past the two walked, and
+        # then its row is the one it has without the failure
+        assert ([_row_key(row) for row in res.rows if row.error is None]
+                == [_row_key(ok) for row, ok in zip(res.rows, clean.rows) if row.error is None])

@@ -123,13 +123,43 @@ def _loaded_names(tree):
     return loaded
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_no_dead_private_helpers():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     loaded = set().union(*map(_loaded_names, trees.values()))
     dead = [f"{name}:{line} {helper}" for name, tree in trees.items()
             for helper, line in _private_definitions(tree).items() if helper not in loaded]
     assert not dead, f"private helpers nothing in the package reads: {dead}"
+
+
+def _private_methods(tree):
+    """(class, method, line) of every ``_name`` method a module's classes define."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and item.name.startswith("_") and not item.name.startswith("__")):
+                    yield node.name, item.name, item.lineno
+
+
+def _read_attributes(tree):
+    """Attribute names a module reads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_dead_private_methods():
+    trees = _package_trees()
+    read = set().union(*map(_read_attributes, trees.values()))
+    methods = [(name, *method) for name, tree in trees.items() for method in _private_methods(tree)]
+    assert methods
+    dead = [f"{name}:{line} {owner}.{method}" for name, owner, method, line in methods
+            if method not in read]
+    assert not dead, f"private methods nothing in the package reads: {dead}"
 
 
 def test_every_exported_name_resolves():
