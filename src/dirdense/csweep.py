@@ -14,18 +14,25 @@ Every runner returns (pair, density, ``RoundLedger``), and a row's
 A peel step depends on c only through the side it peels, so cells whose
 guesses make the same side choices share their peel steps. Every sweep but
 a multi-pass one hands every cell one ``SharedPeel`` over the graph's
-edges: one walk of every guess's exact peel from (V, V), which walks each
-step once and which each cell reads only as far as it needs. A baseline
-cell, and a single-pass or mpc-super cell that did not sample, peels
-exactly from (V, V) and reads its guess's steps to the end, so the first
-such cell drains the walk; a cell that sampled never reads it. An mpc-near
-cell's first phase flip-peels from (V, V) and reads only its guess's first
-run, so an mpc-near sweep reads no further than the root's two runs. A
-cell's ``wall_ms`` therefore holds the steps it was the first to read: in
-an exact sweep the first cell drains the walk, and an mpc-near cell pays
-for the root-run steps it is the first to read. With one worker the rows'
-``wall_ms`` add up to the sweep's runner time, and with more, a cell
-waiting for the walk also counts its wait.
+edges: from each start pair a cell peels the whole graph from, one walk
+of every guess's exact peel, which walks each step once and which each
+cell reads only as far as it needs. A baseline cell, and a single-pass or
+mpc-super cell that did not sample, peels exactly from (V, V) and reads
+its guess's steps to the end, so the first such cell drains the (V, V)
+walk; a cell that sampled never reads it. Every flip-peel of an mpc-near
+cell reads only its guess's first run from the phase's start pair, so an
+mpc-near sweep reads the first runs of one walk per distinct start pair,
+(V, V) included. An MPC sweep's pool is a ``SharedPool``: cells whose
+first draw phase starts at the same pair, as mpc-near cells leaving (V, V)
+alike do, share its one filter of the whole pool to that pair. Both memos
+live until the sweep returns: each walk away from (V, V) holds a mask of
+one byte per edge, and each pool filter a copy of 16 bytes per edge that
+stays inside the pair. A cell's ``wall_ms`` therefore holds the shared
+work it was the first to do: in an exact sweep the first cell drains the
+walk, and an mpc-near cell pays for the steps and filters it is the first
+to need. With one worker the rows' ``wall_ms`` add up to the sweep's
+runner time, and with more, a cell waiting for shared work also counts
+its wait.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
-from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
+from .mpc import MpcConfig, SharedPool, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import SharedPeel, baseline_peel
 from .streaming import (STREAM_ORDERS, _shuffled_edges, make_stream, multi_pass_run, sample_params,
                         single_pass_run)
@@ -88,8 +95,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 @dataclass
 class SweepRow:
     """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the steps of the sweep's shared peel walk that the cell was
-    the first to read (see the module docstring)."""
+    includes the sweep's shared peel steps and pool filters that the cell
+    was the first to need (see the module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None
@@ -162,7 +169,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     if algo in ("multi-pass", "single-pass"):
         stream = make_stream(g, stream_order, stream_seed)
     elif algo in ("mpc-super", "mpc-near"):
-        mpc_pool = _shuffled_edges(g, stream_seed)
+        mpc_pool = SharedPool(*_shuffled_edges(g, stream_seed))
     shared = None
     if algo != "multi-pass":
         shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")

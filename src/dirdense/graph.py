@@ -88,15 +88,6 @@ class DirectedGraph:
         """Number of edges, counting multiplicity."""
         return int(self.src.size)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, minlength=self.n)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.dst, minlength=self.n)
-
     def __repr__(self):
         return f"DirectedGraph(n={self.n}, m={self.m})"
 

@@ -21,11 +21,17 @@ read-only order, so across cells the order is shared, as the sweep's one
 stream is for the streaming runners; a runner called on its own permutes
 the edges itself. Consecutive head draws are adjacent views, which the
 stream joins as views, so at (V, V) the coordinator's bag is the pool itself.
+A filter of that whole shared order to a pair depends on nothing else, so
+the sweep's ``SharedPool`` computes it once per pair for every cell whose
+first draw phase starts there, and the sweep's ``SharedPeel`` likewise
+walks the exact peel from each start pair once for every near-linear
+flip-peel that starts there. Rounds stay charged per cell.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,7 @@ __all__ = [
     "MpcConfig",
     "PhaseRecord",
     "RelevantEdgeSet",
+    "SharedPool",
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
 ]
@@ -88,6 +95,12 @@ class PhaseRecord:
     flip_peels: int = 0
 
 
+def _inside(src, dst, s_mask, t_mask):
+    """The edges (``src``, ``dst``) inside (S, T), in their order."""
+    keep = s_mask[src] & t_mask[dst]
+    return src[keep], dst[keep]
+
+
 class RelevantEdgeSet:
     """Edges still available to feed the coordinator; shrinks monotonically.
 
@@ -103,18 +116,23 @@ class RelevantEdgeSet:
     def __init__(self, src, dst):
         self.src = src
         self.dst = dst
+        self.shared = None  # the SharedPool whose arrays the set started as, if any
 
     @property
     def size(self) -> int:
         return int(self.src.size)
 
     def intersect_pair(self, s_mask, t_mask):
-        """Keep the edges inside (S, T), in their current order."""
+        """Keep the edges inside (S, T), in their current order. While the
+        set still holds its ``shared`` pool's own arrays, nothing drawn or
+        filtered yet, the filter is that pool's one filter to the pair."""
         if s_mask.all() and t_mask.all():
             return  # (V, V) keeps every edge
-        keep = s_mask[self.src] & t_mask[self.dst]
-        self.src = self.src[keep]
-        self.dst = self.dst[keep]
+        pool = self.shared
+        if pool is not None and self.src is pool.src and self.dst is pool.dst:
+            self.src, self.dst = pool.filtered(s_mask, t_mask)
+        else:
+            self.src, self.dst = _inside(self.src, self.dst, s_mask, t_mask)
 
     def draw(self, k):
         """Remove and return the head's k edges: uniformly chosen, in uniform
@@ -131,6 +149,37 @@ class RelevantEdgeSet:
         return taken
 
 
+class SharedPool:
+    """A sweep's MPC pool: the graph's edges in one uniform order, as the
+    read-only ``src``/``dst`` arrays every cell's ``RelevantEdgeSet``
+    starts as, and the filters of that whole pool that the cells share.
+
+    Cells whose first draw phase starts at the same pair filter the same
+    whole pool to it, as near-linear cells leaving (V, V) alike do: the
+    first computes ``filtered``, the others read its result. One filtered
+    copy is kept per distinct pair, 16 bytes per edge inside the pair (up
+    to about 16 MB at m = 10**6), until the pool is dropped, as a sweep
+    does when it returns.
+    It iterates as (src, dst), and threads may share it.
+    """
+
+    def __init__(self, src, dst):
+        self.src, self.dst = src, dst
+        self._filtered = {}  # pair's mask bytes -> (src, dst) inside it
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return iter((self.src, self.dst))
+
+    def filtered(self, s_mask, t_mask):
+        """The whole pool's edges inside (S, T), in pool order."""
+        key = s_mask.tobytes(), t_mask.tobytes()
+        with self._lock:
+            if key not in self._filtered:
+                self._filtered[key] = _inside(self.src, self.dst, s_mask, t_mask)
+            return self._filtered[key]
+
+
 class _PhaseController:
     """Owns the relevant-edge pool and the per-phase bookkeeping.
 
@@ -138,7 +187,7 @@ class _PhaseController:
     pool not fetched yet, and every ``fetch`` runs one phase. The ratio
     guess, epsilon, xi and a near-linear phase's draw size, one engine
     batch, are the engine's own; the regime is ``cfg``'s; ``pool`` is g's
-    edges in uniform order.
+    edges in uniform order, as (src, dst) or a sweep's ``SharedPool``.
     """
 
     def __init__(self, g, cfg, engine, pool, ledger):
@@ -147,6 +196,8 @@ class _PhaseController:
         self.engine = engine
         self.ledger = ledger
         self.rel = RelevantEdgeSet(*pool)
+        if isinstance(pool, SharedPool):
+            self.rel.shared = pool
         self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property
@@ -197,8 +248,10 @@ class _PhaseController:
         shrinks, the other side's cross-degrees stay valid, so the first run
         of the engine's exact peel of the graph's edges needs no new data.
         The run stops before the kernel would compact the bag for the other
-        side, and from (V, V) it reads only the start of the sweep's shared
-        walk. Each step's density is exact.
+        side. With the sweep's shared peel it reads only the first runs of
+        the walk from the phase's start pair, which every cell that
+        flip-peels from that pair reads; the tally is still charged to each.
+        Each step's density is exact.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
@@ -216,7 +269,7 @@ class _PhaseController:
 
 
 def _mpc_run(g, c, params, cfg, rng, pool, shared):
-    if pool is not None and not pool[0].size == pool[1].size == g.m:
+    if pool is not None and not all(edges.size == g.m for edges in pool):
         raise ValueError(f"pool must hold the graph's {g.m} edges")
     if rng is None:
         rng = np.random.default_rng(0)
@@ -246,12 +299,13 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
     and the engine finishes locally. ``pool`` is g's edges as (src, dst)
-    arrays in uniform order, which the run only reads; None permutes them
-    here with a seed drawn from ``rng``. Each draw takes the pool's head:
-    the undrawn edges' order is independent of everything the engine has
-    seen, so after the order-keeping filters the head is a uniform sample
-    in uniform order, the law of a fresh permutation per draw; runs given
-    one pool read the same order, as a sweep's cells read its one stream.
+    arrays in uniform order, or a sweep's ``SharedPool`` of them, which the
+    run only reads; None permutes them here with a seed drawn from ``rng``.
+    Each draw takes the pool's head: the undrawn edges' order is
+    independent of everything the engine has seen, so after the
+    order-keeping filters the head is a uniform sample in uniform order,
+    the law of a fresh permutation per draw; runs given one pool read the
+    same order, as a sweep's cells read its one stream.
     The reported density is exact: the engine's own count when an exact
     peel gave its best, else a recount on the input graph.
     ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
@@ -279,12 +333,14 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     (no fresh data needed while only one side shrinks), and fetched samples
     scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
     is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
-    drawn from its head, or None to permute them here. ``shared``, a
-    ``SharedPeel`` as there, supplies the first phase's flip-peel instead:
-    that phase starts at (V, V), so its peels are guess c's first run in
-    the walk, and every cell of a sweep reads only that far into it. Later
-    phases, and the finishing peel, which never starts from (V, V), run on
-    their own; every round is still charged.
+    drawn from its head, or None to permute them here. A ``SharedPool``
+    supplies the first draw phase's filter of the whole pool, which every
+    cell of a sweep that starts that phase at the same pair shares.
+    ``shared``, a ``SharedPeel`` as there, supplies every flip-peel
+    instead: a flip-peel's steps are guess c's first run in the walk from
+    its start pair over g's edges, in any order, and every cell of a sweep
+    reads only that far into each walk. The finishing peel, which never
+    starts from (V, V), runs on its own; every round is still charged.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

@@ -197,20 +197,26 @@ def _peel_best(steps, s_mask, t_mask, cross):
 
 
 class SharedPeel:
-    """The exact peels from (V, V) of one edge bag for a sweep's ratio
-    guesses, as one ``_exact_bag_peels`` walk over all of them, read lazily.
+    """The exact peels of one edge bag for a sweep's ratio guesses: from
+    each start pair a reader asks for, one ``_exact_bag_peels`` walk over
+    all of the guesses, read lazily.
 
-    ``steps`` hands out one guess's steps in order. The walk advances only
-    when a reader needs a step not walked yet, and every step it yields is
-    kept, so each is walked once: a reader that drains its guess's steps
-    drains the walk, and one that stops early, as a flip-peel after its
-    first run does, leaves the rest unwalked. Guesses that are not positive
-    rationals are left out, so each of their cells still fails on its own;
-    order and repeats do not matter. ``rescan`` walks as ``baseline_peel``
-    peels, with one pass over the whole bag per pair. Threads may share the
-    object: the walk advances under a lock. A walk that raises keeps the
-    exception, and every reader that needs a step past the last one walked
-    raises it too, so no peel ends short.
+    ``steps`` hands out one guess's steps from a start pair in order. A
+    walk advances only when a reader needs a step not walked yet, and every
+    step it yields is kept, so each is walked once: a reader that drains its
+    guess's steps drains the walk's share of it, and one that stops early,
+    as a flip-peel after its first run does, leaves the rest unwalked.
+    (V, V) is one start pair like any other. A walk from another pair reads
+    the bag through the pair's membership mask, an ``inside`` of one byte
+    per bag edge, and every walk, with its mask and its steps, is kept as
+    long as the object is: a sweep drops it when it returns. Guesses that
+    are not positive rationals are left out, so each of their cells still
+    fails on its own; order and repeats do not matter. ``rescan`` walks as
+    ``baseline_peel`` peels, with one pass over the whole bag per pair.
+    Threads may share the object: walks advance under one lock. A walk that
+    raises keeps the exception, and every reader from its start pair that
+    needs a step past the last one walked raises it too, so no peel ends
+    short.
     """
 
     def __init__(self, src, dst, n, guesses, epsilon, *, rescan=False):
@@ -220,41 +226,66 @@ class SharedPeel:
             with contextlib.suppress(ValueError):
                 valid.add(_ratio_guess(c))
         self.guesses = tuple(sorted(valid))
-        everyone = np.ones(self.n, dtype=bool)
-        self._walk = _exact_bag_peels(src, dst, self.n, self.guesses, epsilon, everyone, everyone,
-                                      rescan=rescan)
-        self._walked = []
-        self._error = None
+        self._bag = src, dst
+        self._rescan = rescan
+        self._walks = {}  # start pair's mask bytes -> _Walk
         self._lock = threading.Lock()
 
-    def steps(self, c: Fraction, n: int, m: int, epsilon: float):
+    def steps(self, c: Fraction, n: int, m: int, epsilon: float, start=None):
         """An iterator over the ``_Step``s of the peel with guess ``c`` from
-        (V, V) of a bag of ``m`` edges on ``n`` vertices; raises ValueError
-        unless that is a peel this object walks."""
+        ``start``, an (S mask, T mask) pair or None for (V, V), of a bag
+        of ``m`` edges on ``n`` vertices that holds every edge inside the
+        pair; raises ValueError unless that is a peel this object walks."""
         if (n, m, epsilon) != (self.n, self.m, self.epsilon) or c not in self.guesses:
             raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
                              f"epsilon={epsilon!r}")
-        return self._read(self.guesses.index(c))
+        if start is None:
+            everyone = np.ones(self.n, dtype=bool)
+            start = everyone, everyone
+        key = start[0].tobytes(), start[1].tobytes()
+        with self._lock:
+            walk = self._walks.get(key)
+            if walk is None:
+                walk = self._walks[key] = _Walk(self._walk(*start))
+        return self._read(walk, self.guesses.index(c))
 
-    def _read(self, i):
+    def _walk(self, s_mask, t_mask):
+        """The kernel's walk from (S, T): at (V, V) every bag edge is inside
+        the pair, and elsewhere the bag is read through the pair's mask."""
+        src, dst = self._bag
+        inside = None
+        if not (self._rescan or (s_mask.all() and t_mask.all())):
+            inside = s_mask[src] & t_mask[dst]
+        yield from _exact_bag_peels(src, dst, self.n, self.guesses, self.epsilon, s_mask, t_mask,
+                                    inside=inside, rescan=self._rescan)
+
+    def _read(self, walk, i):
         """Guess ``i``'s steps: the walked ones, then the walk's as it advances."""
-        walked, k = self._walked, 0
+        walked, k = walk.walked, 0
         while True:
             with self._lock:
                 if k == len(walked):
-                    if self._error is not None:
-                        raise self._error
+                    if walk.error is not None:
+                        raise walk.error
                     try:
-                        walked.append(next(self._walk))
+                        walked.append(next(walk.steps))
                     except StopIteration:
                         return
                     except BaseException as exc:
-                        self._error = exc
+                        walk.error = exc
                         raise
                 step = walked[k]
             k += 1
             if i in step.guesses:
                 yield step
+
+
+class _Walk:
+    """One lazily advanced walk: its step generator, the steps it has
+    yielded, and the exception it raised, if any."""
+
+    def __init__(self, steps):
+        self.steps, self.walked, self.error = steps, [], None
 
 
 def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | None = None):

@@ -230,16 +230,17 @@ def _shuffled_edges(g, seed: int):
 
 
 def _joined(a, b):
-    """``a`` then ``b``: a view of their one contiguous 1-D buffer when ``b``
-    starts where ``a`` ends in it, else a new array; read-only if either is."""
+    """``a`` then ``b``: a view of the contiguous buffer they are both flat
+    slices of, of any shape, when ``b`` starts where ``a`` ends in it, else
+    a new array; read-only if either is."""
     if not (a.size and b.size):
         return b if b.size else a
     base, start = a.base, a.__array_interface__["data"][0]
-    if (isinstance(base, np.ndarray) and base is b.base and base.dtype == a.dtype == b.dtype
-            and base.strides == a.strides == b.strides == (a.itemsize,)
+    if (isinstance(base, np.ndarray) and base is b.base and base.flags.c_contiguous
+            and base.dtype == a.dtype == b.dtype and a.strides == b.strides == (a.itemsize,)
             and b.__array_interface__["data"][0] == start + a.nbytes):
         lo = (start - base.__array_interface__["data"][0]) // a.itemsize
-        out = base[lo : lo + a.size + b.size]
+        out = base.reshape(-1)[lo : lo + a.size + b.size]
     else:
         out = np.concatenate([a, b])
     if not (a.flags.writeable and b.flags.writeable):
@@ -400,8 +401,9 @@ class SinglePassEngine:
     densities at the finish; ``best_exact`` says whether ``best_value`` is
     an exact density, as the finishing peel's and a near-linear phase's
     flip-peel steps are, or a sampled estimate. ``peels`` is the one source
-    of exact peel steps: from (V, V) it reads them from ``shared``, the
-    sweep's walk, when there is one.
+    of exact peel steps: when the bag is every edge, at (V, V) or in a
+    flip-peel, it reads them from ``shared``, the sweep's walks, when there
+    are some.
     """
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None,
@@ -443,11 +445,14 @@ class SinglePassEngine:
         """Guess c's exact peel steps from the current pair over the edge bag
         (``src``, ``dst``), which holds every edge of E(S, T); with
         ``filtered`` it holds no other, else the kernel reads it through the
-        pair's membership mask. At (V, V) the bag is every edge, and the
-        steps are those of the ``shared`` walk when there is one."""
+        pair's membership mask. The steps depend on the bag only through
+        E(S, T), so with a ``shared`` walk they are its walk's from the pair
+        wherever the bag has every edge: at (V, V), and for an unfiltered
+        bag such as a flip-peel's, which is the graph's edges."""
         eps, at_root = self.params.epsilon, self._at_root()
-        if at_root and self.shared is not None:
-            return self.shared.steps(self.c, self.n, int(src.size), eps)
+        if self.shared is not None and (at_root or not filtered):
+            return self.shared.steps(self.c, self.n, int(src.size), eps,
+                                     (self.s_mask, self.t_mask))
         inside = None if filtered or at_root else self.s_mask[src] & self.t_mask[dst]
         return _exact_bag_peels(src, dst, self.n, (self.c,), eps, self.s_mask, self.t_mask,
                                 inside=inside)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -27,6 +28,41 @@ def load_perfbench_module(name: str):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def edge_list(g: DirectedGraph) -> list[tuple[int, int]]:
+    """g's edges as (u, v) pairs, in order."""
+    return list(zip(g.src.tolist(), g.dst.tolist()))
+
+
+def out_degrees(g: DirectedGraph) -> np.ndarray:
+    return np.bincount(g.src, minlength=g.n)
+
+
+def in_degrees(g: DirectedGraph) -> np.ndarray:
+    return np.bincount(g.dst, minlength=g.n)
+
+
+def run_threads(target, count: int = 8):
+    """Run ``target(i)`` for i < ``count`` on as many threads, released at
+    once and switching every microsecond; asserts they all finished."""
+    start = threading.Barrier(count)
+
+    def run(i):
+        start.wait(timeout=60)
+        target(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def iteration_cap(n: int, epsilon: float) -> int:

@@ -9,6 +9,7 @@ from dirdense.graph import DirectedGraph
 from dirdense.mpc import (
     MpcConfig,
     RelevantEdgeSet,
+    SharedPool,
     _PhaseController,
     mpc_nearlinear_run,
     mpc_superlinear_run,
@@ -16,7 +17,7 @@ from dirdense.mpc import (
 from dirdense.peeling import RoundLedger, baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
-from tests.support import gnp_directed, star_plus_triangle
+from tests.support import gnp_directed, run_threads, star_plus_triangle
 
 
 class TestMpcConfig:
@@ -147,6 +148,63 @@ class TestRelevantEdgeSet:
         assert set(counts) <= set(expected)
         chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
         assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
+
+
+def _cell_set(g, pool):
+    """The relevant-edge set a run over ``pool`` starts with."""
+    engine = SinglePassEngine(g.n, 1, sample_params(g.n, 0.2), np.random.default_rng(0))
+    return _PhaseController(g, MpcConfig("nearlinear"), engine, pool, RoundLedger()).rel
+
+
+class TestSharedPool:
+    def test_only_sets_that_hold_the_whole_pool_share_its_filter(self):
+        g = gnp_directed(30, 0.3, seed=3)
+        src, dst = _shuffled_edges(g, 1)
+        pool = SharedPool(src, dst)
+        s_mask = np.arange(g.n) % 3 != 0
+        t_mask = np.arange(g.n) % 4 != 1
+        keep = s_mask[src] & t_mask[dst]
+        first, second, drawn, own = (_cell_set(g, pool), _cell_set(g, pool), _cell_set(g, pool),
+                                     _cell_set(g, (src, dst)))
+        drawn.draw(3)
+        for rel in (first, second, drawn, own):
+            rel.intersect_pair(s_mask, t_mask)
+        assert first.src is second.src and first.dst is second.dst
+        assert np.array_equal(first.src, src[keep]) and np.array_equal(first.dst, dst[keep])
+        assert np.array_equal(drawn.src, src[3:][keep[3:]]) and drawn.src is not first.src
+        assert np.array_equal(own.src, first.src) and own.src is not first.src
+        # a filtered set filters on its own again, even back to the same pair
+        filtered = first.src
+        first.intersect_pair(s_mask, t_mask)
+        assert first.src is not filtered and np.array_equal(first.src, filtered)
+
+    def test_threads_filter_each_pair_once(self, monkeypatch):
+        """More threads than cores ask for a few pairs at once, with frequent
+        switches: each pair is filtered once and every reader gets it."""
+        import dirdense.mpc as mpc
+
+        g = gen_pref_attach(5000, 20, 1)
+        pool = SharedPool(*_shuffled_edges(g, 2))
+        ids = np.arange(g.n)
+        pairs = [(ids % k != 0, ids % (k + 1) != 1) for k in (2, 3, 5)]
+        computed, results = [], {}
+        inside = mpc._inside
+
+        def record(*args):
+            computed.append(args)
+            return inside(*args)
+
+        monkeypatch.setattr(mpc, "_inside", record)
+
+        def ask(i):
+            results[i] = [pool.filtered(*pairs[(i + j) % 3]) for j in range(3)]
+
+        run_threads(ask)
+        assert len(computed) == 3 and len(results) == 8
+        for i, got in results.items():
+            for j, (src, dst) in enumerate(got):
+                want = results[0][(i + j) % 3]
+                assert src is want[0] and dst is want[1]
 
 
 class TestSuperlinear:

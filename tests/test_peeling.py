@@ -1,6 +1,5 @@
+import itertools
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,7 @@ from tests.support import (
     record_shared_walks,
     reference_peel_once,
     relabeled,
+    run_threads,
     star_plus_triangle,
     step_key,
 )
@@ -296,21 +296,20 @@ class TestGuessWalk:
     @settings(max_examples=300, deadline=None)
     def test_walk_matches_each_guess_alone(self, instance, eps, rescan):
         """Walking every guess at once gives each guess its own peel, step
-        for step, from any start pair, compacting or rescanning; from
-        (V, V) the shared peel hands out those steps."""
+        for step, from any start pair, compacting or rescanning; the shared
+        peel over the whole graph hands out those steps from that pair."""
         g, guesses, (s_mask, t_mask) = instance
         inside = s_mask[g.src] & t_mask[g.dst]
         src, dst = (g.src, g.dst) if rescan else (g.src[inside], g.dst[inside])
         cs = tuple(sorted(set(guesses)))
         steps = list(_exact_bag_peels(src, dst, g.n, cs, eps, s_mask, t_mask, rescan=rescan))
-        at_root = s_mask.all() and t_mask.all()
-        shared = SharedPeel(src, dst, g.n, guesses, eps, rescan=rescan) if at_root else None
+        shared = SharedPeel(g.src, g.dst, g.n, guesses, eps, rescan=rescan)
         for i, c in enumerate(cs):
             alone = [step_key(step) for step in
                      _exact_bag_peels(src, dst, g.n, (c,), eps, s_mask, t_mask, rescan=rescan)]
             assert [step_key(step) for step in steps if i in step.guesses] == alone
-            if shared is not None:
-                assert [step_key(step) for step in shared.steps(c, g.n, g.m, eps)] == alone
+            read = shared.steps(c, g.n, g.m, eps, (s_mask, t_mask))
+            assert [step_key(step) for step in read] == alone
 
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -361,29 +360,47 @@ class TestGuessWalk:
         walks = record_shared_walks(monkeypatch)
         shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
         results = {}
-        start = threading.Barrier(8)
 
         def ask(i):
-            start.wait(timeout=60)
             results[i] = [list(shared.steps(c, g.n, g.m, 0.2)) for c in grid[i % len(grid):]]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_threads(ask)
         assert len(walks) == 1 and len(results) == 8
         alone = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
         for i, got in results.items():
             assert ([_best_key(steps, g.n, g.m) for steps in got]
                     == [_best_key(list(alone.steps(c, g.n, g.m, 0.2)), g.n, g.m)
                         for c in grid[i % len(grid):]])
+
+    def test_threads_share_one_walk_per_start_pair(self, monkeypatch):
+        """More threads than cores read the first steps from three start
+        pairs at once, as flip-peels do: each pair is walked once, and every
+        thread reads the steps a walk of its own would give."""
+        g = gen_pref_attach(20_000, 10, 2)
+        grid = build_grid(g.n, 2)
+        everyone, ids = np.ones(g.n, dtype=bool), np.arange(g.n)
+        starts = [(everyone, everyone), (everyone, ids % 3 != 0), (ids % 2 == 0, everyone)]
+        walks = record_shared_walks(monkeypatch)
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        results = {}
+
+        def head(steps):
+            return [step_key(step) for step in itertools.islice(steps, 2)]
+
+        def ask(i):
+            results[i] = [head(shared.steps(c, g.n, g.m, 0.2, starts[(i + k) % 3]))
+                          for k, c in enumerate(grid)]
+
+        run_threads(ask)
+        assert len(walks) == 3 and len(results) == 8
+
+        def alone(c, s_mask, t_mask):
+            inside = s_mask[g.src] & t_mask[g.dst]
+            return head(_exact_bag_peels(g.src, g.dst, g.n, (c,), 0.2, s_mask, t_mask,
+                                         inside=inside))
+
+        for i, got in results.items():
+            assert got == [alone(c, *starts[(i + k) % 3]) for k, c in enumerate(grid)]
 
     @pytest.mark.parametrize("n,m,eps,c", [(13, 49, 0.2, Fraction(1)), (12, 48, 0.2, Fraction(1)),
                                            (12, 49, 0.3, Fraction(1)), (12, 49, 0.2, Fraction(3))])
@@ -405,6 +422,22 @@ class TestGuessWalk:
                 list(shared.steps(c, g.n, g.m, 0.2))
         [(_, _, walked)] = walks
         assert len(walked) == 2
+
+    def test_a_failed_walk_from_another_pair_fails_every_later_reader_there(self, monkeypatch):
+        g = gen_pref_attach(2000, 50, 3)
+        grid = build_grid(g.n, 2)
+        everyone = np.ones(g.n, dtype=bool)
+        start = everyone, np.arange(g.n) % 3 != 0
+        walks = record_shared_walks(monkeypatch, fail_after=2)
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        for c in grid:
+            with pytest.raises(MemoryError):
+                list(shared.steps(c, g.n, g.m, 0.2, start))
+        [(args, _, walked)] = walks
+        assert args[6] is start[1] and len(walked) == 2
+        # the walk from (V, V) is another one, with steps of its own
+        first = next(shared.steps(grid[-1], g.n, g.m, 0.2))
+        assert len(walks) == 2 and first.t_count < g.n == first.s_count
 
 
 class TestExactOracle:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph, member_mask
-from dirdense.streaming import EdgeStream, _joined, make_stream
+from dirdense.streaming import EdgeStream, SinglePassEngine, _joined, make_stream, sample_params
 
 
 def toy_graph():
@@ -250,3 +251,30 @@ class TestJoined:
             assert out.tolist() == np.concatenate([a, b]).tolist()
             assert not out.flags.writeable
         assert pool.flags.writeable
+
+    def test_slices_of_a_two_dimensional_owner_join_into_a_view(self):
+        # gen_pref_attach's dst is a flat view of an (n - 1, k) array
+        g = gen_pref_attach(2000, 50, 3)
+        assert g.dst.base.ndim == 2 and g.src.base is None
+        for edges in (g.src, g.dst):
+            out = _joined(edges[:70], edges[70:300])
+            assert out.tolist() == edges[:300].tolist()
+            assert np.shares_memory(out, edges) and not out.flags.writeable
+        fortran = np.asfortranarray(np.arange(12, dtype=np.int64).reshape(3, 4))
+        column = fortran[:, 1]  # contiguous, but its owner is not in C order
+        out = _joined(column[:1], column[1:])
+        assert out.tolist() == [1, 5, 9] and not np.shares_memory(out, fortran)
+
+    @pytest.mark.parametrize("order", ["given", "shuffled"])
+    def test_a_drained_stream_over_a_generated_graph_is_retained_as_views(self, order):
+        # n * xi = 82,000 < m = 99,950: the first batch, then the drain
+        g = gen_pref_attach(2000, 50, 3)
+        params = sample_params(g.n, 0.2, f=1 / 285)
+        assert g.n * params.xi == 82_000
+        stream = make_stream(g, order, seed=1)
+        engine = SinglePassEngine(g.n, 1, params, np.random.default_rng(0))
+        engine.run(stream)
+        stream_src, stream_dst = stream.replay().take_all()
+        kept_src, kept_dst = engine.seen.arrays()
+        assert kept_src.size == g.m
+        assert np.shares_memory(kept_src, stream_src) and np.shares_memory(kept_dst, stream_dst)

@@ -9,9 +9,9 @@ import pytest
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
+from dirdense.mpc import MpcConfig, RelevantEdgeSet, mpc_nearlinear_run, mpc_superlinear_run
 from dirdense.peeling import SharedPeel, _exact_bag_peels, exact_oracle
-from dirdense.streaming import sample_params
+from dirdense.streaming import SinglePassEngine, sample_params
 from dirdense.csweep import RUNNERS, build_grid, sweep
 from tests.support import gnp_directed, record_shared_walks, step_key
 
@@ -65,6 +65,29 @@ class TestBuildGrid:
             for b in range(1, n + 1):
                 target = Fraction(a, b)
                 assert any(target / delta <= c <= target * delta for c in grid)
+
+
+def _walk_start(walk):
+    """A recorded shared walk's start pair as mask bytes, None for (V, V)."""
+    s_mask, t_mask = walk[0][5:7]
+    return None if s_mask.all() and t_mask.all() else (s_mask.tobytes(), t_mask.tobytes())
+
+
+def _record_ledgers(monkeypatch):
+    """Record each sweep runner call's ledger under its guess c."""
+    import dirdense.csweep as sweep_mod
+
+    ledgers = {}
+    # each runner with the position of c among its arguments
+    for name, at in (("baseline_peel", 1), ("multi_pass_run", 2), ("single_pass_run", 2),
+                     ("mpc_superlinear_run", 1), ("mpc_nearlinear_run", 1)):
+        def record(*args, _run=getattr(sweep_mod, name), _at=at, **kwargs):
+            result = _run(*args, **kwargs)
+            ledgers[args[_at]] = result[2]
+            return result
+
+        monkeypatch.setattr(sweep_mod, name, record)
+    return ledgers
 
 
 def _row_key(row):
@@ -335,6 +358,10 @@ class TestSharedPeel:
     def pref10k(self):
         return gen_pref_attach(10_000, 10, 3)
 
+    @pytest.fixture(scope="class")
+    def dense2k(self):
+        return gen_pref_attach(2000, 500, 0)
+
     # Sweeps whose every cell peels the whole graph from (V, V), as
     # (algo, graph fixture, f, MPC config). Single-pass at f = 1/30:
     # n * xi = 762,000 >= m = 100,000, so each cell reads its stream in one
@@ -382,21 +409,86 @@ class TestSharedPeel:
     @pytest.mark.parametrize("algo,graph,f,cfg", [
         ("baseline", "pref", 1.0, None), ("single-pass", "pref", 1 / 30, None),
         ("single-pass", "pref", 1 / 3000, None), EXACT_SWEEPS[2],
-        ("mpc-near", "pref", 1 / 2000, None)])
+        ("mpc-near", "pref", 1 / 2000, None),
+        ("mpc-near", "dense2k", 1 / 2000, MpcConfig("nearlinear", polylog_budget=20))])
     @pytest.mark.parametrize("order", ["shuffled", "given"])
     def test_rows_equal_cells_run_without_it(self, request, monkeypatch, algo, graph, f, cfg,
                                              order):
+        """Rows, densities and ledgers, with 1 and 4 workers, equal those of
+        a sweep that shares neither the peel walks nor the pool filters."""
         import dirdense.csweep as sweep_mod
 
         g = request.getfixturevalue(graph)
         grid = build_grid(g.n, 2)
-        shared = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, stream_order=order,
-                       mpc_config=cfg)
+        ledgers = _record_ledgers(monkeypatch)
+
+        def run(workers):
+            ledgers.clear()
+            res = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, stream_order=order,
+                        mpc_config=cfg, workers=workers)
+            return [_row_key(r) for r in res.rows], [repr(r.density) for r in res.rows], \
+                dict(ledgers)
+
+        shared = [run(workers) for workers in (1, 4)]
         monkeypatch.setattr(sweep_mod, "SharedPeel", lambda *args, **kwargs: None)
-        alone = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, stream_order=order,
-                      mpc_config=cfg)
-        assert [_row_key(r) for r in shared.rows] == [_row_key(r) for r in alone.rows]
-        assert [repr(r.density) for r in shared.rows] == [repr(r.density) for r in alone.rows]
+        monkeypatch.setattr(sweep_mod, "SharedPool", lambda src, dst: (src, dst))
+        alone = run(1)
+        assert len(alone[2]) == len(grid)
+        assert shared == [alone, alone]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_mpc_near_cells_at_one_pair_share_its_filter_and_flip_peel(self, monkeypatch, walks,
+                                                                       dense2k, workers):
+        """The whole pool is filtered once per distinct pair, and one walk is
+        built per distinct start pair of a flip-peel away from (V, V)."""
+        import dirdense.mpc as mpc
+
+        calls, filters, flips = [], [], []
+        intersect, inside = RelevantEdgeSet.intersect_pair, mpc._inside
+        peels = SinglePassEngine.peels
+
+        def record_call(rel, s_mask, t_mask):
+            if not (s_mask.all() and t_mask.all()):
+                calls.append(rel.size)
+            return intersect(rel, s_mask, t_mask)
+
+        def record_filter(src, *args):
+            filters.append(src.size)
+            return inside(src, *args)
+
+        def record_flip(engine, src, dst, *, filtered=True):
+            if not (filtered or engine.s_mask.all() and engine.t_mask.all()):
+                flips.append((engine.s_mask.tobytes(), engine.t_mask.tobytes()))
+            return peels(engine, src, dst, filtered=filtered)
+
+        monkeypatch.setattr(RelevantEdgeSet, "intersect_pair", record_call)
+        monkeypatch.setattr(mpc, "_inside", record_filter)
+        monkeypatch.setattr(SinglePassEngine, "peels", record_flip)
+        res = sweep("mpc-near", dense2k, build_grid(dense2k.n, 2), epsilon=0.2, f=1 / 2000,
+                    seed=0, mpc_config=MpcConfig("nearlinear", polylog_budget=20),
+                    workers=workers)
+        assert all(row.error is None for row in res.rows)
+        # 11 cells filter the whole pool, 10 of them to one pair
+        assert filters.count(dense2k.m) == 2 < calls.count(dense2k.m) == 11
+        starts = [_walk_start(walk) for walk in walks if _walk_start(walk) is not None]
+        assert len(starts) == len(set(starts)) and set(starts) == set(flips)
+        assert len(flips) > len(starts)
+        for args, _, walked in walks:  # each walk read only its start pair's first runs
+            counts = int(args[5].sum()), int(args[6].sum())
+            assert all(step.s_count == counts[0] or step.t_count == counts[1] for step in walked)
+
+    def test_a_run_with_its_own_pool_returns_what_it_returns_alone(self, walks, pref):
+        """Given the sweep's peel but not its pool, each cell returns what it
+        returns alone, its flip-peels away from (V, V) read included."""
+        grid = build_grid(pref.n, 2)
+        params = sample_params(pref.n, 0.2, f=1 / 2000)
+        cfg = MpcConfig("nearlinear", polylog_budget=20)  # 40,000 < m = 100,000
+        shared = SharedPeel(pref.src, pref.dst, pref.n, grid, params.epsilon)
+        for i, c in enumerate(grid):
+            got, alone = (mpc_nearlinear_run(pref, c, params, cfg, rng=np.random.default_rng(i),
+                                             shared=peel) for peel in (shared, None))
+            assert (got[0], repr(got[1]), got[2]) == (alone[0], repr(alone[1]), alone[2])
+        assert any(_walk_start(walk) is not None for walk in walks)
 
     @pytest.mark.parametrize("other", ["edges", "epsilon"])
     def test_mpc_run_rejects_a_shared_peel_of_another_bag(self, pref, other):

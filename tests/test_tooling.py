@@ -216,3 +216,39 @@ def test_no_public_name_only_tests_reach():
             break
         unread |= newly
     assert not unread, f"exported names nothing in the package reads: {sorted(unread)}"
+
+
+# public methods and properties of package classes that the package may
+# define without reading them itself, each with the reason it stays
+_UNREAD_METHODS = {
+    "RoundLedger.phases": "read by the benchmark's trace of MPC ledgers",
+    "SweepResult.best_c": "the best row's guess, next to best_pair and best_density",
+    "SweepResult.best_density": "read by the benchmark's correctness gate",
+    "VertexSetPair.of": "the one entry point from vertex ids to a pair",
+}
+
+
+def _public_methods(tree):
+    """(class, method, line) of every public method a module's classes
+    define, properties included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name, item.lineno
+
+
+def test_no_public_method_only_tests_reach():
+    """Every public method of a package class is read in the package, as
+    ``obj.name``, unless it is a stated exemption."""
+    trees = _package_trees()
+    read = set().union(*map(_read_attributes, trees.values()))
+    methods = {f"{owner}.{method}": f"{name}:{line}" for name, tree in trees.items()
+               for owner, method, line in _public_methods(tree)}
+    assert set(_UNREAD_METHODS) <= set(methods)
+    stale = [qualified for qualified in _UNREAD_METHODS if qualified.split(".")[1] in read]
+    assert not stale, f"exempt methods the package now reads: {stale}"
+    unread = [f"{where} {qualified}" for qualified, where in methods.items()
+              if qualified.split(".")[1] not in read and qualified not in _UNREAD_METHODS]
+    assert not unread, f"public methods nothing in the package reads: {unread}"
