@@ -5,8 +5,13 @@ delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
 edge stream once, before the first cell, and every cell reads its own replay
 of those shared read-only arrays; an MPC sweep likewise orders its edge pool
 once, in the shuffled stream's order, and every cell draws from its own pool
-over those arrays. Sampling randomness is split per grid cell, so per-c
-results are seed-deterministic regardless of scheduling.
+over those arrays. A single-pass or mpc-super sweep skips the order when
+``SinglePassEngine.order_blind`` holds: every cell's first step at (V, V)
+then keeps every edge and ends in the exact peel, so no cell can observe
+the order, and the stream or pool is g's own arrays. Multi-pass and
+mpc-near sweeps always order, as their first read depends on the order.
+Sampling randomness is split per grid cell, so per-c results are
+seed-deterministic regardless of scheduling.
 
 Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
@@ -49,8 +54,8 @@ import numpy as np
 from .graph import DirectedGraph, VertexSetPair
 from .mpc import MpcConfig, SharedPool, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import SharedPeel, baseline_peel
-from .streaming import (STREAM_ORDERS, _shuffled_edges, make_stream, multi_pass_run, sample_params,
-                        single_pass_run)
+from .streaming import (STREAM_ORDERS, SinglePassEngine, _shuffled_edges, make_stream,
+                        multi_pass_run, sample_params, single_pass_run)
 
 __all__ = ["SweepResult", "SweepRow", "build_grid", "sweep"]
 
@@ -151,9 +156,11 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     Per-c failures become error rows; the sweep itself never aborts.
     ``SweepResult.best_row`` names the argmax. ``mpc_config`` goes to the MPC
     runners as given, so None means the runner's default. The MPC runners
-    need uniform samples, so their pool is always in the shuffled order, and
+    need uniform samples, so their pool is in the shuffled order, and
     ``stream_order`` orders only the streaming runners' stream; it is
-    checked for every runner.
+    checked for every runner. Where no cell can observe the order (see the
+    module docstring), a single-pass or mpc-super sweep reads g's edges in
+    their given order instead, and its rows are those of any order.
     """
     if algo not in RUNNERS:
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")
@@ -165,11 +172,14 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     values = tuple(grid)
     params = sample_params(g.n, epsilon, f)
     stream_seed = int(_derived_rng(seed, "stream").integers(0, _SEED_LIMIT - 1))
+    # no cell of a blind sweep can observe the order: read g's own arrays
+    blind = (algo in ("single-pass", "mpc-super")
+             and SinglePassEngine(g.n, 1, params, None).order_blind(g.m))
     stream = mpc_pool = None
     if algo in ("multi-pass", "single-pass"):
-        stream = make_stream(g, stream_order, stream_seed)
+        stream = make_stream(g, "given" if blind else stream_order, stream_seed)
     elif algo in ("mpc-super", "mpc-near"):
-        mpc_pool = SharedPool(*_shuffled_edges(g, stream_seed))
+        mpc_pool = SharedPool(*((g.src, g.dst) if blind else _shuffled_edges(g, stream_seed)))
     shared = None
     if algo != "multi-pass":
         shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")

@@ -19,8 +19,11 @@ permutation per draw, at no permutation's cost. A sweep orders the pool
 once, with its "stream" seed, and every cell starts from that shared
 read-only order, so across cells the order is shared, as the sweep's one
 stream is for the streaming runners; a runner called on its own permutes
-the edges itself. Consecutive head draws are adjacent views, which the
-stream joins as views, so at (V, V) the coordinator's bag is the pool itself.
+the edges itself. An mpc-super sweep whose cells all end their first step
+at (V, V) in the exact peel skips the order: those cells keep every edge
+before they peel, so the pool is g's own arrays. Consecutive head draws
+are adjacent views, which the stream joins as views, so at (V, V) the
+coordinator's bag is the pool itself, g's arrays included.
 A filter of that whole shared order to a pair depends on nothing else, so
 the sweep's ``SharedPool`` computes it once per pair for every cell whose
 first draw phase starts there, and the sweep's ``SharedPeel`` likewise
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import RoundLedger, SharedPeel, _density, _ratio_prefers_sources
+from .peeling import RoundLedger, SharedPeel, _density, _kept, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
@@ -97,8 +100,7 @@ class PhaseRecord:
 
 def _inside(src, dst, s_mask, t_mask):
     """The edges (``src``, ``dst``) inside (S, T), in their order."""
-    keep = s_mask[src] & t_mask[dst]
-    return src[keep], dst[keep]
+    return _kept(s_mask[src] & t_mask[dst], src, dst)
 
 
 class RelevantEdgeSet:
@@ -153,6 +155,8 @@ class SharedPool:
     """A sweep's MPC pool: the graph's edges in one uniform order, as the
     read-only ``src``/``dst`` arrays every cell's ``RelevantEdgeSet``
     starts as, and the filters of that whole pool that the cells share.
+    A sweep whose cells cannot observe the order (see ``csweep``) passes
+    g's own arrays, in their given order.
 
     Cells whose first draw phase starts at the same pair filter the same
     whole pool to it, as near-linear cells leaving (V, V) alike do: the
@@ -301,6 +305,8 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     and the engine finishes locally. ``pool`` is g's edges as (src, dst)
     arrays in uniform order, or a sweep's ``SharedPool`` of them, which the
     run only reads; None permutes them here with a seed drawn from ``rng``.
+    A run whose first step at (V, V) ends in the exact peel
+    (``SinglePassEngine.order_blind``) returns the same for any order.
     Each draw takes the pool's head: the undrawn edges' order is
     independent of everything the engine has seen, so after the
     order-keeping filters the head is a uniform sample in uniform order,

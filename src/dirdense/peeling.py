@@ -60,6 +60,20 @@ def _ratio_prefers_sources(s_count: int, t_count: int, c: Fraction) -> bool:
     return s_count * c.denominator >= t_count * c.numerator
 
 
+# below this share of kept entries, a gather by index beats a boolean mask
+_GATHER_SHARE = 15 / 16
+
+
+def _kept(keep, *arrays):
+    """Each of ``arrays``' entries where ``keep`` holds, in order, as new
+    arrays; no input is written. A boolean mask pays for every entry it
+    reads, so below a kept share of ``_GATHER_SHARE`` one ``flatnonzero``
+    and a gather per array are cheaper; above it the mask is."""
+    if np.count_nonzero(keep) < _GATHER_SHARE * keep.size:
+        keep = np.flatnonzero(keep)
+    return tuple(a[keep] for a in arrays)
+
+
 def _threshold_drop(deg, side_mask, cross, side_count, epsilon):
     """Vertices of the side at or below (1+eps) times the average cross-degree.
 
@@ -121,8 +135,11 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
     during a run, so one bincount at its start keeps every surviving
     member's degree exact, and each peel needs only a masked sum for the new
     cross count. Guesses whose ratio test flips leave the run, and one
-    gather on the side that shrank compacts the bag to E(S, T) for them; a
-    consumer taking only ``next`` never pays for it. With ``rescan``
+    pass on the side that shrank compacts the bag to E(S, T) for them; a
+    consumer taking only ``next`` never pays for it. Compactions and the
+    first run's tally keep their edges through ``_kept``, which gathers by
+    index where a mask keeps under 15/16 of the bag, as most compactions
+    of a walk do. With ``rescan``
     nothing is kept between steps: each pair makes one membership pass over
     the whole bag, which may hold edges outside it (``inside`` is not
     needed), and one tally per side it peels, as a pass-per-iteration
@@ -145,7 +162,7 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
             if inside is not None:
                 keep &= inside
                 inside = None
-            ends = (ends[0][keep], ends[1][keep])
+            ends = _kept(keep, *ends)
         start_cross = int(ends[0].size) if inside is None else int(np.count_nonzero(inside))
         split = _first_target_peeler(cs, guesses, start_counts)
         # the T-peelers' run, then the S-peelers' run from the same bag
@@ -153,7 +170,8 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
             if not guesses:
                 continue
             masks, counts, cross = list(start_masks), list(start_counts), start_cross
-            deg = np.bincount(ends[side] if inside is None else ends[side][inside], minlength=n)
+            tally = ends[side] if inside is None else _kept(inside, ends[side])[0]
+            deg = np.bincount(tally, minlength=n)
             while True:
                 drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
                 removed = int(np.count_nonzero(drop))

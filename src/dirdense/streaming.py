@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import VertexSetPair
-from .peeling import RoundLedger, SharedPeel, _exact_bag_peels, _peel_best, _ratio_guess
+from .peeling import RoundLedger, SharedPeel, _exact_bag_peels, _kept, _peel_best, _ratio_guess
 
 __all__ = [
     "EdgeStream",
@@ -280,7 +280,7 @@ class SeenSet:
         """Drop retained edges outside the (shrunken) current pair."""
         keep = s_mask[self._src] & t_mask[self._dst]
         if not keep.all():
-            self._src, self._dst = self._src[keep], self._dst[keep]
+            self._src, self._dst = _kept(keep, self._src, self._dst)
 
     def arrays(self):
         return self._src, self._dst
@@ -302,9 +302,7 @@ def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stre
         raise ValueError("size estimate below retained edge count; clamp before sampling")
     kept_src, kept_dst = seen.arrays()
     if p < 1.0:
-        keep = rng.random(seen.size) < p
-        kept_src = kept_src[keep]
-        kept_dst = kept_dst[keep]
+        kept_src, kept_dst = _kept(rng.random(seen.size) < p, kept_src, kept_dst)
     extra = size_estimate - seen.size
     draws = int(rng.binomial(extra, p)) if extra > 0 else 0
     fresh_src, fresh_dst, exhausted = stream.take_qualifying(draws, s_mask, t_mask)
@@ -469,30 +467,47 @@ class SinglePassEngine:
         """The edges inside the current pair; all of them before any peel."""
         if self._at_root():
             return src, dst
-        keep = self.s_mask[src] & self.t_mask[dst]
-        return src[keep], dst[keep]
+        return _kept(self.s_mask[src] & self.t_mask[dst], src, dst)
+
+    def _batch(self) -> int:
+        return max(1, int(self.batch_size(self.s_count, self.t_count)))
+
+    def _step_rate(self, batch, read, matching, remaining):
+        """The sampling rate p and size estimate of a step whose ``batch``
+        read ``read`` edges, ``matching`` of them inside the pair, with
+        ``remaining`` left in the stream; p is None when the step instead
+        keeps every remaining cross edge and finishes with the exact peel:
+        the batch is too sparse to estimate from, the stream just ended, or
+        the whole remaining population fits the sample budget (p > 1)."""
+        if matching < 2 * self.params.xi or remaining == 0:
+            return None, None
+        eps = self.params.epsilon
+        size_estimate = estimate_cross_edges(read, matching, remaining, batch, self.seen.size, eps)
+        p = batch / ((1.0 - eps) * size_estimate)
+        return (None if p > 1.0 else p), size_estimate
+
+    def order_blind(self, m: int) -> bool:
+        """Whether ``run``, from (V, V) over a stream of ``m`` edges, ends
+        its first step in the exact finishing peel. Then every edge is kept
+        before the peel, so nothing the run returns, its peak included,
+        depends on the stream's order. Only n, m, xi, epsilon and the batch
+        size decide it: at (V, V) every edge read is a cross edge. Asked
+        of a fresh engine."""
+        batch = self._batch()
+        read = min(batch, m)
+        return self._step_rate(batch, read, read, m - read)[0] is None
 
     def run(self, stream):
         eps = self.params.epsilon
-        xi = self.params.xi
         while stream.remaining and self.s_count and self.t_count:
-            batch = max(1, int(self.batch_size(self.s_count, self.t_count)))
+            batch = self._batch()
             bs, bd = stream.take(batch)
             self.seen.note_extra(bs.size)
             qs, qd = self._cross(bs, bd)
-            if qs.size < 2 * xi or stream.remaining == 0:
-                # too sparse to estimate, or the stream just ended: keep every
-                # remaining cross edge and finish with full information
-                self.seen.add(qs, qd)
-                break
-            size_estimate = estimate_cross_edges(
-                int(bs.size), int(qs.size), stream.remaining, batch, self.seen.size, eps
-            )
+            p, size_estimate = self._step_rate(batch, int(bs.size), int(qs.size),
+                                               stream.remaining)
             self.seen.add(qs, qd)
-            p = batch / ((1.0 - eps) * size_estimate)
-            if p > 1.0:
-                # the whole remaining population fits the sample budget:
-                # retain all of it and peel exactly, as when it is sparse
+            if p is None:
                 break
             h_src, h_dst, _, fresh = set_sample(
                 self.seen, self.s_mask, self.t_mask, p, size_estimate, stream, self.rng

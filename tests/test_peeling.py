@@ -11,8 +11,10 @@ from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair, density, member_mask
 from dirdense.peeling import (
+    _GATHER_SHARE,
     SharedPeel,
     _exact_bag_peels,
+    _kept,
     _peel_best,
     baseline_peel,
     exact_oracle,
@@ -189,6 +191,39 @@ def any_bag_instances(draw):
     c = draw(st.sampled_from(build_grid(n, 2.0)))
     side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array).filter(np.any)
     return g.src, g.dst, n, c, draw(side), draw(side)
+
+
+class TestKept:
+    SIZE = 1024  # 15/16 of it is a whole number of entries
+
+    @pytest.mark.parametrize("kept", [0, 1, 512, 959, 960, 1024])
+    def test_returns_the_masked_entries_in_order_and_writes_no_input(self, monkeypatch, kept):
+        assert _GATHER_SHARE * self.SIZE == 960
+        rng = np.random.default_rng(kept)
+        keep = np.zeros(self.SIZE, dtype=bool)
+        keep[rng.choice(self.SIZE, kept, replace=False)] = True
+        arrays = rng.permutation(self.SIZE), rng.random(self.SIZE)
+        originals = [a.copy() for a in (keep, *arrays)]
+        for a in (keep, *arrays):
+            a.setflags(write=False)
+        gathers = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a) or flatnonzero(a))
+        out = _kept(keep, *arrays)
+        assert len(out) == 2
+        for got, a in zip(out, arrays):
+            assert got.dtype == a.dtype and np.array_equal(got, a[keep])
+            assert not np.shares_memory(got, a)
+        # below the switch share it gathers by index, from it on it masks
+        assert len(gathers) == (kept < 960)
+        for a, original in zip((keep, *arrays), originals):
+            assert np.array_equal(a, original)
+
+    def test_empty_arrays(self):
+        keep = np.zeros(0, dtype=bool)
+        got, = _kept(keep, np.empty(0, dtype=np.int64))
+        assert got.size == 0 and got.dtype == np.int64
+        assert _kept(keep) == ()
 
 
 class TestExactBagPeel:

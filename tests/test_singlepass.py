@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph, density
-from dirdense.peeling import baseline_peel
-from dirdense.streaming import SinglePassEngine, make_stream, sample_params, single_pass_run
+from dirdense.mpc import MpcConfig, mpc_superlinear_run
+from dirdense.peeling import SharedPeel, baseline_peel
+from dirdense.streaming import (EdgeStream, SinglePassEngine, make_stream, sample_params,
+                               single_pass_run)
 from tests.support import gnp_directed, multigraphs_with_ratio, star_with_fragment
 
 
@@ -136,3 +138,64 @@ class TestSinglePassRun:
         pair, rho, _ = single_pass_run(make_stream(g, order, seed), g.n, c, params,
                                        rng=np.random.default_rng(seed))
         assert (pair.S, pair.T, rho) == (base_pair.S, base_pair.T, base_rho)
+
+
+class _CountingStream(EdgeStream):
+    """A static stream that counts its ``take_qualifying`` calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.qualifying_calls = 0
+
+    def take_qualifying(self, *args, **kwargs):
+        self.qualifying_calls += 1
+        return super().take_qualifying(*args, **kwargs)
+
+
+class TestOrderBlind:
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=3000),
+           st.floats(min_value=-4, max_value=0).map(lambda e: 10.0**e),
+           st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_holds_exactly_when_the_run_ends_in_the_exact_peel_unsampled(self, n, m, f, eps,
+                                                                         seed):
+        rng = np.random.default_rng(seed)
+        g = DirectedGraph.from_arrays(n, rng.integers(0, n, m), rng.integers(0, n, m))
+        engine = SinglePassEngine(n, 1, sample_params(n, eps, f), rng)
+        blind = engine.order_blind(m)
+        stream = _CountingStream(n, g.src, g.dst)
+        engine.run(stream)
+        assert blind == (stream.qualifying_calls == 0 and engine.best_exact)
+
+    @pytest.mark.parametrize("f, blind", [(1.0, True), (1 / 3000, False)])
+    def test_the_two_regimes_of_a_pref_graph(self, f, blind):
+        # f = 1: n * xi covers the stream; f = 1/3000: 600 < m = 19,900 samples
+        g = gen_pref_attach(200, 100, seed=1)
+        engine = SinglePassEngine(g.n, 1, sample_params(g.n, 0.2, f), None)
+        assert engine.order_blind(g.m) == blind
+
+    @given(multigraphs_with_ratio(), st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+           st.sampled_from([1.0, 1 / 30, 1 / 300, 1 / 3000]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_order_blind_cells_return_the_baseline_peel(self, instance, eps, f, seed):
+        """Single-pass and mpc-super cells in the order-blind regime return
+        baseline's pair and exact density, in either stream order, with the
+        shared walk or without it."""
+        g, c = instance
+        params = sample_params(g.n, eps, f)
+        assume(SinglePassEngine(g.n, c, params, None).order_blind(g.m))
+        base_pair, base_rho, _ = baseline_peel(g, c, eps)
+        expected = base_pair.S, base_pair.T, base_rho
+        cfg = MpcConfig("superlinear", mu=0.1)  # about n^1.1 edges a machine: several phases
+        for order in ("given", "shuffled"):
+            for shared in (None, SharedPeel(g.src, g.dst, g.n, (c,), eps)):
+                stream = make_stream(g, order, seed)
+                pair, rho, _ = single_pass_run(stream, g.n, c, params,
+                                               rng=np.random.default_rng(seed), shared=shared)
+                assert (pair.S, pair.T, rho) == expected
+                pool = stream.replay().take_all()
+                pair, rho, _ = mpc_superlinear_run(g, c, params, cfg, pool=pool,
+                                                   rng=np.random.default_rng(seed), shared=shared)
+                assert (pair.S, pair.T, rho) == expected

@@ -344,6 +344,90 @@ class TestSharedStream:
         assert not src.flags.writeable and not dst.flags.writeable
 
 
+class TestOrderBlindSweep:
+    """A single-pass or mpc-super sweep whose every cell ends its first step
+    at (V, V) in the exact peel reads g's own arrays, unpermuted."""
+
+    @pytest.fixture(scope="class")
+    def pref10k(self):
+        return gen_pref_attach(10_000, 10, 3)
+
+    @pytest.fixture
+    def permutations(self, monkeypatch):
+        """The edge count of every permutation of the edges a sweep makes."""
+        import dirdense.csweep as sweep_mod
+        import dirdense.streaming as streaming
+
+        calls = []
+        shuffled_edges = streaming._shuffled_edges
+
+        def record(g, seed):
+            calls.append(g.m)
+            return shuffled_edges(g, seed)
+
+        for module in (sweep_mod, streaming):
+            monkeypatch.setattr(module, "_shuffled_edges", record)
+        return calls
+
+    # single-pass: n * xi = 4,610,000 >= m = 99,990, one batch reads the
+    # stream; mpc-super: a first batch of 70,000 over three machine-loads,
+    # then p > 1
+    BLIND = [("single-pass", 1 / 30, None),
+             ("mpc-super", 1 / 2000, MpcConfig("superlinear", mu=0.1))]
+
+    @pytest.mark.parametrize("algo,f,cfg", BLIND)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_rows_and_ledgers_equal_those_of_the_permuted_sweep(self, monkeypatch, permutations,
+                                                                pref10k, algo, f, cfg, workers):
+        g, grid = pref10k, build_grid(pref10k.n, 2)
+        assert SinglePassEngine(g.n, 1, sample_params(g.n, 0.2, f), None).order_blind(g.m)
+        ledgers = _record_ledgers(monkeypatch)
+
+        def run():
+            ledgers.clear()
+            res = sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, mpc_config=cfg, workers=workers)
+            assert all(row.error is None for row in res.rows)
+            return [_row_key(r) for r in res.rows], [repr(r.density) for r in res.rows], \
+                dict(ledgers)
+
+        blind = run()
+        assert permutations == []
+        monkeypatch.setattr(SinglePassEngine, "order_blind", lambda engine, m: False)
+        assert run() == blind
+        assert permutations == [g.m]
+
+    @pytest.mark.parametrize("algo,f", [("single-pass", 1 / 3000), ("multi-pass", 1 / 30),
+                                        ("mpc-near", 1 / 30)])
+    def test_a_sweep_whose_first_read_sees_the_order_permutes_once(self, permutations, algo, f):
+        # single-pass at f = 1/3000 samples; multi-pass and mpc-near order
+        # their edges even at f = 1/30, where a single-pass sweep would not
+        g = gen_pref_attach(2000, 50, 3)
+        res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1)
+        assert all(row.error is None for row in res.rows)
+        assert permutations == [g.m]
+
+    @pytest.mark.parametrize("algo,f,cfg", BLIND)
+    def test_finishing_bags_are_views_of_the_graphs_arrays(self, monkeypatch, pref10k, algo, f,
+                                                           cfg):
+        # the draws of an mpc-super cell are joined as views, not copied
+        # into a new bag, which is what would make g's own order cost more
+        # than a permuted one
+        bags = []
+        local_peel = SinglePassEngine._local_peel
+
+        def spy(engine, edge_src, edge_dst):
+            bags.append((edge_src, edge_dst))
+            return local_peel(engine, edge_src, edge_dst)
+
+        monkeypatch.setattr(SinglePassEngine, "_local_peel", spy)
+        g, grid = pref10k, build_grid(pref10k.n, 2)
+        sweep(algo, g, grid, epsilon=0.2, f=f, seed=1, mpc_config=cfg)
+        assert len(bags) == len(grid)
+        for src, dst in bags:
+            assert src.size == dst.size == g.m
+            assert np.shares_memory(src, g.src) and np.shares_memory(dst, g.dst)
+
+
 class TestSharedPeel:
     @pytest.fixture
     def walks(self, monkeypatch):
