@@ -30,14 +30,14 @@ mpc-near sweep reads the first runs of one walk per distinct start pair,
 (V, V) included. An MPC sweep's pool is a ``SharedPool``: cells whose
 first draw phase starts at the same pair, as mpc-near cells leaving (V, V)
 alike do, share its one filter of the whole pool to that pair. Both memos
-live until the sweep returns: each walk away from (V, V) holds a mask of
-one byte per edge, and each pool filter a copy of 16 bytes per edge that
-stays inside the pair. A cell's ``wall_ms`` therefore holds the shared
-work it was the first to do: in an exact sweep the first cell drains the
-walk, and an mpc-near cell pays for the steps and filters it is the first
-to need. With one worker the rows' ``wall_ms`` add up to the sweep's
-runner time, and with more, a cell waiting for shared work also counts
-its wait.
+live until the sweep returns: each walk away from (V, V) and each pool
+filter holds the edges inside its pair, a copy of 16 bytes per edge
+unless the pair drops none. A cell's ``wall_ms`` therefore holds the
+shared work it was the first to do: in an exact sweep the first cell
+drains the walk, and an mpc-near cell pays for the steps and filters it
+is the first to need. With one worker the rows' ``wall_ms`` add up to the
+sweep's runner time, and with more, a cell waiting for shared work also
+counts its wait.
 """
 
 from __future__ import annotations

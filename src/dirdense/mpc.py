@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph, density
-from .peeling import RoundLedger, SharedPeel, _density, _kept, _ratio_prefers_sources
+from .peeling import RoundLedger, SharedPeel, _density, _inside, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
@@ -98,11 +98,6 @@ class PhaseRecord:
     flip_peels: int = 0
 
 
-def _inside(src, dst, s_mask, t_mask):
-    """The edges (``src``, ``dst``) inside (S, T), in their order."""
-    return _kept(s_mask[src] & t_mask[dst], src, dst)
-
-
 class RelevantEdgeSet:
     """Edges still available to feed the coordinator; shrinks monotonically.
 
@@ -129,7 +124,7 @@ class RelevantEdgeSet:
         set still holds its ``shared`` pool's own arrays, nothing drawn or
         filtered yet, the filter is that pool's one filter to the pair."""
         if s_mask.all() and t_mask.all():
-            return  # (V, V) keeps every edge
+            return  # (V, V) keeps every edge, with no memo key of its masks built
         pool = self.shared
         if pool is not None and self.src is pool.src and self.dst is pool.dst:
             self.src, self.dst = pool.filtered(s_mask, t_mask)

@@ -74,6 +74,18 @@ def _kept(keep, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
+def _inside(src, dst, s_mask, t_mask):
+    """The edges (``src``, ``dst``) inside (S, T), in their order: the one
+    membership filter of an edge bag. It returns the inputs themselves at
+    (V, V), where it builds no mask, and wherever no edge is outside the
+    pair, as nothing writes an edge array; otherwise new arrays, through
+    ``_kept``."""
+    if s_mask.all() and t_mask.all():
+        return src, dst
+    keep = s_mask[src] & t_mask[dst]
+    return (src, dst) if keep.all() else _kept(keep, src, dst)
+
+
 def _threshold_drop(deg, side_mask, cross, side_count, epsilon):
     """Vertices of the side at or below (1+eps) times the average cross-degree.
 
@@ -113,7 +125,7 @@ def _first_target_peeler(cs, guesses: range, counts) -> int:
                               key=lambda c: not _ratio_prefers_sources(*counts, c))
 
 
-def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, rescan=False):
+def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
     """Threshold peel steps from (S, T) for the ascending ratio guesses
     ``cs``: the one implementation of a peel step.
 
@@ -125,53 +137,45 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
     (``step.guesses``). Every guess sees its own steps in order, and the
     walk holds only the bags of the pairs on its current path.
 
-    With ``inside=None`` every bag edge must lie inside (S, T): the bag's
-    size is the cross count and degrees are tallied without a membership
-    check. Any other bag needs ``inside = s_mask[src] & t_mask[dst]``; the
-    first run then tallies only the peeled side's ends inside the pair, and
-    the first compaction folds ``inside`` in.
+    The bag is E(S, T): every edge must lie inside (S, T), as ``_inside``
+    leaves it. Its size is the cross count and degrees are tallied without
+    a membership check.
 
     Peels come in runs of the same side. The other side does not change
     during a run, so one bincount at its start keeps every surviving
     member's degree exact, and each peel needs only a masked sum for the new
     cross count. Guesses whose ratio test flips leave the run, and one
     pass on the side that shrank compacts the bag to E(S, T) for them; a
-    consumer taking only ``next`` never pays for it. Compactions and the
-    first run's tally keep their edges through ``_kept``, which gathers by
-    index where a mask keeps under 15/16 of the bag, as most compactions
-    of a walk do. With ``rescan``
-    nothing is kept between steps: each pair makes one membership pass over
-    the whole bag, which may hold edges outside it (``inside`` is not
-    needed), and one tally per side it peels, as a pass-per-iteration
-    stream would. No mask is written in place: a peel builds a new mask for
-    its side and yields the other side's as it is, so steps may be kept.
+    consumer taking only ``next`` never pays for it. Compactions keep their
+    edges through ``_kept``, which gathers by index where a mask keeps
+    under 15/16 of the bag, as most compactions of a walk do. With
+    ``rescan`` nothing is kept between steps and the bag may hold any
+    edges: each pair filters the whole bag through ``_inside`` and makes
+    one tally per side it peels, as a pass-per-iteration stream would. No
+    mask is written in place: a peel builds a new mask for its side and
+    yields the other side's as it is, so steps may be kept.
     """
     counts = (int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
     bag = None if rescan else (src, dst)
-    # (guesses, masks, counts, bag ends or None to rescan, inside, side whose
-    # peels the bag still holds or None)
-    todo = [(range(len(cs)), (s_mask, t_mask), counts, bag, inside, None)]
+    # (guesses, masks, counts, bag ends or None to rescan, side whose peels
+    # the bag still holds or None)
+    todo = [(range(len(cs)), (s_mask, t_mask), counts, bag, None)]
     while todo:
-        guesses, start_masks, start_counts, ends, inside, stale = todo.pop()
+        guesses, start_masks, start_counts, ends, stale = todo.pop()
         if not (guesses and start_counts[0] and start_counts[1]):
             continue
         if ends is None:
-            ends, inside = (src, dst), start_masks[0][src] & start_masks[1][dst]
+            ends = _inside(src, dst, *start_masks)
         elif stale is not None:
-            keep = start_masks[stale][ends[stale]]
-            if inside is not None:
-                keep &= inside
-                inside = None
-            ends = _kept(keep, *ends)
-        start_cross = int(ends[0].size) if inside is None else int(np.count_nonzero(inside))
+            ends = _kept(start_masks[stale][ends[stale]], *ends)
+        start_cross = int(ends[0].size)
         split = _first_target_peeler(cs, guesses, start_counts)
         # the T-peelers' run, then the S-peelers' run from the same bag
         for side, guesses in ((1, range(split, guesses.stop)), (0, range(guesses.start, split))):
             if not guesses:
                 continue
             masks, counts, cross = list(start_masks), list(start_counts), start_cross
-            tally = ends[side] if inside is None else _kept(inside, ends[side])[0]
-            deg = np.bincount(tally, minlength=n)
+            deg = np.bincount(ends[side], minlength=n)
             while True:
                 drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
                 removed = int(np.count_nonzero(drop))
@@ -183,7 +187,7 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
                     break
                 pair = tuple(masks), tuple(counts)
                 if rescan:
-                    todo.append((guesses, *pair, None, None, None))
+                    todo.append((guesses, *pair, None, None))
                     break
                 # peeling a side moves |S|/|T| towards the other side's guesses
                 split = _first_target_peeler(cs, guesses, pair[1])
@@ -192,7 +196,7 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, inside=None, r
                 else:
                     left, guesses = range(split, guesses.stop), range(guesses.start, split)
                 if left:
-                    todo.append((left, *pair, ends, inside, side))
+                    todo.append((left, *pair, ends, side))
                 if not guesses:
                     break
 
@@ -224,13 +228,14 @@ class SharedPeel:
     step it yields is kept, so each is walked once: a reader that drains its
     guess's steps drains the walk's share of it, and one that stops early,
     as a flip-peel after its first run does, leaves the rest unwalked.
-    (V, V) is one start pair like any other. A walk from another pair reads
-    the bag through the pair's membership mask, an ``inside`` of one byte
-    per bag edge, and every walk, with its mask and its steps, is kept as
-    long as the object is: a sweep drops it when it returns. Guesses that
-    are not positive rationals are left out, so each of their cells still
-    fails on its own; order and repeats do not matter. ``rescan`` walks as
-    ``baseline_peel`` peels, with one pass over the whole bag per pair.
+    (V, V) is one start pair like any other. A walk from another pair peels
+    the pair's edges, ``_inside`` of the bag, which it keeps at 16 bytes
+    per edge inside the pair; at (V, V) it is the bag itself. Every walk,
+    with its bag and its steps, is kept as long as the object is: a sweep
+    drops it when it returns. Guesses that are not positive rationals are
+    left out, so each of their cells still fails on its own; order and
+    repeats do not matter. ``rescan`` walks as ``baseline_peel`` peels,
+    with one pass over the whole bag per pair.
     Threads may share the object: walks advance under one lock. A walk that
     raises keeps the exception, and every reader from its start pair that
     needs a step past the last one walked raises it too, so no peel ends
@@ -264,18 +269,10 @@ class SharedPeel:
         with self._lock:
             walk = self._walks.get(key)
             if walk is None:
-                walk = self._walks[key] = _Walk(self._walk(*start))
+                bag = self._bag if self._rescan else _inside(*self._bag, *start)
+                walk = self._walks[key] = _Walk(_exact_bag_peels(
+                    *bag, self.n, self.guesses, self.epsilon, *start, rescan=self._rescan))
         return self._read(walk, self.guesses.index(c))
-
-    def _walk(self, s_mask, t_mask):
-        """The kernel's walk from (S, T): at (V, V) every bag edge is inside
-        the pair, and elsewhere the bag is read through the pair's mask."""
-        src, dst = self._bag
-        inside = None
-        if not (self._rescan or (s_mask.all() and t_mask.all())):
-            inside = s_mask[src] & t_mask[dst]
-        yield from _exact_bag_peels(src, dst, self.n, self.guesses, self.epsilon, s_mask, t_mask,
-                                    inside=inside, rescan=self._rescan)
 
     def _read(self, walk, i):
         """Guess ``i``'s steps: the walked ones, then the walk's as it advances."""

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import VertexSetPair
-from .peeling import RoundLedger, SharedPeel, _exact_bag_peels, _kept, _peel_best, _ratio_guess
+from .peeling import (RoundLedger, SharedPeel, _exact_bag_peels, _inside, _kept, _peel_best,
+                      _ratio_guess)
 
 __all__ = [
     "EdgeStream",
@@ -278,9 +279,7 @@ class SeenSet:
 
     def refilter(self, s_mask, t_mask):
         """Drop retained edges outside the (shrunken) current pair."""
-        keep = s_mask[self._src] & t_mask[self._dst]
-        if not keep.all():
-            self._src, self._dst = _kept(keep, self._src, self._dst)
+        self._src, self._dst = _inside(self._src, self._dst, s_mask, t_mask)
 
     def arrays(self):
         return self._src, self._dst
@@ -368,12 +367,10 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
         stream.reset()
         es, ed = stream.take_all()
         passes += 1
-        pick = np.flatnonzero(s_mask[es] & t_mask[ed])
+        sample_src, sample_dst = _inside(es, ed, s_mask, t_mask)
         if p < 1.0:
-            pick = pick[rng.random(pick.size) < p]
-        sample_src = es[pick]
-        sample_dst = ed[pick]
-        peak = max(peak, int(pick.size))
+            sample_src, sample_dst = _kept(rng.random(sample_src.size) < p, sample_src, sample_dst)
+        peak = max(peak, int(sample_src.size))
         # the sample lies inside (S, T), so the kernel's first step is the peel
         step = next(_exact_bag_peels(sample_src, sample_dst, n, (c,), eps, s_mask, t_mask))
         s_mask, t_mask, s_count, t_count = step.s_mask, step.t_mask, step.s_count, step.t_count
@@ -442,33 +439,24 @@ class SinglePassEngine:
     def peels(self, src, dst, *, filtered=True):
         """Guess c's exact peel steps from the current pair over the edge bag
         (``src``, ``dst``), which holds every edge of E(S, T); with
-        ``filtered`` it holds no other, else the kernel reads it through the
-        pair's membership mask. The steps depend on the bag only through
-        E(S, T), so with a ``shared`` walk they are its walk's from the pair
-        wherever the bag has every edge: at (V, V), and for an unfiltered
-        bag such as a flip-peel's, which is the graph's edges."""
-        eps, at_root = self.params.epsilon, self._at_root()
-        if self.shared is not None and (at_root or not filtered):
+        ``filtered`` it holds no other, else the kernel peels ``_inside``
+        of it. The steps depend on the bag only through E(S, T), so with a
+        ``shared`` walk they are its walk's from the pair wherever the bag
+        has every edge: at (V, V), and for an unfiltered bag such as a
+        flip-peel's, which is the graph's edges."""
+        eps = self.params.epsilon
+        if self.shared is not None and (not filtered or self.s_count == self.t_count == self.n):
             return self.shared.steps(self.c, self.n, int(src.size), eps,
                                      (self.s_mask, self.t_mask))
-        inside = None if filtered or at_root else self.s_mask[src] & self.t_mask[dst]
-        return _exact_bag_peels(src, dst, self.n, (self.c,), eps, self.s_mask, self.t_mask,
-                                inside=inside)
+        if not filtered:
+            src, dst = _inside(src, dst, self.s_mask, self.t_mask)
+        return _exact_bag_peels(src, dst, self.n, (self.c,), eps, self.s_mask, self.t_mask)
 
     @property
     def peak_edges(self) -> int:
         return self.seen.peak_size
 
     # ------------------------------------------------------------------------
-    def _at_root(self) -> bool:
-        return self.s_count == self.t_count == self.n
-
-    def _cross(self, src, dst):
-        """The edges inside the current pair; all of them before any peel."""
-        if self._at_root():
-            return src, dst
-        return _kept(self.s_mask[src] & self.t_mask[dst], src, dst)
-
     def _batch(self) -> int:
         return max(1, int(self.batch_size(self.s_count, self.t_count)))
 
@@ -503,7 +491,7 @@ class SinglePassEngine:
             batch = self._batch()
             bs, bd = stream.take(batch)
             self.seen.note_extra(bs.size)
-            qs, qd = self._cross(bs, bd)
+            qs, qd = _inside(bs, bd, self.s_mask, self.t_mask)
             p, size_estimate = self._step_rate(batch, int(bs.size), int(qs.size),
                                                stream.remaining)
             self.seen.add(qs, qd)
@@ -533,12 +521,13 @@ class SinglePassEngine:
         """Exact peel of the in-memory cross-edge bag, kept equal to E(S, T).
 
         Continues from the current pair, so the finishing peel is the
-        full-information continuation of the streamed one. Every bag edge
-        must lie inside the current pair: the peel takes the bag's size as
-        the pair's cross count and tallies degrees without re-checking
-        membership. At (V, V) no sampled step happened and the bag holds
-        every edge of the stream: for single-pass the graph's edges, and
-        for a phased run the whole pool, which no filter at (V, V) shrinks.
+        full-information continuation of the streamed one. The bag is the
+        kernel's one form, E(S, T): every edge the engine retains passed
+        ``_inside`` of its pair, and each peel refilters the rest, so the
+        bag's size is the pair's cross count. At (V, V) no sampled step
+        happened and the bag holds every edge of the stream: for
+        single-pass the graph's edges, and for a phased run the whole pool,
+        which no filter at (V, V) shrinks.
         """
         if edge_src.size == 0:
             return
@@ -551,7 +540,7 @@ class SinglePassEngine:
         if stream.remaining and self.s_count and self.t_count:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
-            self.seen.add(*self._cross(rs, rd))
+            self.seen.add(*_inside(rs, rd, self.s_mask, self.t_mask))
         self._local_peel(*self.seen.arrays())
 
 

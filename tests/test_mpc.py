@@ -157,7 +157,7 @@ def _cell_set(g, pool):
 
 
 class TestSharedPool:
-    def test_only_sets_that_hold_the_whole_pool_share_its_filter(self):
+    def test_only_sets_that_hold_the_whole_pool_share_its_filter(self, monkeypatch):
         g = gnp_directed(30, 0.3, seed=3)
         src, dst = _shuffled_edges(g, 1)
         pool = SharedPool(src, dst)
@@ -173,10 +173,20 @@ class TestSharedPool:
         assert np.array_equal(first.src, src[keep]) and np.array_equal(first.dst, dst[keep])
         assert np.array_equal(drawn.src, src[3:][keep[3:]]) and drawn.src is not first.src
         assert np.array_equal(own.src, first.src) and own.src is not first.src
-        # a filtered set filters on its own again, even back to the same pair
+        # a filtered set filters on its own again, even back to the same pair,
+        # which drops no edge and so keeps its arrays
+        asked = []
+        pool_filter = SharedPool.filtered
+        monkeypatch.setattr(SharedPool, "filtered",
+                            lambda pool, *masks: asked.append(masks) or pool_filter(pool, *masks))
         filtered = first.src
         first.intersect_pair(s_mask, t_mask)
-        assert first.src is not filtered and np.array_equal(first.src, filtered)
+        assert first.src is filtered
+        fewer = s_mask & (np.arange(g.n) % 5 != 0)
+        first.intersect_pair(fewer, t_mask)
+        keep = fewer[src] & t_mask[dst]
+        assert np.array_equal(first.src, src[keep]) and np.array_equal(first.dst, dst[keep])
+        assert not asked
 
     def test_threads_filter_each_pair_once(self, monkeypatch):
         """More threads than cores ask for a few pairs at once, with frequent

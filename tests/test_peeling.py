@@ -14,6 +14,7 @@ from dirdense.peeling import (
     _GATHER_SHARE,
     SharedPeel,
     _exact_bag_peels,
+    _inside,
     _kept,
     _peel_best,
     baseline_peel,
@@ -226,6 +227,53 @@ class TestKept:
         assert _kept(keep) == ()
 
 
+@st.composite
+def inside_instances(draw):
+    """Any edge bag on at most 10 vertices (parallel edges, self-loops) and
+    any pair, empty sides included; half of the time every bag edge lies
+    inside the pair."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    s_mask, t_mask = draw(side), draw(side)
+    heads, tails = np.flatnonzero(s_mask).tolist(), np.flatnonzero(t_mask).tolist()
+    if heads and tails and draw(st.booleans()):
+        edge = st.tuples(st.sampled_from(heads), st.sampled_from(tails))
+    else:
+        edge = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                         st.integers(min_value=0, max_value=n - 1))
+    g = DirectedGraph(n, draw(st.lists(edge, max_size=50)))
+    return g.src, g.dst, s_mask, t_mask
+
+
+class TestInside:
+    @given(inside_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_boolean_indexing_and_writes_no_input(self, instance):
+        src, dst, s_mask, t_mask = instance
+        originals = [a.copy() for a in instance]
+        for a in instance:
+            a.setflags(write=False)
+        keep = s_mask[src] & t_mask[dst]
+        got_src, got_dst = _inside(src, dst, s_mask, t_mask)
+        assert got_src.dtype == got_dst.dtype == np.int64
+        assert np.array_equal(got_src, src[keep]) and np.array_equal(got_dst, dst[keep])
+        # a filter that drops no edge hands back the bag itself
+        assert (got_src is src and got_dst is dst) == bool(keep.all())
+        for a, original in zip(instance, originals):
+            assert np.array_equal(a, original)
+
+    @given(st.integers(min_value=1, max_value=50))
+    def test_reads_no_edge_at_the_root(self, n):
+        import dirdense.peeling as peeling
+
+        src, dst = object(), object()  # no mask can index these
+        everyone = np.ones(n, dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peeling, "_kept", None)
+            got = _inside(src, dst, everyone, everyone)
+        assert got[0] is src and got[1] is dst
+
+
 class TestExactBagPeel:
     @given(exact_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=300, deadline=None)
@@ -248,26 +296,32 @@ class TestExactBagPeel:
         inside = s_mask[src] & t_mask[dst]
         side, removed, new_s, new_t, cross = reference_peel_once(src, dst, n, c, eps, s_mask, t_mask)
         expected = side, removed, new_s.tolist(), new_t.tolist(), cross
-        step = next(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
-        assert step_key(step) == expected
-        assert (step.s_count, step.t_count) == (new_s.sum(), new_t.sum())
-        # the same bag filtered to (S, T) needs no membership mask
-        step = next(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
-        assert step_key(step) == expected
+        # the bag filtered to (S, T), and the whole bag rescanned
+        for bag, rescan in (((src[inside], dst[inside]), False), ((src, dst), True)):
+            step = next(_exact_bag_peels(*bag, n, (c,), eps, s_mask, t_mask, rescan=rescan))
+            assert step_key(step) == expected
+            assert (step.s_count, step.t_count) == (new_s.sum(), new_t.sum())
 
     @given(any_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
     @settings(max_examples=200, deadline=None)
-    def test_inside_mask_runs_like_the_filtered_bag(self, instance, eps):
+    def test_unfiltered_bag_walks_like_its_inside(self, instance, eps):
+        """A rescanning walk over a bag with edges outside the pair, and a
+        shared walk from that pair over it, run like the compacting kernel
+        over ``_inside`` of the bag."""
         src, dst, n, c, s_mask, t_mask = instance
-        inside = s_mask[src] & t_mask[dst]
-        for array in (src, dst, s_mask, t_mask, inside):
+        for array in (src, dst, s_mask, t_mask):
             array.setflags(write=False)  # the kernel writes no mask in place
-        masked = list(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, inside=inside))
-        filtered = list(_exact_bag_peels(src[inside], dst[inside], n, (c,), eps, s_mask, t_mask))
-        assert ([(step_key(step), step.s_count, step.t_count) for step in masked]
-                == [(step_key(step), step.s_count, step.t_count) for step in filtered])
-        assert all(step.s_count and step.t_count for step in masked[:-1])
-        assert not (masked[-1].s_count and masked[-1].t_count)
+
+        def key(steps):
+            return [(step_key(step), step.s_count, step.t_count) for step in steps]
+
+        filtered = list(_exact_bag_peels(*_inside(src, dst, s_mask, t_mask), n, (c,), eps,
+                                         s_mask, t_mask))
+        rescanned = list(_exact_bag_peels(src, dst, n, (c,), eps, s_mask, t_mask, rescan=True))
+        shared = SharedPeel(src, dst, n, (c,), eps).steps(c, n, src.size, eps, (s_mask, t_mask))
+        assert key(rescanned) == key(shared) == key(filtered)
+        assert all(step.s_count and step.t_count for step in filtered[:-1])
+        assert not (filtered[-1].s_count and filtered[-1].t_count)
 
 
 @st.composite
@@ -430,9 +484,8 @@ class TestGuessWalk:
         assert len(walks) == 3 and len(results) == 8
 
         def alone(c, s_mask, t_mask):
-            inside = s_mask[g.src] & t_mask[g.dst]
-            return head(_exact_bag_peels(g.src, g.dst, g.n, (c,), 0.2, s_mask, t_mask,
-                                         inside=inside))
+            return head(_exact_bag_peels(*_inside(g.src, g.dst, s_mask, t_mask), g.n, (c,), 0.2,
+                                         s_mask, t_mask))
 
         for i, got in results.items():
             assert got == [alone(c, *starts[(i + k) % 3]) for k, c in enumerate(grid)]

@@ -428,6 +428,64 @@ class TestOrderBlindSweep:
             assert np.shares_memory(src, g.src) and np.shares_memory(dst, g.dst)
 
 
+class TestKernelBags:
+    """Every call of the peel kernel that does not rescan, a runner's own or
+    a shared walk's, gets a bag whose every edge lies inside its start pair."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One (start at (V, V), rescan, bag edges outside the start pair)
+        per kernel call, taken when the call is made."""
+        import dirdense.peeling as peeling
+        import dirdense.streaming as streaming
+
+        calls = []
+        kernel = peeling._exact_bag_peels
+
+        def peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False, **kwargs):
+            outside = int(np.count_nonzero(~(s_mask[src] & t_mask[dst])))
+            calls.append((bool(s_mask.all() and t_mask.all()), rescan, outside))
+            return kernel(src, dst, n, cs, epsilon, s_mask, t_mask, rescan=rescan, **kwargs)
+
+        for module in (peeling, streaming):
+            monkeypatch.setattr(module, "_exact_bag_peels", peels)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def pref(self):
+        return gen_pref_attach(2000, 50, 3)
+
+    @staticmethod
+    def check(calls, *, away=False):
+        """No bag edge lay outside a compacting call's pair; with ``away``,
+        some compacting call started away from (V, V)."""
+        assert calls
+        assert not [call for call in calls if not call[1] and call[2]]
+        assert not away or any(not (root or rescan) for root, rescan, _ in calls)
+
+    @pytest.mark.parametrize("algo", RUNNERS)
+    @pytest.mark.parametrize("f", [1 / 30, 1 / 3000])
+    def test_every_runner_at_the_fingerprint_configs(self, calls, pref, algo, f):
+        res = sweep(algo, pref, build_grid(pref.n, 2), epsilon=0.2, f=f, seed=1)
+        assert all(row.error is None for row in res.rows)
+        self.check(calls)
+
+    def test_mpc_near_flip_peels_away_from_the_root(self, calls, pref):
+        # 40,000 words a machine < m = 100,000: phases flip-peel from the
+        # pairs the sampled steps reach
+        res = sweep("mpc-near", pref, build_grid(pref.n, 2), epsilon=0.2, f=1 / 2000, seed=1,
+                    mpc_config=MpcConfig("nearlinear", polylog_budget=20))
+        assert all(row.error is None for row in res.rows)
+        self.check(calls, away=True)
+
+    def test_a_run_without_a_shared_peel(self, calls, pref):
+        params = sample_params(pref.n, 0.2, f=1 / 2000)
+        cfg = MpcConfig("nearlinear", polylog_budget=20)
+        for i, c in enumerate(build_grid(pref.n, 2)[::4]):
+            mpc_nearlinear_run(pref, c, params, cfg, rng=np.random.default_rng(i), shared=None)
+        self.check(calls, away=True)
+
+
 class TestSharedPeel:
     @pytest.fixture
     def walks(self, monkeypatch):

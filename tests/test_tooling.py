@@ -252,3 +252,33 @@ def test_no_public_method_only_tests_reach():
     unread = [f"{where} {qualified}" for qualified, where in methods.items()
               if qualified.split(".")[1] not in read and qualified not in _UNREAD_METHODS]
     assert not unread, f"public methods nothing in the package reads: {unread}"
+
+
+# the sites that test edges for membership in a pair to count or scan them,
+# not to filter a bag, each with what it does; every filter is peeling._inside
+_MEMBERSHIP_SCANS = {
+    "graph.count_cross_edges": "counts the edges inside a pair",
+    "streaming.multi_pass_run.recount": "counts a pass's edges inside a pair",
+    "streaming.EdgeStream.take_qualifying": "reads the stream until enough edges are inside",
+}
+
+
+def _membership_tests(node, scope):
+    """The qualified name of the definition around each ``a[x] & b[y]``
+    under ``node``: two subscripts joined by ``&``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+          and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript)):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _membership_tests(child, scope)
+
+
+def test_every_bag_filter_is_inside():
+    """A membership test of edges, ``s_mask[src] & t_mask[dst]``, is written
+    only in ``peeling._inside`` and in the stated counting and scanning sites."""
+    found = {scope for name, tree in _package_trees().items()
+             for scope in _membership_tests(tree, name.removesuffix(".py"))}
+    assert found == {"peeling._inside", *_MEMBERSHIP_SCANS}, (
+        f"membership tests outside peeling._inside: {sorted(found - {'peeling._inside'})}")
