@@ -37,8 +37,11 @@ ALGOS = (*RUNNERS, "exact")  # what a run's algo may name: a sweep runner or the
 CSV_HEADER = "dataset,algo,c,density,s_size,t_size,peak_edges,passes_or_rounds,wall_ms,seed,error"
 
 
-# the bytes the bulk path reads: printable ASCII, tab and newline
-_BULK_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+# the bytes a comment body on the bulk path may hold: printable ASCII and tab
+_BULK_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
+# the bytes the rest of a bulk text may hold
+_DATA_BYTES = b"0123456789+- \t\n"
+_INT64 = np.iinfo(np.int64)
 
 
 def parse_snap_edgelist(text) -> tuple[DirectedGraph, list[int]]:
@@ -53,46 +56,118 @@ def parse_snap_edgelist(text) -> tuple[DirectedGraph, list[int]]:
     the returned label list maps new id -> original id (Python ints).
     Malformed lines raise ValueError carrying the 1-based line number.
 
-    Text made only of printable ASCII, tabs and '\n', with no '#' after
-    data on a line, is parsed in bulk by ``np.loadtxt``. Anything else, and
-    any text that loadtxt rejects, warns about or reads into other than two
-    int64 columns, goes to the line-by-line parser, which alone decides
-    what is accepted outside the bulk path and words every error message.
+    The bulk path reads the text's ASCII bytes with NumPy when all of these
+    hold: the text is ASCII; each '#' that is the first non-blank byte of
+    its line starts a comment whose body holds only printable ASCII and
+    tabs, and no other '#' occurs; outside those comment lines the text
+    holds only digits, '+', '-', spaces, tabs and '\n'; every sign starts
+    an id and is followed by a digit; every line holds zero or two ids;
+    ``np.fromstring`` reads them all without a warning; and no id sits at
+    an int64 limit, where fromstring clamps an id that overflows. Ids then
+    get their first-appearance rank in O(m) by indexing on the id itself,
+    or, when the ids span 2 * (2m) values or more, on its rank from
+    ``np.unique``. Every other text goes to the line-by-line parser, which
+    alone decides what is accepted outside the bulk path and words every
+    error message.
     """
     data = text if isinstance(text, str) else text.read()
     ids = _bulk_ids(data)
-    if ids is None:
+    parsed = None if ids is None else _first_appearance(ids)
+    if parsed is None:
         lines = data.splitlines() if isinstance(text, str) else io.StringIO(data, newline="")
-        return _parse_lines(lines)
-    uniq, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    remapped = rank[inverse]
-    g = DirectedGraph.from_arrays(uniq.size, remapped[0::2], remapped[1::2])
-    return g, uniq[order].tolist()
+        parsed = _parse_lines(lines)
+    return parsed
 
 
 def _bulk_ids(data: str) -> np.ndarray | None:
-    """The (m, 2) int64 ids of ``data`` if the bulk path reads it exactly as
-    the line parser would, else None."""
-    if not data.isascii() or data.encode("ascii").translate(None, _BULK_BYTES):
+    """The flat int64 ids of ``data``, two per edge, if the bulk path reads
+    it exactly as the line parser would, else None."""
+    if not data.isascii():
         return None
-    # loadtxt drops '#' comments anywhere on a line, the line parser only
-    # whole lines; so send every line with data before a '#' to the latter
-    at = data.find("#")
-    while at >= 0:
-        if data[data.rfind("\n", 0, at) + 1 : at].strip():
-            return None
-        line_end = data.find("\n", at)
-        at = -1 if line_end < 0 else data.find("#", line_end)
+    raw = _without_comment_lines(data.encode("ascii"))
+    if raw is None or raw.translate(None, _DATA_BYTES):
+        return None
+    count = _id_count(raw)
+    if not count:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ids = np.loadtxt(io.StringIO(data), dtype=np.int64, comments="#", ndmin=2)
+            ids = np.fromstring(raw, dtype=np.int64, sep=" ")
     except (ValueError, Warning):
         return None
-    return ids if ids.shape[1] == 2 else None
+    return ids if ids.size == count else None
+
+
+def _without_comment_lines(raw: bytes) -> bytes | None:
+    """``raw`` with each comment line's bytes cut out (its '\n' kept); None
+    if a '#' follows data on its line or a comment body holds a byte outside
+    ``_BULK_BYTES``, which may be a line break to ``str.splitlines``."""
+    cuts = [0]
+    at = raw.find(b"#")
+    while at >= 0:
+        start = raw.rfind(b"\n", 0, at) + 1
+        end = raw.find(b"\n", at)
+        end = len(raw) if end < 0 else end
+        if raw[start:at].strip(b" \t") or raw[at:end].translate(None, _BULK_BYTES):
+            return None
+        cuts += (start, end)
+        at = raw.find(b"#", end)
+    if len(cuts) == 1:
+        return raw
+    cuts.append(len(raw))
+    return b"".join(raw[a:b] for a, b in zip(cuts[0::2], cuts[1::2]))
+
+
+def _id_count(raw: bytes) -> int | None:
+    """The number of ids in ``raw``, which holds only ``_DATA_BYTES``, if
+    every sign starts an id and is followed by a digit and every line holds
+    zero or two ids; else None."""
+    b = np.frombuffer(raw, dtype=np.uint8)
+    word = b > ord(" ")  # a digit or sign
+    starts = np.empty_like(word)
+    starts[:1] = word[:1]
+    np.greater(word[1:], word[:-1], out=starts[1:])
+    if b"+" in raw or b"-" in raw:
+        sign = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+        # a digit follows each sign: the other data bytes sort below '0'
+        if sign[-1] == b.size - 1 or not starts[sign].all() or (b[sign + 1] < ord("0")).any():
+            return None
+    # id starts (2) and newlines (1) in text order; the ids of a line sit next
+    # to each other there, so ids 2k and 2k + 1 must be adjacent and a newline
+    # must separate ids 2k + 1 and 2k + 2
+    marks = starts.view(np.uint8)
+    marks <<= 1
+    marks |= np.equal(b, ord("\n"), out=word)
+    order = np.frombuffer(marks.tobytes().translate(None, b"\0"), dtype=np.uint8)
+    at = np.flatnonzero(order == 2)
+    if at.size % 2:
+        return None
+    pairs = at.reshape(-1, 2)
+    if (pairs[:, 1] - pairs[:, 0] != 1).any() or (pairs[1:, 0] - pairs[:-1, 1] < 2).any():
+        return None
+    return at.size
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[DirectedGraph, list[int]] | None:
+    """The graph and labels of the flat ids ``ids``, vertices numbered in
+    first-appearance order; None if an id sits at an int64 limit."""
+    lo, hi = int(ids.min()), int(ids.max())
+    if lo == _INT64.min or hi == _INT64.max:
+        return None
+    if hi - lo < 2 * ids.size:
+        keys = ids - lo
+    else:  # sparse ids: only they pay for a sort
+        keys = np.unique(ids, return_inverse=True)[1]
+    first = np.full(int(keys.max()) + 1, ids.size, dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(ids.size))
+    is_first = np.zeros(ids.size, dtype=bool)
+    is_first[first[first < ids.size]] = True
+    pos = np.flatnonzero(is_first)  # where each vertex first appears, in text order
+    rank = np.empty_like(first)
+    rank[keys[pos]] = np.arange(pos.size)
+    g = DirectedGraph.from_arrays(pos.size, rank[keys[0::2]], rank[keys[1::2]])
+    return g, ids[pos].tolist()
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[DirectedGraph, list[int]]:

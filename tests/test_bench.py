@@ -155,6 +155,74 @@ class TestParseSnapEdgelist:
             ours = _parse_outcome(parse_snap_edgelist, io.StringIO(text, newline=newline))
             assert ours == _parse_outcome(reference_parse_edgelist, io.StringIO(text, newline=newline))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_edge_list_round_trips_in_bulk(self, seed, tmp_path, monkeypatch):
+        import dirdense.bench as bench_mod
+
+        g = gen_pref_attach(2000, 50, seed)
+        path = tmp_path / "graph.txt"
+        load_perfbench_module("run").write_edge_list(g, path)
+        tabbed = "\n".join(map("{}\t{}".format, g.src.tolist(), g.dst.tolist()))
+        monkeypatch.setattr(bench_mod, "_parse_lines", _no_line_parser)
+        for text in (path.read_text(encoding="utf-8"), tabbed):
+            outcome = _parse_outcome(parse_snap_edgelist, text)
+            assert outcome == _parse_outcome(reference_parse_edgelist, text)
+            _, src, dst, labels, _ = outcome
+            labels = np.array(labels)
+            assert np.array_equal(labels[src], g.src) and np.array_equal(labels[dst], g.dst)
+
+    @pytest.mark.parametrize("text", [
+        # malformed ids
+        "1-2 3\n", "+-1 2\n", "3+ 4\n", "0 1\n+\n", "0 1\n-\n", "1 -\n", "- 1\n", "1 2-\n",
+        # ids at and past the int64 limits
+        "9223372036854775807 1\n", "-9223372036854775807 1\n", "-9223372036854775808 1\n",
+        "9223372036854775808 1\n", "1 -9223372036854775809\n", "0 1\n99999999999999999999 1\n",
+        "9223372036854775806 -9223372036854775807\n",
+        # lines with 1, 3, 256 and 258 ids
+        "0 1\n7\n2 3\n", "0 1\n1 2 3\n", "0 1\n" + " 5" * 256 + "\n", "0 1\n" + "\t5" * 258 + "\n",
+        # a pair split across lines
+        "1\n2\n",
+        # comment bodies that hold line breaks of str.splitlines or a non-ASCII byte
+        "# a\x0bb\n1 2\n", "# a\x1cb\n1 2\n", "# a\x85b\n1 2\n", "# a\rb\n1 2\n", "# a\r\n1 2\n",
+    ])
+    def test_bulk_guards_match_the_line_by_line_reference(self, text):
+        for newline in (None, ""):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ours = [_parse_outcome(parse_snap_edgelist, text),
+                        _parse_outcome(parse_snap_edgelist, io.StringIO(text, newline=newline))]
+            assert caught == []
+            assert ours == [_parse_outcome(reference_parse_edgelist, text),
+                            _parse_outcome(reference_parse_edgelist, io.StringIO(text, newline=newline))]
+
+    @pytest.mark.parametrize("step, sorts", [(1, False), (10**12, True)])
+    def test_both_remaps_give_first_appearance_int_labels(self, step, sorts, monkeypatch):
+        # ids 10**12 apart span far more than twice the id count, so only
+        # they take the rank from np.unique's sort
+        import dirdense.bench as bench_mod
+
+        order = np.random.default_rng(7).permutation(300)
+        ids = ((order - 150) * step).reshape(-1, 2)
+        text = "".join(f"{u} {v}\n" for u, v in ids.tolist()) * 2
+        unique_calls = []
+        real_unique = np.unique
+
+        def unique(*args, **kwargs):
+            unique_calls.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "_parse_lines", _no_line_parser)
+        monkeypatch.setattr(np, "unique", unique)
+        g, labels = parse_snap_edgelist(text)
+        assert bool(unique_calls) == sorts
+        assert labels == ids.ravel().tolist() and all(type(x) is int for x in labels)
+        assert _parse_outcome(parse_snap_edgelist, text) == _parse_outcome(reference_parse_edgelist, text)
+        assert g.n == 300 and edge_list(g) == [(2 * i, 2 * i + 1) for i in range(150)] * 2
+
+
+def _no_line_parser(lines):
+    raise AssertionError("line-by-line parser used")
+
 
 class TestGenPrefAttach:
     def test_two_vertices_all_edges_to_seed(self):
