@@ -253,6 +253,29 @@ def test_sweep_rows_match_recorded_fingerprint(algos):
     assert h.hexdigest() == _ROWS_FINGERPRINTS[algos]
 
 
+# sha256 of standalone MPC runs: pair, density, rounds, peak and every phase
+# record. Each run permutes its own pool, so the pool's counts are reached at
+# (V, V), away from it without a flip-peel (mpc-super after a sampled step),
+# and after flip-peels at the first draw phase and at later ones (mpc-near).
+_MPC_LEDGERS_FINGERPRINT = "67d1bd4bab6e7cfe890fe1bcfcab3e1d12ee4b20ba0fd2204aa8d5b8327e1fef"
+
+
+def test_mpc_ledgers_match_recorded_fingerprint():
+    h = hashlib.sha256()
+    configs = [(mpc_superlinear_run, MpcConfig("superlinear", mu=0.1))]
+    configs += [(mpc_nearlinear_run, MpcConfig("nearlinear", polylog_budget=b)) for b in (1, 20)]
+    for g in (gen_pref_attach(2000, 50, 3), gen_pref_attach(3000, 20, 1)):
+        guesses = build_grid(g.n, 2)[::3]
+        for f in (1 / 2000, 1 / 20000):
+            params = sample_params(g.n, 0.2, f)
+            for run, cfg in configs:
+                for i, c in enumerate(guesses):
+                    pair, rho, ledger = run(g, c, params, cfg, rng=np.random.default_rng(i))
+                    h.update(repr((cfg, f, str(c), sorted(pair.S), sorted(pair.T), repr(rho),
+                                   ledger.rounds, ledger.peak_edges, repr(ledger.log))).encode())
+    assert h.hexdigest() == _MPC_LEDGERS_FINGERPRINT
+
+
 class TestSharedStream:
     @pytest.fixture
     def streams(self, monkeypatch):
