@@ -4,7 +4,7 @@ The optimal |S|/|T| is unknown, so runners are executed once per grid value
 delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
 edge stream once, before the first cell, and every cell reads its own replay
 of those shared read-only arrays; an MPC sweep likewise orders its edge pool
-once, in the shuffled stream's order, and every cell draws from its own pool
+once, in the shuffled stream's order, and every cell draws from its own cursor
 over those arrays. A single-pass or mpc-super sweep skips the order when
 ``SinglePassEngine.order_blind`` holds: every cell's first step at (V, V)
 then keeps every edge and ends in the exact peel, so no cell can observe
@@ -27,15 +27,12 @@ its guess's steps to the end, so the first such cell drains the (V, V)
 walk; a cell that sampled never reads it. Every flip-peel of an mpc-near
 cell reads only its guess's first run from the phase's start pair, so an
 mpc-near sweep reads the first runs of one walk per distinct start pair,
-(V, V) included. An MPC sweep's pool is a ``SharedPool``: cells whose
-first draw phase starts at the same pair, as mpc-near cells leaving (V, V)
-alike do, share its one filter of the whole pool to that pair. Both memos
-live until the sweep returns: each walk away from (V, V) and each pool
-filter holds the edges inside its pair, a copy of 16 bytes per edge
-unless the pair drops none. A cell's ``wall_ms`` therefore holds the
+(V, V) included. The walks live until the sweep returns, and each walk
+away from (V, V) holds the edges inside its pair, a copy of 16 bytes per
+edge unless the pair drops none. A cell's ``wall_ms`` therefore holds the
 shared work it was the first to do: in an exact sweep the first cell
-drains the walk, and an mpc-near cell pays for the steps and filters it
-is the first to need. With one worker the rows' ``wall_ms`` add up to the
+drains the walk, and an mpc-near cell pays for the steps it is the first
+to need. With one worker the rows' ``wall_ms`` add up to the
 sweep's runner time, and with more, a cell waiting for shared work also
 counts its wait.
 """
@@ -52,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
-from .mpc import MpcConfig, SharedPool, mpc_nearlinear_run, mpc_superlinear_run
+from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import SharedPeel, baseline_peel
 from .streaming import (STREAM_ORDERS, SinglePassEngine, _shuffled_edges, make_stream,
                         multi_pass_run, sample_params, single_pass_run)
@@ -100,8 +97,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 @dataclass
 class SweepRow:
     """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the sweep's shared peel steps and pool filters that the cell
-    was the first to need (see the module docstring)."""
+    includes the sweep's shared peel steps that the cell was the first to
+    need (see the module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None
@@ -179,7 +176,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     if algo in ("multi-pass", "single-pass"):
         stream = make_stream(g, "given" if blind else stream_order, stream_seed)
     elif algo in ("mpc-super", "mpc-near"):
-        mpc_pool = SharedPool(*((g.src, g.dst) if blind else _shuffled_edges(g, stream_seed)))
+        mpc_pool = (g.src, g.dst) if blind else _shuffled_edges(g, stream_seed)
     shared = None
     if algo != "multi-pass":
         shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")

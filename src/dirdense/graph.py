@@ -160,13 +160,20 @@ def _check_spans(g, pair: VertexSetPair):
         raise ValueError(f"pair spans {pair.s_mask.size} vertices, the graph {g.n}")
 
 
+def _count_inside(src, dst, s_mask, t_mask) -> int:
+    """How many of the edges (``src``, ``dst``) lie inside (S, T): the one
+    membership count of an edge bag; at (V, V) every edge, with no mask
+    built."""
+    if s_mask.all() and t_mask.all():
+        return int(src.size)
+    return int(np.count_nonzero(s_mask[src] & t_mask[dst]))
+
+
 def count_cross_edges(g, pair: VertexSetPair) -> int:
     """Number of edges from S into T, counting parallel edges with multiplicity;
     raises unless the pair's masks span g's vertices."""
     _check_spans(g, pair)
-    if pair.s_mask.all() and pair.t_mask.all():
-        return g.m  # (V, V) holds every edge
-    return int(np.count_nonzero(pair.s_mask[g.src] & pair.t_mask[g.dst]))
+    return _count_inside(g.src, g.dst, pair.s_mask, pair.t_mask)
 
 
 def density(g, pair: VertexSetPair) -> float:

@@ -10,44 +10,46 @@ degree tally used by the near-linear mode, and the final fetch) and nothing
 for coordinator-local work: round counts, not wall time, are the quantity
 under study.
 
-The pool starts as the graph's edges in one uniform order, every draw takes
-the head of the pool, and relevance filters keep the survivors in order.
+The pool starts as g's edges in one uniform order, and every phase narrows
+it to the edges inside the engine's current pair and draws its head.
 Nothing the engine has seen depends on the order of the edges not drawn
-yet, so that order stays uniform through every filter, and each head is a
-uniform sample in uniform order: within a run, the law of a fresh
-permutation per draw, at no permutation's cost. A sweep orders the pool
-once, with its "stream" seed, and every cell starts from that shared
-read-only order, so across cells the order is shared, as the sweep's one
-stream is for the streaming runners; a runner called on its own permutes
-the edges itself. An mpc-super sweep whose cells all end their first step
-at (V, V) in the exact peel skips the order: those cells keep every edge
-before they peel, so the pool is g's own arrays. Consecutive head draws
-are adjacent views, which the stream joins as views, so at (V, V) the
-coordinator's bag is the pool itself, g's arrays included.
-A filter of that whole shared order to a pair depends on nothing else, so
-the sweep's ``SharedPool`` computes it once per pair for every cell whose
-first draw phase starts there, and the sweep's ``SharedPeel`` likewise
-walks the exact peel from each start pair once for every near-linear
-flip-peel that starts there. Rounds stay charged per cell.
+yet, so that order stays uniform through every narrowing, and each head is
+a uniform sample in uniform order: within a run, the law of a fresh
+permutation per draw, at no permutation's cost. A pair only shrinks, so
+after any run of narrowings and draws the pool is exactly the edges after
+a cursor in that order that lie inside the current pair: a
+``RelevantEdgeSet`` is that cursor, the pair and the pool's size, and
+copies no edge. Its count after a near-linear flip-peel reads only the
+cursor's prefix: the flip-peel's last step counts |E_g(S, T)|, and as the
+order is a permutation of g's edges, the pool holds that many less the
+prefix's edges inside the pair. A sweep orders the pool once, with its
+"stream" seed, and every cell reads that shared read-only order, as the
+sweep's one stream is for the streaming runners; a runner called on its
+own permutes the edges itself. An mpc-super sweep whose cells all end
+their first step at (V, V) in the exact peel skips the order: those cells
+keep every edge before they peel, so the pool is g's own arrays. Head
+draws at (V, V) are adjacent views, which the stream joins as views, so
+there the coordinator's bag is the pool itself, g's arrays included. The
+sweep's ``SharedPeel`` walks the exact peel from each start pair once for
+every near-linear flip-peel that starts there. Rounds stay charged per
+cell.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph, density
-from .peeling import RoundLedger, SharedPeel, _density, _inside, _ratio_prefers_sources
+from .graph import DirectedGraph, _count_inside, density
+from .peeling import RoundLedger, SharedPeel, _density, _ratio_prefers_sources
 from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
 
 __all__ = [
     "MpcConfig",
     "PhaseRecord",
     "RelevantEdgeSet",
-    "SharedPool",
     "mpc_nearlinear_run",
     "mpc_superlinear_run",
 ]
@@ -99,84 +101,39 @@ class PhaseRecord:
 
 
 class RelevantEdgeSet:
-    """Edges still available to feed the coordinator; shrinks monotonically.
-
-    The pool is held as ``src``/``dst`` arrays that start as a graph's edges
-    in uniform order; they are never written, so pools may share them.
-    ``intersect_pair`` keeps the survivors in their order and ``draw``
-    removes the head. The engine has seen only drawn edges, so nothing it
-    did, the filters included, depends on the order of the undrawn ones:
-    that order stays uniform, and each head is a uniform k-subset in uniform
-    order, as a fresh permutation per draw would give.
-    """
+    """A run's pool (see the module docstring): a replay of the pool order,
+    read only, with the current pair and ``size``, the edges after the
+    replay's cursor that lie inside the pair."""
 
     def __init__(self, src, dst):
-        self.src = src
-        self.dst = dst
-        self.shared = None  # the SharedPool whose arrays the set started as, if any
+        self._src, self._dst = src, dst
+        self._edges = EdgeStream(0, src, dst)  # no runner reads it, so no vertex count
+        self._pair = None  # (S mask, T mask), None at (V, V)
+        self.size = int(src.size)
 
-    @property
-    def size(self) -> int:
-        return int(self.src.size)
-
-    def intersect_pair(self, s_mask, t_mask):
-        """Keep the edges inside (S, T), in their current order. While the
-        set still holds its ``shared`` pool's own arrays, nothing drawn or
-        filtered yet, the filter is that pool's one filter to the pair."""
+    def intersect_pair(self, s_mask, t_mask, cross=None):
+        """Narrow the pool to (S, T), inside the current pair, and count it:
+        ``cross``, |E_g(S, T)| when known, less the read prefix's edges
+        inside the pair, else the unread rest's."""
         if s_mask.all() and t_mask.all():
-            return  # (V, V) keeps every edge, with no memo key of its masks built
-        pool = self.shared
-        if pool is not None and self.src is pool.src and self.dst is pool.dst:
-            self.src, self.dst = pool.filtered(s_mask, t_mask)
+            return  # (V, V) keeps every edge
+        self._pair = s_mask, t_mask
+        read = self._edges.edges_read  # the replay is never reset: its prefix
+        if cross is None:
+            self.size = _count_inside(self._src[read:], self._dst[read:], s_mask, t_mask)
         else:
-            self.src, self.dst = _inside(self.src, self.dst, s_mask, t_mask)
+            self.size = cross - _count_inside(self._src[:read], self._dst[:read], s_mask, t_mask)
 
     def draw(self, k):
-        """Remove and return the head's k edges: uniformly chosen, in uniform
-        order. Consecutive draws are adjacent views of the pool's arrays, so
-        at (V, V) the coordinator's bag is the pool itself."""
-        k = max(0, min(int(k), self.src.size))
-        taken = self.src[:k], self.dst[:k]
-        if k == self.src.size:
-            # an empty view would keep the pool's arrays alive
-            self.src = self.dst = _EMPTY
+        """Remove and return the pool's head of k edges; at (V, V) they are
+        views of the order, adjacent to the previous draw's."""
+        k = max(0, min(int(k), self.size))
+        if self._pair is None:
+            src, dst = self._edges.take(k)
         else:
-            self.src = self.src[k:]
-            self.dst = self.dst[k:]
-        return taken
-
-
-class SharedPool:
-    """A sweep's MPC pool: the graph's edges in one uniform order, as the
-    read-only ``src``/``dst`` arrays every cell's ``RelevantEdgeSet``
-    starts as, and the filters of that whole pool that the cells share.
-    A sweep whose cells cannot observe the order (see ``csweep``) passes
-    g's own arrays, in their given order.
-
-    Cells whose first draw phase starts at the same pair filter the same
-    whole pool to it, as near-linear cells leaving (V, V) alike do: the
-    first computes ``filtered``, the others read its result. One filtered
-    copy is kept per distinct pair, 16 bytes per edge inside the pair (up
-    to about 16 MB at m = 10**6), until the pool is dropped, as a sweep
-    does when it returns.
-    It iterates as (src, dst), and threads may share it.
-    """
-
-    def __init__(self, src, dst):
-        self.src, self.dst = src, dst
-        self._filtered = {}  # pair's mask bytes -> (src, dst) inside it
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        return iter((self.src, self.dst))
-
-    def filtered(self, s_mask, t_mask):
-        """The whole pool's edges inside (S, T), in pool order."""
-        key = s_mask.tobytes(), t_mask.tobytes()
-        with self._lock:
-            if key not in self._filtered:
-                self._filtered[key] = _inside(self.src, self.dst, s_mask, t_mask)
-            return self._filtered[key]
+            src, dst, _ = self._edges.take_qualifying(k, *self._pair)
+        self.size -= k
+        return src, dst
 
 
 class _PhaseController:
@@ -186,7 +143,7 @@ class _PhaseController:
     pool not fetched yet, and every ``fetch`` runs one phase. The ratio
     guess, epsilon, xi and a near-linear phase's draw size, one engine
     batch, are the engine's own; the regime is ``cfg``'s; ``pool`` is g's
-    edges in uniform order, as (src, dst) or a sweep's ``SharedPool``.
+    edges in uniform order, as (src, dst).
     """
 
     def __init__(self, g, cfg, engine, pool, ledger):
@@ -195,8 +152,6 @@ class _PhaseController:
         self.engine = engine
         self.ledger = ledger
         self.rel = RelevantEdgeSet(*pool)
-        if isinstance(pool, SharedPool):
-            self.rel.shared = pool
         self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property
@@ -208,22 +163,22 @@ class _PhaseController:
 
         Once a side of the pair is empty, as a near-linear flip-peel may
         leave it, no pool edge can lie inside the pair: the phase ends, and
-        the pool is released unfiltered with nothing charged past the flip
+        the pool is emptied uncounted with nothing charged past the flip
         tally.
         """
         if not self.rel.size:
             return None
         engine, ledger = self.engine, self.ledger
-        flip_peels = 0
+        flip_peels, cross = 0, None
         if self.nearlinear and engine.s_count and engine.t_count:
-            flip_peels = self._flip_peel()
+            flip_peels, cross = self._flip_peel()
         before = self.rel.size
         if not (engine.s_count and engine.t_count):
-            self.rel = RelevantEdgeSet(_EMPTY, _EMPTY)
+            self.rel.size = 0
             ledger.log.append(PhaseRecord(0, before, 0, engine.s_count, engine.t_count, True,
                                           flip_peels))
             return None
-        self.rel.intersect_pair(engine.s_mask, engine.t_mask)
+        self.rel.intersect_pair(engine.s_mask, engine.t_mask, cross)
         ledger.rounds += 1
         after = self.rel.size
         local_finish = after <= self.mem
@@ -240,8 +195,9 @@ class _PhaseController:
                                       engine.t_count, local_finish, flip_peels))
         return drawn_src, drawn_dst
 
-    def _flip_peel(self) -> int:
-        """Peel the over-ratio side with exact degrees until the ratio test flips.
+    def _flip_peel(self):
+        """Peel the over-ratio side with exact degrees until the ratio test
+        flips; returns the peels and the last step's cross count.
 
         One charged tally supplies every degree needed: while only one side
         shrinks, the other side's cross-degrees stay valid, so the first run
@@ -264,7 +220,7 @@ class _PhaseController:
             if _ratio_prefers_sources(step.s_count, step.t_count, engine.c) != (step.side == "S"):
                 break
         engine.set_pair(step.s_mask, step.t_mask)
-        return peels
+        return peels, step.cross
 
 
 def _mpc_run(g, c, params, cfg, rng, pool, shared):
@@ -294,21 +250,16 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
                         *, rng=None, pool=None, shared: SharedPeel | None = None):
     """Phased run with machine memory n**(1+mu); returns (pair, density, ledger).
 
-    Each phase refilters the relevant pool to the engine's current pair,
+    Each phase narrows the relevant pool to the engine's current pair,
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
     and the engine finishes locally. ``pool`` is g's edges as (src, dst)
-    arrays in uniform order, or a sweep's ``SharedPool`` of them, which the
-    run only reads; None permutes them here with a seed drawn from ``rng``.
-    A run whose first step at (V, V) ends in the exact peel
-    (``SinglePassEngine.order_blind``) returns the same for any order.
-    Each draw takes the pool's head: the undrawn edges' order is
-    independent of everything the engine has seen, so after the
-    order-keeping filters the head is a uniform sample in uniform order,
-    the law of a fresh permutation per draw; runs given one pool read the
-    same order, as a sweep's cells read its one stream.
-    The reported density is exact: the engine's own count when an exact
-    peel gave its best, else a recount on the input graph.
+    arrays in uniform order, which the run only reads and draws from the
+    head of (see the module docstring); None permutes them here with a
+    seed drawn from ``rng``. A run whose first step at (V, V) ends in the
+    exact peel (``SinglePassEngine.order_blind``) returns the same for any
+    order. The reported density is exact: the engine's own count when an
+    exact peel gave its best, else a recount on the input graph.
     ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
     means mu = ``SUPERLINEAR_MU``.
     ``shared``, a ``SharedPeel`` over g's edges (in any order) with
@@ -333,11 +284,8 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     cross-degrees and peels the over-ratio side until the ratio test flips
     (no fresh data needed while only one side shrinks), and fetched samples
     scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
-    is read as in ``mpc_superlinear_run``: a uniform order of g's edges,
-    drawn from its head, or None to permute them here. A ``SharedPool``
-    supplies the first draw phase's filter of the whole pool, which every
-    cell of a sweep that starts that phase at the same pair shares.
-    ``shared``, a ``SharedPeel`` as there, supplies every flip-peel
+    is read as in ``mpc_superlinear_run``, and each flip-peel's count makes
+    the pool's. ``shared``, a ``SharedPeel`` as there, supplies every flip-peel
     instead: a flip-peel's steps are guess c's first run in the walk from
     its start pair over g's edges, in any order, and every cell of a sweep
     reads only that far into each walk. The finishing peel, which never

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import VertexSetPair
+from .graph import VertexSetPair, _count_inside
 from .peeling import (RoundLedger, SharedPeel, _exact_bag_peels, _inside, _kept, _peel_best,
                       _ratio_guess)
 
@@ -354,8 +354,7 @@ def multi_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=N
 
     def recount(sm, tm):
         stream.reset()
-        es, ed = stream.take_all()
-        return int(np.count_nonzero(sm[es] & tm[ed]))
+        return _count_inside(*stream.take_all(), sm, tm)
 
     cross = recount(s_mask, t_mask)
     passes = 1

@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
 from dirdense.mpc import (
     MpcConfig,
     RelevantEdgeSet,
-    SharedPool,
     _PhaseController,
     mpc_nearlinear_run,
     mpc_superlinear_run,
 )
-from dirdense.peeling import RoundLedger, baseline_peel, exact_oracle
+from dirdense.peeling import RoundLedger, _inside, baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
-from tests.support import gnp_directed, run_threads, star_plus_triangle
+from tests.support import gnp_directed, star_plus_triangle
 
 
 class TestMpcConfig:
@@ -80,6 +81,13 @@ def _codes(g, src, dst):
     return np.asarray(src) * g.n + np.asarray(dst)
 
 
+def _unread(pool):
+    """The edges of a pool's order after its cursor: its replay is never
+    reset, so it has read exactly its prefix."""
+    read = pool._edges.edges_read
+    return pool._src[read:], pool._dst[read:]
+
+
 class TestRelevantEdgeSet:
     def test_draws_are_the_pool_head_and_partition_it(self):
         g = gnp_directed(30, 0.3, seed=2)
@@ -89,37 +97,47 @@ class TestRelevantEdgeSet:
         assert [s.size for s, _ in drawn] == [7, 0, 40, 1]
         head = np.concatenate([_codes(g, s, d) for s, d in drawn])
         assert np.array_equal(head, _codes(g, src[:48], dst[:48]))
-        assert np.array_equal(_codes(g, pool.src, pool.dst), _codes(g, src[48:], dst[48:]))
+        assert pool.size == g.m - 48
+        assert np.array_equal(_codes(g, *_unread(pool)), _codes(g, src[48:], dst[48:]))
         rest = pool.draw(g.m)  # more than is left: takes the rest
-        assert rest[0].size == g.m - 48 and pool.size == 0
+        assert np.array_equal(_codes(g, *rest), _codes(g, src[48:], dst[48:]))
+        assert pool.size == 0 and pool.draw(1)[0].size == 0
         assert np.array_equal(np.sort(_codes(g, src, dst)), np.sort(_codes(g, g.src, g.dst)))
 
     def test_filter_keeps_the_survivors_in_order(self):
         g = gnp_directed(30, 0.3, seed=3)
-        pool = RelevantEdgeSet(*_shuffled_edges(g, 1))
+        src, dst = _shuffled_edges(g, 1)
+        pool = RelevantEdgeSet(src, dst)
         pool.draw(5)
-        before_src, before_dst = pool.src, pool.dst
         s_mask = np.arange(g.n) % 3 != 0
         t_mask = np.arange(g.n) % 4 != 1
         pool.intersect_pair(s_mask, t_mask)
-        keep = s_mask[before_src] & t_mask[before_dst]
-        assert 0 < pool.size < keep.size
-        assert np.array_equal(pool.src, before_src[keep])
-        assert np.array_equal(pool.dst, before_dst[keep])
-        head, _ = pool.draw(1)
-        assert np.array_equal(head, before_src[keep][:1])
+        keep = s_mask[src[5:]] & t_mask[dst[5:]]
+        assert 0 < pool.size == np.count_nonzero(keep) < keep.size
+        head = pool.draw(1)
+        rest = pool.draw(pool.size)
+        assert np.array_equal(head[0], src[5:][keep][:1])
+        assert np.array_equal(np.concatenate([head[0], rest[0]]), src[5:][keep])
+        assert np.array_equal(np.concatenate([head[1], rest[1]]), dst[5:][keep])
+        assert pool.size == 0
 
-    def test_whole_pair_filter_keeps_the_same_arrays(self):
+    def test_draws_at_the_whole_pair_are_views_of_the_shared_arrays(self):
         g = gnp_directed(20, 0.3, seed=4)
         src, dst = _shuffled_edges(g, 0)
         pool = RelevantEdgeSet(src, dst)
         everyone = np.ones(g.n, dtype=bool)
         pool.intersect_pair(everyone, everyone)
-        assert pool.src is src and pool.dst is dst  # no copy of the shared order
-        pool.draw(3)
-        src, dst = pool.src, pool.dst
+        assert pool.size == g.m
+        first = pool.draw(3)
         pool.intersect_pair(everyone, everyone)
-        assert pool.src is src and pool.dst is dst
+        second = pool.draw(4)
+        assert pool.size == g.m - 7
+        # each draw is the next slice of the shared order itself, no copy
+        for (got_src, got_dst), lo in ((first, 0), (second, 3)):
+            for got, order in ((got_src, src), (got_dst, dst)):
+                assert got.base is order and np.array_equal(got, order[lo : lo + got.size])
+                offset = got.__array_interface__["data"][0] - order.__array_interface__["data"][0]
+                assert offset == lo * order.itemsize
 
     def test_permute_once_draw_filter_draw_has_the_uniform_law(self):
         # edge i is (i, 6 + i); the pool is permuted once, one edge is drawn,
@@ -149,72 +167,37 @@ class TestRelevantEdgeSet:
         chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
         assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
 
-
-def _cell_set(g, pool):
-    """The relevant-edge set a run over ``pool`` starts with."""
-    engine = SinglePassEngine(g.n, 1, sample_params(g.n, 0.2), np.random.default_rng(0))
-    return _PhaseController(g, MpcConfig("nearlinear"), engine, pool, RoundLedger()).rel
-
-
-class TestSharedPool:
-    def test_only_sets_that_hold_the_whole_pool_share_its_filter(self, monkeypatch):
-        g = gnp_directed(30, 0.3, seed=3)
-        src, dst = _shuffled_edges(g, 1)
-        pool = SharedPool(src, dst)
-        s_mask = np.arange(g.n) % 3 != 0
-        t_mask = np.arange(g.n) % 4 != 1
-        keep = s_mask[src] & t_mask[dst]
-        first, second, drawn, own = (_cell_set(g, pool), _cell_set(g, pool), _cell_set(g, pool),
-                                     _cell_set(g, (src, dst)))
-        drawn.draw(3)
-        for rel in (first, second, drawn, own):
-            rel.intersect_pair(s_mask, t_mask)
-        assert first.src is second.src and first.dst is second.dst
-        assert np.array_equal(first.src, src[keep]) and np.array_equal(first.dst, dst[keep])
-        assert np.array_equal(drawn.src, src[3:][keep[3:]]) and drawn.src is not first.src
-        assert np.array_equal(own.src, first.src) and own.src is not first.src
-        # a filtered set filters on its own again, even back to the same pair,
-        # which drops no edge and so keeps its arrays
-        asked = []
-        pool_filter = SharedPool.filtered
-        monkeypatch.setattr(SharedPool, "filtered",
-                            lambda pool, *masks: asked.append(masks) or pool_filter(pool, *masks))
-        filtered = first.src
-        first.intersect_pair(s_mask, t_mask)
-        assert first.src is filtered
-        fewer = s_mask & (np.arange(g.n) % 5 != 0)
-        first.intersect_pair(fewer, t_mask)
-        keep = fewer[src] & t_mask[dst]
-        assert np.array_equal(first.src, src[keep]) and np.array_equal(first.dst, dst[keep])
-        assert not asked
-
-    def test_threads_filter_each_pair_once(self, monkeypatch):
-        """More threads than cores ask for a few pairs at once, with frequent
-        switches: each pair is filtered once and every reader gets it."""
-        import dirdense.mpc as mpc
-
-        g = gen_pref_attach(5000, 20, 1)
-        pool = SharedPool(*_shuffled_edges(g, 2))
-        ids = np.arange(g.n)
-        pairs = [(ids % k != 0, ids % (k + 1) != 1) for k in (2, 3, 5)]
-        computed, results = [], {}
-        inside = mpc._inside
-
-        def record(*args):
-            computed.append(args)
-            return inside(*args)
-
-        monkeypatch.setattr(mpc, "_inside", record)
-
-        def ask(i):
-            results[i] = [pool.filtered(*pairs[(i + j) % 3]) for j in range(3)]
-
-        run_threads(ask)
-        assert len(computed) == 3 and len(results) == 8
-        for i, got in results.items():
-            for j, (src, dst) in enumerate(got):
-                want = results[0][(i + j) % 3]
-                assert src is want[0] and dst is want[1]
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_size_is_the_unread_rest_inside_the_pair(self, data):
+        """After every narrowing, counted from the flip-peel's cross count or
+        from the unread rest, ``size`` is the unread rest's edges inside the
+        pair, and draws take the pool's head as filtering copies would."""
+        n = data.draw(st.integers(1, 8), label="n")
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40), label="edges")
+        g = DirectedGraph(n, edges)
+        src, dst = _shuffled_edges(g, data.draw(st.integers(0, 2**32), label="order"))
+        pool = RelevantEdgeSet(src, dst)
+        model = list(zip(src.tolist(), dst.tolist()))  # the pool as a filtered copy
+        s_mask = t_mask = np.ones(n, dtype=bool)
+        side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+        for _ in range(data.draw(st.integers(1, 5), label="phases")):
+            k = data.draw(st.integers(0, 12), label="draw")
+            got = pool.draw(k)
+            assert list(zip(got[0].tolist(), got[1].tolist())) == model[:k]
+            model = model[k:]
+            s_mask = s_mask & data.draw(side, label="S keeps")
+            t_mask = t_mask & data.draw(side, label="T keeps")
+            cross = None
+            if data.draw(st.booleans(), label="after a flip-peel"):
+                cross = _inside(g.src, g.dst, s_mask, t_mask)[0].size
+            pool.intersect_pair(s_mask, t_mask, cross)
+            assert pool.size == _inside(*_unread(pool), s_mask, t_mask)[0].size
+            model = [(u, v) for u, v in model if s_mask[u] and t_mask[v]]
+            assert pool.size == len(model)
+        rest = pool.draw(len(model) + 1)
+        assert list(zip(rest[0].tolist(), rest[1].tolist())) == model and pool.size == 0
 
 
 class TestSuperlinear:

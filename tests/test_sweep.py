@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -580,7 +581,7 @@ class TestSharedPeel:
     def test_rows_equal_cells_run_without_it(self, request, monkeypatch, algo, graph, f, cfg,
                                              order):
         """Rows, densities and ledgers, with 1 and 4 workers, equal those of
-        a sweep that shares neither the peel walks nor the pool filters."""
+        a sweep that shares no peel walk."""
         import dirdense.csweep as sweep_mod
 
         g = request.getfixturevalue(graph)
@@ -596,51 +597,69 @@ class TestSharedPeel:
 
         shared = [run(workers) for workers in (1, 4)]
         monkeypatch.setattr(sweep_mod, "SharedPeel", lambda *args, **kwargs: None)
-        monkeypatch.setattr(sweep_mod, "SharedPool", lambda src, dst: (src, dst))
         alone = run(1)
         assert len(alone[2]) == len(grid)
         assert shared == [alone, alone]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_mpc_near_cells_at_one_pair_share_its_filter_and_flip_peel(self, monkeypatch, walks,
-                                                                       dense2k, workers):
-        """The whole pool is filtered once per distinct pair, and one walk is
-        built per distinct start pair of a flip-peel away from (V, V)."""
-        import dirdense.mpc as mpc
+    def test_mpc_near_cells_copy_no_pool_edge_and_share_flip_peels(self, monkeypatch, walks,
+                                                                  dense2k, workers):
+        """Every cell's pool reads the sweep's one order, and narrowing it
+        copies no edge; one walk is built per distinct start pair of a
+        flip-peel away from (V, V)."""
+        import dirdense.csweep as sweep_mod
 
-        calls, filters, flips = [], [], []
-        intersect, inside = RelevantEdgeSet.intersect_pair, mpc._inside
+        orders, calls, flips = [], [], []
+        shuffled_edges = sweep_mod._shuffled_edges
+        intersect = RelevantEdgeSet.intersect_pair
         peels = SinglePassEngine.peels
 
-        def record_call(rel, s_mask, t_mask):
-            if not (s_mask.all() and t_mask.all()):
-                calls.append(rel.size)
-            return intersect(rel, s_mask, t_mask)
+        def record_order(*args):
+            orders.append(shuffled_edges(*args))
+            return orders[-1]
 
-        def record_filter(src, *args):
-            filters.append(src.size)
-            return inside(src, *args)
+        def record_call(rel, s_mask, t_mask, cross=None):
+            if not (s_mask.all() and t_mask.all()):
+                calls.append((rel.size, cross is not None))
+            intersect(rel, s_mask, t_mask, cross)
+            [(src, dst)] = orders
+            assert rel._src is src and rel._dst is dst
 
         def record_flip(engine, src, dst, *, filtered=True):
             if not (filtered or engine.s_mask.all() and engine.t_mask.all()):
                 flips.append((engine.s_mask.tobytes(), engine.t_mask.tobytes()))
             return peels(engine, src, dst, filtered=filtered)
 
+        monkeypatch.setattr(sweep_mod, "_shuffled_edges", record_order)
         monkeypatch.setattr(RelevantEdgeSet, "intersect_pair", record_call)
-        monkeypatch.setattr(mpc, "_inside", record_filter)
         monkeypatch.setattr(SinglePassEngine, "peels", record_flip)
         res = sweep("mpc-near", dense2k, build_grid(dense2k.n, 2), epsilon=0.2, f=1 / 2000,
                     seed=0, mpc_config=MpcConfig("nearlinear", polylog_budget=20),
                     workers=workers)
         assert all(row.error is None for row in res.rows)
-        # 11 cells filter the whole pool, 10 of them to one pair
-        assert filters.count(dense2k.m) == 2 < calls.count(dense2k.m) == 11
+        # 11 cells narrow the whole pool, each counting it from its flip-peel
+        assert [size for size, _ in calls].count(dense2k.m) == 11
+        assert calls and all(counted for _, counted in calls)
         starts = [_walk_start(walk) for walk in walks if _walk_start(walk) is not None]
         assert len(starts) == len(set(starts)) and set(starts) == set(flips)
         assert len(flips) > len(starts)
         for args, _, walked in walks:  # each walk read only its start pair's first runs
             counts = int(args[5].sum()), int(args[6].sum())
             assert all(step.s_count == counts[0] or step.t_count == counts[1] for step in walked)
+
+    def test_mpc_near_sweep_peak_holds_no_copy_of_the_pool(self, dense2k):
+        """The traced peak of an mpc-near sweep: the pool order (16 MB), the
+        two walks' bags away from (V, V) and the cells' own work, with no
+        per-pair copy of the pool; 76.7 MiB when pool filters were copies."""
+        grid = build_grid(dense2k.n, 2)
+        cfg = MpcConfig("nearlinear", polylog_budget=20)
+        tracemalloc.start()
+        try:
+            sweep("mpc-near", dense2k, grid, epsilon=0.2, f=1 / 2000, seed=0, mpc_config=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_a_run_with_its_own_pool_returns_what_it_returns_alone(self, walks, pref):
         """Given the sweep's peel but not its pool, each cell returns what it

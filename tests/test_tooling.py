@@ -257,8 +257,7 @@ def test_no_public_method_only_tests_reach():
 # the sites that test edges for membership in a pair to count or scan them,
 # not to filter a bag, each with what it does; every filter is peeling._inside
 _MEMBERSHIP_SCANS = {
-    "graph.count_cross_edges": "counts the edges inside a pair",
-    "streaming.multi_pass_run.recount": "counts a pass's edges inside a pair",
+    "graph._count_inside": "counts the edges inside a pair",
     "streaming.EdgeStream.take_qualifying": "reads the stream until enough edges are inside",
 }
 
