@@ -117,6 +117,8 @@ class RelevantEdgeSet:
         inside the pair, else the unread rest's."""
         if s_mask.all() and t_mask.all():
             return  # (V, V) keeps every edge
+        if self._pair is not None and self._pair[0] is s_mask and self._pair[1] is t_mask:
+            return  # the same pair: masks are never written, so the count stands
         self._pair = s_mask, t_mask
         read = self._edges.edges_read  # the replay is never reset: its prefix
         if cross is None:

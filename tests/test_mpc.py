@@ -139,6 +139,24 @@ class TestRelevantEdgeSet:
                 offset = got.__array_interface__["data"][0] - order.__array_interface__["data"][0]
                 assert offset == lo * order.itemsize
 
+    @pytest.mark.parametrize("flip_peel", [False, True])
+    def test_a_pair_that_shrinks_on_one_side_is_counted_again(self, flip_peel):
+        # a peel step keeps the other side's mask object: the count follows
+        # the side that shrank, and stands only when neither did
+        g = gnp_directed(30, 0.3, seed=5)
+        pool = RelevantEdgeSet(*_shuffled_edges(g, 2))
+        ids = np.arange(g.n)
+        s_mask, t_mask = ids % 3 != 0, ids % 4 != 1
+        fewer_s, fewer_t = s_mask & (ids % 5 != 0), t_mask & (ids % 7 != 2)
+        sizes = []
+        for pair in ((s_mask, t_mask), (fewer_s, t_mask), (fewer_s, fewer_t), (fewer_s, fewer_t)):
+            pool.draw(3)
+            cross = _inside(g.src, g.dst, *pair)[0].size if flip_peel else None
+            pool.intersect_pair(*pair, cross)
+            assert pool.size == _inside(*_unread(pool), *pair)[0].size
+            sizes.append(pool.size)
+        assert sizes[0] > sizes[1] > sizes[2] == sizes[3] + 3
+
     def test_permute_once_draw_filter_draw_has_the_uniform_law(self):
         # edge i is (i, 6 + i); the pool is permuted once, one edge is drawn,
         # the filter drops edges 4 and 5, then an ordered pair is drawn from
@@ -167,15 +185,16 @@ class TestRelevantEdgeSet:
         chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
         assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_size_is_the_unread_rest_inside_the_pair(self, data):
-        """After every narrowing, counted from the flip-peel's cross count or
-        from the unread rest, ``size`` is the unread rest's edges inside the
-        pair, and draws take the pool's head as filtering copies would."""
+        """After every narrowing, counted from the flip-peel's cross count,
+        from the unread rest or kept for an unchanged pair, ``size`` is the
+        unread rest's edges inside the pair, and draws take the pool's head
+        as filtering copies would."""
         n = data.draw(st.integers(1, 8), label="n")
         vertex = st.integers(0, n - 1)
-        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40), label="edges")
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60), label="edges")
         g = DirectedGraph(n, edges)
         src, dst = _shuffled_edges(g, data.draw(st.integers(0, 2**32), label="order"))
         pool = RelevantEdgeSet(src, dst)
@@ -183,12 +202,15 @@ class TestRelevantEdgeSet:
         s_mask = t_mask = np.ones(n, dtype=bool)
         side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
         for _ in range(data.draw(st.integers(1, 5), label="phases")):
-            k = data.draw(st.integers(0, 12), label="draw")
+            k = data.draw(st.integers(0, 6), label="draw")
             got = pool.draw(k)
             assert list(zip(got[0].tolist(), got[1].tolist())) == model[:k]
             model = model[k:]
-            s_mask = s_mask & data.draw(side, label="S keeps")
-            t_mask = t_mask & data.draw(side, label="T keeps")
+            # a side that does not shrink keeps its mask, as a peel step leaves it
+            if data.draw(st.booleans(), label="S shrinks"):
+                s_mask = s_mask & data.draw(side, label="S keeps")
+            if data.draw(st.booleans(), label="T shrinks"):
+                t_mask = t_mask & data.draw(side, label="T keeps")
             cross = None
             if data.draw(st.booleans(), label="after a flip-peel"):
                 cross = _inside(g.src, g.dst, s_mask, t_mask)[0].size
