@@ -160,13 +160,24 @@ def _check_spans(g, pair: VertexSetPair):
         raise ValueError(f"pair spans {pair.s_mask.size} vertices, the graph {g.n}")
 
 
+def _inside_mask(src, dst, s_mask, t_mask) -> np.ndarray:
+    """Which of the edges (``src``, ``dst``) lie inside (S, T), as a new
+    boolean array: the one membership test of edges. A side that is all of
+    V admits every edge, so only the other side's mask is gathered."""
+    if s_mask.all():
+        return t_mask[dst]
+    if t_mask.all():
+        return s_mask[src]
+    return s_mask[src] & t_mask[dst]
+
+
 def _count_inside(src, dst, s_mask, t_mask) -> int:
     """How many of the edges (``src``, ``dst``) lie inside (S, T): the one
     membership count of an edge bag; at (V, V) every edge, with no mask
     built."""
     if s_mask.all() and t_mask.all():
         return int(src.size)
-    return int(np.count_nonzero(s_mask[src] & t_mask[dst]))
+    return int(np.count_nonzero(_inside_mask(src, dst, s_mask, t_mask)))
 
 
 def count_cross_edges(g, pair: VertexSetPair) -> int:

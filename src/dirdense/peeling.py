@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DirectedGraph, VertexSetPair
+from .graph import DirectedGraph, VertexSetPair, _inside_mask
 
 __all__ = [
     "RoundLedger",
@@ -82,7 +82,7 @@ def _inside(src, dst, s_mask, t_mask):
     ``_kept``."""
     if s_mask.all() and t_mask.all():
         return src, dst
-    keep = s_mask[src] & t_mask[dst]
+    keep = _inside_mask(src, dst, s_mask, t_mask)
     return (src, dst) if keep.all() else _kept(keep, src, dst)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import VertexSetPair, _count_inside
+from .graph import VertexSetPair, _count_inside, _inside_mask
 from .peeling import (RoundLedger, SharedPeel, _exact_bag_peels, _inside, _kept, _peel_best,
                       _ratio_guess)
 
@@ -169,11 +169,16 @@ class EdgeStream:
 
         Edges read along the way that fall outside the pair are consumed and
         dropped. Returns (src, dst, exhausted) where exhausted means the
-        stream ended before `want` qualifying edges appeared.
+        stream ended before `want` qualifying edges appeared. At (V, V)
+        every edge qualifies, so this is ``take(want)``, and exhausted means
+        it returned fewer than `want` edges.
         """
         want = int(want)
         if want <= 0:
             return _EMPTY, _EMPTY, False
+        if s_mask.all() and t_mask.all():
+            src, dst = self.take(want)
+            return src, dst, src.size < want
         out_src, out_dst = [], []
         got = 0
         while got < want:
@@ -186,7 +191,7 @@ class EdgeStream:
             lo = self._cursor
             vs = self._src[lo : lo + view]
             vd = self._dst[lo : lo + view]
-            hits = np.flatnonzero(s_mask[vs] & t_mask[vd])
+            hits = np.flatnonzero(_inside_mask(vs, vd, s_mask, t_mask))
             if got + hits.size >= want:
                 need = want - got
                 consumed = int(hits[need - 1]) + 1
@@ -208,7 +213,8 @@ class EdgeStream:
 
 def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
     """Stream over g's edges: "given" keeps input order, "shuffled" applies a
-    seed-deterministic uniform permutation.
+    seed-deterministic uniform permutation, by a packed in-place shuffle that
+    raises ValueError for n > 2**31 (see ``_shuffled_edges``).
 
     The stream's arrays are read-only (the graph's own ones for "given"), so
     streams made from it by ``replay`` may be consumed from several threads.
@@ -222,12 +228,25 @@ def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
 
 def _shuffled_edges(g, seed: int):
     """g's edges in the seed's uniform order, as read-only (src, dst) arrays:
-    the order of ``make_stream(g, "shuffled", seed)`` and of an MPC pool."""
-    perm = np.random.default_rng(seed).permutation(g.m)
-    src, dst = g.src[perm], g.dst[perm]
-    src.setflags(write=False)
+    the order of ``make_stream(g, "shuffled", seed)`` and of an MPC pool.
+
+    Each edge is packed into one int64, ``src << 32 | dst``, and shuffled in
+    place. ``Generator.permutation(m)`` is ``shuffle(arange(m))`` and the
+    shuffle's draws depend on neither the values nor their size, so every
+    edge lands where ``permutation(m)`` puts it, with no index array or
+    gather: the peak is two m-long int64 arrays. Packing needs ids below
+    2**31, so n > 2**31 raises ValueError.
+    """
+    if g.n > 2**31:
+        raise ValueError(f"a shuffled order needs at most 2**31 vertices, got n={g.n}")
+    edges = g.src << 32
+    edges |= g.dst
+    np.random.default_rng(seed).shuffle(edges)
+    dst = edges & 0xFFFFFFFF
+    edges >>= 32
+    edges.setflags(write=False)
     dst.setflags(write=False)
-    return src, dst
+    return edges, dst
 
 
 def _joined(a, b):

@@ -236,6 +236,22 @@ def reference_parse_edgelist(text) -> tuple[DirectedGraph, list[int]]:
     return g, labels
 
 
+class NeverIndexed(np.ndarray):
+    """A vertex mask that fails the test that indexes it; its reductions,
+    such as ``all``, still work. View a mask of all of V as one to check
+    that a membership test gathers only the other side."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a mask of all of V was indexed")
+
+
+def reference_shuffled_edges(g: DirectedGraph, seed: int):
+    """Frozen reference of the shuffled edge order: the seed's permutation
+    of the edge indices, then one gather per endpoint array."""
+    perm = np.random.default_rng(seed).permutation(g.m)
+    return g.src[perm], g.dst[perm]
+
+
 def reference_peel_once(src, dst, n, c, epsilon, s_mask, t_mask):
     """Frozen reference of one threshold peel over any edge bag, restricted to (S, T).
 

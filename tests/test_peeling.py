@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid
-from dirdense.graph import DirectedGraph, VertexSetPair, density, member_mask
+from dirdense.graph import DirectedGraph, VertexSetPair, _count_inside, density, member_mask
 from dirdense.peeling import (
     _GATHER_SHARE,
     SharedPeel,
@@ -20,7 +20,9 @@ from dirdense.peeling import (
     baseline_peel,
     exact_oracle,
 )
+from dirdense.streaming import EdgeStream
 from tests.support import (
+    NeverIndexed,
     gnp_directed,
     iteration_cap,
     multigraphs_with_ratio,
@@ -245,6 +247,20 @@ def inside_instances(draw):
     return g.src, g.dst, s_mask, t_mask
 
 
+@st.composite
+def one_side_v_instances(draw):
+    """An ``inside_instances`` bag whose pair has exactly one side equal to V."""
+    src, dst, s_mask, t_mask = draw(inside_instances())
+    everyone = np.ones(s_mask.size, dtype=bool)
+    if draw(st.booleans()):
+        s_mask, other = everyone, t_mask
+    else:
+        t_mask, other = everyone, s_mask
+    if other.all():
+        other[draw(st.integers(min_value=0, max_value=other.size - 1))] = False
+    return src, dst, s_mask, t_mask
+
+
 class TestInside:
     @given(inside_instances())
     @settings(max_examples=300, deadline=None)
@@ -261,6 +277,24 @@ class TestInside:
         assert (got_src is src and got_dst is dst) == bool(keep.all())
         for a, original in zip(instance, originals):
             assert np.array_equal(a, original)
+
+    @given(one_side_v_instances(), st.integers(min_value=1, max_value=60),
+           st.sampled_from([1, 3, 65536]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_side_v_gathers_only_the_other_side(self, instance, want, block):
+        src, dst, s_mask, t_mask = instance
+        keep = s_mask[src] & t_mask[dst]
+        hits = np.flatnonzero(keep)
+        masks = [mask.view(NeverIndexed) if mask.all() else mask for mask in (s_mask, t_mask)]
+        got_src, got_dst = _inside(src, dst, *masks)
+        assert np.array_equal(got_src, src[keep]) and np.array_equal(got_dst, dst[keep])
+        assert _count_inside(src, dst, *masks) == hits.size
+        stream = EdgeStream(s_mask.size, src, dst)
+        got_src, got_dst, exhausted = stream.take_qualifying(want, *masks, block=block)
+        assert got_src.tolist() == src[hits[:want]].tolist()
+        assert got_dst.tolist() == dst[hits[:want]].tolist()
+        assert exhausted == (hits.size < want)
+        assert stream.edges_read == (int(hits[want - 1]) + 1 if hits.size >= want else src.size)
 
     @given(st.integers(min_value=1, max_value=50))
     def test_reads_no_edge_at_the_root(self, n):

@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph, member_mask
-from dirdense.streaming import EdgeStream, SinglePassEngine, _joined, make_stream, sample_params
+from dirdense.streaming import (EdgeStream, SinglePassEngine, _joined, _shuffled_edges,
+                                make_stream, sample_params)
+from tests.support import NeverIndexed, reference_shuffled_edges
 
 
 def toy_graph():
@@ -39,6 +42,58 @@ class TestMakeStream:
         assert len(counts) == 6
         for order, hits in counts.items():
             assert abs(hits / 10_000 - 1 / 6) < 0.02, order
+
+
+@st.composite
+def shuffle_instances(draw):
+    """A multigraph of up to 30 edges, self-loops and m = 0 or 1 included,
+    on a few vertices or on n = 2**31 with ids at both ends of the range,
+    and a seed."""
+    n = draw(st.sampled_from([1, 2, 3, 10, 2**31]))
+    ids = st.sampled_from([0, 1, n - 2, n - 1]) if n == 2**31 else st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    return DirectedGraph(n, edges), draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestShuffledEdges:
+    @given(shuffle_instances())
+    @example((DirectedGraph(2**31, []), 0))
+    @example((DirectedGraph(2**31, [(2**31 - 1, 2**31 - 1)]), 3))
+    @example((DirectedGraph(1, [(0, 0), (0, 0)]), 5))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_permuted_gather_and_builds_no_vertex_array(self, instance):
+        g, seed = instance
+        tracemalloc.start()
+        try:
+            got = _shuffled_edges(g, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # a mask over n = 2**31 vertices would be 2 GiB
+        for array, expected in zip(got, reference_shuffled_edges(g, seed)):
+            assert array.dtype == np.int64 and array.flags.c_contiguous
+            assert not array.flags.writeable
+            assert np.array_equal(array, expected)
+
+    def test_more_than_two_to_the_31_vertices_raise(self):
+        g = DirectedGraph(2**31 + 1, [(2**31, 0)])
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            _shuffled_edges(g, 0)
+        with pytest.raises(ValueError):
+            make_stream(g, "shuffled")
+        assert make_stream(g, "given").take_all()[0].tolist() == [2**31]
+
+    def test_peak_is_two_packed_arrays(self):
+        g = gen_pref_attach(2000, 500, 0)
+        tracemalloc.start()
+        try:
+            src, dst = _shuffled_edges(g, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * g.m + 64 * 1024
+        expected = reference_shuffled_edges(g, 0)
+        assert np.array_equal(src, expected[0]) and np.array_equal(dst, expected[1])
 
 
 class TestCursor:
@@ -186,6 +241,37 @@ def _read_only_pool(size=50):
 
 
 _cuts = st.lists(st.integers(0, 40), min_size=3, max_size=3).map(sorted)
+
+
+class TestTakeQualifyingAtTheRoot:
+    """At (V, V) ``take_qualifying`` is ``take``. The block path still runs
+    when one mask spans an extra, edgeless vertex outside S: then every edge
+    qualifies, but neither side is all of V."""
+
+    @pytest.mark.parametrize("fed", [False, True])
+    @pytest.mark.parametrize("beyond", [-1, 0, 3])  # want - remaining
+    @pytest.mark.parametrize("block", [2, 65536])
+    def test_returns_what_the_block_path_returns(self, fed, beyond, block):
+        edges = [(u % _N, (3 * u + 1) % _N) for u in range(23)]
+
+        def stream():
+            made = source_fed(_N, edges, [5, 11, 17]) if fed else EdgeStream(_N, *_arrays(edges))
+            made.take(4)  # the cursor is past 0
+            return made
+
+        root, block_path = stream(), stream()
+        everyone = np.ones(_N, dtype=bool).view(NeverIndexed)
+        short, wide = np.ones(_N + 1, dtype=bool), np.ones(_N + 1, dtype=bool)
+        short[_N] = False
+        want = root.remaining + beyond
+        got = root.take_qualifying(want, everyone, everyone, block=block)
+        expected = block_path.take_qualifying(want, short, wide, block=block)
+        assert got[2] == expected[2] == (beyond > 0)
+        assert got[0].tolist() == expected[0].tolist()
+        assert got[1].tolist() == expected[1].tolist()
+        assert len(got[0]) == min(want, 19)
+        assert root.edges_read == block_path.edges_read == 4 + len(got[0])
+        assert root.remaining == block_path.remaining
 
 
 class TestJoined:

@@ -316,7 +316,7 @@ class TestSharedStream:
         import dirdense.csweep as sweep_mod
 
         built = streams[0]
-        pools, permutations = [], []
+        pools, permutations, shuffles = [], [], []
         shuffled_edges = sweep_mod._shuffled_edges
         make_rng = np.random.default_rng
 
@@ -325,7 +325,8 @@ class TestSharedStream:
             return pools[-1]
 
         class CountingRng:
-            """Every generator the sweep makes, counting its permutations."""
+            """Every generator the sweep makes, counting its permutations
+            and the items of each shuffle."""
 
             def __init__(self, *args):
                 self._rng = make_rng(*args)
@@ -333,6 +334,10 @@ class TestSharedStream:
             def permutation(self, x):
                 permutations.append(x)
                 return self._rng.permutation(x)
+
+            def shuffle(self, x, *args, **kwargs):
+                shuffles.append(len(x))
+                return self._rng.shuffle(x, *args, **kwargs)
 
             def __getattr__(self, name):
                 return getattr(self._rng, name)
@@ -343,7 +348,7 @@ class TestSharedStream:
         res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.5, f=1 / 4000, seed=6,
                     mpc_config=cfg, workers=workers)
         assert all(row.error is None for row in res.rows)
-        assert len(pools) == 1 and permutations == [g.m] and not built
+        assert len(pools) == 1 and shuffles == [g.m] and not permutations and not built
         src, dst = pools[0]
         assert not src.flags.writeable and not dst.flags.writeable
         # the pool has the order of the stream a single-pass sweep of this seed reads

@@ -254,14 +254,6 @@ def test_no_public_method_only_tests_reach():
     assert not unread, f"public methods nothing in the package reads: {unread}"
 
 
-# the sites that test edges for membership in a pair to count or scan them,
-# not to filter a bag, each with what it does; every filter is peeling._inside
-_MEMBERSHIP_SCANS = {
-    "graph._count_inside": "counts the edges inside a pair",
-    "streaming.EdgeStream.take_qualifying": "reads the stream until enough edges are inside",
-}
-
-
 def _membership_tests(node, scope):
     """The qualified name of the definition around each ``a[x] & b[y]``
     under ``node``: two subscripts joined by ``&``."""
@@ -276,8 +268,9 @@ def _membership_tests(node, scope):
 
 def test_every_bag_filter_is_inside():
     """A membership test of edges, ``s_mask[src] & t_mask[dst]``, is written
-    only in ``peeling._inside`` and in the stated counting and scanning sites."""
+    only in ``graph._inside_mask``: every filter, count and scan of edges
+    by a pair gets its mask from there."""
     found = {scope for name, tree in _package_trees().items()
              for scope in _membership_tests(tree, name.removesuffix(".py"))}
-    assert found == {"peeling._inside", *_MEMBERSHIP_SCANS}, (
-        f"membership tests outside peeling._inside: {sorted(found - {'peeling._inside'})}")
+    assert found == {"graph._inside_mask"}, (
+        f"membership tests outside graph._inside_mask: {sorted(found - {'graph._inside_mask'})}")
