@@ -27,14 +27,15 @@ its guess's steps to the end, so the first such cell drains the (V, V)
 walk; a cell that sampled never reads it. Every flip-peel of an mpc-near
 cell reads only its guess's first run from the phase's start pair, so an
 mpc-near sweep reads the first runs of one walk per distinct start pair,
-(V, V) included. The walks live until the sweep returns, and each walk
-away from (V, V) holds the edges inside its pair, a copy of 16 bytes per
-edge unless the pair drops none. A cell's ``wall_ms`` therefore holds the
-shared work it was the first to do: in an exact sweep the first cell
-drains the walk, and an mpc-near cell pays for the steps it is the first
-to need. With one worker the rows' ``wall_ms`` add up to the
-sweep's runner time, and with more, a cell waiting for shared work also
-counts its wait.
+(V, V) included. The walks live until the sweep returns. A compacting
+walk reads the graph's own arrays and their degrees, counted once per
+sweep, and copies no edge before a reader walks past its start pair's
+runs (``peeling._exact_bag_peels`` states the bag contract). A cell's
+``wall_ms`` therefore holds the shared work it was the first to do: in
+an exact sweep the first cell drains the walk, and an mpc-near cell pays
+for the steps it is the first to need. With one worker the rows'
+``wall_ms`` add up to the sweep's runner time, and with more, a cell
+waiting for shared work also counts its wait.
 """
 
 from __future__ import annotations

@@ -204,11 +204,11 @@ class _PhaseController:
         One charged tally supplies every degree needed: while only one side
         shrinks, the other side's cross-degrees stay valid, so the first run
         of the engine's exact peel of the graph's edges needs no new data.
-        The run stops before the kernel would compact the bag for the other
-        side. With the sweep's shared peel it reads only the first runs of
-        the walk from the phase's start pair, which every cell that
-        flip-peels from that pair reads; the tally is still charged to each.
-        Each step's density is exact.
+        The run stops before the kernel would compact the bag. With the
+        sweep's shared peel it reads only the first runs of the walk from
+        the phase's start pair, which every cell that flip-peels from that
+        pair reads and which copy no edge (see ``peeling._exact_bag_peels``);
+        the tally is still charged to each. Each step's density is exact.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
@@ -290,8 +290,9 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     the pool's. ``shared``, a ``SharedPeel`` as there, supplies every flip-peel
     instead: a flip-peel's steps are guess c's first run in the walk from
     its start pair over g's edges, in any order, and every cell of a sweep
-    reads only that far into each walk. The finishing peel, which never
-    starts from (V, V), runs on its own; every round is still charged.
+    reads only that far into each walk, which copies no edge there (see
+    ``peeling._exact_bag_peels``). The finishing peel, which never starts
+    from (V, V), runs on its own; every round is still charged.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

@@ -125,7 +125,7 @@ def _first_target_peeler(cs, guesses: range, counts) -> int:
                               key=lambda c: not _ratio_prefers_sources(*counts, c))
 
 
-def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
+def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, rescan=False):
     """Threshold peel steps from (S, T) for the ascending ratio guesses
     ``cs``: the one implementation of a peel step.
 
@@ -137,16 +137,24 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
     (``step.guesses``). Every guess sees its own steps in order, and the
     walk holds only the bags of the pairs on its current path.
 
-    The bag is E(S, T): every edge must lie inside (S, T), as ``_inside``
-    leaves it. Its size is the cross count and degrees are tallied without
-    a membership check.
+    The bag contract, which every caller keeps: the kernel peels the bag's
+    edges that lie inside (S, T), and it copies none of them up front.
+    Without ``degrees`` the bag is E(S, T), every edge inside the pair as
+    ``_inside`` leaves it, and a run's degrees are one bincount of it. With
+    ``degrees``, the bag's out- and in-degrees (``np.bincount`` of ``src``
+    and ``dst`` at length n), the bag may hold any edges: a run from (S, T)
+    takes its side's degrees from them, less a bincount of only the bag
+    edges whose other end lies outside the pair's other side (none when
+    that side is V).
 
     Peels come in runs of the same side. The other side does not change
-    during a run, so one bincount at its start keeps every surviving
-    member's degree exact, and each peel needs only a masked sum for the new
-    cross count. Guesses whose ratio test flips leave the run, and one
-    pass on the side that shrank compacts the bag to E(S, T) for them; a
-    consumer taking only ``next`` never pays for it. Compactions keep their
+    during a run, so the degrees at its start stay exact for every
+    surviving member, and each peel needs only a masked sum for the new
+    cross count. Guesses whose ratio test flips leave the run, and are
+    compacted to E(S, T) of their pair when popped: by one pass on the side
+    that shrank, or by ``_inside`` of the whole bag when they leave a run
+    whose bag held edges outside its other side. A consumer that takes
+    only the runs from (S, T) never pays for it. Compactions keep their
     edges through ``_kept``, which gathers by index where a mask keeps
     under 15/16 of the bag, as most compactions of a walk do. With
     ``rescan`` nothing is kept between steps and the bag may hold any
@@ -157,8 +165,8 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
     """
     counts = (int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
     bag = None if rescan else (src, dst)
-    # (guesses, masks, counts, bag ends or None to rescan, side whose peels
-    # the bag still holds or None)
+    # (guesses, masks, counts, bag ends or None to filter the whole bag,
+    # side whose peels the bag still holds or None)
     todo = [(range(len(cs)), (s_mask, t_mask), counts, bag, None)]
     while todo:
         guesses, start_masks, start_counts, ends, stale = todo.pop()
@@ -168,14 +176,25 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
             ends = _inside(src, dst, *start_masks)
         elif stale is not None:
             ends = _kept(start_masks[stale][ends[stale]], *ends)
-        start_cross = int(ends[0].size)
+        # only the first pair's runs, over the bag as given, read ``degrees``
+        whole, degrees = degrees, None
         split = _first_target_peeler(cs, guesses, start_counts)
         # the T-peelers' run, then the S-peelers' run from the same bag
         for side, guesses in ((1, range(split, guesses.stop)), (0, range(guesses.start, split))):
             if not guesses:
                 continue
-            masks, counts, cross = list(start_masks), list(start_counts), start_cross
-            deg = np.bincount(ends[side], minlength=n)
+            masks, counts = list(start_masks), list(start_counts)
+            # every bag edge's other end lies in the other side, so one pass
+            # on this side compacts the bag for the guesses that leave
+            one_sided = whole is None or masks[1 - side].all()
+            if whole is None:
+                deg, cross = np.bincount(ends[side], minlength=n), int(ends[0].size)
+            else:
+                deg = whole[side]
+                if not one_sided:
+                    outside, = _kept(~masks[1 - side][ends[1 - side]], ends[side])
+                    deg = deg - np.bincount(outside, minlength=n)
+                cross = int(deg[masks[side]].sum())
             while True:
                 drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
                 removed = int(np.count_nonzero(drop))
@@ -196,7 +215,7 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False):
                 else:
                     left, guesses = range(split, guesses.stop), range(guesses.start, split)
                 if left:
-                    todo.append((left, *pair, ends, side))
+                    todo.append((left, *pair, ends if one_sided else None, side))
                 if not guesses:
                     break
 
@@ -228,14 +247,16 @@ class SharedPeel:
     step it yields is kept, so each is walked once: a reader that drains its
     guess's steps drains the walk's share of it, and one that stops early,
     as a flip-peel after its first run does, leaves the rest unwalked.
-    (V, V) is one start pair like any other. A walk from another pair peels
-    the pair's edges, ``_inside`` of the bag, which it keeps at 16 bytes
-    per edge inside the pair; at (V, V) it is the bag itself. Every walk,
-    with its bag and its steps, is kept as long as the object is: a sweep
-    drops it when it returns. Guesses that are not positive rationals are
-    left out, so each of their cells still fails on its own; order and
-    repeats do not matter. ``rescan`` walks as ``baseline_peel`` peels,
-    with one pass over the whole bag per pair.
+    (V, V) is one start pair like any other, keyed without reading its
+    masks' bytes. Every walk but a rescanning one reads the bag itself with
+    its degrees, counted once when the first walk is made, so it copies no
+    edge until a reader walks past its start pair's runs (see the bag
+    contract of ``_exact_bag_peels``). Every walk, with its steps, is kept
+    as long as the object is: a sweep drops it when it returns. Guesses
+    that are not positive rationals are left out, so each of their cells
+    still fails on its own; order and repeats do not matter. ``rescan``
+    walks as ``baseline_peel`` peels, with one pass over the whole bag per
+    pair.
     Threads may share the object: walks advance under one lock. A walk that
     raises keeps the exception, and every reader from its start pair that
     needs a step past the last one walked raises it too, so no peel ends
@@ -251,7 +272,8 @@ class SharedPeel:
         self.guesses = tuple(sorted(valid))
         self._bag = src, dst
         self._rescan = rescan
-        self._walks = {}  # start pair's mask bytes -> _Walk
+        self._degrees = None  # the bag's out- and in-degrees, once a walk needs them
+        self._walks = {}  # start pair's mask bytes, or None for (V, V) -> _Walk
         self._lock = threading.Lock()
 
     def steps(self, c: Fraction, n: int, m: int, epsilon: float, start=None):
@@ -262,16 +284,18 @@ class SharedPeel:
         if (n, m, epsilon) != (self.n, self.m, self.epsilon) or c not in self.guesses:
             raise ValueError(f"the shared peel does not cover c={c} with n={n}, m={m}, "
                              f"epsilon={epsilon!r}")
-        if start is None:
-            everyone = np.ones(self.n, dtype=bool)
-            start = everyone, everyone
-        key = start[0].tobytes(), start[1].tobytes()
+        root = start is None or (start[0].all() and start[1].all())
+        key = None if root else (start[0].tobytes(), start[1].tobytes())
         with self._lock:
             walk = self._walks.get(key)
             if walk is None:
-                bag = self._bag if self._rescan else _inside(*self._bag, *start)
+                if start is None:
+                    start = (np.ones(self.n, dtype=bool),) * 2
+                if not self._rescan and self._degrees is None:
+                    self._degrees = tuple(np.bincount(a, minlength=self.n) for a in self._bag)
                 walk = self._walks[key] = _Walk(_exact_bag_peels(
-                    *bag, self.n, self.guesses, self.epsilon, *start, rescan=self._rescan))
+                    *self._bag, self.n, self.guesses, self.epsilon, *start,
+                    degrees=self._degrees, rescan=self._rescan))
         return self._read(walk, self.guesses.index(c))
 
     def _read(self, walk, i):

@@ -539,13 +539,13 @@ class SinglePassEngine:
         """Exact peel of the in-memory cross-edge bag, kept equal to E(S, T).
 
         Continues from the current pair, so the finishing peel is the
-        full-information continuation of the streamed one. The bag is the
-        kernel's one form, E(S, T): every edge the engine retains passed
-        ``_inside`` of its pair, and each peel refilters the rest, so the
-        bag's size is the pair's cross count. At (V, V) no sampled step
-        happened and the bag holds every edge of the stream: for
-        single-pass the graph's edges, and for a phased run the whole pool,
-        which no filter at (V, V) shrinks.
+        full-information continuation of the streamed one. The bag is
+        E(S, T), as the kernel takes it without degrees: every edge the
+        engine retains passed ``_inside`` of its pair, and each peel
+        refilters the rest, so the bag's size is the pair's cross count.
+        At (V, V) no sampled step happened and the bag holds every edge of
+        the stream: for single-pass the graph's edges, and for a phased run
+        the whole pool, which no filter at (V, V) shrinks.
         """
         if edge_src.size == 0:
             return

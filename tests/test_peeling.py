@@ -414,6 +414,70 @@ def _interleaved(readers):
     return got
 
 
+@st.composite
+def whole_bag_instances(draw):
+    """A ``multigraphs_with_ratio`` graph, the guesses of its delta = 2 grid
+    and its own guess c, and a start pair of one of three kinds: one side V,
+    both sides proper, or one side that leaves out its end of more than
+    half of the edges, with any other side."""
+    g, c = draw(multigraphs_with_ratio())
+    n = g.n
+    side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    pair = [draw(side), draw(side)]
+    kind = draw(st.sampled_from(["one side V", "both proper", "drops half"]))
+    at = draw(st.sampled_from([0, 1]))
+    if kind == "one side V":
+        pair[at] = np.ones(n, dtype=bool)
+    elif kind == "both proper":
+        pair = [draw(side.filter(lambda mask: not mask.all())) for _ in pair]
+    else:
+        ends = (g.src, g.dst)[at]
+        deg = np.bincount(ends, minlength=n)
+        pair[at] = np.ones(n, dtype=bool)
+        for v in np.argsort(-deg, kind="stable"):
+            if 2 * np.count_nonzero(~pair[at][ends]) > g.m or not deg[v]:
+                break
+            pair[at][v] = False
+        assert 2 * np.count_nonzero(~pair[at][ends]) > g.m or not g.m
+    return g, tuple(sorted({*build_grid(n, 2.0), c})), tuple(pair)
+
+
+class TestWholeBagWalk:
+    @given(whole_bag_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_bag_with_its_degrees_walks_like_its_inside(self, instance, eps):
+        """A walk over the whole bag given its degrees, drained to the end
+        so that every leaver is compacted, yields the steps of a walk over
+        ``_inside`` of the bag given none, and filters no edge by the pair
+        before the start pair's runs are over."""
+        import dirdense.peeling as peeling
+
+        g, cs, (s_mask, t_mask) = instance
+        degrees = np.bincount(g.src, minlength=g.n), np.bincount(g.dst, minlength=g.n)
+        filters = []
+
+        def inside(*args):
+            filters.append(args)
+            return _inside(*args)
+
+        def key(step):
+            return step_key(step), step.s_count, step.t_count, step.guesses
+
+        counts = int(s_mask.sum()), int(t_mask.sum())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(peeling, "_inside", inside)
+            whole = []
+            for step in _exact_bag_peels(g.src, g.dst, g.n, cs, eps, s_mask, t_mask,
+                                         degrees=degrees):
+                # a step of a run from the start pair keeps one of its sides
+                kept_side = step.s_count == counts[0] or step.t_count == counts[1]
+                assert not (filters and kept_side)
+                whole.append(key(step))
+        alone = _exact_bag_peels(*_inside(g.src, g.dst, s_mask, t_mask), g.n, cs, eps,
+                                 s_mask, t_mask)
+        assert whole == [key(step) for step in alone]
+
+
 class TestGuessWalk:
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -474,6 +538,30 @@ class TestGuessWalk:
         everyone = np.ones(g.n, dtype=bool)
         whole = list(_exact_bag_peels(g.src, g.dst, g.n, grid, 0.2, everyone, everyone))
         assert [step_key(step) for step in walked] == [step_key(step) for step in whole]
+
+    @pytest.mark.parametrize("masks_first", [False, True])
+    def test_root_walk_is_one_and_keyed_without_mask_bytes(self, monkeypatch, masks_first):
+        """Readers from (V, V), given as None or as a flip-peel's all-true
+        masks, read one walk, and no mask of theirs is turned into bytes."""
+
+        class NoBytes(np.ndarray):
+            def tobytes(self, *args, **kwargs):
+                raise AssertionError("a mask of the root walk was turned into bytes")
+
+        g = gnp_directed(12, 0.4, seed=1)
+        grid = build_grid(g.n, 2)
+        walks = record_shared_walks(monkeypatch)
+        ones = np.ones
+        monkeypatch.setattr(np, "ones", lambda *args, **kw: ones(*args, **kw).view(NoBytes))
+        everyone = np.ones(g.n, dtype=bool)
+        starts = [None, (everyone, everyone)]
+        if masks_first:
+            starts.reverse()
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        got = [[[step_key(step) for step in shared.steps(c, g.n, g.m, 0.2, start)]
+                for c in grid] for start in starts]
+        assert len(walks) == 1 and got[0] == got[1]
+        assert all(mask.all() for mask in walks[0][0][5:7])
 
     def test_threads_share_one_walk(self, monkeypatch):
         """More threads than cores read at once, with frequent switches: the

@@ -459,23 +459,38 @@ class TestOrderBlindSweep:
 
 class TestKernelBags:
     """Every call of the peel kernel that does not rescan, a runner's own or
-    a shared walk's, gets a bag whose every edge lies inside its start pair."""
+    a shared walk's, peels a bag it may read without a filter: one whose
+    every edge lies inside its start pair, or a ``SharedPeel``'s own bag
+    with that peel's own degree counts."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """One (start at (V, V), rescan, bag edges outside the start pair)
-        per kernel call, taken when the call is made."""
+        """One (start at (V, V), rescan, bag edges outside the start pair,
+        degrees given, bag and degrees a shared peel's own and the degrees
+        its bag's bincounts) per kernel call, taken when the call is made."""
         import dirdense.peeling as peeling
         import dirdense.streaming as streaming
 
-        calls = []
-        kernel = peeling._exact_bag_peels
+        calls, shared = [], []
+        kernel, init = peeling._exact_bag_peels, SharedPeel.__init__
 
-        def peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, rescan=False, **kwargs):
+        def record_shared(peel, *args, **kwargs):
+            init(peel, *args, **kwargs)
+            shared.append(peel)
+
+        def peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, rescan=False):
             outside = int(np.count_nonzero(~(s_mask[src] & t_mask[dst])))
-            calls.append((bool(s_mask.all() and t_mask.all()), rescan, outside))
-            return kernel(src, dst, n, cs, epsilon, s_mask, t_mask, rescan=rescan, **kwargs)
+            given = degrees is not None
+            own = given and any(degrees is peel._degrees and src is peel._bag[0]
+                                and dst is peel._bag[1] for peel in shared)
+            counted = given and all(np.array_equal(count, np.bincount(ends, minlength=n))
+                                    for count, ends in zip(degrees, (src, dst)))
+            calls.append((bool(s_mask.all() and t_mask.all()), rescan, outside, given,
+                          own and counted))
+            return kernel(src, dst, n, cs, epsilon, s_mask, t_mask, degrees=degrees,
+                          rescan=rescan)
 
+        monkeypatch.setattr(SharedPeel, "__init__", record_shared)
         for module in (peeling, streaming):
             monkeypatch.setattr(module, "_exact_bag_peels", peels)
         return calls
@@ -486,11 +501,13 @@ class TestKernelBags:
 
     @staticmethod
     def check(calls, *, away=False):
-        """No bag edge lay outside a compacting call's pair; with ``away``,
-        some compacting call started away from (V, V)."""
+        """Every compacting call given degrees read a shared peel's own bag
+        and counts, and no bag edge lay outside any other compacting call's
+        pair; with ``away``, some compacting call started away from (V, V)."""
         assert calls
-        assert not [call for call in calls if not call[1] and call[2]]
-        assert not away or any(not (root or rescan) for root, rescan, _ in calls)
+        for _, rescan, outside, given, own in calls:
+            assert rescan or (own if given else not outside)
+        assert not away or any(not (root or rescan) for root, rescan, *_ in calls)
 
     @pytest.mark.parametrize("algo", RUNNERS)
     @pytest.mark.parametrize("f", [1 / 30, 1 / 3000])
@@ -653,9 +670,11 @@ class TestSharedPeel:
             assert all(step.s_count == counts[0] or step.t_count == counts[1] for step in walked)
 
     def test_mpc_near_sweep_peak_holds_no_copy_of_the_pool(self, dense2k):
-        """The traced peak of an mpc-near sweep: the pool order (16 MB), the
-        two walks' bags away from (V, V) and the cells' own work, with no
-        per-pair copy of the pool; 76.7 MiB when pool filters were copies."""
+        """The traced peak of an mpc-near sweep: the pool order (16 MB) and
+        the cells' own work. No per-pair copy of the pool is made, and the
+        walks away from (V, V) read the graph's arrays with no copy of
+        their pairs' edges (22.9 MiB measured); 46.7 MiB when those walks
+        copied E(P), 76.7 MiB when pool filters were copies too."""
         grid = build_grid(dense2k.n, 2)
         cfg = MpcConfig("nearlinear", polylog_budget=20)
         tracemalloc.start()
@@ -664,7 +683,7 @@ class TestSharedPeel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak < 32 * 2**20
 
     def test_a_run_with_its_own_pool_returns_what_it_returns_alone(self, walks, pref):
         """Given the sweep's peel but not its pool, each cell returns what it
