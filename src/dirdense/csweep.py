@@ -30,7 +30,12 @@ mpc-near sweep reads the first runs of one walk per distinct start pair,
 (V, V) included. The walks live until the sweep returns. A compacting
 walk reads the graph's own arrays and their degrees, counted once per
 sweep, and copies no edge before a reader walks past its start pair's
-runs (``peeling._exact_bag_peels`` states the bag contract). A cell's
+runs (``peeling._exact_bag_peels`` states the bag contract). A
+single-pass or MPC cell that finishes away from (V, V) may also read its
+finishing peel's bag, E(S, T), from the rows of S in the graph's
+by-source order (``SharedPeel.inside``), when g's sources never decrease
+and those rows are fewer than the stream's unread edges; it still reads
+the whole stream (see ``SinglePassEngine._finish``). A cell's
 ``wall_ms`` therefore holds the shared work it was the first to do: in
 an exact sweep the first cell drains the walk, and an mpc-near cell pays
 for the steps it is the first to need. With one worker the rows'

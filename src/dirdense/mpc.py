@@ -269,8 +269,10 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     finishing peel's steps when it starts from (V, V): then no sampled step
     happened, no filter removed an edge, and the bag holds every edge of
     g, so the steps are guess c's in the walk every such cell of a sweep
-    reads. The pool is still drained in full and every round charged; the
-    result and the ledger are the run's own.
+    reads; away from (V, V) it may supply that peel's bag, E(S, T) from
+    its by-source rows (see ``SinglePassEngine._finish``). The pool is
+    still drained in full and every round charged; the result and the
+    ledger are the run's own.
     """
     cfg = cfg or MpcConfig("superlinear", mu=SUPERLINEAR_MU)
     if cfg.regime != "superlinear":
@@ -292,7 +294,8 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     its start pair over g's edges, in any order, and every cell of a sweep
     reads only that far into each walk, which copies no edge there (see
     ``peeling._exact_bag_peels``). The finishing peel, which never starts
-    from (V, V), runs on its own; every round is still charged.
+    from (V, V), runs on its own, and may read its bag from ``shared`` as
+    there; every round is still charged.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

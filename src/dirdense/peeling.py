@@ -8,6 +8,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -251,8 +252,11 @@ class SharedPeel:
     masks' bytes. Every walk but a rescanning one reads the bag itself with
     its degrees, counted once when the first walk is made, so it copies no
     edge until a reader walks past its start pair's runs (see the bag
-    contract of ``_exact_bag_peels``). Every walk, with its steps, is kept
-    as long as the object is: a sweep drops it when it returns. Guesses
+    contract of ``_exact_bag_peels``). ``inside`` hands out E(S, T) from
+    the rows of S's members when the bag's sources never decrease: one
+    check of the bag, made when first needed, keeps its by-source offsets,
+    which also give the walks' out-degrees. Every walk, with its steps, is
+    kept as long as the object is: a sweep drops it when it returns. Guesses
     that are not positive rationals are left out, so each of their cells
     still fails on its own; order and repeats do not matter. ``rescan``
     walks as ``baseline_peel`` peels, with one pass over the whole bag per
@@ -292,11 +296,45 @@ class SharedPeel:
                 if start is None:
                     start = (np.ones(self.n, dtype=bool),) * 2
                 if not self._rescan and self._degrees is None:
-                    self._degrees = tuple(np.bincount(a, minlength=self.n) for a in self._bag)
+                    offsets = self._offsets
+                    out = (np.bincount(self._bag[0], minlength=self.n) if offsets is None
+                           else np.diff(offsets))
+                    self._degrees = out, np.bincount(self._bag[1], minlength=self.n)
                 walk = self._walks[key] = _Walk(_exact_bag_peels(
                     *self._bag, self.n, self.guesses, self.epsilon, *start,
                     degrees=self._degrees, rescan=self._rescan))
         return self._read(walk, self.guesses.index(c))
+
+    def inside(self, n: int, m: int, s_mask, t_mask, limit: int):
+        """E(S, T) of the bag, a bag of ``m`` edges on ``n`` vertices, as
+        ``_inside`` leaves it, read from the by-source rows of S's members;
+        None when the bag's sources decrease somewhere or those rows hold
+        ``limit`` edges or more. Raises ValueError unless n and m are the
+        bag's."""
+        if (n, m) != (self.n, self.m):
+            raise ValueError(f"the shared peel's bag is not one of n={n}, m={m}")
+        with self._lock:
+            offsets = self._offsets
+        if offsets is None:
+            return None
+        members = np.flatnonzero(s_mask)
+        starts = offsets[members]
+        lengths = offsets[members + 1] - starts
+        total = int(lengths.sum())
+        if total >= limit:
+            return None
+        # row i's k-th edge is at starts[i] + k, and lands at its row's
+        # running start plus k
+        rows = np.arange(total) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return _inside(self._bag[0][rows], self._bag[1][rows], s_mask, t_mask)
+
+    @cached_property
+    def _offsets(self):
+        """The bag's by-source offsets, its edges from v at ``offsets[v]``
+        up to ``offsets[v + 1]``, when its sources never decrease, else
+        None; read under the lock, so checked once."""
+        src = self._bag[0]
+        return None if np.any(src[1:] < src[:-1]) else np.searchsorted(src, np.arange(self.n + 1))
 
     def _read(self, walk, i):
         """Guess ``i``'s steps: the walked ones, then the walk's as it advances."""

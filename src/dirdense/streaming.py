@@ -8,8 +8,10 @@ resets and rescans a static stream once per sampling step and once per
 exact recount. The single-pass engine reads every edge at most once and
 keeps only a bounded working set: the retained cross edges of the current
 pair, thinned samples of them, and one batch in flight. When the stream
-dries up, or the rest of it fits the sample budget, the engine retains
-every remaining cross edge and finishes with one exact peel.
+dries up, or the rest of it fits the sample budget, the engine reads the
+rest and finishes with one exact peel of the pair's cross edges: the
+retained ones and the rest's, or the same edges read from the graph's
+by-source rows (see ``SinglePassEngine._finish``).
 
 Nothing here writes an edge array or a vertex mask in place: streams hand
 out views of their buffers, the retained set and every sample are new
@@ -408,8 +410,8 @@ class SinglePassEngine:
 
     The stream may be source-fed (the phased simulator's machine-sized
     loads); ``run`` peels on samples while the cross edges outnumber the
-    sample budget, then drains the stream and finishes with an exact
-    compacted peel of the retained buffer. The running best is ranked by
+    sample budget, then reads the rest of the stream and finishes with an
+    exact compacted peel of E(S, T). The running best is ranked by
     sampled-density estimates during streaming and by exact in-buffer
     densities at the finish; ``best_exact`` says whether ``best_value`` is
     an exact density, as the finishing peel's and a near-linear phase's
@@ -505,6 +507,7 @@ class SinglePassEngine:
 
     def run(self, stream):
         eps = self.params.epsilon
+        m = stream.remaining  # the edges of the graph the stream orders
         while stream.remaining and self.s_count and self.t_count:
             batch = self._batch()
             bs, bd = stream.take(batch)
@@ -533,33 +536,47 @@ class SinglePassEngine:
             self.seen.add(*fresh)
             self.seen.refilter(self.s_mask, self.t_mask)
             # a pair with an empty side has no cross edge left to read
-        self._finish(stream)
+        self._finish(stream, m)
 
     def _local_peel(self, edge_src, edge_dst):
-        """Exact peel of the in-memory cross-edge bag, kept equal to E(S, T).
+        """Exact peel of the in-memory cross-edge bag, E(S, T).
 
         Continues from the current pair, so the finishing peel is the
         full-information continuation of the streamed one. The bag is
-        E(S, T), as the kernel takes it without degrees: every edge the
-        engine retains passed ``_inside`` of its pair, and each peel
-        refilters the rest, so the bag's size is the pair's cross count.
-        At (V, V) no sampled step happened and the bag holds every edge of
-        the stream: for single-pass the graph's edges, and for a phased run
-        the whole pool, which no filter at (V, V) shrinks.
+        E(S, T), as the kernel takes it without degrees (``_finish`` says
+        why), so its size is the pair's cross count. At (V, V) no sampled
+        step happened and the bag holds every edge of the stream: for
+        single-pass the graph's edges, and for a phased run the whole pool,
+        which no filter at (V, V) shrinks.
         """
         if edge_src.size == 0:
             return
         steps = self.peels(edge_src, edge_dst)
         self.offer_best(*_peel_best(steps, self.s_mask, self.t_mask, edge_src.size), exact=True)
 
-    def _finish(self, stream):
-        """Drain the stream, retain its cross edges, and peel them exactly;
-        a pair with an empty side has none left, so then nothing is read."""
+    def _finish(self, stream, m):
+        """Read the rest of the stream and peel E(S, T) exactly; a pair
+        with an empty side has no cross edge left, so then nothing is read.
+
+        The invariant: the stream hands out a graph's ``m`` edges in some
+        order, less only edges outside the pair (an MPC pool skips such
+        edges), and every edge read so far that lies inside the current
+        pair is in ``seen``. So ``seen`` and ``_inside`` of the rest hold
+        E(S, T) as a multiset, and the peel depends on its bag only through
+        that multiset. Where ``shared``'s bag, the graph's edges, has sorted
+        sources and S's rows there hold fewer edges than the rest (never
+        when S is V), the bag is those rows' E(S, T), and the rest is read
+        but not filtered; otherwise it is drained into ``seen``.
+        """
+        bag = None
         if stream.remaining and self.s_count and self.t_count:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
-            self.seen.add(*_inside(rs, rd, self.s_mask, self.t_mask))
-        self._local_peel(*self.seen.arrays())
+            if self.shared is not None and self.s_count < self.n:
+                bag = self.shared.inside(self.n, m, self.s_mask, self.t_mask, rs.size)
+            if bag is None:
+                self.seen.add(*_inside(rs, rd, self.s_mask, self.t_mask))
+        self._local_peel(*(self.seen.arrays() if bag is None else bag))
 
 
 def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=None,
@@ -573,7 +590,9 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
     ``params.epsilon`` that covers ``c``, supplies the finishing peel's
     steps when it starts from (V, V): then no sampled step happened and the
     bag holds the whole stream, so the steps are guess c's in the walk
-    every such cell of a sweep reads. The stream is still read in full, and
+    every such cell of a sweep reads. Away from (V, V) it may supply the
+    finishing peel's bag instead, E(S, T) from its by-source rows (see
+    ``SinglePassEngine._finish``). The stream is still read in full, and
     the result is the peel's own.
     """
     if n != stream.n:

@@ -699,3 +699,88 @@ class TestExactOracle:
         _, fast_rho = exact_oracle(g)
         _, slow_rho = naive_best_pair(g)
         assert fast_rho == pytest.approx(slow_rho, abs=1e-12)
+
+
+@st.composite
+def sorted_or_not_bags(draw):
+    """A ``whole_bag_instances`` instance whose graph's edges are put in
+    order of source, or in a drawn order that may leave them unsorted."""
+    g, cs, pair = draw(whole_bag_instances())
+    if draw(st.booleans()):
+        order = np.argsort(g.src, kind="stable")
+    else:
+        order = np.array(draw(st.permutations(range(g.m))), dtype=np.int64)
+    return DirectedGraph.from_arrays(g.n, g.src[order], g.dst[order]), cs, pair
+
+
+class TestBySourceRows:
+    @given(sorted_or_not_bags())
+    @settings(max_examples=200, deadline=None)
+    def test_out_degrees_from_the_offsets_equal_the_bincount(self, instance):
+        """A walk's out-degrees are the by-source offsets' differences when
+        the bag's sources never decrease, and a bincount otherwise: equal
+        int64 arrays either way, and the in-degrees are a bincount."""
+        g, cs, _ = instance
+        shared = SharedPeel(g.src, g.dst, g.n, cs, 0.2)
+        next(shared.steps(cs[0], g.n, g.m, 0.2), None)
+        unsorted = bool(np.any(np.diff(g.src) < 0))
+        assert (shared._offsets is None) == unsorted
+        forms = [shared._degrees[0]]
+        if not unsorted:
+            forms.append(np.diff(np.searchsorted(g.src, np.arange(g.n + 1))))
+        for out in forms:
+            assert out.dtype == np.int64
+            assert np.array_equal(out, np.bincount(g.src, minlength=g.n))
+        assert shared._degrees[1].dtype == np.int64
+        assert np.array_equal(shared._degrees[1], np.bincount(g.dst, minlength=g.n))
+
+    @given(sorted_or_not_bags())
+    @settings(max_examples=300, deadline=None)
+    def test_inside_reads_the_pair_from_the_rows_of_s(self, instance):
+        """Below the limit, a bag with sorted sources hands out ``_inside``
+        of itself, edge for edge; at or above it, or with unsorted sources,
+        nothing."""
+        g, cs, (s_mask, t_mask) = instance
+        shared = SharedPeel(g.src, g.dst, g.n, cs, 0.2)
+        rows = int(np.count_nonzero(s_mask[g.src]))
+        assert shared.inside(g.n, g.m, s_mask, t_mask, rows) is None
+        got = shared.inside(g.n, g.m, s_mask, t_mask, rows + 1)
+        if np.any(np.diff(g.src) < 0):
+            assert got is None
+        else:
+            want = _inside(g.src, g.dst, s_mask, t_mask)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    def test_threads_check_the_bag_once(self, monkeypatch):
+        """More threads than cores ask for rows and for walks of one fresh
+        peel at once: the bag's sources are checked and its offsets built
+        once, and every thread reads ``_inside`` of the bag."""
+        g = gen_pref_attach(20_000, 10, 2)
+        grid = build_grid(g.n, 2)
+        ids = np.arange(g.n)
+        pairs = [(ids % (k + 2) == 0, ids % 3 != k % 3) for k in range(8)]
+        searchsorted, searches = np.searchsorted, []
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: searches.append(1) or searchsorted(*args, **kw))
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        results = {}
+
+        def ask(i):
+            if i % 2:
+                next(shared.steps(grid[i], g.n, g.m, 0.2))
+            results[i] = shared.inside(g.n, g.m, *pairs[i], g.m)
+
+        run_threads(ask)
+        assert len(searches) == 1 and len(results) == 8
+        for i, got in results.items():
+            want = _inside(g.src, g.dst, *pairs[i])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n,m", [(13, 49), (12, 48)])
+    def test_inside_rejects_another_bag(self, n, m):
+        g = gnp_directed(12, 0.4, seed=1)
+        assert (g.n, g.m) == (12, 49)
+        shared = SharedPeel(g.src, g.dst, g.n, (Fraction(1),), 0.2)
+        half = np.arange(n) % 2 == 0
+        with pytest.raises(ValueError, match="not one of"):
+            shared.inside(n, m, half, half, m + 1)
