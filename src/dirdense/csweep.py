@@ -5,42 +5,31 @@ delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
 edge stream once, before the first cell, and every cell reads its own replay
 of those shared read-only arrays; an MPC sweep likewise orders its edge pool
 once, in the shuffled stream's order, and every cell draws from its own cursor
-over those arrays. A single-pass or mpc-super sweep skips the order when
-``SinglePassEngine.order_blind`` holds: every cell's first step at (V, V)
-then keeps every edge and ends in the exact peel, so no cell can observe
-the order, and the stream or pool is g's own arrays. Multi-pass and
-mpc-near sweeps always order, as their first read depends on the order.
-Sampling randomness is split per grid cell, so per-c results are
-seed-deterministic regardless of scheduling.
+over those arrays. A single-pass or mpc-super sweep whose cells cannot
+observe the order reads g's own arrays instead (the order-blind skip, see
+the ``streaming`` module docstring). Multi-pass and mpc-near sweeps always
+order, as their first read depends on the order. Sampling randomness is
+split per grid cell, so per-c results are seed-deterministic regardless of
+scheduling.
 
 Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
 
-A peel step depends on c only through the side it peels, so cells whose
-guesses make the same side choices share their peel steps. Every sweep but
-a multi-pass one hands every cell one ``SharedPeel`` over the graph's
-edges: from each start pair a cell peels the whole graph from, one walk
-of every guess's exact peel, which walks each step once and which each
-cell reads only as far as it needs. A baseline cell, and a single-pass or
-mpc-super cell that did not sample, peels exactly from (V, V) and reads
-its guess's steps to the end, so the first such cell drains the (V, V)
-walk; a cell that sampled never reads it. Every flip-peel of an mpc-near
-cell reads only its guess's first run from the phase's start pair, so an
-mpc-near sweep reads the first runs of one walk per distinct start pair,
-(V, V) included. The walks live until the sweep returns. A compacting
-walk reads the graph's own arrays and their degrees, counted once per
-sweep, and copies no edge before a reader walks past its start pair's
-runs (``peeling._exact_bag_peels`` states the bag contract). A
-single-pass or MPC cell that finishes away from (V, V) may also read its
-finishing peel's bag, E(S, T), from the rows of S in the graph's
-by-source order (``SharedPeel.inside``), when g's sources never decrease
-and those rows are fewer than the stream's unread edges; it still reads
-the whole stream (see ``SinglePassEngine._finish``). A cell's
-``wall_ms`` therefore holds the shared work it was the first to do: in
-an exact sweep the first cell drains the walk, and an mpc-near cell pays
-for the steps it is the first to need. With one worker the rows'
-``wall_ms`` add up to the sweep's runner time, and with more, a cell
-waiting for shared work also counts its wait.
+Who reads the shared walk, and how far. A peel step depends on c only
+through the side it peels, so cells whose guesses make the same side
+choices share their peel steps. Every sweep but a multi-pass one hands
+every cell one ``SharedPeel`` over the graph's edges (a runner called on
+its own builds a one-guess one): from each start pair a cell peels the
+whole graph from, one walk of every guess's exact peel, which walks each
+step once. A baseline cell, and a single-pass or mpc-super cell that did
+not sample, reads its guess's steps from (V, V) to the end, so the first
+such cell drains the (V, V) walk; a cell that sampled never reads it.
+Every flip-peel of an mpc-near cell reads only its guess's first run from
+the phase's start pair, which copies no edge (``peeling._exact_bag_peels``
+states the bag contract). A cell that finishes away from (V, V) may read
+its bag from the graph's by-source rows (``SharedPeel.inside``). The walks
+live until the sweep returns. A cell's ``wall_ms`` holds the shared work
+it was the first to do and, with several workers, its waits for it.
 """
 
 from __future__ import annotations
@@ -102,9 +91,8 @@ def build_grid(n: int, delta: float) -> tuple[Fraction, ...]:
 
 @dataclass
 class SweepRow:
-    """One cell's result. ``wall_ms`` is its runner call's time, which
-    includes the sweep's shared peel steps that the cell was the first to
-    need (see the module docstring)."""
+    """One cell's result. ``wall_ms`` is its runner call's time (see the
+    module docstring)."""
 
     c: Fraction
     pair: VertexSetPair | None
@@ -161,9 +149,8 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     runners as given, so None means the runner's default. The MPC runners
     need uniform samples, so their pool is in the shuffled order, and
     ``stream_order`` orders only the streaming runners' stream; it is
-    checked for every runner. Where no cell can observe the order (see the
-    module docstring), a single-pass or mpc-super sweep reads g's edges in
-    their given order instead, and its rows are those of any order.
+    checked for every runner, and ignored where the order-blind skip holds
+    (see the module docstring).
     """
     if algo not in RUNNERS:
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")

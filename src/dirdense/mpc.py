@@ -23,16 +23,13 @@ copies no edge. Its count after a near-linear flip-peel reads only the
 cursor's prefix: the flip-peel's last step counts |E_g(S, T)|, and as the
 order is a permutation of g's edges, the pool holds that many less the
 prefix's edges inside the pair. A sweep orders the pool once, with its
-"stream" seed, and every cell reads that shared read-only order, as the
-sweep's one stream is for the streaming runners; a runner called on its
-own permutes the edges itself. An mpc-super sweep whose cells all end
-their first step at (V, V) in the exact peel skips the order: those cells
-keep every edge before they peel, so the pool is g's own arrays. Head
+"stream" seed, and every cell reads that shared read-only order, or g's
+own arrays where the order-blind skip holds (see the ``streaming`` module
+docstring); a runner called on its own permutes the edges itself. Head
 draws at (V, V) are adjacent views, which the stream joins as views, so
-there the coordinator's bag is the pool itself, g's arrays included. The
-sweep's ``SharedPeel`` walks the exact peel from each start pair once for
-every near-linear flip-peel that starts there. Rounds stay charged per
-cell.
+there the coordinator's bag is the pool itself. Every exact peel of g's
+edges reads the run's ``SharedPeel`` (who reads it, and how far: the
+``csweep`` module docstring); rounds stay charged per cell.
 """
 
 from __future__ import annotations
@@ -203,18 +200,14 @@ class _PhaseController:
 
         One charged tally supplies every degree needed: while only one side
         shrinks, the other side's cross-degrees stay valid, so the first run
-        of the engine's exact peel of the graph's edges needs no new data.
-        The run stops before the kernel would compact the bag. With the
-        sweep's shared peel it reads only the first runs of the walk from
-        the phase's start pair, which every cell that flip-peels from that
-        pair reads and which copy no edge (see ``peeling._exact_bag_peels``);
-        the tally is still charged to each. Each step's density is exact.
+        of guess c's exact peel of g's edges from the pair, read from the
+        engine's ``shared`` walk, needs no new data; its densities are exact.
         """
         g, engine = self.g, self.engine
         self.ledger.rounds += 1
-        peels = 0
-        for step in engine.peels(g.src, g.dst, filtered=False):
-            peels += 1
+        steps = engine.shared.steps(engine.c, g.n, g.m, engine.params.epsilon,
+                                    (engine.s_mask, engine.t_mask))
+        for peels, step in enumerate(steps, 1):
             if not (step.s_count and step.t_count):
                 break
             engine.offer_best(step.s_mask, step.t_mask,
@@ -240,6 +233,8 @@ def _mpc_run(g, c, params, cfg, rng, pool, shared):
         # the batch size of the engine and the draw size of each phase
         xi = params.xi
         batch_fn = lambda s_count, t_count: (s_count + t_count) * xi  # noqa: E731
+    # the engine cannot build the peel over a source-fed stream
+    shared = shared or SharedPeel(g.src, g.dst, g.n, (c,), params.epsilon)
     engine = SinglePassEngine(g.n, c, params, engine_rng, batch_size_fn=batch_fn, shared=shared)
     controller = _PhaseController(g, cfg, engine, pool, ledger)
     engine.run(EdgeStream(g.n, _EMPTY, _EMPTY, source=controller))
@@ -256,23 +251,13 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
     and the engine finishes locally. ``pool`` is g's edges as (src, dst)
-    arrays in uniform order, which the run only reads and draws from the
-    head of (see the module docstring); None permutes them here with a
-    seed drawn from ``rng``. A run whose first step at (V, V) ends in the
-    exact peel (``SinglePassEngine.order_blind``) returns the same for any
-    order. The reported density is exact: the engine's own count when an
-    exact peel gave its best, else a recount on the input graph.
-    ``params`` holds the slack epsilon and the threshold xi; None for ``cfg``
-    means mu = ``SUPERLINEAR_MU``.
-    ``shared``, a ``SharedPeel`` over g's edges (in any order) with
-    ``params.epsilon`` that covers ``c``, supplies the coordinator's
-    finishing peel's steps when it starts from (V, V): then no sampled step
-    happened, no filter removed an edge, and the bag holds every edge of
-    g, so the steps are guess c's in the walk every such cell of a sweep
-    reads; away from (V, V) it may supply that peel's bag, E(S, T) from
-    its by-source rows (see ``SinglePassEngine._finish``). The pool is
-    still drained in full and every round charged; the result and the
-    ledger are the run's own.
+    arrays in uniform order (see the module docstring); None permutes them
+    here with a seed drawn from ``rng``. The reported density is exact: the
+    engine's own count when an exact peel gave its best, else a recount on
+    g. None for ``cfg`` means mu = ``SUPERLINEAR_MU``. ``shared`` is a
+    ``SharedPeel`` over g's edges, in any order, with ``params.epsilon``,
+    that covers ``c``; None builds a one-guess one. Every round is still
+    charged; the result and the ledger are the run's own.
     """
     cfg = cfg or MpcConfig("superlinear", mu=SUPERLINEAR_MU)
     if cfg.regime != "superlinear":
@@ -288,14 +273,8 @@ def mpc_nearlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfig
     cross-degrees and peels the over-ratio side until the ratio test flips
     (no fresh data needed while only one side shrinks), and fetched samples
     scale with (|S| + |T|) * xi instead of the full machine budget. ``pool``
-    is read as in ``mpc_superlinear_run``, and each flip-peel's count makes
-    the pool's. ``shared``, a ``SharedPeel`` as there, supplies every flip-peel
-    instead: a flip-peel's steps are guess c's first run in the walk from
-    its start pair over g's edges, in any order, and every cell of a sweep
-    reads only that far into each walk, which copies no edge there (see
-    ``peeling._exact_bag_peels``). The finishing peel, which never starts
-    from (V, V), runs on its own, and may read its bag from ``shared`` as
-    there; every round is still charged.
+    and ``shared`` are read as in ``mpc_superlinear_run``, and each
+    flip-peel's count makes the pool's.
     """
     cfg = cfg or MpcConfig("nearlinear")
     if cfg.regime != "nearlinear":

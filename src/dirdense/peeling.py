@@ -243,24 +243,22 @@ class SharedPeel:
     each start pair a reader asks for, one ``_exact_bag_peels`` walk over
     all of the guesses, read lazily.
 
-    ``steps`` hands out one guess's steps from a start pair in order. A
-    walk advances only when a reader needs a step not walked yet, and every
-    step it yields is kept, so each is walked once: a reader that drains its
-    guess's steps drains the walk's share of it, and one that stops early,
-    as a flip-peel after its first run does, leaves the rest unwalked.
-    (V, V) is one start pair like any other, keyed without reading its
-    masks' bytes. Every walk but a rescanning one reads the bag itself with
-    its degrees, counted once when the first walk is made, so it copies no
-    edge until a reader walks past its start pair's runs (see the bag
-    contract of ``_exact_bag_peels``). ``inside`` hands out E(S, T) from
-    the rows of S's members when the bag's sources never decrease: one
-    check of the bag, made when first needed, keeps its by-source offsets,
-    which also give the walks' out-degrees. Every walk, with its steps, is
-    kept as long as the object is: a sweep drops it when it returns. Guesses
-    that are not positive rationals are left out, so each of their cells
-    still fails on its own; order and repeats do not matter. ``rescan``
-    walks as ``baseline_peel`` peels, with one pass over the whole bag per
-    pair.
+    ``steps`` hands out one guess's steps from a start pair in order (who
+    reads them, and how far: the ``csweep`` module docstring). A walk
+    advances only when a reader needs a step not walked yet, and every step
+    it yields is kept, so each is walked once, and a reader that stops
+    early leaves the rest unwalked. (V, V) is one start pair like any
+    other, keyed without reading its masks' bytes. Every walk but a
+    rescanning one reads the bag itself with its degrees, counted once when
+    the first walk is made (see the bag contract of ``_exact_bag_peels``).
+    ``inside`` hands out E(S, T) from the rows of S's members when the
+    bag's sources never decrease: one check of the bag, made when first
+    needed, keeps its by-source offsets, which also give the walks'
+    out-degrees. Every walk, with its steps, is kept as long as the object
+    is. Guesses that are not positive rationals are left out, so each of
+    their cells still fails on its own; order and repeats do not matter.
+    ``rescan`` walks as ``baseline_peel`` peels, with one pass over the
+    whole bag per pair.
     Threads may share the object: walks advance under one lock. A walk that
     raises keeps the exception, and every reader from its start pair that
     needs a step past the last one walked raises it too, so no peel ends
@@ -372,11 +370,9 @@ def baseline_peel(g: DirectedGraph, c, epsilon: float, *, shared: SharedPeel | N
 
     Restricted degrees are recomputed from the whole edge set on every
     iteration, matching a pass-per-iteration streaming execution: nothing is
-    cached or compacted between iterations. The steps come from ``shared``,
-    a rescanning ``SharedPeel`` over g's edges that covers ``c``, or else
-    from a one-guess one built here: in a sweep's shared walk each pair's
-    pass is made once for all guesses at it, and the result and iteration
-    count are those of the peel alone.
+    cached or compacted between iterations. ``shared`` is a rescanning
+    ``SharedPeel`` over g's edges that covers ``c``; None builds a
+    one-guess one. The result and iteration count are the peel's own.
     """
     c = _ratio_guess(c)
     if not 0.0 < epsilon < 1.0:

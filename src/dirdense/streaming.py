@@ -7,11 +7,23 @@ the single-pass engine its machine-sized samples. The multi-pass runner
 resets and rescans a static stream once per sampling step and once per
 exact recount. The single-pass engine reads every edge at most once and
 keeps only a bounded working set: the retained cross edges of the current
-pair, thinned samples of them, and one batch in flight. When the stream
-dries up, or the rest of it fits the sample budget, the engine reads the
-rest and finishes with one exact peel of the pair's cross edges: the
-retained ones and the rest's, or the same edges read from the graph's
-by-source rows (see ``SinglePassEngine._finish``).
+pair, thinned samples of them, and one batch in flight.
+
+The finish invariant. When the stream dries up, or the rest of it fits the
+sample budget, the engine reads the rest and peels E(S, T) exactly from
+its current pair. The stream hands out a graph's m edges in some order,
+less only edges outside the pair (an MPC pool skips such edges), and every
+edge read so far inside the pair is in ``seen``. So ``seen`` and the
+rest's edges inside the pair hold E(S, T) as a multiset, and a peel
+depends on its bag only through that multiset: at (V, V) the steps are
+guess c's in the run's ``SharedPeel`` walk, and elsewhere the bag may be
+read from the rows of S (``SharedPeel.inside``).
+
+The order-blind skip. At (V, V) every edge read is a cross edge, so n, m,
+xi, epsilon and the batch size alone decide whether a run's first step
+ends in the exact finishing peel (``SinglePassEngine.order_blind``). Then
+every edge is kept before the peel, nothing the run returns depends on
+the order, and a sweep of such cells reads g's edges as given.
 
 Nothing here writes an edge array or a vertex mask in place: streams hand
 out views of their buffers, the retained set and every sample are new
@@ -410,15 +422,12 @@ class SinglePassEngine:
 
     The stream may be source-fed (the phased simulator's machine-sized
     loads); ``run`` peels on samples while the cross edges outnumber the
-    sample budget, then reads the rest of the stream and finishes with an
-    exact compacted peel of E(S, T). The running best is ranked by
-    sampled-density estimates during streaming and by exact in-buffer
-    densities at the finish; ``best_exact`` says whether ``best_value`` is
-    an exact density, as the finishing peel's and a near-linear phase's
-    flip-peel steps are, or a sampled estimate. ``peels`` is the one source
-    of exact peel steps: when the bag is every edge, at (V, V) or in a
-    flip-peel, it reads them from ``shared``, the sweep's walks, when there
-    are some.
+    sample budget, then finishes with an exact peel (see the module
+    docstring). ``best_exact`` says whether ``best_value`` is an exact
+    density, as the finishing peel's and a flip-peel's are, or a sampled
+    estimate. ``shared`` is the ``SharedPeel`` over the graph's edges that
+    every exact peel of the whole graph reads; ``run`` builds a one-guess
+    one over a static stream's unread edges when there is none.
     """
 
     def __init__(self, n, c, params: SampleParams, rng, batch_size_fn=None,
@@ -456,22 +465,6 @@ class SinglePassEngine:
     def best_pair(self) -> VertexSetPair:
         return VertexSetPair(self.best_s, self.best_t)
 
-    def peels(self, src, dst, *, filtered=True):
-        """Guess c's exact peel steps from the current pair over the edge bag
-        (``src``, ``dst``), which holds every edge of E(S, T); with
-        ``filtered`` it holds no other, else the kernel peels ``_inside``
-        of it. The steps depend on the bag only through E(S, T), so with a
-        ``shared`` walk they are its walk's from the pair wherever the bag
-        has every edge: at (V, V), and for an unfiltered bag such as a
-        flip-peel's, which is the graph's edges."""
-        eps = self.params.epsilon
-        if self.shared is not None and (not filtered or self.s_count == self.t_count == self.n):
-            return self.shared.steps(self.c, self.n, int(src.size), eps,
-                                     (self.s_mask, self.t_mask))
-        if not filtered:
-            src, dst = _inside(src, dst, self.s_mask, self.t_mask)
-        return _exact_bag_peels(src, dst, self.n, (self.c,), eps, self.s_mask, self.t_mask)
-
     @property
     def peak_edges(self) -> int:
         return self.seen.peak_size
@@ -496,11 +489,9 @@ class SinglePassEngine:
 
     def order_blind(self, m: int) -> bool:
         """Whether ``run``, from (V, V) over a stream of ``m`` edges, ends
-        its first step in the exact finishing peel. Then every edge is kept
-        before the peel, so nothing the run returns, its peak included,
-        depends on the stream's order. Only n, m, xi, epsilon and the batch
-        size decide it: at (V, V) every edge read is a cross edge. Asked
-        of a fresh engine."""
+        its first step in the exact finishing peel, so that nothing it
+        returns depends on the order (see the module docstring). Asked of
+        a fresh engine."""
         batch = self._batch()
         read = min(batch, m)
         return self._step_rate(batch, read, read, m - read)[0] is None
@@ -508,6 +499,9 @@ class SinglePassEngine:
     def run(self, stream):
         eps = self.params.epsilon
         m = stream.remaining  # the edges of the graph the stream orders
+        lo = stream._cursor  # a static stream's unread edges are those edges
+        self.shared = self.shared or SharedPeel(stream._src[lo:], stream._dst[lo:], self.n,
+                                                (self.c,), eps)
         while stream.remaining and self.s_count and self.t_count:
             batch = self._batch()
             bs, bd = stream.take(batch)
@@ -539,40 +533,29 @@ class SinglePassEngine:
         self._finish(stream, m)
 
     def _local_peel(self, edge_src, edge_dst):
-        """Exact peel of the in-memory cross-edge bag, E(S, T).
-
-        Continues from the current pair, so the finishing peel is the
-        full-information continuation of the streamed one. The bag is
-        E(S, T), as the kernel takes it without degrees (``_finish`` says
-        why), so its size is the pair's cross count. At (V, V) no sampled
-        step happened and the bag holds every edge of the stream: for
-        single-pass the graph's edges, and for a phased run the whole pool,
-        which no filter at (V, V) shrinks.
-        """
+        """Exact peel of E(S, T), the bag (``edge_src``, ``edge_dst``), from
+        the current pair, continuing the streamed peel; at (V, V) its steps
+        are guess c's in ``shared``'s walk."""
         if edge_src.size == 0:
             return
-        steps = self.peels(edge_src, edge_dst)
-        self.offer_best(*_peel_best(steps, self.s_mask, self.t_mask, edge_src.size), exact=True)
+        eps, start = self.params.epsilon, (self.s_mask, self.t_mask)
+        if self.s_count == self.t_count == self.n:
+            steps = self.shared.steps(self.c, self.n, int(edge_src.size), eps, start)
+        else:
+            steps = _exact_bag_peels(edge_src, edge_dst, self.n, (self.c,), eps, *start)
+        self.offer_best(*_peel_best(steps, *start, edge_src.size), exact=True)
 
     def _finish(self, stream, m):
-        """Read the rest of the stream and peel E(S, T) exactly; a pair
-        with an empty side has no cross edge left, so then nothing is read.
-
-        The invariant: the stream hands out a graph's ``m`` edges in some
-        order, less only edges outside the pair (an MPC pool skips such
-        edges), and every edge read so far that lies inside the current
-        pair is in ``seen``. So ``seen`` and ``_inside`` of the rest hold
-        E(S, T) as a multiset, and the peel depends on its bag only through
-        that multiset. Where ``shared``'s bag, the graph's edges, has sorted
-        sources and S's rows there hold fewer edges than the rest (never
-        when S is V), the bag is those rows' E(S, T), and the rest is read
-        but not filtered; otherwise it is drained into ``seen``.
-        """
+        """Read the rest of the stream and peel E(S, T) exactly (see the
+        module docstring); a pair with an empty side has no cross edge
+        left, so then nothing is read. Where S is not V and ``shared``
+        hands out S's rows, they are the bag and the rest is read but not
+        filtered; otherwise the rest is drained into ``seen``."""
         bag = None
         if stream.remaining and self.s_count and self.t_count:
             rs, rd = stream.take_all()
             self.seen.note_extra(rs.size)
-            if self.shared is not None and self.s_count < self.n:
+            if self.s_count < self.n:
                 bag = self.shared.inside(self.n, m, self.s_mask, self.t_mask, rs.size)
             if bag is None:
                 self.seen.add(*_inside(rs, rd, self.s_mask, self.t_mask))
@@ -584,16 +567,11 @@ def single_pass_run(stream: EdgeStream, n: int, c, params: SampleParams, *, rng=
     """One-pass sampled peeling over a (preferably shuffled) stream.
 
     Returns (best pair, its density estimate, ledger): one round, and the
-    engine's ``peak_edges``. The estimate is exact whenever the final
-    in-buffer peel produced the best.
-    ``shared``, a ``SharedPeel`` over the stream's edges (in any order) with
-    ``params.epsilon`` that covers ``c``, supplies the finishing peel's
-    steps when it starts from (V, V): then no sampled step happened and the
-    bag holds the whole stream, so the steps are guess c's in the walk
-    every such cell of a sweep reads. Away from (V, V) it may supply the
-    finishing peel's bag instead, E(S, T) from its by-source rows (see
-    ``SinglePassEngine._finish``). The stream is still read in full, and
-    the result is the peel's own.
+    engine's ``peak_edges``. The estimate is exact whenever the finishing
+    peel produced the best. ``shared`` is a ``SharedPeel`` over the
+    stream's edges, in any order, with ``params.epsilon``, that covers
+    ``c``; None builds a one-guess one. The stream is still read in full,
+    and the result is the run's own.
     """
     if n != stream.n:
         raise ValueError(f"vertex count n={n} does not match the stream's n={stream.n}")

@@ -15,7 +15,7 @@ from dirdense.mpc import (
     mpc_nearlinear_run,
     mpc_superlinear_run,
 )
-from dirdense.peeling import RoundLedger, _inside, baseline_peel, exact_oracle
+from dirdense.peeling import RoundLedger, SharedPeel, _inside, baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
 from tests.support import gnp_directed, star_plus_triangle
@@ -387,7 +387,8 @@ class TestNearlinear:
         # whichever side the start pair has already shrunk
         def flip_peel(graph, s_mask, t_mask):
             engine = SinglePassEngine(graph.n, c, sample_params(graph.n, 0.2),
-                                      np.random.default_rng(0))
+                                      np.random.default_rng(0),
+                                      shared=SharedPeel(graph.src, graph.dst, graph.n, (c,), 0.2))
             engine.set_pair(s_mask, t_mask)
             controller = _PhaseController(graph, MpcConfig("nearlinear"), engine,
                                           (graph.src, graph.dst), RoundLedger())
@@ -402,6 +403,35 @@ class TestNearlinear:
             inside = s_mask[g.src] & t_mask[g.dst]
             sub = DirectedGraph.from_arrays(g.n, g.src[inside], g.dst[inside])
             assert flip_peel(g, s_mask, t_mask) == flip_peel(sub, s_mask, t_mask)
+
+    def test_standalone_flip_peels_copy_no_edge_of_the_graph(self, monkeypatch):
+        """A run given no shared peel builds its own over g, so its
+        flip-peels away from (V, V) read g's arrays with their degrees: no
+        edge filter is passed g's own arrays as its bag."""
+        import dirdense.peeling as peeling
+        import dirdense.streaming as streaming
+
+        g = gen_pref_attach(2000, 500, 0)
+        params = sample_params(g.n, 0.2, f=1 / 2000)
+        cfg = MpcConfig("nearlinear", polylog_budget=20)
+        filters, starts = [], []
+        inside, steps = peeling._inside, SharedPeel.steps
+
+        def record_filter(src, dst, s_mask, t_mask):
+            filters.append(np.shares_memory(src, g.src) or np.shares_memory(dst, g.dst))
+            return inside(src, dst, s_mask, t_mask)
+
+        def record_steps(peel, c, n, m, epsilon, start=None):
+            starts.append(start is not None and not (start[0].all() and start[1].all()))
+            return steps(peel, c, n, m, epsilon, start)
+
+        for module in (peeling, streaming):
+            monkeypatch.setattr(module, "_inside", record_filter)
+        monkeypatch.setattr(SharedPeel, "steps", record_steps)
+        for i, c in enumerate(build_grid(g.n, 2)[11::3]):
+            mpc_nearlinear_run(g, c, params, cfg, rng=np.random.default_rng(i))
+        assert filters and not any(filters)
+        assert starts.count(True) == 4  # each run flip-peels once away from (V, V)
 
 
 @pytest.mark.parametrize("algo", ["mpc-super", "mpc-near"])

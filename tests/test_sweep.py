@@ -634,7 +634,7 @@ class TestSharedPeel:
         orders, calls, flips = [], [], []
         shuffled_edges = sweep_mod._shuffled_edges
         intersect = RelevantEdgeSet.intersect_pair
-        peels = SinglePassEngine.peels
+        steps = SharedPeel.steps
 
         def record_order(*args):
             orders.append(shuffled_edges(*args))
@@ -647,14 +647,14 @@ class TestSharedPeel:
             [(src, dst)] = orders
             assert rel._src is src and rel._dst is dst
 
-        def record_flip(engine, src, dst, *, filtered=True):
-            if not (filtered or engine.s_mask.all() and engine.t_mask.all()):
-                flips.append((engine.s_mask.tobytes(), engine.t_mask.tobytes()))
-            return peels(engine, src, dst, filtered=filtered)
+        def record_flip(peel, c, n, m, epsilon, start=None):
+            if start is not None and not (start[0].all() and start[1].all()):
+                flips.append((start[0].tobytes(), start[1].tobytes()))
+            return steps(peel, c, n, m, epsilon, start)
 
         monkeypatch.setattr(sweep_mod, "_shuffled_edges", record_order)
         monkeypatch.setattr(RelevantEdgeSet, "intersect_pair", record_call)
-        monkeypatch.setattr(SinglePassEngine, "peels", record_flip)
+        monkeypatch.setattr(SharedPeel, "steps", record_flip)
         res = sweep("mpc-near", dense2k, build_grid(dense2k.n, 2), epsilon=0.2, f=1 / 2000,
                     seed=0, mpc_config=MpcConfig("nearlinear", polylog_budget=20),
                     workers=workers)

@@ -274,3 +274,25 @@ def test_every_bag_filter_is_inside():
              for scope in _membership_tests(tree, name.removesuffix(".py"))}
     assert found == {"graph._inside_mask"}, (
         f"membership tests outside graph._inside_mask: {sorted(found - {'graph._inside_mask'})}")
+
+
+def _calls_of(name, node, scope):
+    """The qualified name of the definition around each call of ``name``
+    under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_of(name, child, scope)
+
+
+def test_the_peel_kernel_has_four_callers():
+    """The kernel ``_exact_bag_peels`` is called once in each of four
+    places: a shared peel's walk, each multi-pass step's sample, each
+    sampled single-pass step's sample, and the finishing peel away from
+    (V, V). Every other exact peel reads a ``SharedPeel``."""
+    found = sorted(scope for name, tree in _package_trees().items()
+                   for scope in _calls_of("_exact_bag_peels", tree, name.removesuffix(".py")))
+    assert found == ["peeling.SharedPeel.steps", "streaming.SinglePassEngine._local_peel",
+                     "streaming.SinglePassEngine.run", "streaming.multi_pass_run"]
