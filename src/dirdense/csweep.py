@@ -3,14 +3,14 @@
 The optimal |S|/|T| is unknown, so runners are executed once per grid value
 delta^i / n from 1/n up to the first value >= n. A streaming sweep builds its
 edge stream once, before the first cell, and every cell reads its own replay
-of those shared read-only arrays; an MPC sweep likewise orders its edge pool
-once, in the shuffled stream's order, and every cell draws from its own cursor
-over those arrays. A single-pass or mpc-super sweep whose cells cannot
-observe the order reads g's own arrays instead (the order-blind skip, see
-the ``streaming`` module docstring). Multi-pass and mpc-near sweeps always
-order, as their first read depends on the order. Sampling randomness is
-split per grid cell, so per-c results are seed-deterministic regardless of
-scheduling.
+of those shared read-only arrays; an MPC sweep builds one uniform edge order
+from its stream seed, placed only as far as its cells read it, and every
+cell draws from its own cursor over it (see the ``mpc`` module docstring).
+A single-pass or mpc-super sweep whose cells cannot observe the order reads
+g's own arrays instead (the order-blind skip, see the ``streaming`` module
+docstring). Multi-pass and mpc-near sweeps always order, as their first
+read depends on the order. Sampling randomness is split per grid cell, so
+per-c results are seed-deterministic regardless of scheduling.
 
 Every runner returns (pair, density, ``RoundLedger``), and a row's
 ``peak_edges`` and ``passes_or_rounds`` are its ledger's.
@@ -44,10 +44,10 @@ from typing import Sequence
 import numpy as np
 
 from .graph import DirectedGraph, VertexSetPair
-from .mpc import MpcConfig, mpc_nearlinear_run, mpc_superlinear_run
+from .mpc import MpcConfig, _PoolOrder, mpc_nearlinear_run, mpc_superlinear_run
 from .peeling import SharedPeel, baseline_peel
-from .streaming import (STREAM_ORDERS, SinglePassEngine, _shuffled_edges, make_stream,
-                        multi_pass_run, sample_params, single_pass_run)
+from .streaming import (STREAM_ORDERS, SinglePassEngine, make_stream, multi_pass_run,
+                        sample_params, single_pass_run)
 
 __all__ = ["SweepResult", "SweepRow", "build_grid", "sweep"]
 
@@ -147,10 +147,10 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     Per-c failures become error rows; the sweep itself never aborts.
     ``SweepResult.best_row`` names the argmax. ``mpc_config`` goes to the MPC
     runners as given, so None means the runner's default. The MPC runners
-    need uniform samples, so their pool is in the shuffled order, and
-    ``stream_order`` orders only the streaming runners' stream; it is
-    checked for every runner, and ignored where the order-blind skip holds
-    (see the module docstring).
+    need uniform samples, so their pool is a uniform order drawn from the
+    stream seed, and ``stream_order`` orders only the streaming runners'
+    stream; it is checked for every runner, and ignored where the
+    order-blind skip holds (see the module docstring).
     """
     if algo not in RUNNERS:
         raise ValueError(f"unknown runner {algo!r}; expected one of {RUNNERS}")
@@ -169,7 +169,7 @@ def sweep(algo: str, g: DirectedGraph, grid: Sequence[Fraction], *, epsilon: flo
     if algo in ("multi-pass", "single-pass"):
         stream = make_stream(g, "given" if blind else stream_order, stream_seed)
     elif algo in ("mpc-super", "mpc-near"):
-        mpc_pool = (g.src, g.dst) if blind else _shuffled_edges(g, stream_seed)
+        mpc_pool = _PoolOrder(g.src, g.dst, None if blind else stream_seed)
     shared = None
     if algo != "multi-pass":
         shared = SharedPeel(g.src, g.dst, g.n, values, params.epsilon, rescan=algo == "baseline")

@@ -2,46 +2,41 @@
 
 A coordinator machine runs the single-pass engine; the rest of the cluster
 only stores the pool of still-relevant edges and serves machine-sized
-uniform samples of it. The engine reads those samples through the same
-``EdgeStream`` type the streaming runners use, fed in installments by the
-phase controller. The cost model is one round per global primitive
-(relevance filtering, uniform sampling, removal of a drawn batch, the exact
-degree tally used by the near-linear mode, and the final fetch) and nothing
-for coordinator-local work: round counts, not wall time, are the quantity
-under study.
+uniform samples of it, which the engine reads as installments of a
+source-fed ``EdgeStream``. One round is charged per global primitive
+(relevance filtering, uniform sampling, removal of a drawn batch, the
+near-linear mode's exact degree tally, and the final fetch) and nothing for
+coordinator-local work: round counts, not wall time, are under study.
 
-The pool starts as g's edges in one uniform order, and every phase narrows
-it to the edges inside the engine's current pair and draws its head.
-Nothing the engine has seen depends on the order of the edges not drawn
-yet, so that order stays uniform through every narrowing, and each head is
-a uniform sample in uniform order: within a run, the law of a fresh
-permutation per draw, at no permutation's cost. A pair only shrinks, so
-after any run of narrowings and draws the pool is exactly the edges after
-a cursor in that order that lie inside the current pair: a
-``RelevantEdgeSet`` is that cursor, the pair and the pool's size, and
-copies no edge. Its count after a near-linear flip-peel reads only the
-cursor's prefix: the flip-peel's last step counts |E_g(S, T)|, and as the
-order is a permutation of g's edges, the pool holds that many less the
-prefix's edges inside the pair. A sweep orders the pool once, with its
-"stream" seed, and every cell reads that shared read-only order, or g's
-own arrays where the order-blind skip holds (see the ``streaming`` module
-docstring); a runner called on its own permutes the edges itself. Head
-draws at (V, V) are adjacent views, which the stream joins as views, so
-there the coordinator's bag is the pool itself. Every exact peel of g's
-edges reads the run's ``SharedPeel`` (who reads it, and how far: the
-``csweep`` module docstring); rounds stay charged per cell.
+The uniform-order argument. The pool starts as g's edges in one uniform
+order, and each phase narrows it to the edges inside the engine's pair and
+draws its head. Nothing the engine has seen depends on the order of the
+edges not drawn yet, so each head is a uniform sample in uniform order: the
+law of a fresh permutation per draw. The order is placed lazily, and each
+extension is a uniform ordered sample, without replacement, of the edges
+not yet placed, so however far it is placed it is a prefix of a uniform
+permutation (``_PoolOrder``). A pair only shrinks, so the pool is the edges
+after a cursor in that order that lie inside the pair, as many as
+|E_g(S, T)|, a flip-peel's last count or a count of g's edges, less the
+read prefix's edges inside the pair. A sweep's cells share one order, or g's own arrays
+where the order-blind skip holds (see the ``streaming`` module docstring);
+a runner called on its own orders g's edges itself. Draws at (V, V) are
+adjacent views of the order, which the stream joins as views. Every exact
+peel of g's edges reads the run's ``SharedPeel`` (see the ``csweep``
+module docstring); rounds stay charged per cell.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import DirectedGraph, _count_inside, density
 from .peeling import RoundLedger, SharedPeel, _density, _ratio_prefers_sources
-from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine, _shuffled_edges
+from .streaming import _EMPTY, EdgeStream, SampleParams, SinglePassEngine
 
 __all__ = [
     "MpcConfig",
@@ -97,31 +92,142 @@ class PhaseRecord:
     flip_peels: int = 0
 
 
+# an order's first extension places this many slots, and each later one
+# as many as are placed already, plus this many
+_FIRST_CHUNK = 1 << 14
+# an extension that would pass this share of m places the whole rest
+_SHUFFLE_SHARE = 1 / 16
+
+
+class _PoolOrder:
+    """g's edges, ``src`` and ``dst``, in one order that pools read: with
+    no ``seed`` the given one, every slot placed, else a uniform one drawn
+    from ``seed`` and placed as readers need it (see the module docstring).
+
+    ``src`` and ``dst`` are then m-slot buffers, of which the first
+    ``placed`` are placed. Each extension places one chunk under the lock,
+    of a size that depends only on m and ``placed``, so the order is the
+    seed's whatever reads it, and in whatever order. A chunk keeps the
+    first appearance of each uniform draw from [0, m) that is not placed
+    yet, in draw order, up to its size. Once a chunk would end past
+    ``_SHUFFLE_SHARE`` of m, one shuffle of the edges not placed places the
+    whole rest: rejecting placed draws would cost about m ln m draws by the
+    end, and sorting a chunk's draws costs more a slot than the shuffle. A
+    slot is written once, before ``placed`` covers it.
+    """
+
+    def __init__(self, src, dst, seed=None):
+        self.m = int(src.size)
+        self.edges = src, dst
+        if seed is None:
+            self.src, self.dst, self.placed = src, dst, self.m
+            return
+        self.src, self.dst = np.empty_like(src), np.empty_like(dst)
+        self.placed = 0
+        self._taken = np.zeros(self.m, dtype=bool)  # which of g's edges are placed
+        self._rng = np.random.default_rng(seed)
+        self._lock = threading.Lock()
+
+    def after(self, lo):
+        """Read-only views of the placed slots from ``lo`` on, for ``lo`` < m;
+        if none is placed there, one extension places some first."""
+        if lo >= self.placed:
+            with self._lock:
+                if lo >= self.placed:
+                    self._extend()
+        hi = self.placed
+        views = self.src[lo:hi], self.dst[lo:hi]
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+    def _extend(self):
+        lo, m, taken = self.placed, self.m, self._taken
+        size = lo + _FIRST_CHUNK
+        if lo + size > m * _SHUFFLE_SHARE:
+            picked = np.flatnonzero(~taken)
+            self._rng.shuffle(picked)
+        else:
+            parts, need = [], size
+            while need:
+                draws = self._rng.integers(0, m, size=need + need // 4 + 64)
+                firsts = _first_appearances(draws)
+                fresh = firsts[~taken[firsts]][:need]
+                taken[fresh] = True
+                parts.append(fresh)
+                need -= fresh.size
+            picked = np.concatenate(parts)
+        hi = lo + picked.size
+        for edges, slots in zip(self.edges, (self.src, self.dst)):
+            np.take(edges, picked, out=slots[lo:hi], mode="clip")  # in range: unbuffered
+        self.placed = hi
+
+
+def _first_appearances(values):
+    """The distinct ``values``, each where it first appears, in that order."""
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    runs = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return values[np.sort(np.minimum.reduceat(by_value, runs))]
+
+
+class _OrderReader:
+    """One pool's installment source over its order (see ``EdgeStream``):
+    each fetch hands out the placed slots after those already handed."""
+
+    __slots__ = ("order", "handed")
+
+    def __init__(self, order):
+        self.order, self.handed = order, 0
+
+    @property
+    def size(self) -> int:
+        return self.order.m - self.handed
+
+    def fetch(self):
+        if self.handed == self.order.m:
+            return None
+        installment = self.order.after(self.handed)
+        self.handed += installment[0].size
+        return installment
+
+
 class RelevantEdgeSet:
-    """A run's pool (see the module docstring): a replay of the pool order,
-    read only, with the current pair and ``size``, the edges after the
-    replay's cursor that lie inside the pair."""
+    """A run's pool (see the module docstring): a cursor over an order of
+    g's edges, read only, with the current pair and ``size``, the edges
+    after the cursor that lie inside the pair. It reads (``src``, ``dst``),
+    every slot placed; ``over`` builds one that reads a ``_PoolOrder``."""
 
     def __init__(self, src, dst):
-        self._src, self._dst = src, dst
-        self._edges = EdgeStream(0, src, dst)  # no runner reads it, so no vertex count
+        self._read(_PoolOrder(src, dst))
+
+    @classmethod
+    def over(cls, order):
+        pool = cls.__new__(cls)
+        pool._read(order)
+        return pool
+
+    def _read(self, order):
+        self._order = order
+        # a source-fed stream is never reset, so it has read exactly its prefix;
+        # no runner reads it, so it needs no vertex count
+        self._edges = EdgeStream(0, _EMPTY, _EMPTY, source=_OrderReader(order))
         self._pair = None  # (S mask, T mask), None at (V, V)
-        self.size = int(src.size)
+        self.size = order.m
 
     def intersect_pair(self, s_mask, t_mask, cross=None):
         """Narrow the pool to (S, T), inside the current pair, and count it:
-        ``cross``, |E_g(S, T)| when known, less the read prefix's edges
-        inside the pair, else the unread rest's."""
+        |E_g(S, T)|, ``cross`` when known, less the read prefix's edges
+        inside the pair."""
         if s_mask.all() and t_mask.all():
             return  # (V, V) keeps every edge
         if self._pair is not None and self._pair[0] is s_mask and self._pair[1] is t_mask:
             return  # the same pair: masks are never written, so the count stands
         self._pair = s_mask, t_mask
-        read = self._edges.edges_read  # the replay is never reset: its prefix
+        order, read = self._order, self._edges.edges_read
         if cross is None:
-            self.size = _count_inside(self._src[read:], self._dst[read:], s_mask, t_mask)
-        else:
-            self.size = cross - _count_inside(self._src[:read], self._dst[:read], s_mask, t_mask)
+            cross = _count_inside(*order.edges, s_mask, t_mask)
+        self.size = cross - _count_inside(order.src[:read], order.dst[:read], s_mask, t_mask)
 
     def draw(self, k):
         """Remove and return the pool's head of k edges; at (V, V) they are
@@ -141,16 +247,16 @@ class _PhaseController:
     It is the installment source of the engine's stream: ``size`` is the
     pool not fetched yet, and every ``fetch`` runs one phase. The ratio
     guess, epsilon, xi and a near-linear phase's draw size, one engine
-    batch, are the engine's own; the regime is ``cfg``'s; ``pool`` is g's
-    edges in uniform order, as (src, dst).
+    batch, are the engine's own; the regime is ``cfg``'s; ``order`` is a
+    ``_PoolOrder`` of g's edges.
     """
 
-    def __init__(self, g, cfg, engine, pool, ledger):
+    def __init__(self, g, cfg, engine, order, ledger):
         self.g = g
         self.nearlinear = cfg.regime == "nearlinear"
         self.engine = engine
         self.ledger = ledger
-        self.rel = RelevantEdgeSet(*pool)
+        self.rel = RelevantEdgeSet.over(order)
         self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property
@@ -219,14 +325,16 @@ class _PhaseController:
 
 
 def _mpc_run(g, c, params, cfg, rng, pool, shared):
-    if pool is not None and not all(edges.size == g.m for edges in pool):
-        raise ValueError(f"pool must hold the graph's {g.m} edges")
+    if pool is not None and not isinstance(pool, _PoolOrder):
+        if not all(edges.size == g.m for edges in pool):
+            raise ValueError(f"pool must hold the graph's {g.m} edges")
+        pool = _PoolOrder(*pool)
     if rng is None:
         rng = np.random.default_rng(0)
     seeds = rng.integers(0, (1 << 63) - 1, size=2)
     engine_rng = np.random.default_rng(int(seeds[0]))
     if pool is None:
-        pool = _shuffled_edges(g, int(seeds[1]))
+        pool = _PoolOrder(g.src, g.dst, int(seeds[1]))
     ledger = RoundLedger()
     batch_fn = None
     if cfg.regime == "nearlinear":
@@ -250,11 +358,12 @@ def mpc_superlinear_run(g: DirectedGraph, c, params: SampleParams, cfg: MpcConfi
     Each phase narrows the relevant pool to the engine's current pair,
     draws a machine-load uniformly, and feeds it to the engine as the next
     stream installment; once the pool fits one machine it is fetched whole
-    and the engine finishes locally. ``pool`` is g's edges as (src, dst)
-    arrays in uniform order (see the module docstring); None permutes them
-    here with a seed drawn from ``rng``. The reported density is exact: the
-    engine's own count when an exact peel gave its best, else a recount on
-    g. None for ``cfg`` means mu = ``SUPERLINEAR_MU``. ``shared`` is a
+    and the engine finishes locally. ``pool`` is g's edges in uniform order
+    (see the module docstring): (src, dst) arrays, or a sweep's shared
+    ``_PoolOrder``; None orders them here, lazily, with a seed drawn from
+    ``rng``. The reported density is exact: the engine's own count when an
+    exact peel gave its best, else a recount on g. None for ``cfg`` means
+    mu = ``SUPERLINEAR_MU``. ``shared`` is a
     ``SharedPeel`` over g's edges, in any order, with ``params.epsilon``,
     that covers ``c``; None builds a one-guess one. Every round is still
     charged; the result and the ledger are the run's own.

@@ -64,6 +64,10 @@ def _ratio_prefers_sources(s_count: int, t_count: int, c: Fraction) -> bool:
 # below this share of kept entries, a gather by index beats a boolean mask
 _GATHER_SHARE = 15 / 16
 
+# a bag's sources are checked for order on this many first edges before
+# all of them; a shuffled bag decreases within a few
+_SORT_PROBE = 1024
+
 
 def _kept(keep, *arrays):
     """Each of ``arrays``' entries where ``keep`` holds, in order, as new
@@ -330,9 +334,13 @@ class SharedPeel:
     def _offsets(self):
         """The bag's by-source offsets, its edges from v at ``offsets[v]``
         up to ``offsets[v + 1]``, when its sources never decrease, else
-        None; read under the lock, so checked once."""
+        None; read under the lock, so checked once. A short head is checked
+        first, so a shuffled bag is declined without a pass over it."""
         src = self._bag[0]
-        return None if np.any(src[1:] < src[:-1]) else np.searchsorted(src, np.arange(self.n + 1))
+        for ends in (src[:_SORT_PROBE], src):
+            if np.any(ends[1:] < ends[:-1]):
+                return None
+        return np.searchsorted(src, np.arange(self.n + 1))
 
     def _read(self, walk, i):
         """Guess ``i``'s steps: the walked ones, then the walk's as it advances."""

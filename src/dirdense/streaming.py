@@ -25,12 +25,14 @@ ends in the exact finishing peel (``SinglePassEngine.order_blind``). Then
 every edge is kept before the peel, nothing the run returns depends on
 the order, and a sweep of such cells reads g's edges as given.
 
-Nothing here writes an edge array or a vertex mask in place: streams hand
-out views of their buffers, the retained set and every sample are new
-arrays or such views, and each peel builds new masks. So an array, once
-handed out, may be kept or shared without a copy. Joining two views that
-lie end to end in one buffer, as an installment after the unread edges or
-new edges after the retained ones may, gives a view of that buffer again.
+Nothing here writes a vertex mask in place, or an edge array once it is
+handed out: streams hand out views of their buffers, the retained set and
+every sample are new arrays or such views, and each peel builds new masks;
+an MPC pool order writes each slot of its buffers once, before any reader
+is handed it. So an array, once handed out, may be kept or shared without
+a copy. Joining two views that lie end to end in one buffer, as an
+installment after the unread edges or new edges after the retained ones
+may, gives a view of that buffer again.
 
 Each sampled step of the engine runs the three public estimators, the same
 functions the tests check: ``estimate_cross_edges`` scales a batch's cross
@@ -242,7 +244,7 @@ def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
 
 def _shuffled_edges(g, seed: int):
     """g's edges in the seed's uniform order, as read-only (src, dst) arrays:
-    the order of ``make_stream(g, "shuffled", seed)`` and of an MPC pool.
+    the order of ``make_stream(g, "shuffled", seed)``.
 
     Each edge is packed into one int64, ``src << 32 | dst``, and shuffled in
     place. ``Generator.permutation(m)`` is ``shuffle(arange(m))`` and the

@@ -128,6 +128,13 @@ def multigraphs_with_ratio(draw):
     return g, c
 
 
+def placed_in_full(order):
+    """Place the rest of an MPC pool order; returns its slots as (src, dst)."""
+    while order.placed < order.m:
+        order.after(order.placed)
+    return order.src, order.dst
+
+
 def relabeled(g: DirectedGraph, perm) -> DirectedGraph:
     """Copy of g with vertex v renamed to perm[v]."""
     perm = np.asarray(perm, dtype=np.int64)

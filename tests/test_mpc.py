@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from dirdense.mpc import (
     MpcConfig,
     RelevantEdgeSet,
     _PhaseController,
+    _PoolOrder,
     mpc_nearlinear_run,
     mpc_superlinear_run,
 )
 from dirdense.peeling import RoundLedger, SharedPeel, _inside, baseline_peel, exact_oracle
 from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import build_grid, sweep
-from tests.support import gnp_directed, star_plus_triangle
+from tests.support import gnp_directed, placed_in_full, star_plus_triangle
 
 
 class TestMpcConfig:
@@ -82,10 +85,11 @@ def _codes(g, src, dst):
 
 
 def _unread(pool):
-    """The edges of a pool's order after its cursor: its replay is never
-    reset, so it has read exactly its prefix."""
-    read = pool._edges.edges_read
-    return pool._src[read:], pool._dst[read:]
+    """The edges of a pool's order after its cursor, for an order placed in
+    full: its stream is never reset, so it has read exactly its prefix."""
+    read, order = pool._edges.edges_read, pool._order
+    assert order.placed == order.m
+    return order.src[read:], order.dst[read:]
 
 
 class TestRelevantEdgeSet:
@@ -185,41 +189,81 @@ class TestRelevantEdgeSet:
         chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
         assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
 
+    def test_lazily_placed_prefixes_have_the_uniform_law(self, monkeypatch):
+        # with a first chunk of one slot and the switch at a quarter of m, a
+        # 6-edge order places its first slot by a first appearance and the
+        # other five by the shuffle of the rest; two draws read the first
+        # three slots, each ordered triple of distinct edges equally
+        # likely: 120 cells
+        import dirdense.mpc as mpc
+
+        monkeypatch.setattr(mpc, "_FIRST_CHUNK", 1)
+        monkeypatch.setattr(mpc, "_SHUFFLE_SHARE", 1 / 4)
+        g = DirectedGraph(12, [(i, 6 + i) for i in range(6)])
+        trials = 6000
+        counts = {}
+        for seed in range(trials):
+            order = _PoolOrder(g.src, g.dst, seed)
+            pool = RelevantEdgeSet.over(order)
+            (first,), _ = pool.draw(1)
+            assert order.placed == 1  # the first-appearance path
+            (a, b), _ = pool.draw(2)
+            assert order.placed == g.m  # the switch
+            key = (int(first), int(a), int(b))
+            counts[key] = counts.get(key, 0) + 1
+        assert all(len(set(key)) == 3 for key in counts)
+        expected = trials / 120
+        chi2 = sum((counts.get(key, 0) - expected) ** 2 / expected
+                   for key in itertools.permutations(range(6), 3))
+        assert chi2 < 172.42, chi2  # chi-square quantile 0.999 at 119 degrees of freedom
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_size_is_the_unread_rest_inside_the_pair(self, data):
         """After every narrowing, counted from the flip-peel's cross count,
-        from the unread rest or kept for an unchanged pair, ``size`` is the
+        from g's edges or kept for an unchanged pair, ``size`` is the
         unread rest's edges inside the pair, and draws take the pool's head
-        as filtering copies would."""
+        as filtering copies would, whether the order is placed in full or
+        lazily, from a first chunk of one slot and with the switch at a
+        quarter of m."""
+        import dirdense.mpc as mpc
+
         n = data.draw(st.integers(1, 8), label="n")
         vertex = st.integers(0, n - 1)
         edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60), label="edges")
         g = DirectedGraph(n, edges)
-        src, dst = _shuffled_edges(g, data.draw(st.integers(0, 2**32), label="order"))
-        pool = RelevantEdgeSet(src, dst)
-        model = list(zip(src.tolist(), dst.tolist()))  # the pool as a filtered copy
-        s_mask = t_mask = np.ones(n, dtype=bool)
-        side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-        for _ in range(data.draw(st.integers(1, 5), label="phases")):
-            k = data.draw(st.integers(0, 6), label="draw")
-            got = pool.draw(k)
-            assert list(zip(got[0].tolist(), got[1].tolist())) == model[:k]
-            model = model[k:]
-            # a side that does not shrink keeps its mask, as a peel step leaves it
-            if data.draw(st.booleans(), label="S shrinks"):
-                s_mask = s_mask & data.draw(side, label="S keeps")
-            if data.draw(st.booleans(), label="T shrinks"):
-                t_mask = t_mask & data.draw(side, label="T keeps")
-            cross = None
-            if data.draw(st.booleans(), label="after a flip-peel"):
-                cross = _inside(g.src, g.dst, s_mask, t_mask)[0].size
-            pool.intersect_pair(s_mask, t_mask, cross)
-            assert pool.size == _inside(*_unread(pool), s_mask, t_mask)[0].size
-            model = [(u, v) for u, v in model if s_mask[u] and t_mask[v]]
-            assert pool.size == len(model)
-        rest = pool.draw(len(model) + 1)
-        assert list(zip(rest[0].tolist(), rest[1].tolist())) == model and pool.size == 0
+        seed = data.draw(st.integers(0, 2**32), label="order")
+        lazy = data.draw(st.booleans(), label="lazy")
+        with mock.patch.multiple(mpc, _FIRST_CHUNK=1, _SHUFFLE_SHARE=1 / 4):
+            if lazy:
+                src, dst = placed_in_full(_PoolOrder(g.src, g.dst, seed))
+                pool = RelevantEdgeSet.over(_PoolOrder(g.src, g.dst, seed))
+            else:
+                src, dst = _shuffled_edges(g, seed)
+                pool = RelevantEdgeSet(src, dst)
+            model = list(zip(src.tolist(), dst.tolist()))  # the pool as a filtered copy
+            s_mask = t_mask = np.ones(n, dtype=bool)
+            side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+            for _ in range(data.draw(st.integers(1, 5), label="phases")):
+                k = data.draw(st.integers(0, 6), label="draw")
+                got = pool.draw(k)
+                assert list(zip(got[0].tolist(), got[1].tolist())) == model[:k]
+                model = model[k:]
+                # a side that does not shrink keeps its mask, as a peel step leaves it
+                if data.draw(st.booleans(), label="S shrinks"):
+                    s_mask = s_mask & data.draw(side, label="S keeps")
+                if data.draw(st.booleans(), label="T shrinks"):
+                    t_mask = t_mask & data.draw(side, label="T keeps")
+                cross = None
+                if data.draw(st.booleans(), label="after a flip-peel"):
+                    cross = _inside(g.src, g.dst, s_mask, t_mask)[0].size
+                pool.intersect_pair(s_mask, t_mask, cross)
+                read = pool._edges.edges_read  # its stream is never reset
+                assert pool.size == _inside(src[read:], dst[read:], s_mask, t_mask)[0].size
+                model = [(u, v) for u, v in model if s_mask[u] and t_mask[v]]
+                assert pool.size == len(model)
+            rest = pool.draw(len(model) + 1)
+            assert list(zip(rest[0].tolist(), rest[1].tolist())) == model and pool.size == 0
 
 
 class TestSuperlinear:
@@ -391,7 +435,7 @@ class TestNearlinear:
                                       shared=SharedPeel(graph.src, graph.dst, graph.n, (c,), 0.2))
             engine.set_pair(s_mask, t_mask)
             controller = _PhaseController(graph, MpcConfig("nearlinear"), engine,
-                                          (graph.src, graph.dst), RoundLedger())
+                                          _PoolOrder(graph.src, graph.dst), RoundLedger())
             peels = controller._flip_peel()
             return peels, engine.s_mask.tolist(), engine.t_mask.tolist(), engine.best_value
 

@@ -10,11 +10,12 @@ import pytest
 
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph
-from dirdense.mpc import MpcConfig, RelevantEdgeSet, mpc_nearlinear_run, mpc_superlinear_run
+from dirdense.mpc import (MpcConfig, RelevantEdgeSet, _PoolOrder, mpc_nearlinear_run,
+                          mpc_superlinear_run)
 from dirdense.peeling import SharedPeel, _exact_bag_peels, exact_oracle
-from dirdense.streaming import SinglePassEngine, sample_params
+from dirdense.streaming import SinglePassEngine, _shuffled_edges, sample_params
 from dirdense.csweep import RUNNERS, build_grid, sweep
-from tests.support import gnp_directed, record_shared_walks, step_key
+from tests.support import gnp_directed, placed_in_full, record_shared_walks, step_key
 
 
 class TestBuildGrid:
@@ -277,6 +278,156 @@ def test_mpc_ledgers_match_recorded_fingerprint():
     assert h.hexdigest() == _MPC_LEDGERS_FINGERPRINT
 
 
+def _record_pool_orders(monkeypatch):
+    """Record every pool order drawn from a seed, by a sweep or a
+    standalone MPC run, with its seed and the slots placed after each of
+    its extensions; returns that list."""
+    import dirdense.csweep as sweep_mod
+    import dirdense.mpc as mpc_mod
+
+    orders = []
+
+    class Recorded(mpc_mod._PoolOrder):
+        def __init__(self, src, dst, seed=None):
+            super().__init__(src, dst, seed)
+            self.recorded_seed, self.extensions = seed, []
+            if seed is not None:
+                orders.append(self)
+
+        def _extend(self):
+            super()._extend()
+            self.extensions.append(self.placed)
+
+    for module in (sweep_mod, mpc_mod):
+        monkeypatch.setattr(module, "_PoolOrder", Recorded)
+    return orders
+
+
+def _counting_rngs(monkeypatch):
+    """Make every generator made from here on count its permutations and
+    the items of each shuffle; returns (permutations, shuffles)."""
+    permutations, shuffles = [], []
+    make_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, *args):
+            self._rng = make_rng(*args)
+
+        def permutation(self, x):
+            permutations.append(x)
+            return self._rng.permutation(x)
+
+        def shuffle(self, x, *args, **kwargs):
+            shuffles.append(len(x))
+            return self._rng.shuffle(x, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    return permutations, shuffles
+
+
+class TestLazyPoolOrder:
+    """An MPC pool order placed lazily gives what the same order gives when
+    it is placed in full up front and handed over as a plain pool: the
+    laziness changes how the order is realized, and nothing else. With a
+    first chunk of 2**10 slots, the digest graphs' orders take the
+    first-appearance path twice before the switch; at the default 2**14
+    their first extension is the switch, as it is for any m below 2**18."""
+
+    @staticmethod
+    def placed(g, order, first_chunk):
+        """``order`` placed in full, checked against the same seed's order
+        placed by one reader: the realization depends on the seed and m
+        alone, not on the workers or the order of their requests."""
+        import dirdense.mpc as mpc_mod
+
+        pool = placed_in_full(order)
+        fresh = _PoolOrder(g.src, g.dst, order.recorded_seed)
+        assert all(np.array_equal(a, b) for a, b in zip(pool, placed_in_full(fresh)))
+        if first_chunk <= g.m * mpc_mod._SHUFFLE_SHARE:
+            # two chunks of first appearances, then the switch
+            assert order.extensions == [first_chunk, 3 * first_chunk, g.m]
+        else:
+            # one shuffle of all m edges, so the order of a shuffled stream
+            assert order.extensions == [g.m]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(pool, _shuffled_edges(g, order.recorded_seed)))
+        return pool
+
+    def compare_sweeps(self, monkeypatch, g, configs, workers, first_chunk=1 << 14):
+        """Rows, densities and ledgers of each (algo, f, MPC config) sweep
+        of g at seed 1, lazily and with its order placed in full."""
+        import dirdense.csweep as sweep_mod
+        import dirdense.mpc as mpc_mod
+
+        monkeypatch.setattr(mpc_mod, "_FIRST_CHUNK", first_chunk)
+        ledgers = _record_ledgers(monkeypatch)
+        lazy_runs = 0
+        for algo, f, cfg in configs:
+            def run():
+                ledgers.clear()
+                res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.2, f=f, seed=1,
+                            mpc_config=cfg, workers=workers)
+                assert all(row.error is None for row in res.rows)
+                return ([_row_key(r) for r in res.rows], [repr(r.density) for r in res.rows],
+                        {c: repr(ledger) for c, ledger in ledgers.items()})
+
+            with monkeypatch.context() as patch:
+                orders = _record_pool_orders(patch)
+                lazy = run()
+            if not orders:  # an order-blind sweep reads g's own arrays
+                continue
+            [order] = orders
+            lazy_runs += order.placed < g.m
+            pool = self.placed(g, order, first_chunk)
+            with monkeypatch.context() as patch:
+                patch.setattr(sweep_mod, "_PoolOrder", lambda src, dst, seed: _PoolOrder(*pool))
+                assert run() == lazy
+        return lazy_runs
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("first_chunk", [1 << 14, 1 << 10])
+    def test_sweeps_at_the_rows_digest_configs(self, monkeypatch, workers, first_chunk):
+        configs = [(algo, f, None) for f in (1 / 30, 1 / 3000)
+                   for algo in ("mpc-super", "mpc-near")]
+        self.compare_sweeps(monkeypatch, gen_pref_attach(2000, 50, 3), configs, workers,
+                            first_chunk)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_the_mpc_near_benchmark_sweep(self, monkeypatch, workers):
+        # its cells read only a prefix of the order, so part of it stays unplaced
+        configs = [("mpc-near", 1 / 2000, MpcConfig("nearlinear", polylog_budget=20))]
+        assert self.compare_sweeps(monkeypatch, gen_pref_attach(2000, 500, 0), configs,
+                                   workers) == 1
+
+    @pytest.mark.parametrize("first_chunk", [1 << 14, 1 << 10])
+    def test_standalone_runs_at_the_ledgers_digest_configs(self, monkeypatch, first_chunk):
+        import dirdense.mpc as mpc_mod
+
+        monkeypatch.setattr(mpc_mod, "_FIRST_CHUNK", first_chunk)
+        configs = [(mpc_superlinear_run, MpcConfig("superlinear", mu=0.1))]
+        configs += [(mpc_nearlinear_run, MpcConfig("nearlinear", polylog_budget=b))
+                    for b in (1, 20)]
+        orders = _record_pool_orders(monkeypatch)
+        for g in (gen_pref_attach(2000, 50, 3), gen_pref_attach(3000, 20, 1)):
+            for f in (1 / 2000, 1 / 20000):
+                params = sample_params(g.n, 0.2, f)
+                for run, cfg in configs:
+                    for i, c in enumerate(build_grid(g.n, 2)[::3]):
+                        results = [run(g, c, params, cfg, rng=np.random.default_rng(i))]
+                        [order] = orders
+                        orders.clear()
+                        pool = self.placed(g, order, first_chunk)
+                        results.append(run(g, c, params, cfg, rng=np.random.default_rng(i),
+                                           pool=pool))
+                        assert orders == []
+                        lazy, placed = ((pair, repr(rho), repr(ledger))
+                                        for pair, rho, ledger in results)
+                        assert lazy == placed
+
+
 class TestSharedStream:
     @pytest.fixture
     def streams(self, monkeypatch):
@@ -316,45 +467,39 @@ class TestSharedStream:
         import dirdense.csweep as sweep_mod
 
         built = streams[0]
-        pools, permutations, shuffles = [], [], []
-        shuffled_edges = sweep_mod._shuffled_edges
-        make_rng = np.random.default_rng
+        orders, buffers = [], []
+        pool_order = sweep_mod._PoolOrder
+        draw = RelevantEdgeSet.draw
 
-        def record_pool(*args):
-            pools.append(shuffled_edges(*args))
-            return pools[-1]
+        def record_order(*args):
+            orders.append(pool_order(*args))
+            return orders[-1]
 
-        class CountingRng:
-            """Every generator the sweep makes, counting its permutations
-            and the items of each shuffle."""
+        def record_draw(rel, k):
+            drawn = draw(rel, k)
+            if rel._edges.edges_read:
+                buffers.append((rel._order, rel._edges._src, rel._edges._dst))
+            return drawn
 
-            def __init__(self, *args):
-                self._rng = make_rng(*args)
-
-            def permutation(self, x):
-                permutations.append(x)
-                return self._rng.permutation(x)
-
-            def shuffle(self, x, *args, **kwargs):
-                shuffles.append(len(x))
-                return self._rng.shuffle(x, *args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-        monkeypatch.setattr(sweep_mod, "_shuffled_edges", record_pool)
-        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(sweep_mod, "_PoolOrder", record_order)
+        monkeypatch.setattr(RelevantEdgeSet, "draw", record_draw)
+        permutations, shuffles = _counting_rngs(monkeypatch)
         g = gnp_directed(60, 0.8, seed=4)  # machine memories of 136 and 120 edges, m = 2798
-        res = sweep(algo, g, build_grid(g.n, 2), epsilon=0.5, f=1 / 4000, seed=6,
+        # at epsilon = 0.5 every mpc-near cell's first flip-peel empties a
+        # side, so no cell would read the pool
+        epsilon = 0.5 if algo == "mpc-super" else 0.2
+        res = sweep(algo, g, build_grid(g.n, 2), epsilon=epsilon, f=1 / 4000, seed=6,
                     mpc_config=cfg, workers=workers)
         assert all(row.error is None for row in res.rows)
-        assert len(pools) == 1 and shuffles == [g.m] and not permutations and not built
-        src, dst = pools[0]
-        assert not src.flags.writeable and not dst.flags.writeable
-        # the pool has the order of the stream a single-pass sweep of this seed reads
-        sweep("single-pass", g, build_grid(g.n, 2), epsilon=0.5, f=1 / 4000, seed=6)
-        stream_src, stream_dst = built[0].replay().take_all()
-        assert np.array_equal(stream_src, src) and np.array_equal(stream_dst, dst)
+        # one order, placed by one shuffle of all m edges at its first
+        # extension (its first chunk passes m / 16), and no cell permutes
+        assert len(orders) == 1 and shuffles == [g.m] and not permutations and not built
+        # every cell that reads the pool reads the one order through read-only views
+        assert buffers
+        for order, src, dst in buffers:
+            assert order is orders[0]
+            assert not src.flags.writeable and not dst.flags.writeable
+            assert np.shares_memory(src, order.src) and np.shares_memory(dst, order.dst)
 
     @pytest.mark.parametrize("order", ["shuffled", "given"])
     @pytest.mark.parametrize("workers", [1, 4])
@@ -383,19 +528,25 @@ class TestOrderBlindSweep:
 
     @pytest.fixture
     def permutations(self, monkeypatch):
-        """The edge count of every permutation of the edges a sweep makes."""
+        """The edge count of every permutation of the edges a sweep makes:
+        a shuffled stream, or an MPC pool order drawn from a seed."""
         import dirdense.csweep as sweep_mod
         import dirdense.streaming as streaming
 
         calls = []
-        shuffled_edges = streaming._shuffled_edges
+        shuffled_edges, pool_order = streaming._shuffled_edges, sweep_mod._PoolOrder
 
         def record(g, seed):
             calls.append(g.m)
             return shuffled_edges(g, seed)
 
-        for module in (sweep_mod, streaming):
-            monkeypatch.setattr(module, "_shuffled_edges", record)
+        def record_order(src, dst, seed=None):
+            if seed is not None:
+                calls.append(src.size)
+            return pool_order(src, dst, seed)
+
+        monkeypatch.setattr(streaming, "_shuffled_edges", record)
+        monkeypatch.setattr(sweep_mod, "_PoolOrder", record_order)
         return calls
 
     # single-pass: n * xi = 4,610,000 >= m = 99,990, one batch reads the
@@ -626,34 +777,44 @@ class TestSharedPeel:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_mpc_near_cells_copy_no_pool_edge_and_share_flip_peels(self, monkeypatch, walks,
                                                                   dense2k, workers):
-        """Every cell's pool reads the sweep's one order, and narrowing it
-        copies no edge; one walk is built per distinct start pair of a
-        flip-peel away from (V, V)."""
+        """Every cell's pool reads the sweep's one order, and every cell's
+        arrays share memory with that order's buffers; one walk is built
+        per distinct start pair of a flip-peel away from (V, V)."""
         import dirdense.csweep as sweep_mod
 
-        orders, calls, flips = [], [], []
-        shuffled_edges = sweep_mod._shuffled_edges
-        intersect = RelevantEdgeSet.intersect_pair
+        orders, calls, flips, reads = [], [], [], []
+        pool_order = sweep_mod._PoolOrder
+        intersect, draw = RelevantEdgeSet.intersect_pair, RelevantEdgeSet.draw
         steps = SharedPeel.steps
 
         def record_order(*args):
-            orders.append(shuffled_edges(*args))
+            orders.append(pool_order(*args))
             return orders[-1]
 
         def record_call(rel, s_mask, t_mask, cross=None):
             if not (s_mask.all() and t_mask.all()):
                 calls.append((rel.size, cross is not None))
             intersect(rel, s_mask, t_mask, cross)
-            [(src, dst)] = orders
-            assert rel._src is src and rel._dst is dst
+            [order] = orders
+            assert rel._order is order
+
+        def record_draw(rel, k):
+            drawn = draw(rel, k)
+            [order] = orders
+            if rel._edges.edges_read:
+                buffers = rel._edges._src, rel._edges._dst
+                reads.append(all(np.shares_memory(got, slots)
+                                 for got, slots in zip(buffers, (order.src, order.dst))))
+            return drawn
 
         def record_flip(peel, c, n, m, epsilon, start=None):
             if start is not None and not (start[0].all() and start[1].all()):
                 flips.append((start[0].tobytes(), start[1].tobytes()))
             return steps(peel, c, n, m, epsilon, start)
 
-        monkeypatch.setattr(sweep_mod, "_shuffled_edges", record_order)
+        monkeypatch.setattr(sweep_mod, "_PoolOrder", record_order)
         monkeypatch.setattr(RelevantEdgeSet, "intersect_pair", record_call)
+        monkeypatch.setattr(RelevantEdgeSet, "draw", record_draw)
         monkeypatch.setattr(SharedPeel, "steps", record_flip)
         res = sweep("mpc-near", dense2k, build_grid(dense2k.n, 2), epsilon=0.2, f=1 / 2000,
                     seed=0, mpc_config=MpcConfig("nearlinear", polylog_budget=20),
@@ -662,6 +823,7 @@ class TestSharedPeel:
         # 11 cells narrow the whole pool, each counting it from its flip-peel
         assert [size for size, _ in calls].count(dense2k.m) == 11
         assert calls and all(counted for _, counted in calls)
+        assert reads and all(reads)
         starts = [_walk_start(walk) for walk in walks if _walk_start(walk) is not None]
         assert len(starts) == len(set(starts)) and set(starts) == set(flips)
         assert len(flips) > len(starts)
@@ -683,6 +845,28 @@ class TestSharedPeel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mpc_near_sweep_places_only_the_prefix_its_cells_read(self, monkeypatch, dense2k,
+                                                                   seed):
+        """No cell reads more than 12,169 of the 999,500 edges of
+        gen_pref_attach(2000, 500, s) at sweep seed s, so the sweep's order
+        places one first chunk and shuffles nothing, and the traced peak
+        stays under the bound of the test above."""
+        g = dense2k if seed == 0 else gen_pref_attach(2000, 500, seed)
+        orders = _record_pool_orders(monkeypatch)
+        permutations, shuffles = _counting_rngs(monkeypatch)
+        tracemalloc.start()
+        try:
+            res = sweep("mpc-near", g, build_grid(g.n, 2), epsilon=0.2, f=1 / 2000, seed=seed,
+                        mpc_config=MpcConfig("nearlinear", polylog_budget=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.error is None for row in res.rows)
+        [order] = orders
+        assert 0 < order.placed <= 16_384 and not shuffles and not permutations
         assert peak < 32 * 2**20
 
     def test_a_run_with_its_own_pool_returns_what_it_returns_alone(self, walks, pref):
