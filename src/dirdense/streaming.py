@@ -514,10 +514,17 @@ class SinglePassEngine:
             self.seen.add(qs, qd)
             if p is None:
                 break
-            h_src, h_dst, _, fresh = set_sample(
-                self.seen, self.s_mask, self.t_mask, p, size_estimate, stream, self.rng
-            )
+            pair = self.s_mask, self.t_mask
+            h_src, h_dst, _, fresh = set_sample(self.seen, *pair, p, size_estimate, stream,
+                                                self.rng)
             self.seen.note_extra(h_src.size)
+            if self.s_mask is not pair[0] or self.t_mask is not pair[1]:
+                # a source's installment moved the pair during the draw (an
+                # MPC flip-peel), so the sample is another pair's: keep what
+                # was read inside the new pair and step from there
+                self.seen.add(*fresh)
+                self.seen.refilter(self.s_mask, self.t_mask)
+                continue
             # score the pre-peel pair too: the sample is entirely inside
             # (S, T), so |H| / p estimates its cross count
             self.offer_best(self.s_mask, self.t_mask,

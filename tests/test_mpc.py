@@ -425,6 +425,22 @@ class TestNearlinear:
         assert nonfinal[-1].s_size + nonfinal[-1].t_size \
             <= nonfinal[0].s_size + nonfinal[0].t_size
 
+    @pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(3, 2)])
+    def test_a_phase_inside_a_sampled_step_restarts_the_step(self, c):
+        # n * xi = 2 against 7 parallel self-loops: a sampled step's fresh
+        # draw runs out of installments, and the next phase's flip-peel
+        # moves the pair (here to an empty side) before the step peels;
+        # the step used to peel the new pair from the old pair's sample,
+        # and its kernel, given an empty side, yielded no step
+        g = DirectedGraph(2, [(0, 0)] * 7)
+        params = sample_params(g.n, 0.2, f=1 / 3000)
+        for pool in (None, (g.src, g.dst)):
+            pair, rho, ledger = mpc_nearlinear_run(g, c, params,
+                                                   MpcConfig("nearlinear", polylog_budget=1.0),
+                                                   rng=np.random.default_rng(0), pool=pool)
+            assert (sorted(pair.S), sorted(pair.T), rho) == ([0], [0], 7.0)
+            assert ledger.phases >= 2
+
     @pytest.mark.parametrize("c", [Fraction(1, 8), Fraction(1), Fraction(8)])
     def test_flip_peel_reads_only_the_edges_inside_the_pair(self, c):
         # the graph and its subgraph inside the start pair must peel alike,
