@@ -12,18 +12,19 @@ The uniform-order argument. The pool starts as g's edges in one uniform
 order, and each phase narrows it to the edges inside the engine's pair and
 draws its head. Nothing the engine has seen depends on the order of the
 edges not drawn yet, so each head is a uniform sample in uniform order: the
-law of a fresh permutation per draw. The order is placed lazily, and each
-extension is a uniform ordered sample, without replacement, of the edges
-not yet placed, so however far it is placed it is a prefix of a uniform
-permutation (``_PoolOrder``). A pair only shrinks, so the pool is the edges
-after a cursor in that order that lie inside the pair, as many as
-|E_g(S, T)|, a flip-peel's last count or a count of g's edges, less the
-read prefix's edges inside the pair. A sweep's cells share one order, or g's own arrays
+law of a fresh permutation per draw. The order is placed lazily, in two
+stages: a head, a uniform ordered sample of g's edges without replacement,
+then a uniform permutation of the other edges. Together they are a uniform
+permutation, so however far the order is placed it is a prefix of one
+(``_PoolOrder``). A pair only shrinks, so the pool is the edges after a
+cursor in that order that lie inside the pair, as many as |E_g(S, T)|, a
+flip-peel's last count or a count of g's edges, less the read prefix's
+edges inside the pair. A sweep's cells share one order, or g's own arrays
 where the order-blind skip holds (see the ``streaming`` module docstring);
 a runner called on its own orders g's edges itself. Draws at (V, V) are
 adjacent views of the order, which the stream joins as views. Every exact
-peel of g's edges reads the run's ``SharedPeel`` (see the ``csweep``
-module docstring); rounds stay charged per cell.
+peel of g's edges reads the run's ``SharedPeel`` (see the ``csweep`` module
+docstring); rounds stay charged per cell.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class PhaseRecord:
     flip_peels: int = 0
 
 
-# an order's first extension places this many slots, and each later one
-# as many as are placed already, plus this many
+# an order's first extension places its head: this many slots, a uniform
+# ordered sample of g's edges drawn in O(head) time whatever m is
 _FIRST_CHUNK = 1 << 14
-# an extension that would pass this share of m places the whole rest
+# a head past this share of m is not drawn: the first extension then
+# shuffles every edge, as ``_shuffled_edges`` orders them
 _SHUFFLE_SHARE = 1 / 16
 
 
@@ -105,15 +107,13 @@ class _PoolOrder:
     from ``seed`` and placed as readers need it (see the module docstring).
 
     ``src`` and ``dst`` are then m-slot buffers, of which the first
-    ``placed`` are placed. Each extension places one chunk under the lock,
-    of a size that depends only on m and ``placed``, so the order is the
-    seed's whatever reads it, and in whatever order. A chunk keeps the
-    first appearance of each uniform draw from [0, m) that is not placed
-    yet, in draw order, up to its size. Once a chunk would end past
-    ``_SHUFFLE_SHARE`` of m, one shuffle of the edges not placed places the
-    whole rest: rejecting placed draws would cost about m ln m draws by the
-    end, and sorting a chunk's draws costs more a slot than the shuffle. A
-    slot is written once, before ``placed`` covers it.
+    ``placed`` are placed, in at most two extensions under the lock: the
+    head, ``_FIRST_CHUNK`` draws without replacement, then the rest, one
+    shuffle of the edges not in the head, in index order. Where the head
+    would pass ``_SHUFFLE_SHARE`` of m, the first extension shuffles all m
+    edges instead. Each extension depends only on m and the seed, so the
+    order is the seed's whatever reads it, and in whatever order. A slot is
+    written once, before ``placed`` covers it.
     """
 
     def __init__(self, src, dst, seed=None):
@@ -124,7 +124,7 @@ class _PoolOrder:
             return
         self.src, self.dst = np.empty_like(src), np.empty_like(dst)
         self.placed = 0
-        self._taken = np.zeros(self.m, dtype=bool)  # which of g's edges are placed
+        self._head = np.empty(0, dtype=np.intp)  # which of g's edges the head placed
         self._rng = np.random.default_rng(seed)
         self._lock = threading.Lock()
 
@@ -142,33 +142,16 @@ class _PoolOrder:
         return views
 
     def _extend(self):
-        lo, m, taken = self.placed, self.m, self._taken
-        size = lo + _FIRST_CHUNK
-        if lo + size > m * _SHUFFLE_SHARE:
-            picked = np.flatnonzero(~taken)
-            self._rng.shuffle(picked)
+        lo, m = self.placed, self.m
+        if not lo and _FIRST_CHUNK <= m * _SHUFFLE_SHARE:
+            picked = self._head = self._rng.choice(m, _FIRST_CHUNK, replace=False)
         else:
-            parts, need = [], size
-            while need:
-                draws = self._rng.integers(0, m, size=need + need // 4 + 64)
-                firsts = _first_appearances(draws)
-                fresh = firsts[~taken[firsts]][:need]
-                taken[fresh] = True
-                parts.append(fresh)
-                need -= fresh.size
-            picked = np.concatenate(parts)
+            picked = np.delete(np.arange(m), self._head)
+            self._rng.shuffle(picked)
         hi = lo + picked.size
         for edges, slots in zip(self.edges, (self.src, self.dst)):
             np.take(edges, picked, out=slots[lo:hi], mode="clip")  # in range: unbuffered
         self.placed = hi
-
-
-def _first_appearances(values):
-    """The distinct ``values``, each where it first appears, in that order."""
-    by_value = np.argsort(values)
-    ordered = values[by_value]
-    runs = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    return values[np.sort(np.minimum.reduceat(by_value, runs))]
 
 
 class _OrderReader:
@@ -193,21 +176,11 @@ class _OrderReader:
 
 
 class RelevantEdgeSet:
-    """A run's pool (see the module docstring): a cursor over an order of
-    g's edges, read only, with the current pair and ``size``, the edges
-    after the cursor that lie inside the pair. It reads (``src``, ``dst``),
-    every slot placed; ``over`` builds one that reads a ``_PoolOrder``."""
+    """A run's pool (see the module docstring): a cursor over ``order``, a
+    ``_PoolOrder`` of g's edges, read only, with the current pair and
+    ``size``, the edges after the cursor that lie inside the pair."""
 
-    def __init__(self, src, dst):
-        self._read(_PoolOrder(src, dst))
-
-    @classmethod
-    def over(cls, order):
-        pool = cls.__new__(cls)
-        pool._read(order)
-        return pool
-
-    def _read(self, order):
+    def __init__(self, order):
         self._order = order
         # a source-fed stream is never reset, so it has read exactly its prefix;
         # no runner reads it, so it needs no vertex count
@@ -256,7 +229,7 @@ class _PhaseController:
         self.nearlinear = cfg.regime == "nearlinear"
         self.engine = engine
         self.ledger = ledger
-        self.rel = RelevantEdgeSet.over(order)
+        self.rel = RelevantEdgeSet(order)
         self.mem = cfg.machine_memory(g.n, engine.params.epsilon)
 
     @property

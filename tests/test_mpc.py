@@ -96,7 +96,7 @@ class TestRelevantEdgeSet:
     def test_draws_are_the_pool_head_and_partition_it(self):
         g = gnp_directed(30, 0.3, seed=2)
         src, dst = _shuffled_edges(g, 5)
-        pool = RelevantEdgeSet(src, dst)
+        pool = RelevantEdgeSet(_PoolOrder(src, dst))
         drawn = [pool.draw(k) for k in (7, 0, 40, 1)]
         assert [s.size for s, _ in drawn] == [7, 0, 40, 1]
         head = np.concatenate([_codes(g, s, d) for s, d in drawn])
@@ -111,7 +111,7 @@ class TestRelevantEdgeSet:
     def test_filter_keeps_the_survivors_in_order(self):
         g = gnp_directed(30, 0.3, seed=3)
         src, dst = _shuffled_edges(g, 1)
-        pool = RelevantEdgeSet(src, dst)
+        pool = RelevantEdgeSet(_PoolOrder(src, dst))
         pool.draw(5)
         s_mask = np.arange(g.n) % 3 != 0
         t_mask = np.arange(g.n) % 4 != 1
@@ -128,7 +128,7 @@ class TestRelevantEdgeSet:
     def test_draws_at_the_whole_pair_are_views_of_the_shared_arrays(self):
         g = gnp_directed(20, 0.3, seed=4)
         src, dst = _shuffled_edges(g, 0)
-        pool = RelevantEdgeSet(src, dst)
+        pool = RelevantEdgeSet(_PoolOrder(src, dst))
         everyone = np.ones(g.n, dtype=bool)
         pool.intersect_pair(everyone, everyone)
         assert pool.size == g.m
@@ -148,7 +148,7 @@ class TestRelevantEdgeSet:
         # a peel step keeps the other side's mask object: the count follows
         # the side that shrank, and stands only when neither did
         g = gnp_directed(30, 0.3, seed=5)
-        pool = RelevantEdgeSet(*_shuffled_edges(g, 2))
+        pool = RelevantEdgeSet(_PoolOrder(*_shuffled_edges(g, 2)))
         ids = np.arange(g.n)
         s_mask, t_mask = ids % 3 != 0, ids % 4 != 1
         fewer_s, fewer_t = s_mask & (ids % 5 != 0), t_mask & (ids % 7 != 2)
@@ -173,7 +173,7 @@ class TestRelevantEdgeSet:
         trials = 4000
         counts = {}
         for seed in range(trials):
-            pool = RelevantEdgeSet(*_shuffled_edges(g, seed))
+            pool = RelevantEdgeSet(_PoolOrder(*_shuffled_edges(g, seed)))
             (first,), _ = pool.draw(1)
             pool.intersect_pair(s_mask, t_mask)
             (a, b), _ = pool.draw(2)
@@ -189,26 +189,26 @@ class TestRelevantEdgeSet:
         chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
         assert chi2 < 82.72, chi2  # chi-square quantile 0.999 at 47 degrees of freedom
 
-    def test_lazily_placed_prefixes_have_the_uniform_law(self, monkeypatch):
-        # with a first chunk of one slot and the switch at a quarter of m, a
-        # 6-edge order places its first slot by a first appearance and the
-        # other five by the shuffle of the rest; two draws read the first
-        # three slots, each ordered triple of distinct edges equally
-        # likely: 120 cells
+    @pytest.mark.parametrize("head,share", [(1, 1 / 4), (2, 1 / 2)])
+    def test_lazily_placed_prefixes_have_the_uniform_law(self, monkeypatch, head, share):
+        # with a head of one or two slots, below its switch share of m, a
+        # 6-edge order places the head first and the other edges by the
+        # shuffle of the rest; two draws read the first three slots, each
+        # ordered triple of distinct edges equally likely: 120 cells
         import dirdense.mpc as mpc
 
-        monkeypatch.setattr(mpc, "_FIRST_CHUNK", 1)
-        monkeypatch.setattr(mpc, "_SHUFFLE_SHARE", 1 / 4)
+        monkeypatch.setattr(mpc, "_FIRST_CHUNK", head)
+        monkeypatch.setattr(mpc, "_SHUFFLE_SHARE", share)
         g = DirectedGraph(12, [(i, 6 + i) for i in range(6)])
         trials = 6000
         counts = {}
         for seed in range(trials):
             order = _PoolOrder(g.src, g.dst, seed)
-            pool = RelevantEdgeSet.over(order)
+            pool = RelevantEdgeSet(order)
             (first,), _ = pool.draw(1)
-            assert order.placed == 1  # the first-appearance path
+            assert order.placed == head  # the head
             (a, b), _ = pool.draw(2)
-            assert order.placed == g.m  # the switch
+            assert order.placed == g.m  # the rest
             key = (int(first), int(a), int(b))
             counts[key] = counts.get(key, 0) + 1
         assert all(len(set(key)) == 3 for key in counts)
@@ -224,8 +224,8 @@ class TestRelevantEdgeSet:
         from g's edges or kept for an unchanged pair, ``size`` is the
         unread rest's edges inside the pair, and draws take the pool's head
         as filtering copies would, whether the order is placed in full or
-        lazily, from a first chunk of one slot and with the switch at a
-        quarter of m."""
+        lazily, from a head of one slot and with the switch at a quarter of
+        m."""
         import dirdense.mpc as mpc
 
         n = data.draw(st.integers(1, 8), label="n")
@@ -237,10 +237,10 @@ class TestRelevantEdgeSet:
         with mock.patch.multiple(mpc, _FIRST_CHUNK=1, _SHUFFLE_SHARE=1 / 4):
             if lazy:
                 src, dst = placed_in_full(_PoolOrder(g.src, g.dst, seed))
-                pool = RelevantEdgeSet.over(_PoolOrder(g.src, g.dst, seed))
+                pool = RelevantEdgeSet(_PoolOrder(g.src, g.dst, seed))
             else:
                 src, dst = _shuffled_edges(g, seed)
-                pool = RelevantEdgeSet(src, dst)
+                pool = RelevantEdgeSet(_PoolOrder(src, dst))
             model = list(zip(src.tolist(), dst.tolist()))  # the pool as a filtered copy
             s_mask = t_mask = np.ones(n, dtype=bool)
             side = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)

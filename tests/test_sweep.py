@@ -332,9 +332,9 @@ class TestLazyPoolOrder:
     """An MPC pool order placed lazily gives what the same order gives when
     it is placed in full up front and handed over as a plain pool: the
     laziness changes how the order is realized, and nothing else. With a
-    first chunk of 2**10 slots, the digest graphs' orders take the
-    first-appearance path twice before the switch; at the default 2**14
-    their first extension is the switch, as it is for any m below 2**18."""
+    head of 2**10 slots, the digest graphs' orders place the head and then
+    the rest; at the default 2**14 their first extension shuffles every
+    edge, as it does for any m below 2**18."""
 
     @staticmethod
     def placed(g, order, first_chunk):
@@ -347,8 +347,8 @@ class TestLazyPoolOrder:
         fresh = _PoolOrder(g.src, g.dst, order.recorded_seed)
         assert all(np.array_equal(a, b) for a, b in zip(pool, placed_in_full(fresh)))
         if first_chunk <= g.m * mpc_mod._SHUFFLE_SHARE:
-            # two chunks of first appearances, then the switch
-            assert order.extensions == [first_chunk, 3 * first_chunk, g.m]
+            # the head, then the rest
+            assert order.extensions == [first_chunk, g.m]
         else:
             # one shuffle of all m edges, so the order of a shuffled stream
             assert order.extensions == [g.m]
@@ -492,7 +492,7 @@ class TestSharedStream:
                     mpc_config=cfg, workers=workers)
         assert all(row.error is None for row in res.rows)
         # one order, placed by one shuffle of all m edges at its first
-        # extension (its first chunk passes m / 16), and no cell permutes
+        # extension (its head would pass m / 16), and no cell permutes
         assert len(orders) == 1 and shuffles == [g.m] and not permutations and not built
         # every cell that reads the pool reads the one order through read-only views
         assert buffers
@@ -852,8 +852,8 @@ class TestSharedPeel:
                                                                    seed):
         """No cell reads more than 12,169 of the 999,500 edges of
         gen_pref_attach(2000, 500, s) at sweep seed s, so the sweep's order
-        places one first chunk and shuffles nothing, and the traced peak
-        stays under the bound of the test above."""
+        places its head and shuffles nothing, and the traced peak stays
+        under the bound of the test above."""
         g = dense2k if seed == 0 else gen_pref_attach(2000, 500, seed)
         orders = _record_pool_orders(monkeypatch)
         permutations, shuffles = _counting_rngs(monkeypatch)
