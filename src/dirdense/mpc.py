@@ -209,7 +209,7 @@ class RelevantEdgeSet:
         if self._pair is None:
             src, dst = self._edges.take(k)
         else:
-            src, dst, _ = self._edges.take_qualifying(k, *self._pair)
+            src, dst = self._edges.take_qualifying(k, *self._pair)
         self.size -= k
         return src, dst
 

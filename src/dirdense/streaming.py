@@ -71,6 +71,9 @@ STREAM_ORDERS = ("given", "shuffled")
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
+# the fewest edges ``take_qualifying`` tests per read, unless fewer are left
+_QUALIFYING_BLOCK = 65536
+
 
 @dataclass(frozen=True)
 class SampleParams:
@@ -180,21 +183,18 @@ class EdgeStream:
             pass
         return self.take(self._src.size - self._cursor)
 
-    def take_qualifying(self, want, s_mask, t_mask, block=65536):
-        """Advance until `want` edges inside (S, T) were collected.
+    def take_qualifying(self, want, s_mask, t_mask):
+        """Consume and return, as (src, dst), the next `want` edges inside
+        (S, T), fewer if the stream ends first.
 
         Edges read along the way that fall outside the pair are consumed and
-        dropped. Returns (src, dst, exhausted) where exhausted means the
-        stream ended before `want` qualifying edges appeared. At (V, V)
-        every edge qualifies, so this is ``take(want)``, and exhausted means
-        it returned fewer than `want` edges.
+        dropped. At (V, V) every edge qualifies, so this is ``take(want)``.
         """
         want = int(want)
         if want <= 0:
-            return _EMPTY, _EMPTY, False
+            return _EMPTY, _EMPTY
         if s_mask.all() and t_mask.all():
-            src, dst = self.take(want)
-            return src, dst, src.size < want
+            return self.take(want)
         out_src, out_dst = [], []
         got = 0
         while got < want:
@@ -203,7 +203,7 @@ class EdgeStream:
                 if self._refill():
                     continue
                 break
-            view = min(max(block, 4 * (want - got)), left)
+            view = min(max(_QUALIFYING_BLOCK, 4 * (want - got)), left)
             lo = self._cursor
             vs = self._src[lo : lo + view]
             vd = self._dst[lo : lo + view]
@@ -224,7 +224,7 @@ class EdgeStream:
                 self.edges_read += view
         src = np.concatenate(out_src) if out_src else _EMPTY
         dst = np.concatenate(out_dst) if out_dst else _EMPTY
-        return src, dst, got < want
+        return src, dst
 
 
 def make_stream(g, order: str = "shuffled", seed: int = 0) -> EdgeStream:
@@ -325,9 +325,9 @@ def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stre
 
     Already-retained edges are thinned independently at rate p; a binomially
     sized count of fresh qualifying edges is then pulled off the stream
-    (skipping and discarding non-qualifying ones). Returns (src, dst,
-    exhausted, fresh): the sampled batch, a flag set when the stream ran out
-    before the draw was filled, and the fresh edges as (src, dst).
+    (skipping and discarding non-qualifying ones), fewer if the stream
+    ends first. Returns (src, dst, fresh): the sampled batch and the fresh
+    edges as (src, dst).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
@@ -339,10 +339,10 @@ def set_sample(seen: SeenSet, s_mask, t_mask, p: float, size_estimate: int, stre
         kept_src, kept_dst = _kept(rng.random(seen.size) < p, kept_src, kept_dst)
     extra = size_estimate - seen.size
     draws = int(rng.binomial(extra, p)) if extra > 0 else 0
-    fresh_src, fresh_dst, exhausted = stream.take_qualifying(draws, s_mask, t_mask)
+    fresh_src, fresh_dst = stream.take_qualifying(draws, s_mask, t_mask)
     src = np.concatenate([kept_src, fresh_src])
     dst = np.concatenate([kept_dst, fresh_dst])
-    return src, dst, exhausted, (fresh_src, fresh_dst)
+    return src, dst, (fresh_src, fresh_dst)
 
 
 def estimate_cross_edges(batch_size: int, batch_matching: int, stream_remaining: int,
@@ -515,8 +515,8 @@ class SinglePassEngine:
             if p is None:
                 break
             pair = self.s_mask, self.t_mask
-            h_src, h_dst, _, fresh = set_sample(self.seen, *pair, p, size_estimate, stream,
-                                                self.rng)
+            h_src, h_dst, fresh = set_sample(self.seen, *pair, p, size_estimate, stream,
+                                             self.rng)
             self.seen.note_extra(h_src.size)
             if self.s_mask is not pair[0] or self.t_mask is not pair[1]:
                 # a source's installment moved the pair during the draw (an

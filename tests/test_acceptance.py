@@ -238,7 +238,7 @@ def test_criterion_5_concentration_suites():
         seen = SeenSet()
         seen.add(seen_template, seen_dst)
         stream = make_stream(universe, "shuffled", seed=trial)
-        _, dst, _, _ = set_sample(seen, s_mask, t_mask, p_sample, population, stream, rng=rng)
+        _, dst, _ = set_sample(seen, s_mask, t_mask, p_sample, population, stream, rng=rng)
         sizes[trial] = dst.size
         inclusion += np.bincount(dst, minlength=population + 1)
     mean_size = float(sizes.mean())

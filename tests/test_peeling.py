@@ -1,12 +1,14 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirdense import streaming
 from dirdense.bench import gen_pref_attach
 from dirdense.csweep import build_grid
 from dirdense.graph import DirectedGraph, VertexSetPair, _count_inside, density, member_mask
@@ -290,10 +292,10 @@ class TestInside:
         assert np.array_equal(got_src, src[keep]) and np.array_equal(got_dst, dst[keep])
         assert _count_inside(src, dst, *masks) == hits.size
         stream = EdgeStream(s_mask.size, src, dst)
-        got_src, got_dst, exhausted = stream.take_qualifying(want, *masks, block=block)
+        with mock.patch.object(streaming, "_QUALIFYING_BLOCK", block):
+            got_src, got_dst = stream.take_qualifying(want, *masks)
         assert got_src.tolist() == src[hits[:want]].tolist()
         assert got_dst.tolist() == dst[hits[:want]].tolist()
-        assert exhausted == (hits.size < want)
         assert stream.edges_read == (int(hits[want - 1]) + 1 if hits.size >= want else src.size)
 
     @given(st.integers(min_value=1, max_value=50))

@@ -33,10 +33,10 @@ class TestSetSample:
         g = DirectedGraph(4, [(2, 3), (0, 1), (0, 1), (2, 3), (0, 1)])
         stream = make_stream(g, "given")
         seen = seen_with([(0, 1), (0, 1)])
-        src, dst, exhausted, _ = set_sample(seen, *masks({0}, {1}, 4), 1.0, 4, stream,
-                                            rng=np.random.default_rng(0))
+        src, dst, fresh = set_sample(seen, *masks({0}, {1}, 4), 1.0, 4, stream,
+                                     rng=np.random.default_rng(0))
         assert src.size == 4
-        assert not exhausted
+        assert (fresh[0].tolist(), fresh[1].tolist()) == ([0, 0], [1, 1])  # the draw filled
         assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1)] * 4
         # two fresh qualifying edges required reading positions 0..2
         assert stream.edges_read == 3
@@ -45,11 +45,11 @@ class TestSetSample:
         g = DirectedGraph(2, [(0, 1)] * 5)
         stream = make_stream(g, "given")
         seen = seen_with([(0, 1)] * 3)
-        src, _, exhausted, _ = set_sample(
+        src, _, fresh = set_sample(
             seen, *masks({0}, {1}, 2), 0.5, 3, stream, rng=np.random.default_rng(1)
         )
         assert stream.edges_read == 0
-        assert not exhausted
+        assert fresh[0].size == 0
         assert src.size <= 3
 
     def test_rejects_estimate_below_seen(self):
@@ -67,15 +67,15 @@ class TestSetSample:
                 set_sample(seen, *masks({0}, {1}, 2), p, 5,
                            make_stream(g, "given"), rng=np.random.default_rng(0))
 
-    def test_flags_stream_exhaustion(self):
+    def test_stops_at_the_stream_end(self):
         g = DirectedGraph(2, [(0, 1)] * 2)
         stream = make_stream(g, "given")
         seen = SeenSet()
-        src, _, exhausted, _ = set_sample(
+        src, _, fresh = set_sample(
             seen, *masks({0}, {1}, 2), 1.0, 10, stream, rng=np.random.default_rng(0)
         )
-        assert exhausted
-        assert src.size == 2
+        assert src.size == fresh[0].size == 2
+        assert stream.remaining == 0
 
     def test_marginal_inclusion_rate(self):
         # |E(S,T)| = 400, |E'| = 80, s = 400, p = 0.15: every edge lands in H
@@ -91,7 +91,7 @@ class TestSetSample:
             seen = seen_with(seen_template)
             g = DirectedGraph(n, stream_edges)
             stream = make_stream(g, "shuffled", seed=trial)
-            src, _, _, _ = set_sample(seen, s_mask, t_mask, p, total, stream, rng=rng)
+            src, _, _ = set_sample(seen, s_mask, t_mask, p, total, stream, rng=rng)
             sizes.append(src.size)
         mean_size = np.mean(sizes)
         assert abs(mean_size - p * total) < 2.0
@@ -100,8 +100,8 @@ class TestSetSample:
         g = DirectedGraph(2, [(0, 1)] * 10)
         stream = make_stream(g, "given")
         seen = seen_with([(0, 1)] * 4)
-        src, _, _, _ = set_sample(seen, *masks({0}, {1}, 2), 1.0, 6, stream,
-                                  rng=np.random.default_rng(0))
+        src, _, _ = set_sample(seen, *masks({0}, {1}, 2), 1.0, 6, stream,
+                               rng=np.random.default_rng(0))
         seen.refilter(np.zeros(2, dtype=bool), np.zeros(2, dtype=bool))
         assert src.size == 6  # untouched by the refilter
 

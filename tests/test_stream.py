@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dirdense import streaming
 from dirdense.bench import gen_pref_attach
 from dirdense.graph import DirectedGraph, member_mask
 from dirdense.streaming import (EdgeStream, SinglePassEngine, _joined, _shuffled_edges,
@@ -119,37 +121,32 @@ class TestCursor:
         stream = make_stream(g, "given")
         s_mask = member_mask({0}, 4)
         t_mask = member_mask({1}, 4)
-        src, dst, exhausted = stream.take_qualifying(2, s_mask, t_mask)
+        src, dst = stream.take_qualifying(2, s_mask, t_mask)
         assert src.tolist() == [0, 0]
-        assert not exhausted
         # consumed exactly through the second qualifying edge (position 3)
         assert stream.remaining == 2
         assert stream.edges_read == 3
 
-    def test_take_qualifying_flags_exhaustion(self):
+    def test_take_qualifying_returns_fewer_at_the_stream_end(self):
         g = DirectedGraph(4, [(0, 1), (2, 3)])
         stream = make_stream(g, "given")
-        src, _, exhausted = stream.take_qualifying(5, member_mask({0}, 4), member_mask({1}, 4))
+        src, _ = stream.take_qualifying(5, member_mask({0}, 4), member_mask({1}, 4))
         assert src.tolist() == [0]
-        assert exhausted
         assert stream.remaining == 0
 
     def test_take_qualifying_zero_is_noop(self):
         stream = make_stream(toy_graph(), "given")
-        src, _, exhausted = stream.take_qualifying(0, member_mask({0}, 4), member_mask({1}, 4))
+        src, _ = stream.take_qualifying(0, member_mask({0}, 4), member_mask({1}, 4))
         assert src.size == 0
-        assert not exhausted
         assert stream.remaining == 3
 
-    def test_small_block_scanning(self):
+    def test_small_block_scanning(self, monkeypatch):
+        monkeypatch.setattr(streaming, "_QUALIFYING_BLOCK", 16)
         edges = [(2, 3)] * 100 + [(0, 1)] + [(2, 3)] * 100 + [(0, 1)]
         g = DirectedGraph(4, edges)
         stream = make_stream(g, "given")
-        src, _, exhausted = stream.take_qualifying(
-            2, member_mask({0}, 4), member_mask({1}, 4), block=16
-        )
+        src, _ = stream.take_qualifying(2, member_mask({0}, 4), member_mask({1}, 4))
         assert src.tolist() == [0, 0]
-        assert not exhausted
         assert stream.remaining == 0
 
 
@@ -204,9 +201,9 @@ class TestSourceFedStream:
             if op[0] == "take_qualifying":
                 _, want, s_bits, t_bits, block = op
                 masks = (np.array(s_bits), np.array(t_bits))
-                got = fed.take_qualifying(want, *masks, block=block)
-                expected = static.take_qualifying(want, *masks, block=block)
-                assert got[2] == expected[2]
+                with mock.patch.object(streaming, "_QUALIFYING_BLOCK", block):
+                    got = fed.take_qualifying(want, *masks)
+                    expected = static.take_qualifying(want, *masks)
             else:
                 got = getattr(fed, op[0])(*op[1:])
                 expected = getattr(static, op[0])(*op[1:])
@@ -251,7 +248,8 @@ class TestTakeQualifyingAtTheRoot:
     @pytest.mark.parametrize("fed", [False, True])
     @pytest.mark.parametrize("beyond", [-1, 0, 3])  # want - remaining
     @pytest.mark.parametrize("block", [2, 65536])
-    def test_returns_what_the_block_path_returns(self, fed, beyond, block):
+    def test_returns_what_the_block_path_returns(self, monkeypatch, fed, beyond, block):
+        monkeypatch.setattr(streaming, "_QUALIFYING_BLOCK", block)
         edges = [(u % _N, (3 * u + 1) % _N) for u in range(23)]
 
         def stream():
@@ -264,9 +262,8 @@ class TestTakeQualifyingAtTheRoot:
         short, wide = np.ones(_N + 1, dtype=bool), np.ones(_N + 1, dtype=bool)
         short[_N] = False
         want = root.remaining + beyond
-        got = root.take_qualifying(want, everyone, everyone, block=block)
-        expected = block_path.take_qualifying(want, short, wide, block=block)
-        assert got[2] == expected[2] == (beyond > 0)
+        got = root.take_qualifying(want, everyone, everyone)
+        expected = block_path.take_qualifying(want, short, wide)
         assert got[0].tolist() == expected[0].tolist()
         assert got[1].tolist() == expected[1].tolist()
         assert len(got[0]) == min(want, 19)
