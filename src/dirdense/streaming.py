@@ -559,15 +559,23 @@ class SinglePassEngine:
         module docstring); a pair with an empty side has no cross edge
         left, so then nothing is read. Where S is not V and ``shared``
         hands out S's rows, they are the bag and the rest is read but not
-        filtered; otherwise the rest is drained into ``seen``."""
+        filtered; otherwise the rest is drained into ``seen``.
+
+        A static stream's rest is charged as one batch in flight, as every
+        read before it, and then what the engine keeps: the drained edges
+        in ``seen``, or the bag. A source's last fetch (an MPC pool's) sits
+        on the coordinator whole, so it is charged whole."""
         bag = None
         if stream.remaining and self.s_count and self.t_count:
             rs, rd = stream.take_all()
-            self.seen.note_extra(rs.size)
+            fetched = stream._source is not None
+            self.seen.note_extra(rs.size if fetched else min(rs.size, self._batch()))
             if self.s_count < self.n:
                 bag = self.shared.inside(self.n, m, self.s_mask, self.t_mask, rs.size)
             if bag is None:
                 self.seen.add(*_inside(rs, rd, self.s_mask, self.t_mask))
+            else:
+                self.seen.note_extra(bag[0].size - self.seen.size)
         self._local_peel(*(self.seen.arrays() if bag is None else bag))
 
 

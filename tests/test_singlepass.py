@@ -324,6 +324,24 @@ class TestFinish:
         with pytest.raises(ValueError, match="not one of"):
             run(g.src[1:], g.dst[1:])
 
+    # the largest single-pass row peak over n * xi on gen_pref_attach(2000,
+    # 500, s) at f = 1/3000, sweep seed s, in both orders, was 6.644-6.677
+    # at s = 2, 3, 4 (calibration seeds); frozen as the next integer up
+    PEAK_PER_SAMPLE_BUDGET = 7
+
+    @pytest.mark.parametrize("order", ["shuffled", "given"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_row_peaks_stay_within_a_multiple_of_the_sample_budget(self, seed, order):
+        """A finish charges a static stream's unread rest as one batch in
+        flight, then the edges it keeps, so no row's peak approaches m =
+        999,500; 820,475-988,505 edges when the whole rest was charged."""
+        g = gen_pref_attach(2000, 500, seed)
+        n_xi = g.n * sample_params(g.n, 0.2, f=1 / 3000).xi
+        res = sweep("single-pass", g, build_grid(g.n, 2), epsilon=0.2, f=1 / 3000, seed=seed,
+                    stream_order=order)
+        assert all(row.error is None for row in res.rows)
+        assert max(row.peak_edges for row in res.rows) <= self.PEAK_PER_SAMPLE_BUDGET * n_xi
+
     def test_no_finish_filters_the_unread_rest(self):
         """On the dense pref graph the 16 single-pass cells that read a
         rest all finish away from (V, V) and read their bag from the rows
