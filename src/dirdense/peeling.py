@@ -247,22 +247,17 @@ class SharedPeel:
     each start pair a reader asks for, one ``_exact_bag_peels`` walk over
     all of the guesses, read lazily.
 
-    ``steps`` hands out one guess's steps from a start pair in order (who
-    reads them, and how far: the ``csweep`` module docstring). A walk
-    advances only when a reader needs a step not walked yet, and every step
-    it yields is kept, so each is walked once, and a reader that stops
-    early leaves the rest unwalked. (V, V) is one start pair like any
-    other, keyed without reading its masks' bytes. Every walk but a
-    rescanning one reads the bag itself with its degrees, counted once when
-    the first walk is made (see the bag contract of ``_exact_bag_peels``).
-    ``inside`` hands out E(S, T) from the rows of S's members when the
-    bag's sources never decrease: one check of the bag, made when first
-    needed, keeps its by-source offsets, which also give the walks'
-    out-degrees. Every walk, with its steps, is kept as long as the object
-    is. Guesses that are not positive rationals are left out, so each of
-    their cells still fails on its own; order and repeats do not matter.
-    ``rescan`` walks as ``baseline_peel`` peels, with one pass over the
-    whole bag per pair.
+    ``steps`` hands out one guess's steps from a start pair (who reads
+    them, and how far: the ``csweep`` module docstring), and ``inside``
+    hands out E(S, T) from the bag's by-source rows. A walk advances only
+    when a reader needs a step not walked yet, and keeps every step it
+    yields for as long as the object lives. Every walk but a rescanning one
+    reads the bag as the bag contract of ``_exact_bag_peels`` allows, with
+    degrees counted once. (V, V) is one start pair like any other, keyed
+    without reading its masks' bytes. Guesses that are not positive
+    rationals are left out, so each of their cells still fails on its own;
+    order and repeats do not matter. ``rescan`` walks as ``baseline_peel``
+    peels, with one pass over the whole bag per pair.
     Threads may share the object: walks advance under one lock. A walk that
     raises keeps the exception, and every reader from its start pair that
     needs a step past the last one walked raises it too, so no peel ends
