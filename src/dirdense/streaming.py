@@ -157,31 +157,37 @@ class EdgeStream:
         self.resets += 1
         self._cursor = 0
 
-    def _refill(self) -> bool:
-        """Append the source's next installment to the unread edges."""
-        installment = self._source.fetch() if self._source is not None else None
-        if installment is None:
-            return False
+    def _unread(self, k) -> int:
+        """Fetch installments while fewer than ``k`` edges are unread, and
+        return how many are. Reads fetch only here, so a read starts an MPC
+        phase only where it runs short: ``take(k)`` with fewer than k
+        unread, ``take_qualifying`` wanting more with none unread (so also
+        inside a sampled step's fresh draw, in ``set_sample``), and
+        ``take_all``, which fetches until the source returns None."""
+        while self._src.size - self._cursor < k:
+            installment = self._source.fetch() if self._source is not None else None
+            if installment is None:
+                break
+            lo = self._cursor
+            self._src = _joined(self._src[lo:], installment[0])
+            self._dst = _joined(self._dst[lo:], installment[1])
+            self._cursor = 0
+        return int(self._src.size - self._cursor)
+
+    def _consume(self, k):
+        """Consume the next ``k`` unread edges and return them as views."""
         lo = self._cursor
-        self._src = _joined(self._src[lo:], installment[0])
-        self._dst = _joined(self._dst[lo:], installment[1])
-        self._cursor = 0
-        return True
+        self._cursor = hi = lo + k
+        self.edges_read += k
+        return self._src[lo:hi], self._dst[lo:hi]
 
     def take(self, k):
         """Consume and return the next k edges (fewer if the stream ends)."""
-        k = int(k)
-        while self._src.size - self._cursor < k and self._refill():
-            pass
-        lo = self._cursor
-        self._cursor = min(lo + max(0, k), self._src.size)
-        self.edges_read += self._cursor - lo
-        return self._src[lo : self._cursor], self._dst[lo : self._cursor]
+        k = max(0, int(k))
+        return self._consume(min(k, self._unread(k)))
 
     def take_all(self):
-        while self._refill():
-            pass
-        return self.take(self._src.size - self._cursor)
+        return self._consume(self._unread(math.inf))
 
     def take_qualifying(self, want, s_mask, t_mask):
         """Consume and return, as (src, dst), the next `want` edges inside
@@ -197,31 +203,18 @@ class EdgeStream:
             return self.take(want)
         out_src, out_dst = [], []
         got = 0
-        while got < want:
-            left = int(self._src.size - self._cursor)
-            if not left:
-                if self._refill():
-                    continue
-                break
+        while got < want and (left := self._unread(1)):
             view = min(max(_QUALIFYING_BLOCK, 4 * (want - got)), left)
             lo = self._cursor
-            vs = self._src[lo : lo + view]
-            vd = self._dst[lo : lo + view]
+            vs, vd = self._src[lo : lo + view], self._dst[lo : lo + view]
             hits = np.flatnonzero(_inside_mask(vs, vd, s_mask, t_mask))
-            if got + hits.size >= want:
-                need = want - got
-                consumed = int(hits[need - 1]) + 1
-                out_src.append(vs[hits[:need]])
-                out_dst.append(vd[hits[:need]])
-                got = want
-                self._cursor = lo + consumed
-                self.edges_read += consumed
-            else:
-                out_src.append(vs[hits])
-                out_dst.append(vd[hits])
-                got += int(hits.size)
-                self._cursor = lo + view
-                self.edges_read += view
+            if got + hits.size >= want:  # through the last edge it takes
+                hits = hits[: want - got]
+                view = int(hits[-1]) + 1
+            out_src.append(vs[hits])
+            out_dst.append(vd[hits])
+            got += int(hits.size)
+            self._consume(view)
         src = np.concatenate(out_src) if out_src else _EMPTY
         dst = np.concatenate(out_dst) if out_dst else _EMPTY
         return src, dst
@@ -518,24 +511,19 @@ class SinglePassEngine:
             h_src, h_dst, fresh = set_sample(self.seen, *pair, p, size_estimate, stream,
                                              self.rng)
             self.seen.note_extra(h_src.size)
-            if self.s_mask is not pair[0] or self.t_mask is not pair[1]:
-                # a source's installment moved the pair during the draw (an
-                # MPC flip-peel), so the sample is another pair's: keep what
-                # was read inside the new pair and step from there
-                self.seen.add(*fresh)
-                self.seen.refilter(self.s_mask, self.t_mask)
-                continue
-            # score the pre-peel pair too: the sample is entirely inside
-            # (S, T), so |H| / p estimates its cross count
-            self.offer_best(self.s_mask, self.t_mask,
-                            sampled_density_estimate(h_src.size, p, self.s_count, self.t_count))
-            step = next(_exact_bag_peels(h_src, h_dst, self.n, (self.c,), eps,
-                                         self.s_mask, self.t_mask))
-            self.s_mask, self.t_mask = step.s_mask, step.t_mask
-            self.s_count, self.t_count = step.s_count, step.t_count
-            # a pair with an empty side scores 0, which never beats the best
-            self.offer_best(self.s_mask, self.t_mask,
-                            sampled_density_estimate(step.cross, p, self.s_count, self.t_count))
+            if self.s_mask is pair[0] and self.t_mask is pair[1]:
+                # score the pre-peel pair too: the sample is entirely inside
+                # (S, T), so |H| / p estimates its cross count
+                rho = sampled_density_estimate(h_src.size, p, self.s_count, self.t_count)
+                self.offer_best(*pair, rho)
+                step = next(_exact_bag_peels(h_src, h_dst, self.n, (self.c,), eps, *pair))
+                self.s_mask, self.t_mask = step.s_mask, step.t_mask
+                self.s_count, self.t_count = step.s_count, step.t_count
+                # a pair with an empty side scores 0, which never beats the best
+                rho = sampled_density_estimate(step.cross, p, self.s_count, self.t_count)
+                self.offer_best(self.s_mask, self.t_mask, rho)
+            # else an installment moved the pair during the draw (an MPC
+            # flip-peel), so the sample is another pair's and is not peeled
             self.seen.add(*fresh)
             self.seen.refilter(self.s_mask, self.t_mask)
             # a pair with an empty side has no cross edge left to read
