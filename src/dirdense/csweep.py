@@ -124,11 +124,6 @@ class SweepResult:
         return best
 
     @property
-    def best_c(self) -> Fraction | None:
-        best = self.best_row
-        return None if best is None else best.c
-
-    @property
     def best_pair(self) -> VertexSetPair | None:
         best = self.best_row
         return None if best is None else best.pair

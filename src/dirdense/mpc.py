@@ -56,7 +56,8 @@ class MpcConfig:
 
     superlinear: per-machine word budget n**(1+mu), mu in (0, 1).
     nearlinear: budget n * polylog_budget, a positive number of words per
-    vertex; the default budget is ln(n)^2 / epsilon^3.
+    vertex; the default budget is ln(n)^2 / epsilon^3. Each regime takes
+    only its own knob.
     """
 
     regime: str
@@ -66,8 +67,12 @@ class MpcConfig:
     def __post_init__(self):
         if self.regime not in ("superlinear", "nearlinear"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == "superlinear" and (self.mu is None or not 0.0 < self.mu < 1.0):
+        superlinear = self.regime == "superlinear"
+        if superlinear and (self.mu is None or not 0.0 < self.mu < 1.0):
             raise ValueError("superlinear regime needs mu in (0, 1)")
+        ignored = "polylog_budget" if superlinear else "mu"
+        if getattr(self, ignored) is not None:
+            raise ValueError(f"a {self.regime} config takes no {ignored}")
         if self.polylog_budget is not None and not 0 < self.polylog_budget < math.inf:
             raise ValueError("polylog_budget must be positive and finite")
 
@@ -218,9 +223,10 @@ class _PhaseController:
     """Owns the relevant-edge pool and the per-phase bookkeeping.
 
     It is the installment source of the engine's stream: ``size`` is the
-    pool not fetched yet, and every ``fetch`` runs one phase. The ratio
-    guess, epsilon, xi and a near-linear phase's draw size, one engine
-    batch, are the engine's own; the regime is ``cfg``'s; ``order`` is a
+    pool not fetched yet, and every ``fetch`` runs one phase, where
+    ``EdgeStream._unread`` says a read starts one. The ratio guess,
+    epsilon, xi and a near-linear phase's draw size, one engine batch, are
+    the engine's own; the regime is ``cfg``'s; ``order`` is a
     ``_PoolOrder`` of g's edges.
     """
 

@@ -110,9 +110,9 @@ class EdgeStream:
 
     A static stream holds all of its edges from the start. A source-fed
     stream starts from the given buffer and appends installments from
-    ``source`` whenever a read runs short: the source has ``size``, the edges
-    it has not handed out yet, and ``fetch()``, which returns the next
-    ``(src, dst)`` installment or None when nothing more can be fetched.
+    ``source`` whenever a read runs short (see ``_unread``): the source has
+    ``size``, the edges it has not handed out yet, and ``fetch()``, which
+    returns the next ``(src, dst)`` installment or None when it has none.
 
     A stream is single-consumer. ``reset`` restarts a pass for multi-pass
     use; single-pass consumers never call it, which the ``resets`` and

@@ -334,6 +334,36 @@ def test_criterion_8b_single_pass_strictly_faster(crit8_runs):
     )
 
 
+def test_single_pass_faster_than_multi_pass_where_it_samples():
+    """The paper's speed claim in the regime it is about. On pref 2000x500
+    at f = 1/3000, n*xi = 8,000 is far below m = 999,500, so single-pass
+    really samples (criterion 8b's cells are all exact peels). The paper
+    compares its single-pass algorithm with Bahmani et al.'s multi-pass
+    streaming algorithm, ``multi_pass_run`` here, so each whole single-pass
+    sweep must beat the multi-pass sweep of the same stream order: medians
+    of 3 interleaved sweeps per order."""
+    g = gen_pref_attach(2000, 500, seed=0)
+    f = 1 / 3000
+    assert g.n * sample_params(g.n, _EPS, f).xi < g.m
+    grid = build_grid(g.n, _DELTA)
+    orders, algos = ("shuffled", "given"), ("single-pass", "multi-pass")
+    secs = {}
+    for _ in range(3):
+        for order in orders:
+            for algo in algos:
+                started = time.perf_counter()
+                res = sweep(algo, g, grid, epsilon=_EPS, f=f, seed=0, stream_order=order)
+                secs.setdefault((order, algo), []).append(time.perf_counter() - started)
+                assert all(row.error is None for row in res.rows)
+    for order in orders:
+        single, multi = (sorted(secs[order, algo])[1] for algo in algos)
+        ok = single < multi
+        _report(f"single-pass faster than Bahmani et al.'s multi-pass ({order} order)", ok,
+                f"single={single:.3f}s, multi-pass={multi:.3f}s")
+        assert ok, (f"{order} order: single-pass sweep {single:.3f}s is not below the "
+                    f"multi-pass sweep {multi:.3f}s (median of 3 interleaved sweeps)")
+
+
 def test_criterion_8c_curve_shapes_correlate(crit8_runs):
     base = np.array([r.density for r in crit8_runs["baseline"].rows])
     single = np.array([r.density for r in crit8_runs["single"].rows])

@@ -537,28 +537,28 @@ class TestBestRow:
         report = SweepResult("baseline", 0, [_row("1/4", 2.0), _row("1/2", None, "boom"),
                                              _row(1, 3.0), _row(2, 3.0), _row(4, 1.0)])
         assert report.best_row is report.rows[2]
-        assert (report.best_c, report.best_pair, report.best_density) == (1, None, 3.0)
+        assert (report.best_row.c, report.best_pair, report.best_density) == (1, None, 3.0)
         again = parse_report_csv(report_csv_text(report))
-        assert again.best_c == report.best_c
+        assert again.best_row.c == report.best_row.c
 
     def test_close_densities_keep_the_best_row_through_the_csv(self):
         # printed to 6 digits both read 1105.61, and the tie would go to c = 1
         report = SweepResult("baseline", 0, [_row(1, 1105.6081), _row(2, 1105.6083)])
         again = parse_report_csv(report_csv_text(report))
-        assert report.best_c == again.best_c == 2
+        assert report.best_row.c == again.best_row.c == 2
         assert [r.density for r in again.rows] == [1105.6081, 1105.6083]
 
     def test_no_successful_row(self):
         report = SweepResult("baseline", 0, [_row(1, None, "boom"), _row(2, None, "bang")])
         assert report.best_row is None
-        assert (report.best_c, report.best_pair, report.best_density) == (None, None, 0.0)
+        assert (report.best_pair, report.best_density) == (None, 0.0)
 
     @pytest.mark.parametrize("algo", RUNNERS)
     def test_csv_and_cli_name_the_best_row(self, algo, capsys):
         argv = ["--gen", "pref:n=80,k=4", "--algo", algo, "--seed", "2", "--f", "0.05"]
         report = run_experiment(RunConfig(**vars(build_parser().parse_args(argv))))
         assert report.best_row is not None
-        assert parse_report_csv(report_csv_text(report)).best_c == report.best_c
+        assert parse_report_csv(report_csv_text(report)).best_row.c == report.best_row.c
         assert cli_main(argv) == 0
         best = report.best_row
         assert capsys.readouterr().out.splitlines()[0] == (
@@ -581,6 +581,18 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "error: seed must lie in [0, 2**63), got -1\n"
 
+    def test_a_sweep_without_a_successful_row_exits_1(self, monkeypatch, capsys):
+        import dirdense.csweep as sweep_mod
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sweep_mod, "baseline_peel", failing)
+        code = cli_main(["--gen", "pref:n=20,k=2", "--algo", "baseline"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("boom\nno successful rows\n")
+
     def test_stdout_csv_when_no_out(self, capsys):
         code = cli_main(["--gen", "pref:n=20,k=2", "--algo", "baseline", "--c", "1/2"])
         assert code == 0
@@ -594,7 +606,8 @@ class TestCli:
         assert code == 0
 
     @pytest.mark.parametrize("spec", ["pref:n=10,k=2,zz=5", "pref:n=10,k=2,n=50",
-                                      "pref:n=10,k=2,k=3", "pref:n=10,k=2,=4"])
+                                      "pref:n=10,k=2,k=3", "pref:n=10,k=2,=4", "er:n=10,p=0.1",
+                                      "pref:n=10", "pref:k=2"])
     def test_bad_gen_spec_is_rejected(self, spec, capsys):
         code = cli_main(["--gen", spec, "--algo", "baseline"])
         assert code == 2

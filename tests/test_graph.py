@@ -44,6 +44,8 @@ class TestDirectedGraph:
             DirectedGraph(2, [(0, 2)])
         with pytest.raises(ValueError):
             DirectedGraph(2, [(-1, 0)])
+        with pytest.raises(ValueError, match=r"\(u, v\) pairs"):
+            DirectedGraph(3, [(0, 1, 2)])
 
     def test_arrays_are_read_only(self):
         g = cycle4()
@@ -185,6 +187,7 @@ class TestMaskPair:
         assert count_cross_edges(g, masked) == count_cross_edges(g, listed)
         assert density(g, masked) == density(g, listed)
         assert masked == listed and listed == masked
+        assert masked != (masked.S, masked.T)  # only a pair equals a pair
         assert hash(masked) == hash(listed)
 
     def test_keeps_a_private_read_only_copy(self):

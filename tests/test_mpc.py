@@ -31,6 +31,14 @@ class TestMpcConfig:
         with pytest.raises(ValueError):
             MpcConfig("superlinear", mu=1.5)
 
+    @pytest.mark.parametrize("regime, knob", [("superlinear", {"polylog_budget": 5.0}),
+                                              ("nearlinear", {"mu": 2.0}),
+                                              ("nearlinear", {"mu": 0.5})])
+    def test_rejects_the_other_regime_s_knob(self, regime, knob):
+        kwargs = {"mu": 0.1} if regime == "superlinear" else {}
+        with pytest.raises(ValueError, match=f"{regime} config takes no {next(iter(knob))}"):
+            MpcConfig(regime, **kwargs, **knob)
+
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             MpcConfig("sublinear")
@@ -106,6 +114,8 @@ class TestRelevantEdgeSet:
         rest = pool.draw(g.m)  # more than is left: takes the rest
         assert np.array_equal(_codes(g, *rest), _codes(g, src[48:], dst[48:]))
         assert pool.size == 0 and pool.draw(1)[0].size == 0
+        edges = pool._edges  # its source, the order's reader, has handed out every slot
+        assert edges.remaining == 0 and edges.take_all()[0].size == 0
         assert np.array_equal(np.sort(_codes(g, src, dst)), np.sort(_codes(g, g.src, g.dst)))
 
     def test_filter_keeps_the_survivors_in_order(self):

@@ -19,6 +19,7 @@ from dirdense.peeling import (
     _inside,
     _kept,
     _peel_best,
+    _threshold_drop,
     baseline_peel,
     exact_oracle,
 )
@@ -63,6 +64,14 @@ def first_rescan_peel(g, c, epsilon, s, t):
     return VertexSetPair(step.s_mask, step.t_mask)
 
 
+def test_threshold_drop_evicts_one_minimum_degree_member_if_none_is_at_the_threshold():
+    # every member above (1 + eps) * cross / |side| = 0.4: the fallback
+    # still drops one member, so every step makes progress
+    side = np.array([True, True, False, True])
+    drop = _threshold_drop(np.array([5, 3, 0, 4]), side, 1, 3, 0.2)
+    assert drop.tolist() == [False, True, False, False]
+
+
 class TestFirstRescanPeel:
     def test_peels_whole_source_side(self):
         # S={0,1}, T={2}, both sources below the 1.5*avg threshold
@@ -98,6 +107,8 @@ class TestBaselinePeel:
         pair, rho, ledger = baseline_peel(g, 1, 0.2)
         assert rho == 0.0
         assert ledger.rounds == 1  # one iteration empties a side
+        with pytest.raises(ValueError, match="no vertices"):
+            baseline_peel(DirectedGraph(0), 1, 0.2)
 
     def test_star_triangle_bound(self):
         g = star_plus_triangle()
@@ -671,6 +682,8 @@ class TestExactOracle:
     def test_caps_vertex_count(self):
         with pytest.raises(ValueError):
             exact_oracle(DirectedGraph(21, []), max_vertices=20)
+        with pytest.raises(ValueError, match="no vertices"):
+            exact_oracle(DirectedGraph(0))
 
     def test_pair_is_mask_built(self):
         for seed in range(6):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dirdense.graph import DirectedGraph, VertexSetPair, count_cross_edges, member_mask
 from dirdense.streaming import (
+    SampleParams,
     SeenSet,
     estimate_cross_edges,
     make_stream,
@@ -240,6 +241,12 @@ def test_sample_params_formula():
         sample_params(100, 1.2)
     with pytest.raises(ValueError):
         sample_params(100, 0.2, f=0.0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sample_params(0, 0.2)
+    with pytest.raises(ValueError, match="epsilon"):
+        SampleParams(epsilon=1.0, xi=5)
+    with pytest.raises(ValueError, match="xi"):
+        SampleParams(epsilon=0.2, xi=0)
 
 
 @pytest.mark.parametrize("epsilon,f", [(0.0, 1.0), (1e-300, 1.0), (0.2, math.inf), (0.2, math.nan),

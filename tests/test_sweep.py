@@ -48,6 +48,10 @@ class TestBuildGrid:
         assert all(lo < hi for lo, hi in zip(grid, grid[1:]))
         assert max(c.denominator.bit_length() for c in grid) <= 64
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            build_grid(0, 2)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             build_grid(10, 1.0)
@@ -118,13 +122,13 @@ class TestSweep:
         res = sweep("baseline", g, build_grid(12, 2), epsilon=0.2)
         top = max(row.density for row in res.rows)
         assert res.best_density == top
-        assert res.best_c == next(r.c for r in res.rows if r.density == top)
+        assert res.best_row.c == next(r.c for r in res.rows if r.density == top)
 
     def test_ties_resolve_to_smaller_c(self):
         g = DirectedGraph(2, [(0, 1)])
         res = sweep("baseline", g, build_grid(2, 2), epsilon=0.2)
         winners = [r.c for r in res.rows if r.density == res.best_density]
-        assert res.best_c == min(winners)
+        assert res.best_row.c == min(winners)
 
     @pytest.mark.parametrize("epsilon", [0, 1e-300])
     def test_degenerate_epsilon_rejected(self, epsilon):
@@ -174,7 +178,7 @@ class TestSweep:
         implicit = sweep(algo, g, grid, epsilon=0.9, f=1 / 100, seed=3)
         explicit = sweep(algo, g, grid, epsilon=0.9, f=1 / 100, seed=3, mpc_config=default)
         assert [_row_key(r) for r in implicit.rows] == [_row_key(r) for r in explicit.rows]
-        assert implicit.best_c == explicit.best_c
+        assert implicit.best_row.c == explicit.best_row.c
 
     def test_per_cell_errors_recorded_not_raised(self, monkeypatch):
         import dirdense.csweep as sweep_mod
@@ -214,7 +218,7 @@ class TestSweep:
                 serial = sweep(algo, g, grid, epsilon=0.2, seed=7, mpc_config=cfg, workers=1)
                 threaded = sweep(algo, g, grid, epsilon=0.2, seed=7, mpc_config=cfg, workers=4)
                 assert [_row_key(r) for r in serial.rows] == [_row_key(r) for r in threaded.rows]
-                assert serial.best_c == threaded.best_c
+                assert serial.best_row.c == threaded.best_row.c
         finally:
             sys.setswitchinterval(interval)
 

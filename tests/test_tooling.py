@@ -222,7 +222,6 @@ def test_no_public_name_only_tests_reach():
 # define without reading them itself, each with the reason it stays
 _UNREAD_METHODS = {
     "RoundLedger.phases": "read by the benchmark's trace of MPC ledgers",
-    "SweepResult.best_c": "the best row's guess, next to best_pair and best_density",
     "SweepResult.best_density": "read by the benchmark's correctness gate",
     "VertexSetPair.of": "the one entry point from vertex ids to a pair",
 }
@@ -277,11 +276,12 @@ def test_every_bag_filter_is_inside():
 
 
 def _calls_of(name, node, scope):
-    """The qualified name of the definition around each call of ``name``
-    under ``node``."""
+    """The qualified name of the definition around each call of ``name``,
+    as ``name(...)`` or ``obj.name(...)``, under ``node``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
-    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+    elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                  getattr(node.func, "attr", None)):
         yield scope
     for child in ast.iter_child_nodes(node):
         yield from _calls_of(name, child, scope)
@@ -296,3 +296,11 @@ def test_the_peel_kernel_has_four_callers():
                    for scope in _calls_of("_exact_bag_peels", tree, name.removesuffix(".py")))
     assert found == ["peeling.SharedPeel.steps", "streaming.SinglePassEngine._local_peel",
                      "streaming.SinglePassEngine.run", "streaming.multi_pass_run"]
+
+
+def test_one_fill_step_fetches_installments():
+    """An installment source's ``fetch()`` is called in one place, the fill
+    step ``EdgeStream._unread``, so no other read can start an MPC phase."""
+    found = sorted(scope for name, tree in _package_trees().items()
+                   for scope in _calls_of("fetch", tree, name.removesuffix(".py")))
+    assert found == ["streaming.EdgeStream._unread"]
