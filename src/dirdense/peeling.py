@@ -91,6 +91,27 @@ def _inside(src, dst, s_mask, t_mask):
     return (src, dst) if keep.all() else _kept(keep, src, dst)
 
 
+def _inside_rows(src, dst, offsets, s_mask, t_mask, limit):
+    """E(S, T) of the bag (``src``, ``dst``), as ``_inside`` leaves it,
+    read from the by-source rows of S's members, the bag's edges from v
+    at ``offsets[v]`` up to ``offsets[v + 1]``; None when ``offsets`` is
+    None or those rows hold ``limit`` edges or more."""
+    if offsets is None:
+        return None
+    members = np.flatnonzero(s_mask)
+    starts = offsets[members]
+    lengths = offsets[members + 1] - starts
+    total = int(lengths.sum())
+    if total >= limit:
+        return None
+    # row i's k-th edge is at starts[i] + k, and lands at its row's
+    # running start plus k; every row edge's source is a member, so only
+    # T is tested
+    rows = np.arange(total) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    everyone = np.ones(s_mask.size, dtype=bool)
+    return _inside(np.repeat(members, lengths), dst[rows], everyone, t_mask)
+
+
 def _threshold_drop(deg, side_mask, cross, side_count, epsilon):
     """Vertices of the side at or below (1+eps) times the average cross-degree.
 
@@ -130,7 +151,62 @@ def _first_target_peeler(cs, guesses: range, counts) -> int:
                               key=lambda c: not _ratio_prefers_sources(*counts, c))
 
 
-def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, rescan=False):
+class _Leavers:
+    """The guess groups that leave one run of a walk's first pair, over a
+    bag given with its degrees, while the run's other side is V; and the
+    degrees of each group's next run, from counting passes over the bag.
+
+    The run peels ``side``, so the groups' masks of it are nested, the
+    first group's the largest, and the walk pops the groups last first.
+    Group j's next run peels the free side, the other one, and its degrees
+    count the bag edges whose ``side`` end lies in group j's mask: the
+    ends held by more than j groups. A counting pass counts each edge's
+    free end under that number, its level, so each pop adds the counts of
+    the levels it newly reaches to the degrees of the group popped before.
+    One pass covers up to m / n levels, so its table stays within about
+    m + n entries however many groups leave, and a run that sheds at most
+    m / n groups needs one pass.
+    """
+
+    def __init__(self, bag, side, n):
+        self.bag, self.side, self.n = bag, side, n
+        self.masks = []  # each group's mask of ``side``, in the order they left
+        self.held = None
+        self.low = math.inf  # the lowest level ``table`` counts
+
+    def add(self, mask) -> int:
+        """Take the next group to leave, by its mask of ``side``; return its index."""
+        self.masks.append(mask)
+        return len(self.masks) - 1
+
+    def degrees(self, j):
+        """Group ``j``'s degrees on the free side; asked in the order the
+        groups are popped."""
+        if self.held is None:  # the first pop: how many groups hold each end
+            self.held = np.zeros(self.n, dtype=np.int64)
+            for mask in self.masks:
+                self.held += mask
+            self.deg, self.reached = np.zeros(self.n, dtype=np.int64), len(self.masks) + 1
+        while self.reached > j + 1:
+            self.reached -= 1
+            if self.reached < self.low:
+                self._count(self.reached)
+            self.deg = self.deg + self.table[self.reached - self.low + 1]
+        return self.deg
+
+    def _count(self, top):
+        """One counting pass for the levels from ``top`` down, as many as
+        the bag has edges per vertex; ``table`` row 0 takes every other."""
+        n = self.n
+        self.low = max(1, top + 1 - max(1, self.bag[0].size // n))
+        row = np.where((self.held >= self.low) & (self.held <= top), self.held - self.low + 1, 0)
+        key = (row * n)[self.bag[self.side]]
+        key += self.bag[1 - self.side]
+        self.table = np.bincount(key, minlength=(top - self.low + 2) * n).reshape(-1, n)
+
+
+def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, offsets=None,
+                     rescan=False):
     """Threshold peel steps from (S, T) for the ascending ratio guesses
     ``cs``: the one implementation of a peel step.
 
@@ -150,55 +226,73 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, 
     and ``dst`` at length n), the bag may hold any edges: a run from (S, T)
     takes its side's degrees from them, less a bincount of only the bag
     edges whose other end lies outside the pair's other side (none when
-    that side is V).
+    that side is V). ``offsets``, given only with ``degrees`` and only
+    where the bag's sources never decrease, are its by-source offsets: its
+    edges from v lie at ``offsets[v]`` up to ``offsets[v + 1]``.
 
     Peels come in runs of the same side. The other side does not change
     during a run, so the degrees at its start stay exact for every
     surviving member, and each peel needs only a masked sum for the new
-    cross count. Guesses whose ratio test flips leave the run, and are
-    compacted to E(S, T) of their pair when popped: by one pass on the side
-    that shrank, or by ``_inside`` of the whole bag when they leave a run
-    whose bag held edges outside its other side. A consumer that takes
-    only the runs from (S, T) never pays for it. Compactions keep their
-    edges through ``_kept``, which gathers by index where a mask keeps
-    under 15/16 of the bag, as most compactions of a walk do. With
-    ``rescan`` nothing is kept between steps and the bag may hold any
-    edges: each pair filters the whole bag through ``_inside`` and makes
-    one tally per side it peels, as a pass-per-iteration stream would. No
-    mask is written in place: a peel builds a new mask for its side and
-    yields the other side's as it is, so steps may be kept.
+    cross count. Guesses whose ratio test flips leave the run as a group,
+    which gets what its next run reads when popped, so a consumer that
+    takes only the runs from (S, T) never pays for it. A run over E(S, T)
+    hands its groups that bag, compacted by one pass on the side that
+    shrank; so does a first-pair run whose other side is V, over the whole
+    bag, where no ``offsets`` are given. With them, such a run's groups
+    get their degrees from counting passes over the bag (``_Leavers``)
+    and no bag. Every other group reads E(S, T) afresh: from S's rows
+    (``_inside_rows``) where they hold fewer edges than the bag, else by
+    ``_inside`` of the whole bag. Compactions keep their edges through
+    ``_kept``, which gathers by index where a mask keeps under 15/16 of
+    the bag, as most compactions of a walk do. With ``rescan`` nothing is
+    kept between steps and the bag may hold any edges: each pair filters
+    the whole bag through ``_inside`` and makes one tally per side it
+    peels, as a pass-per-iteration stream would. No mask is written in
+    place: a peel builds a new mask for its side and yields the other
+    side's as it is, so steps may be kept.
     """
     counts = (int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
     bag = None if rescan else (src, dst)
-    # (guesses, masks, counts, bag ends or None to filter the whole bag,
-    # side whose peels the bag still holds or None)
+    # (guesses, masks, counts, source, key): the source is bag ends, to be
+    # compacted on side ``key`` unless key is None; the ``_Leavers`` whose
+    # group ``key`` this is; or None, to read E(S, T) afresh
     todo = [(range(len(cs)), (s_mask, t_mask), counts, bag, None)]
     while todo:
-        guesses, start_masks, start_counts, ends, stale = todo.pop()
+        guesses, start_masks, start_counts, ends, key = todo.pop()
         if not (guesses and start_counts[0] and start_counts[1]):
             continue
-        if ends is None:
-            ends = _inside(src, dst, *start_masks)
-        elif stale is not None:
-            ends = _kept(start_masks[stale][ends[stale]], *ends)
+        fed = None
+        if isinstance(ends, _Leavers):
+            fed, ends = ends.degrees(key), None
+        elif ends is None:
+            ends = _inside_rows(src, dst, offsets, *start_masks, src.size)
+            if ends is None:
+                ends = _inside(src, dst, *start_masks)
+        elif key is not None:
+            ends = _kept(start_masks[key][ends[key]], *ends)
         # only the first pair's runs, over the bag as given, read ``degrees``
         whole, degrees = degrees, None
         split = _first_target_peeler(cs, guesses, start_counts)
-        # the T-peelers' run, then the S-peelers' run from the same bag
+        # the T-peelers' run, then the S-peelers' run from the same bag; a
+        # fed group has only the run its degrees are for, as every guess
+        # of it left a run of the other side
         for side, guesses in ((1, range(split, guesses.stop)), (0, range(guesses.start, split))):
             if not guesses:
                 continue
             masks, counts = list(start_masks), list(start_counts)
-            # every bag edge's other end lies in the other side, so one pass
-            # on this side compacts the bag for the guesses that leave
-            one_sided = whole is None or masks[1 - side].all()
-            if whole is None:
-                deg, cross = np.bincount(ends[side], minlength=n), int(ends[0].size)
-            else:
+            if fed is not None:
+                deg, leave = fed, None
+            elif whole is None:
+                deg, leave = np.bincount(ends[side], minlength=n), ends
+            elif masks[1 - side].all():
                 deg = whole[side]
-                if not one_sided:
-                    outside, = _kept(~masks[1 - side][ends[1 - side]], ends[side])
-                    deg = deg - np.bincount(outside, minlength=n)
+                leave = ends if offsets is None else _Leavers(ends, side, n)
+            else:
+                outside, = _kept(~masks[1 - side][ends[1 - side]], ends[side])
+                deg, leave = whole[side] - np.bincount(outside, minlength=n), None
+            if fed is None and whole is None:
+                cross = int(ends[0].size)
+            else:
                 cross = int(deg[masks[side]].sum())
             while True:
                 drop = _threshold_drop(deg, masks[side], cross, counts[side], epsilon)
@@ -220,7 +314,8 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, 
                 else:
                     left, guesses = range(split, guesses.stop), range(guesses.start, split)
                 if left:
-                    todo.append((left, *pair, ends if one_sided else None, side))
+                    group = leave.add(masks[side]) if isinstance(leave, _Leavers) else side
+                    todo.append((left, *pair, leave, group))
                 if not guesses:
                     break
 
@@ -253,7 +348,8 @@ class SharedPeel:
     when a reader needs a step not walked yet, and keeps every step it
     yields for as long as the object lives. Every walk but a rescanning one
     reads the bag as the bag contract of ``_exact_bag_peels`` allows, with
-    degrees counted once. (V, V) is one start pair like any other, keyed
+    degrees counted once and the by-source offsets passed where the bag
+    has them. (V, V) is one start pair like any other, keyed
     without reading its masks' bytes. Guesses that are not positive
     rationals are left out, so each of their cells still fails on its own;
     order and repeats do not matter. ``rescan`` walks as ``baseline_peel``
@@ -292,14 +388,14 @@ class SharedPeel:
             if walk is None:
                 if start is None:
                     start = (np.ones(self.n, dtype=bool),) * 2
+                offsets = None if self._rescan else self._offsets
                 if not self._rescan and self._degrees is None:
-                    offsets = self._offsets
                     out = (np.bincount(self._bag[0], minlength=self.n) if offsets is None
                            else np.diff(offsets))
                     self._degrees = out, np.bincount(self._bag[1], minlength=self.n)
                 walk = self._walks[key] = _Walk(_exact_bag_peels(
                     *self._bag, self.n, self.guesses, self.epsilon, *start,
-                    degrees=self._degrees, rescan=self._rescan))
+                    degrees=self._degrees, offsets=offsets, rescan=self._rescan))
         return self._read(walk, self.guesses.index(c))
 
     def inside(self, n: int, m: int, s_mask, t_mask, limit: int):
@@ -312,18 +408,7 @@ class SharedPeel:
             raise ValueError(f"the shared peel's bag is not one of n={n}, m={m}")
         with self._lock:
             offsets = self._offsets
-        if offsets is None:
-            return None
-        members = np.flatnonzero(s_mask)
-        starts = offsets[members]
-        lengths = offsets[members + 1] - starts
-        total = int(lengths.sum())
-        if total >= limit:
-            return None
-        # row i's k-th edge is at starts[i] + k, and lands at its row's
-        # running start plus k
-        rows = np.arange(total) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return _inside(self._bag[0][rows], self._bag[1][rows], s_mask, t_mask)
+        return _inside_rows(*self._bag, offsets, s_mask, t_mask, limit)
 
     @cached_property
     def _offsets(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -491,6 +492,58 @@ class TestWholeBagWalk:
         assert whole == [key(step) for step in alone]
 
 
+def _in_drawn_order(draw, g):
+    """g with its edges put in order of source, or in a drawn order that
+    may leave them unsorted."""
+    if draw(st.booleans()):
+        order = np.argsort(g.src, kind="stable")
+    else:
+        order = np.array(draw(st.permutations(range(g.m))), dtype=np.int64)
+    return DirectedGraph.from_arrays(g.n, g.src[order], g.dst[order])
+
+
+@st.composite
+def ordered_walk_instances(draw):
+    """A ``multigraphs_with_ratio`` graph in a drawn edge order, the grid
+    of factor 1.1, 1.5 or 2 as its guesses (the finer the grid, the more
+    groups a run sheds), and a start pair: (V, V), one side V, or both
+    sides drawn."""
+    g, _ = draw(multigraphs_with_ratio())
+    g = _in_drawn_order(draw, g)
+    cs = build_grid(g.n, draw(st.sampled_from([1.1, 1.5, 2.0])))
+    side = st.lists(st.booleans(), min_size=g.n, max_size=g.n).map(np.array)
+    pair = [np.ones(g.n, dtype=bool)] * 2
+    for at in draw(st.sampled_from([(), (0,), (1,), (0, 1)])):
+        pair[at] = draw(side)
+    return g, cs, tuple(pair)
+
+
+def _walk_key(step):
+    """A step as plain values: side, removed, masks and cross, then the
+    counts and the guesses that take it."""
+    return step_key(step), step.s_count, step.t_count, step.guesses
+
+
+def _by_source_offsets(g):
+    """g's by-source offsets where its sources never decrease, else None."""
+    return None if np.any(np.diff(g.src) < 0) else np.searchsorted(g.src, np.arange(g.n + 1))
+
+
+def _record_leavers(monkeypatch):
+    """Record every ``_Leavers`` a walk makes."""
+    import dirdense.peeling as peeling
+
+    made = []
+
+    class Recorded(peeling._Leavers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(peeling, "_Leavers", Recorded)
+    return made
+
+
 class TestGuessWalk:
     @given(guess_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -662,6 +715,89 @@ class TestGuessWalk:
         first = next(shared.steps(grid[-1], g.n, g.m, 0.2))
         assert len(walks) == 2 and first.t_count < g.n == first.s_count
 
+    @given(ordered_walk_instances(), st.sampled_from([0.1, 0.2, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_offsets_keep_every_step(self, instance, eps):
+        """A walk over the whole bag given its degrees and, where its
+        sources never decrease, its by-source offsets yields the steps of
+        the walk given no offsets and of the walk over ``_inside`` of the
+        bag given nothing: side, removed, masks, counts, cross and guesses,
+        also where a run from the start pair sheds several groups."""
+        g, cs, (s_mask, t_mask) = instance
+        degrees = np.bincount(g.src, minlength=g.n), np.bincount(g.dst, minlength=g.n)
+        walks = [_exact_bag_peels(g.src, g.dst, g.n, cs, eps, s_mask, t_mask, degrees=degrees,
+                                  offsets=offsets) for offsets in (_by_source_offsets(g), None)]
+        walks.append(_exact_bag_peels(*_inside(g.src, g.dst, s_mask, t_mask), g.n, cs, eps,
+                                      s_mask, t_mask))
+        rows, compacted, alone = ([_walk_key(step) for step in walk] for walk in walks)
+        assert rows == compacted == alone
+
+    @pytest.mark.parametrize("k", [1, 50])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_counting_passes_serve_the_root_runs_of_either_side(self, monkeypatch, k, reverse):
+        """On a pref graph, whose root T-run sheds groups, and on it
+        reversed, whose root S-run does, a (V, V) walk with the offsets
+        gives two or more groups their degrees from counting passes, one
+        pass a level at one edge per vertex and one pass in all at 50, and
+        yields the steps of the walk without them."""
+        import dirdense.peeling as peeling
+
+        g = gen_pref_attach(2000, k, 0)
+        if reverse:
+            order = np.argsort(g.dst, kind="stable")
+            g = DirectedGraph.from_arrays(g.n, g.dst[order], g.src[order])
+        cs = build_grid(g.n, 2)
+        everyone = np.ones(g.n, dtype=bool)
+        degrees = np.bincount(g.src, minlength=g.n), np.bincount(g.dst, minlength=g.n)
+        made = _record_leavers(monkeypatch)
+        passes = []
+        count = peeling._Leavers._count
+        monkeypatch.setattr(peeling._Leavers, "_count",
+                            lambda leavers, top: passes.append(top) or count(leavers, top))
+        rows = [_walk_key(step) for step in _exact_bag_peels(
+            g.src, g.dst, g.n, cs, 0.2, everyone, everyone, degrees=degrees,
+            offsets=_by_source_offsets(g))]
+        [groups] = [len(leavers.masks) for leavers in made if leavers.side == int(not reverse)]
+        assert groups >= 2 and len(passes) == (groups if k == 1 else 1)
+        assert not any(leavers.masks for leavers in made if leavers.side == int(reverse))
+        alone = _exact_bag_peels(g.src, g.dst, g.n, cs, 0.2, everyone, everyone)
+        assert rows == [_walk_key(step) for step in alone]
+
+    def test_root_walk_compacts_no_whole_bag(self, monkeypatch):
+        """The groups that leave the root runs of a (V, V) walk over a bag
+        with by-source offsets get their degrees from a counting pass, so
+        no compaction reads the whole bag; compacting it once per group
+        read all 199,990 edges 4 times here."""
+        import dirdense.peeling as peeling
+
+        g = gen_pref_attach(20_000, 10, 0)
+        grid = build_grid(g.n, 2)
+        kept, sizes = peeling._kept, []
+        monkeypatch.setattr(peeling, "_kept", lambda keep, *arrays: sizes.append(keep.size)
+                            or kept(keep, *arrays))
+        shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+        for c in grid:
+            list(shared.steps(c, g.n, g.m, 0.2))
+        assert sizes and g.m == 199_990 not in sizes
+
+    @pytest.mark.parametrize("delta,bound", [(2, 28.18), (1.1, 28.48)])
+    def test_root_walk_peak(self, delta, bound):
+        """The traced peak of a (V, V) walk of every guess on pref 10^5 x 10
+        (26.64 and 26.65 MiB measured) stays below the 28.19 and 28.48 MiB
+        of a walk that compacted the whole bag once per group."""
+        g = gen_pref_attach(10**5, 10, 0)
+        grid = build_grid(g.n, delta)
+        tracemalloc.start()
+        try:
+            shared = SharedPeel(g.src, g.dst, g.n, grid, 0.2)
+            for c in grid:
+                for _ in shared.steps(c, g.n, g.m, 0.2):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
+
 
 class TestExactOracle:
     def test_single_edge(self):
@@ -721,11 +857,7 @@ def sorted_or_not_bags(draw):
     """A ``whole_bag_instances`` instance whose graph's edges are put in
     order of source, or in a drawn order that may leave them unsorted."""
     g, cs, pair = draw(whole_bag_instances())
-    if draw(st.booleans()):
-        order = np.argsort(g.src, kind="stable")
-    else:
-        order = np.array(draw(st.permutations(range(g.m))), dtype=np.int64)
-    return DirectedGraph.from_arrays(g.n, g.src[order], g.dst[order]), cs, pair
+    return _in_drawn_order(draw, g), cs, pair
 
 
 class TestBySourceRows:
@@ -765,6 +897,27 @@ class TestBySourceRows:
         else:
             want = _inside(g.src, g.dst, s_mask, t_mask)
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @given(ordered_walk_instances(), st.sampled_from([0.1, 0.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_readers_of_either_order_read_each_guess_alone(self, instance, eps):
+        """Readers that take turns, one step each, from (V, V) and from the
+        start pair, read every guess's own steps from a shared peel whose
+        bag is in either order, where the walks read the rows of S."""
+        g, cs, start = instance
+        shared = SharedPeel(g.src, g.dst, g.n, cs, eps)
+        everyone = np.ones(g.n, dtype=bool)
+
+        def key(step):
+            return step_key(step), step.s_count, step.t_count
+
+        for pair in ((everyone, everyone), start):
+            got = _interleaved([shared.steps(c, g.n, g.m, eps, pair) for c in cs])
+            bag = _inside(g.src, g.dst, *pair)
+            for c, steps in zip(cs, got):
+                alone = _exact_bag_peels(*bag, g.n, (c,), eps, *pair)
+                assert [key(step) for step in steps] == [key(step) for step in alone]
+        assert (shared._offsets is None) == (_by_source_offsets(g) is None)
 
     def test_threads_check_the_bag_once(self, monkeypatch):
         """More threads than cores ask for rows and for walks of one fresh

@@ -623,8 +623,9 @@ class TestKernelBags:
     @pytest.fixture
     def calls(self, monkeypatch):
         """One (start at (V, V), rescan, bag edges outside the start pair,
-        degrees given, bag and degrees a shared peel's own and the degrees
-        its bag's bincounts) per kernel call, taken when the call is made."""
+        degrees given, bag and degrees a shared peel's own, the degrees its
+        bag's bincounts and the offsets, if given, its bag's by-source
+        offsets) per kernel call, taken when the call is made."""
         import dirdense.peeling as peeling
         import dirdense.streaming as streaming
 
@@ -635,17 +636,21 @@ class TestKernelBags:
             init(peel, *args, **kwargs)
             shared.append(peel)
 
-        def peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, rescan=False):
+        def peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, offsets=None,
+                  rescan=False):
             outside = int(np.count_nonzero(~(s_mask[src] & t_mask[dst])))
             given = degrees is not None
             own = given and any(degrees is peel._degrees and src is peel._bag[0]
                                 and dst is peel._bag[1] for peel in shared)
             counted = given and all(np.array_equal(count, np.bincount(ends, minlength=n))
                                     for count, ends in zip(degrees, (src, dst)))
+            rows = offsets is None or (
+                given and not np.any(np.diff(src) < 0)
+                and np.array_equal(offsets, np.searchsorted(src, np.arange(n + 1))))
             calls.append((bool(s_mask.all() and t_mask.all()), rescan, outside, given,
-                          own and counted))
+                          own and counted and rows))
             return kernel(src, dst, n, cs, epsilon, s_mask, t_mask, degrees=degrees,
-                          rescan=rescan)
+                          offsets=offsets, rescan=rescan)
 
         monkeypatch.setattr(SharedPeel, "__init__", record_shared)
         for module in (peeling, streaming):
@@ -658,9 +663,10 @@ class TestKernelBags:
 
     @staticmethod
     def check(calls, *, away=False):
-        """Every compacting call given degrees read a shared peel's own bag
-        and counts, and no bag edge lay outside any other compacting call's
-        pair; with ``away``, some compacting call started away from (V, V)."""
+        """Every compacting call given degrees read a shared peel's own bag,
+        counts and offsets, and no bag edge lay outside any other compacting
+        call's pair; with ``away``, some compacting call started away from
+        (V, V)."""
         assert calls
         for _, rescan, outside, given, own in calls:
             assert rescan or (own if given else not outside)
