@@ -237,19 +237,19 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, 
     which gets what its next run reads when popped, so a consumer that
     takes only the runs from (S, T) never pays for it. A run over E(S, T)
     hands its groups that bag, compacted by one pass on the side that
-    shrank; so does a first-pair run whose other side is V, over the whole
-    bag, where no ``offsets`` are given. With them, such a run's groups
-    get their degrees from counting passes over the bag (``_Leavers``)
-    and no bag. Every other group reads E(S, T) afresh: from S's rows
-    (``_inside_rows``) where they hold fewer edges than the bag, else by
-    ``_inside`` of the whole bag. Compactions keep their edges through
-    ``_kept``, which gathers by index where a mask keeps under 15/16 of
-    the bag, as most compactions of a walk do. With ``rescan`` nothing is
-    kept between steps and the bag may hold any edges: each pair filters
-    the whole bag through ``_inside`` and makes one tally per side it
-    peels, as a pass-per-iteration stream would. No mask is written in
-    place: a peel builds a new mask for its side and yields the other
-    side's as it is, so steps may be kept.
+    shrank. A first-pair run whose other side is V, over the whole bag
+    given with its degrees, hands its groups no bag: they get their
+    degrees from counting passes over it (``_Leavers``). Every other group
+    reads E(S, T) afresh: from S's rows (``_inside_rows``) where
+    ``offsets`` are given and those rows hold fewer edges than the bag,
+    else by ``_inside`` of the whole bag. Compactions keep their edges
+    through ``_kept``, which gathers by index where a mask keeps under
+    15/16 of the bag, as most compactions of a walk do. With ``rescan``
+    nothing is kept between steps and the bag may hold any edges: each
+    pair filters the whole bag through ``_inside`` and makes one tally per
+    side it peels, as a pass-per-iteration stream would. No mask is
+    written in place: a peel builds a new mask for its side and yields the
+    other side's as it is, so steps may be kept.
     """
     counts = (int(np.count_nonzero(s_mask)), int(np.count_nonzero(t_mask)))
     bag = None if rescan else (src, dst)
@@ -285,8 +285,7 @@ def _exact_bag_peels(src, dst, n, cs, epsilon, s_mask, t_mask, *, degrees=None, 
             elif whole is None:
                 deg, leave = np.bincount(ends[side], minlength=n), ends
             elif masks[1 - side].all():
-                deg = whole[side]
-                leave = ends if offsets is None else _Leavers(ends, side, n)
+                deg, leave = whole[side], _Leavers(ends, side, n)
             else:
                 outside, = _kept(~masks[1 - side][ends[1 - side]], ends[side])
                 deg, leave = whole[side] - np.bincount(outside, minlength=n), None
